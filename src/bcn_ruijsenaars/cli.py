@@ -11,7 +11,8 @@ Subcommands:
 * ``limit``      convergence report of the cotangent-bundle limit (JSON).
 
 Exit codes: 0 success, 1 validation error (bad flags or inadmissible
-input), 2 numerical failure or tolerance breach.  All random draws are
+input), 2 numerical failure or tolerance breach.  Vector values may
+start with ``-`` (``--p -0.2,0.15``).  All random draws are
 fixed by ``--seed``; identical configuration and seed give byte-identical
 output.  A JSON file with the same field names as the long flags
 (underscores for dashes) can be supplied via ``--config``; explicit
@@ -24,11 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
-from .decomposition import extract_reduced
 from .dynamics import (
     compare_trajectories,
     integrate_reduced,
@@ -147,7 +148,7 @@ def _initial_point(args, params) -> ReducedPoint:
         if q.size != params.n or p.size != params.n:
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
         point = ReducedPoint(q=q, p=p)
-        fact, cdata = assemble(point, params)   # validates admissibility
+        assemble(point, params)   # validates admissibility
         return point
     rng = np.random.default_rng(args.seed)
     return random_admissible_point(rng, params)
@@ -233,33 +234,43 @@ def cmd_limit(args) -> int:
     return 0 if rep.passes else 2
 
 
-def _add_model_flags(sp, defaults=True):
+def _add_model_flags(sp):
     sp.add_argument("--n", type=int, default=2, help="particle count")
     sp.add_argument("--alpha", type=float, default=0.5, help="deformation parameter")
     sp.add_argument("--x", type=float, default=1.0, help="right scale parameter")
     sp.add_argument("--y", type=float, default=1.0, help="left scale parameter")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as InvalidInput (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInput(message)
+
+
+def _attach_vector_values(argv):
+    """`--p -0.2,0.15` -> `--p=-0.2,0.15`; argparse reads such a value as a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--q", "--p", "--pi", "--t-grid") and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bcn",
         description="Hyperbolic Ruijsenaars-type model: verification, "
                     "simulation, involution and limit workflows")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    common = dict(seed=("--seed", dict(type=int, default=0, help="RNG seed")),
-                  output=("--output", dict(default=None, help="output file (default stdout)")),
-                  fmt=("--format", dict(dest="format", choices=("json", "csv"),
-                                        default="json", help="report format")),
-                  config=("--config", dict(default=None,
-                                           help="JSON file with flag defaults")))
-
     sp = sub.add_parser("verify", help="random-point constraint residual suite")
     _add_model_flags(sp)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-10)
-    for flag, kw in common.values():
-        sp.add_argument(flag, **kw)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="trajectory CSV (reduced/exact/both)")
@@ -274,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample-count", dest="sample_count", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-6,
                     help="deviation tolerance for --method both")
-    for flag, kw in common.values():
-        sp.add_argument(flag, **kw)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("involution", help="Poisson-bracket matrix of the family")
@@ -283,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=20)
     sp.add_argument("--max-order", dest="max_order", type=int, default=3)
     sp.add_argument("--tol", type=float, default=1e-5)
-    for flag, kw in common.values():
-        sp.add_argument(flag, **kw)
     sp.set_defaults(func=cmd_involution)
 
     sp = sub.add_parser("limit", help="cotangent-bundle limit convergence report")
@@ -296,9 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pi", default=None, help="comma-separated momentum rates")
     sp.add_argument("--t-grid", dest="t_grid", default=None,
                     help="comma-separated scale grid")
-    for flag, kw in common.values():
-        sp.add_argument(flag, **kw)
     sp.set_defaults(func=cmd_limit)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--output", default=None, help="output file (default stdout)")
+        sp.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="report format")
+        sp.add_argument("--config", default=None, help="JSON file with flag defaults")
     return ap
 
 
@@ -329,7 +341,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         argv = _apply_config(ap, argv)
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_vector_values(argv))
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,13 @@ of unreduced time advances the naively-scaled reduced clock by a factor
 4 more than the 1/2 suggested by the bare coefficient of the reduced
 symplectic form.  The calibration is re-asserted by the test suite.
 
+`integrate_reduced` runs on raw (q, p) arrays; only its start point and
+its samples are ReducedPoints.  Each RK stage is checked once, by the
+pair factors in `grad_hamiltonian`: ChamberViolation for unordered q,
+SeparationViolation past the wall.  Each step is checked once: a
+non-finite state raises NumericalFailure, and a separation margin below
+WALL_MARGIN ends the run with `chamber_approach` set.
+
 `project_flow` composes the exact flow with coordinate extraction, and
 `compare_trajectories` measures the deviation between the two routes.
 """
@@ -25,15 +32,15 @@ symplectic form.  The calibration is re-asserted by the test suite.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import extract_reduced, surface_residuals
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_trace
 from .matops import expm, inn
-from .model import ModelParams, ReducedPoint, wrap_angle
+from .model import ModelParams, ReducedPoint, separation_margin, wrap_angle
 from .reconstruction import assemble, verify_constraints
 
 __all__ = [
@@ -86,35 +93,11 @@ def exact_flow(g0, t: float) -> np.ndarray:
     return g0 @ expm(gen)
 
 
-def reduced_rhs(point: ReducedPoint, params: ModelParams,
-                orientation: int = FLOW_SIGN):
+def reduced_rhs(q, p, params: ModelParams, orientation: int = FLOW_SIGN):
     """Right-hand side (dq/dt, dp/dt) of the reduced canonical ODE."""
-    dq_h, dp_h = grad_hamiltonian(point, params)
+    dq_h, dp_h = grad_hamiltonian(q, p, params)
     k = orientation * FLOW_TIME_SCALE
     return k * dp_h, -k * dq_h
-
-
-def _rhs_vec(z: np.ndarray, n: int, params: ModelParams, orientation: int):
-    qdot, pdot = reduced_rhs(ReducedPoint(z[:n], z[n:]), params, orientation)
-    return np.concatenate([qdot, pdot])
-
-
-def _separation_margin(q: np.ndarray, params: ModelParams) -> float:
-    if q.size == 1:
-        return np.inf
-    if not np.all(np.diff(q) < 0.0):
-        return -np.inf
-    gaps = -np.diff(q)
-    c2 = (params.alpha - 1.0 / params.alpha) ** 2
-    return float(np.min(4.0 * np.sinh(gaps) ** 2) - c2)
-
-
-def _sample_record(z, n, params):
-    pt = ReducedPoint(z[:n], z[n:])
-    energy = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
-    fact, cdata = assemble(pt, params)
-    residual = verify_constraints(fact, cdata, params).max_residual
-    return pt, energy, residual
 
 
 # Cash-Karp embedded 4(5) pair
@@ -160,36 +143,44 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     sets the sampling cadence only).  Samples are recorded every
     `sample_every` steps.  If the separation margin drops below
     WALL_MARGIN the integration stops and the partial trajectory is
-    returned with `chamber_approach` set.
+    returned with `chamber_approach` set (see the module docstring for
+    the errors a stage or a step raises).
     """
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
     if t_max < 0.0:
         raise InvalidInput("t_max must be non-negative")
+    if method not in ("rk4", "rk45"):
+        raise InvalidInput(f"unknown method {method!r}")
     n = point0.n
-    f = lambda z: _rhs_vec(z, n, params, orientation)
+    f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
+    samples = []
 
-    times = [0.0]
-    pt, en, res = _sample_record(np.concatenate([point0.q, point0.p]), n, params)
-    points, energy, residual = [pt], [en], [res]
+    def record(t, z):
+        pt = ReducedPoint(z[:n], z[n:])
+        energy = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
+        fact, cdata = assemble(pt, params)
+        samples.append((t, pt, energy, verify_constraints(fact, cdata, params).max_residual))
 
-    n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
+    def at_wall(z) -> bool:
+        if not np.all(np.isfinite(z)):
+            raise NumericalFailure("reduced flow: non-finite state after a step")
+        return separation_margin(z[:n], params.coupling_sq) < WALL_MARGIN
+
     z = np.concatenate([point0.q, point0.p])
+    record(0.0, z)
     approached = False
     if method == "rk4":
+        n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
         step = dt if n_steps == 0 else t_max / n_steps
         for k in range(1, n_steps + 1):
             z = _rk4_step(f, z, step)
-            if _separation_margin(z[:n], params) < WALL_MARGIN:
-                approached = True
+            approached = at_wall(z)
+            if approached:
                 break
             if k % sample_every == 0 or k == n_steps:
-                pt, en, res = _sample_record(z, n, params)
-                times.append(k * step)
-                points.append(pt)
-                energy.append(en)
-                residual.append(res)
-    elif method == "rk45":
+                record(k * step, z)
+    else:
         sample_dt = dt * sample_every
         sample_times = np.arange(1, int(np.ceil(t_max / sample_dt)) + 1) * sample_dt
         sample_times = sample_times[sample_times <= t_max + 1e-12 * max(1.0, t_max)]
@@ -201,24 +192,19 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
             while t < t_target and not approached:
                 h = min(h, t_target - t)
                 z_new, err = _ck_step(f, z, h)
+                wall = at_wall(z_new)   # here: a NaN step is never accepted
                 scale = atol + rtol * float(np.max(np.abs(z)))
                 if err <= scale:
                     t += h
                     z = z_new
-                    if _separation_margin(z[:n], params) < WALL_MARGIN:
-                        approached = True
+                    approached = wall
                 h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
             if approached:
                 break
-            pt, en, res = _sample_record(z, n, params)
-            times.append(t)
-            points.append(pt)
-            energy.append(en)
-            residual.append(res)
-    else:
-        raise InvalidInput(f"unknown method {method!r}")
+            record(t, z)
 
-    return Trajectory(times=np.array(times), points=tuple(points),
+    times, points, energy, residual = zip(*samples)
+    return Trajectory(times=np.array(times), points=points,
                       energy=np.array(energy), residual=np.array(residual),
                       chamber_approach=approached)
 

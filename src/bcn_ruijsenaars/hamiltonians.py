@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, SeparationViolation
-from .model import ModelParams, ReducedPoint
+from .model import ModelParams, ReducedPoint, pair_factors
 from .matops import inn
 from .reconstruction import assemble
 
@@ -79,10 +79,10 @@ def _pair_factors_sq(s, alpha: float):
         return np.ones((1, 1))
     sk, si = s[None, :], s[:, None]
     diff = sk - si
-    if np.any(diff[~np.eye(n, dtype=bool)] == 0.0):
+    mask = ~np.eye(n, dtype=bool)
+    if np.any(diff[mask] == 0.0):
         raise SeparationViolation("coinciding Sigma_i^2: particle collision")
     fac = np.ones((n, n))
-    mask = ~np.eye(n, dtype=bool)
     fac[mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[mask] \
         / diff[mask] ** 2
     return fac
@@ -116,17 +116,8 @@ def hamiltonian_q(q, p, a2: float, b2: float, c2: float) -> float:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     u = np.exp(-2.0 * q)
-    n = q.size
     bracket = np.sqrt(1.0 + (1.0 + b2) * u + b2 * u ** 2)
-    prod = np.ones(n)
-    if n > 1:
-        d = q[:, None] - q[None, :]
-        mask = ~np.eye(n, dtype=bool)
-        fac = np.ones((n, n))
-        fac[mask] = 1.0 - c2 / (4.0 * np.sinh(d[mask]) ** 2)
-        if np.any(fac <= 0.0):
-            raise SeparationViolation("non-positive interaction radicand")
-        prod = np.prod(np.sqrt(fac), axis=1)
+    prod = np.prod(np.sqrt(pair_factors(q, c2)), axis=1)
     return float(a2 * np.sum(u) - np.sum(np.cos(p) * bracket * prod))
 
 
@@ -136,33 +127,24 @@ def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
     return phi_trace(fact.g, nu)
 
 
-def grad_hamiltonian(point: ReducedPoint, params: ModelParams):
-    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form."""
-    q, p = point.q, point.p
-    x, y, alpha = params.x, params.y, params.alpha
-    c2 = (alpha - 1.0 / alpha) ** 2
+def grad_hamiltonian(q, p, params: ModelParams):
+    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at 1-d arrays."""
+    x, y, c2 = params.x, params.y, params.coupling_sq
     n = q.size
     u = np.exp(-2.0 * q)
     b = np.sqrt((1.0 + u) * (x ** 2 + y ** 2 * u)) / x
     db = b * (-u) * (1.0 / (1.0 + u) + y ** 2 / (x ** 2 + y ** 2 * u))
 
+    f = np.sqrt(pair_factors(q, c2))
+    # df[i, k] = d f_{ik} / d q_i  (= -d f_{ik} / d q_k)
+    df = np.zeros((n, n))
     if n > 1:
         d = q[:, None] - q[None, :]
         mask = ~np.eye(n, dtype=bool)
-        f2 = np.ones((n, n))
-        f2[mask] = 1.0 - c2 / (4.0 * np.sinh(d[mask]) ** 2)
-        if np.any(f2 <= 0.0):
-            raise SeparationViolation("non-positive interaction radicand")
-        f = np.sqrt(f2)
-        # df[i, k] = d f_{ik} / d q_i  (= -d f_{ik} / d q_k)
-        df = np.zeros((n, n))
         df[mask] = c2 * np.cosh(d[mask]) / (2.0 * np.sinh(d[mask]) ** 3) \
             / (2.0 * f[mask])
-        pi_prod = np.prod(f, axis=1)
-    else:
-        f = np.ones((1, 1))
-        df = np.zeros((1, 1))
-        pi_prod = np.ones(1)
+    ratio = df / f
+    pi_prod = np.prod(f, axis=1)
 
     w = b * pi_prod
     dphi_dp = np.sin(p) * w
@@ -170,14 +152,11 @@ def grad_hamiltonian(point: ReducedPoint, params: ModelParams):
     cosp = np.cos(p)
     dphi_dq = -(x ** -2 + y ** 2) * u
     # own-coordinate derivative of W_i
-    dw_own = db * pi_prod + b * pi_prod * np.sum(
-        np.divide(df, f, out=np.zeros_like(df), where=f != 0.0), axis=1)
+    dw_own = db * pi_prod + w * np.sum(ratio, axis=1)
     dphi_dq = dphi_dq - cosp * dw_own
     if n > 1:
         # cross terms: d W_i / d q_j = -B_i (df[i, j] / f[i, j]) Pi_i
-        cross = -(b * pi_prod)[:, None] * np.divide(
-            df, f, out=np.zeros_like(df), where=f != 0.0)
-        dphi_dq = dphi_dq - cosp @ cross
+        dphi_dq = dphi_dq - cosp @ (-w[:, None] * ratio)
     return dphi_dq, dphi_dp
 
 

@@ -96,33 +96,36 @@ def phi_linearized(q, pi_vec, lp: LimitParams, t: float) -> float:
     return hamiltonian_sigma(np.exp(q), t * pi_vec, params)
 
 
-def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
-    """The limiting three-parameter hyperbolic Hamiltonian."""
-    hq = np.atleast_1d(np.asarray(hat_q, dtype=float))
-    hp = np.atleast_1d(np.asarray(hat_p, dtype=float))
-    if np.any(hq == 0.0):
-        raise InvalidInput("hat_q entries must be non-zero")
+def _potential_basis(hq: np.ndarray):
+    """(sum 1/sinh^2 qhat_i, sum 1/sinh^2 2qhat_i, ordered-pair sum): the
+    three potential terms of H2 without their coefficients."""
     n = hq.size
-    d = eta - xi
-    val = 0.5 * float(hp @ hp)
-    val += 2.0 * xi * eta * float(np.sum(1.0 / np.sinh(hq) ** 2))
-    val += 2.0 * d * d * float(np.sum(1.0 / np.sinh(2.0 * hq) ** 2))
+    pairs = 0.0
     if n > 1:
         plus = hq[:, None] + hq[None, :]
         minus = hq[:, None] - hq[None, :]
         mask = ~np.eye(n, dtype=bool)
         if np.any(np.sinh(plus[mask]) == 0.0) or np.any(np.sinh(minus[mask]) == 0.0):
             raise InvalidInput("coinciding or opposite hat_q entries")
-        val += 0.5 * zeta ** 2 * float(
-            np.sum(1.0 / np.sinh(plus[mask]) ** 2 + 1.0 / np.sinh(minus[mask]) ** 2))
+        pairs = float(np.sum(1.0 / np.sinh(plus[mask]) ** 2
+                             + 1.0 / np.sinh(minus[mask]) ** 2))
+    return (float(np.sum(1.0 / np.sinh(hq) ** 2)),
+            float(np.sum(1.0 / np.sinh(2.0 * hq) ** 2)), pairs)
+
+
+def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
+    """The limiting three-parameter hyperbolic Hamiltonian."""
+    hq = np.atleast_1d(np.asarray(hat_q, dtype=float))
+    hp = np.atleast_1d(np.asarray(hat_p, dtype=float))
+    if np.any(hq == 0.0):
+        raise InvalidInput("hat_q entries must be non-zero")
+    single, double, pairs = _potential_basis(hq)
+    d = eta - xi
+    val = 0.5 * float(hp @ hp)
+    val += 2.0 * xi * eta * single
+    val += 2.0 * d * d * double
+    val += 0.5 * zeta ** 2 * pairs
     return val
-
-
-def _extrapolate_to_zero(ts, gs):
-    """Polynomial extrapolation of g(t) to t = 0 (full-degree fit)."""
-    ts = np.asarray(ts, dtype=float)
-    coeffs = np.polyfit(ts, np.asarray(gs, dtype=float), ts.size - 1)
-    return float(coeffs[-1])
 
 
 def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3,
@@ -131,7 +134,8 @@ def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3,
     n = np.atleast_1d(np.asarray(q)).size
     ts = t0 / 2.0 ** np.arange(levels)
     gs = [(phi_linearized(q, pi_vec, lp, t) + n) / t ** 2 for t in ts]
-    return _extrapolate_to_zero(ts, gs)
+    # full-degree polynomial through the levels, evaluated at t = 0
+    return float(np.polyfit(ts, gs, ts.size - 1)[-1])
 
 
 def fit_expansion(q, pi_vec, lp: LimitParams, t_lo: float = 1e-3,
@@ -160,16 +164,8 @@ class LimitReport:
     passes: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t.tolist(),
-            "error": self.error.tolist(),
-            "fitted_order": self.fitted_order,
-            "H2_closed": self.H2_closed,
-            "H2_limit": self.H2_limit,
-            "H0_error": self.H0_error,
-            "H1_error": self.H1_error,
-            "passes": self.passes,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items()}
 
 
 def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
@@ -224,16 +220,7 @@ def fit_potential_coefficients(lp: LimitParams, rng: np.random.Generator,
             gaps = rng.uniform(0.4, 0.9, size=n - 1) if n > 1 else np.empty(0)
             q = rng.uniform(-0.8, 1.2) - np.concatenate([[0.0], np.cumsum(gaps)])
             hq, _ = hat_coords(q, np.zeros(n))
-            basis1 = float(np.sum(1.0 / np.sinh(hq) ** 2))
-            basis2 = float(np.sum(1.0 / np.sinh(2.0 * hq) ** 2))
-            basis3 = 0.0
-            if n > 1:
-                plus = hq[:, None] + hq[None, :]
-                minus = hq[:, None] - hq[None, :]
-                mask = ~np.eye(n, dtype=bool)
-                basis3 = float(np.sum(1.0 / np.sinh(plus[mask]) ** 2
-                                      + 1.0 / np.sinh(minus[mask]) ** 2))
-            rows.append([basis1, basis2, basis3])
+            rows.append(_potential_basis(hq))
             vals.append(richardson_H2(q, np.zeros(n), lp, t0=t0, levels=levels))
     a = np.array(rows)
     b = np.array(vals)

@@ -13,6 +13,8 @@ vectors
 The standard three-constant form of the Hamiltonian corresponds to
 
     a^2 = (x^-2 + y^2)/2,   b^2 = y^2/x^2,   c^2 = (alpha - 1/alpha)^2.
+The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair; c^2,
+the pair factors and the separation margin are defined here only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChamberViolation, InvalidInput
+from .errors import ChamberViolation, InvalidInput, SeparationViolation
 
 __all__ = [
     "ModelParams",
@@ -33,6 +35,8 @@ __all__ = [
     "make_params",
     "cartan_from_q",
     "check_separation",
+    "separation_margin",
+    "pair_factors",
     "abc_from_params",
     "params_from_abc",
     "wrap_angle",
@@ -61,6 +65,11 @@ class ModelParams:
     n: int
     epsilon: int = 1
     vhat_norm_sq: float = 0.0
+
+    @property
+    def coupling_sq(self) -> float:
+        """c^2 = (alpha - 1/alpha)^2, the separation threshold."""
+        return (self.alpha - 1.0 / self.alpha) ** 2
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "x": self.x, "y": self.y, "n": self.n}
@@ -93,6 +102,11 @@ def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
                        epsilon=1, vhat_norm_sq=vhat_norm_sq)
 
 
+def _require_chamber(q: np.ndarray) -> None:
+    if q.size > 1 and not np.all(np.diff(q) < 0.0):
+        raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     """Canonical coordinates (q, p) with q strictly decreasing.
@@ -110,8 +124,7 @@ class ReducedPoint:
             raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise InvalidInput("q and p must be finite")
-        if q.size > 1 and not np.all(np.diff(q) < 0.0):
-            raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+        _require_chamber(q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
@@ -148,8 +161,7 @@ class CartanData:
 def cartan_from_q(q, params: ModelParams) -> CartanData:
     """Radial chart at positions q; raises ChamberViolation if q unordered."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.size > 1 and not np.all(np.diff(q) < 0.0):
-        raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+    _require_chamber(q)
     sigma = np.exp(q)
     return CartanData(
         Delta=np.arcsinh(sigma),
@@ -172,7 +184,7 @@ class SeparationReport:
 def check_separation(point: ReducedPoint, params: ModelParams) -> SeparationReport:
     """Check 4 sinh^2(q_i - q_k) > (alpha - 1/alpha)^2 for every pair i != k."""
     q = point.q
-    c2 = (params.alpha - 1.0 / params.alpha) ** 2
+    c2 = params.coupling_sq
     if q.size < 2:
         return SeparationReport(ok=True, coupling_sq=c2,
                                 margins=np.empty(0), min_margin=math.inf)
@@ -183,12 +195,35 @@ def check_separation(point: ReducedPoint, params: ModelParams) -> SeparationRepo
                             margins=margins, min_margin=float(np.min(margins)))
 
 
+def separation_margin(q: np.ndarray, c2: float) -> float:
+    """min_i 4 sinh^2(q_i - q_{i+1}) - c2: `check_separation`'s min_margin
+    for ordered q (the closest pair is adjacent), negative for unordered q."""
+    if q.size < 2:
+        return math.inf
+    s = np.sinh(q[:-1] - q[1:])
+    return float(np.min(4.0 * s * np.abs(s))) - c2
+
+
+def pair_factors(q: np.ndarray, c2: float) -> np.ndarray:
+    """Matrix 1 - c2 / (4 sinh^2(q_i - q_k)), 1 on the diagonal; raises
+    ChamberViolation (unordered q) or SeparationViolation (an entry <= 0)."""
+    n = q.size
+    fac = np.ones((n, n))
+    if n > 1:
+        _require_chamber(q)
+        d = q[:, None] - q[None, :]
+        mask = ~np.eye(n, dtype=bool)
+        fac[mask] = 1.0 - c2 / (4.0 * np.sinh(d[mask]) ** 2)
+        if np.any(fac <= 0.0):
+            raise SeparationViolation("non-positive interaction radicand")
+    return fac
+
+
 def abc_from_params(params: ModelParams):
     """Map (alpha, x, y) to the three positive constants (a^2, b^2, c^2)."""
     a2 = (params.x ** -2 + params.y ** 2) / 2.0
     b2 = params.y ** 2 / params.x ** 2
-    c2 = (params.alpha - 1.0 / params.alpha) ** 2
-    return a2, b2, c2
+    return a2, b2, params.coupling_sq
 
 
 def params_from_abc(a2: float, b2: float, c2: float, n: int) -> ModelParams:

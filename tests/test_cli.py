@@ -119,3 +119,43 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"subcommand": "simulate"}))
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 1 and "error" in err
+
+
+class TestUsageErrors:
+    # usage errors are validation errors: exit 1, never the numerical code 2
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("nosuch",),
+        ("simulate", "--n", "two"),
+        ("verify", "--bogus"),
+        ("simulate", "--method", "euler"),
+    ])
+    def test_bad_flags_exit_1(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "-h"])
+        assert exc.value.code == 0
+        assert "--integrator" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q,p", [("-0.4,-1.5", "0.2,0.15"), ("1.0,-1.0", "-0.2,0.15")])
+    def test_simulate_vectors_may_start_with_minus(self, capsys, q, p):
+        common = ("simulate", "--n", "2", "--t-max", "0.01", "--dt", "1e-3")
+        spaced = run_cli(capsys, *common, "--q", q, "--p", p)
+        joined = run_cli(capsys, *common, f"--q={q}", f"--p={p}")
+        assert spaced[0] == 0
+        assert spaced == joined
+
+    def test_limit_vectors_may_start_with_minus(self, capsys):
+        common = ("limit", "--n", "2", "--seed", "3")
+        spaced = run_cli(capsys, *common, "--q", "-0.2,-1.0", "--pi", "-0.3,0.1")
+        joined = run_cli(capsys, *common, "--q=-0.2,-1.0", "--pi=-0.3,0.1")
+        assert spaced[0] == 0
+        assert spaced == joined
+        assert json.loads(spaced[1])["pi"] == [-0.3, 0.1]
+        # the value reaches the grid check instead of being read as a flag
+        code, _, err = run_cli(capsys, *common, "--t-grid", "-1e-3,1e-3,2e-3,4e-3")
+        assert code == 1 and "t_grid needs" in err

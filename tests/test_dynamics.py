@@ -16,7 +16,13 @@ from bcn_ruijsenaars.dynamics import (
     trajectory_csv_text,
     write_trajectory_csv,
 )
-from bcn_ruijsenaars.errors import InvalidInput
+from bcn_ruijsenaars import dynamics
+from bcn_ruijsenaars.errors import (
+    ChamberViolation,
+    InvalidInput,
+    NumericalFailure,
+    SeparationViolation,
+)
 from bcn_ruijsenaars.hamiltonians import grad_hamiltonian, phi_trace, spectral_invariants
 from bcn_ruijsenaars.matops import inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, make_params
@@ -71,7 +77,7 @@ class TestExactFlow:
 class TestReducedRhs:
     def test_stationary_in_q_at_zero_momentum(self):
         pt = ReducedPoint(np.array([1.1, -0.7]), np.zeros(2))
-        qdot, _ = reduced_rhs(pt, PARAMS2)
+        qdot, _ = reduced_rhs(pt.q, pt.p, PARAMS2)
         assert np.allclose(qdot, 0.0, atol=1e-15)
 
     def test_matches_projected_velocity(self):
@@ -85,10 +91,10 @@ class TestReducedRhs:
         zm = extract_reduced(exact_flow(fact.g, -h), PARAMS2)
         qdot_fd = (zp.q - zm.q) / (2 * h)
         pdot_fd = (zp.p - zm.p) / (2 * h)
-        qdot, pdot = reduced_rhs(POINT2, PARAMS2)
+        qdot, pdot = reduced_rhs(POINT2.q, POINT2.p, PARAMS2)
         assert np.max(np.abs(qdot - qdot_fd)) < 1e-7
         assert np.max(np.abs(pdot - pdot_fd)) < 1e-7
-        gq, gp = grad_hamiltonian(POINT2, PARAMS2)
+        gq, gp = grad_hamiltonian(POINT2.q, POINT2.p, PARAMS2)
         assert np.allclose(qdot, FLOW_SIGN * FLOW_TIME_SCALE * gp)
 
     def test_energy_is_first_integral_of_rhs(self):
@@ -96,8 +102,8 @@ class TestReducedRhs:
         rng = np.random.default_rng(61)
         for _ in range(5):
             pt = draw_point(rng, PARAMS2)
-            gq, gp = grad_hamiltonian(pt, PARAMS2)
-            qdot, pdot = reduced_rhs(pt, PARAMS2)
+            gq, gp = grad_hamiltonian(pt.q, pt.p, PARAMS2)
+            qdot, pdot = reduced_rhs(pt.q, pt.p, PARAMS2)
             assert abs(gq @ qdot + gp @ pdot) < 1e-10 * max(1.0, np.max(np.abs(gq)))
 
 
@@ -154,6 +160,21 @@ class TestIntegrateReduced:
         proj = project_flow(fact.g, PARAMS2, tr.times)
         dev = compare_trajectories(tr, proj)
         assert dev.q_dev < 1e-8 and dev.p_dev < 1e-8
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_stage_leaving_chart_raises(self, method):
+        # a head-on pair and one step of length 10: an RK stage lands
+        # far past the wall, and the whole call fails
+        pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
+        with pytest.raises((ChamberViolation, SeparationViolation)):
+            integrate_reduced(pt, PARAMS2, 10.0, 10.0, method=method)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_non_finite_state_raises(self, method, monkeypatch):
+        nan = np.full(2, np.nan)
+        monkeypatch.setattr(dynamics, "grad_hamiltonian", lambda *a, **k: (nan, nan))
+        with pytest.raises(NumericalFailure):
+            integrate_reduced(POINT2, PARAMS2, 0.1, 1e-2, method=method)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import draw_point
 
-from bcn_ruijsenaars.errors import InvalidInput, SeparationViolation
+from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput, SeparationViolation
 from bcn_ruijsenaars.hamiltonians import (
     fd_gradient,
     grad_hamiltonian,
@@ -95,6 +95,13 @@ class TestClosedForms:
         with pytest.raises(SeparationViolation):
             hamiltonian_sigma(np.exp([0.1, 0.0]), np.zeros(2), params)
 
+    def test_q_chart_needs_ordered_separated_q(self):
+        # the Sigma chart is permutation invariant; the q chart is not
+        with pytest.raises(ChamberViolation):
+            hamiltonian_q([-1.0, 1.0], [0.0, 0.0], 1.0, 1.0, 2.25)
+        with pytest.raises(SeparationViolation):
+            hamiltonian_q([0.1, 0.0], [0.0, 0.0], 1.0, 1.0, 2.25)
+
     def test_phase_periodicity(self):
         rng = np.random.default_rng(54)
         params = make_params(0.5, 1, 1, 2)
@@ -112,7 +119,7 @@ class TestGradient:
         f = lambda pt, pr: hamiltonian_sigma(np.exp(pt.q), pt.p, pr)
         for _ in range(5):
             pt = draw_point(rng, params, q_range=(-1.2, 1.2))
-            aq, ap = grad_hamiltonian(pt, params)
+            aq, ap = grad_hamiltonian(pt.q, pt.p, params)
             fq, fp = fd_gradient(f, pt, params)
             scale = max(1.0, float(np.max(np.abs(aq))), float(np.max(np.abs(ap))))
             assert np.max(np.abs(aq - fq)) <= 1e-6 * scale

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput
+from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput, SeparationViolation
 from bcn_ruijsenaars.model import (
     ModelParams,
     ReducedPoint,
@@ -12,7 +12,9 @@ from bcn_ruijsenaars.model import (
     cartan_from_q,
     check_separation,
     make_params,
+    pair_factors,
     params_from_abc,
+    separation_margin,
     wrap_angle,
 )
 
@@ -90,6 +92,49 @@ class TestSeparation:
                                make_params(0.5, 1, 1, 2))
         assert not rep.ok
         assert rep.min_margin < 0.0
+
+
+class TestSeparationKernels:
+    def test_coupling_sq(self):
+        params = make_params(0.5, 1, 1, 2)
+        assert params.coupling_sq == 2.25
+        assert abc_from_params(params)[2] == params.coupling_sq
+
+    def test_margin_agrees_with_check_separation(self):
+        # ordered points on both sides of the wall, n = 2..6
+        rng = np.random.default_rng(71)
+        params = make_params(0.6, 1.2, 0.8, 2)
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            q = rng.uniform(-1.0, 1.0) - np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.2, 1.2, size=n - 1))])
+            rep = check_separation(ReducedPoint(q, np.zeros(n)), params)
+            margin = separation_margin(q, params.coupling_sq)
+            assert margin == pytest.approx(rep.min_margin, rel=1e-14, abs=1e-14)
+            assert (margin > 0.0) == rep.ok
+            seen.add(rep.ok)
+        assert seen == {True, False}
+
+    def test_margin_single_particle_and_unordered(self):
+        assert separation_margin(np.array([0.3]), 2.25) == math.inf
+        assert separation_margin(np.array([1.0, 2.0]), 2.25) < 0.0
+        assert separation_margin(np.array([3.0, 1.0, 2.0]), 0.01) < 0.0
+        assert separation_margin(np.array([1.0, 1.0]), 0.01) < 0.0
+
+    def test_pair_factors_values(self):
+        q = np.array([1.2, 0.1, -1.4])
+        fac = pair_factors(q, 2.25)
+        assert np.array_equal(np.diag(fac), np.ones(3))
+        assert fac[0, 2] == pytest.approx(1.0 - 2.25 / (4.0 * math.sinh(2.6) ** 2))
+        assert np.array_equal(fac, fac.T)
+        assert np.array_equal(pair_factors(np.array([0.3]), 2.25), np.ones((1, 1)))
+
+    def test_pair_factors_errors(self):
+        with pytest.raises(ChamberViolation, match="strictly decreasing"):
+            pair_factors(np.array([0.0, 1.0]), 2.25)
+        with pytest.raises(SeparationViolation, match="non-positive interaction radicand"):
+            pair_factors(np.array([0.1, 0.0]), 2.25)
 
 
 class TestAbc:
