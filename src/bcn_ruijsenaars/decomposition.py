@@ -30,7 +30,7 @@ from .matops import (
     is_pseudo_unitary,
     rel_err,
 )
-from .model import ModelParams, ReducedPoint, wrap_angle
+from .model import ModelParams, ReducedPoint
 from .reconstruction import build_Ttilde, solve_v
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "cartan_KAK",
     "extract_reduced",
     "surface_residuals",
+    "extract_with_residual",
 ]
 
 #: residual threshold above which an element is rejected as off-surface
@@ -126,8 +127,11 @@ def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
         raise DegenerateElement(f"unit radial singular value: Gamma = {gamma}")
     if np.any(np.diff(gamma) > -1e-12 * scale):
         raise DegenerateElement(f"coinciding radial singular values: Gamma = {gamma}")
-    sigma = np.sqrt(gamma ** 2 - 1.0)
-    tau_hat = c @ khat.conj().T / sigma[None, :]
+    # c khat^dag = tau_hat Sigma: its column norms give Sigma without the
+    # cancellation of sqrt(Gamma^2 - 1) at Gamma ~ 1 (q far below 0)
+    c_k = c @ khat.conj().T
+    sigma = np.linalg.norm(c_k, axis=0)
+    tau_hat = c_k / sigma[None, :]
     lhat = (tau_hat.conj().T @ d) / gamma[:, None]
     delta = np.arcsinh(sigma)
     return KAKData(rho_hat=rho_hat, tau_hat=tau_hat, khat=khat, lhat=lhat,
@@ -143,6 +147,11 @@ def extract_reduced(g, params: ModelParams, tol: float = SURFACE_TOL) -> Reduced
     phase read-off from T Ttilde^T.  Raises NotOnConstraintSurface when a
     step residual exceeds `tol`, DegenerateElement at collisions.
     """
+    return _extract(g, params, tol)[0]
+
+
+def _extract(g, params: ModelParams, tol: float):
+    """extract_reduced, and the KB split (g, k_L, b_R) it was read from."""
     g = np.asarray(g, dtype=complex)
     n = params.n
     if g.shape != (2 * n, 2 * n):
@@ -192,7 +201,7 @@ def extract_reduced(g, params: ModelParams, tol: float = SURFACE_TOL) -> Reduced
     if frob(off) > 1e-8 * max(1.0, frob(D)):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
     p = np.angle(np.diagonal(D))
-    return ReducedPoint(q=q, p=p)
+    return ReducedPoint(q=q, p=p), (g, k_L, b_R)
 
 
 def surface_residuals(g, params: ModelParams) -> dict:
@@ -203,17 +212,20 @@ def surface_residuals(g, params: ModelParams) -> dict:
     value, and the determinant.  Factorization errors propagate.
     """
     g = np.asarray(g, dtype=complex)
+    return _residuals(g, *decompose_KB(g), params)
+
+
+def _residuals(g, k_L, b_R, params: ModelParams) -> dict:
     n = params.n
     x, y, alpha = params.x, params.y, params.alpha
     J = inn(n)
     res = {}
 
-    k_L, b_R = decompose_KB(g)
     res["bR_block_11"] = rel_err(b_R[:n, :n], x * np.eye(n))
     res["bR_block_22"] = rel_err(b_R[n:, n:], np.eye(n) / x)
     res["kL_pseudounitary"] = rel_err(k_L.conj().T @ J @ k_L, J)
 
-    b_L, _k_R = decompose_BK(g)
+    b_L = indefinite_cholesky_upper_dual(g @ J @ g.conj().T)
     res["bL_block_22"] = rel_err(b_L[n:, n:], y * np.eye(n))
     sig = y * b_L[:n, :n]
     spec = np.sort(np.linalg.eigvalsh(sig @ sig.conj().T))
@@ -225,3 +237,10 @@ def surface_residuals(g, params: ModelParams) -> dict:
     # only the modulus is checked here
     res["g_det_modulus"] = abs(abs(np.linalg.det(g)) - 1.0)
     return res
+
+
+def extract_with_residual(g, params: ModelParams):
+    """(extract_reduced(g, params), max of surface_residuals(g, params)),
+    from one KB split; the extraction runs first, so its errors come first."""
+    point, split = _extract(g, params, SURFACE_TOL)
+    return point, max(_residuals(*split, params).values())

@@ -25,7 +25,8 @@ SeparationViolation past the wall.  Each step is checked once: a
 non-finite state raises NumericalFailure, and a separation margin below
 WALL_MARGIN ends the run with `chamber_approach` set.
 
-`project_flow` composes the exact flow with coordinate extraction, and
+`project_flow` composes the exact flow with coordinate extraction (one
+KB split per sample serves the extraction and the residual), and
 `compare_trajectories` measures the deviation between the two routes.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import extract_reduced, surface_residuals
+from .decomposition import extract_with_residual
 from .errors import InvalidInput, NumericalFailure
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_trace
 from .matops import expm, inn
@@ -218,9 +219,10 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     points, energy, residual = [], [], []
     for t in times:
         g_t = g0 if t == 0.0 else exact_flow(g0, t)
-        points.append(extract_reduced(g_t, params))
+        point, res = extract_with_residual(g_t, params)
+        points.append(point)
         energy.append(phi_trace(g_t, 1))
-        residual.append(max(surface_residuals(g_t, params).values()))
+        residual.append(res)
     return Trajectory(times=times.copy(), points=tuple(points),
                       energy=np.array(energy), residual=np.array(residual))
 

@@ -12,7 +12,8 @@ needs at sizes up to a few dozen:
 * the matrix exponential by scaling-and-squaring with a diagonal Pade
   approximant,
 * the signature ("indefinite") Cholesky factorizations H = b^dag J b and
-  M = b J b^dag with b upper triangular and positive diagonal.
+  M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
+  diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
 
 All functions are pure; inputs are never modified.
 """
@@ -191,64 +192,56 @@ def expm(m) -> np.ndarray:
 
 # --- signature Cholesky -----------------------------------------------------
 
-def _signature_vector(n: int, signature) -> np.ndarray:
-    if signature is None:
-        if n % 2:
-            raise InvalidInput("default signature needs even dimension")
-        return np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-    j = np.asarray(signature, dtype=float)
-    if j.ndim == 2:
-        j = np.diagonal(j).real.copy()
-    if j.shape != (n,) or not np.all(np.abs(j) == 1.0):
-        raise InvalidInput("signature must be a vector/diagonal of +-1 entries")
-    return j
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a block that must be positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotOnLeaf(f"{what} is not positive definite") from None
 
 
-def indefinite_cholesky_upper(h, signature=None, tol: float = STRUCT_TOL):
-    """Factor a Hermitian matrix as h = b^dag J b.
-
-    b is upper triangular with real positive diagonal and J is the
-    signature matrix (default diag(I, -I)).  The factorization exists and
-    is unique exactly when h lies in the image of b -> b^dag J b; a pivot
-    of the wrong sign raises NotOnLeaf.
-    """
+def _signature_input(h, tol: float, name: str):
+    """A zero matrix for the factor and the n x n blocks of a validated
+    2n x 2n Hermitian input."""
     a = _as_square(h)
-    n = a.shape[0]
-    j = _signature_vector(n, signature)
+    if a.shape[0] % 2:
+        raise InvalidInput(f"{name}: the signature diag(I, -I) needs even dimension")
     if not is_hermitian(a, tol):
-        raise InvalidInput("indefinite_cholesky_upper: input is not Hermitian")
-    b = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        d = a[i, i].real - np.sum(j[:i] * np.abs(b[:i, i]) ** 2)
-        pivot = j[i] * d
-        if pivot <= 0.0:
-            raise NotOnLeaf(f"pivot {i} has wrong sign for the signature")
-        b[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            s = (j[:i] * b[:i, i].conj()) @ b[:i, i + 1:]
-            b[i, i + 1:] = j[i] * (a[i, i + 1:] - s) / b[i, i].real
+        raise InvalidInput(f"{name}: input is not Hermitian")
+    n = a.shape[0] // 2
+    return np.zeros_like(a), a[:n, :n], a[:n, n:], a[n:, n:]
+
+
+def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
+    """Factor a Hermitian matrix as h = b^dag J b with J = diag(I, -I).
+
+    b is upper triangular with real positive diagonal.  In n x n blocks,
+    h11 = b11^dag b11, h12 = b11^dag b12 and b22^dag b22 = b12^dag b12 - h22,
+    so b comes from two Cholesky factorizations and one solve.  The
+    factorization exists and is unique exactly when h lies in the image
+    of b -> b^dag J b; otherwise NotOnLeaf is raised.
+    """
+    b, h11, h12, h22 = _signature_input(h, tol, "indefinite_cholesky_upper")
+    n = h11.shape[0]
+    l11 = _cholesky(h11, "upper-left block")
+    b[:n, :n] = l11.conj().T
+    b[:n, n:] = b12 = np.linalg.solve(l11, h12)
+    b[n:, n:] = _cholesky(b12.conj().T @ b12 - h22, "Schur complement").conj().T
     return b
 
 
-def indefinite_cholesky_upper_dual(m, signature=None, tol: float = STRUCT_TOL):
+def indefinite_cholesky_upper_dual(m, tol: float = STRUCT_TOL):
     """Factor a Hermitian matrix as m = b J b^dag (same b conventions).
 
-    This is the mirror of :func:`indefinite_cholesky_upper`, eliminating
-    from the lower-right corner upward.
+    The mirror of :func:`indefinite_cholesky_upper`: b22 b22^dag = -m22,
+    b12 = -m12 b22^{-dag} and b11 b11^dag = m11 + b12 b12^dag.  An upper
+    factor u with a = u u^dag is the lower Cholesky factor of a with rows
+    and columns reversed, reversed back.
     """
-    a = _as_square(m)
-    n = a.shape[0]
-    j = _signature_vector(n, signature)
-    if not is_hermitian(a, tol):
-        raise InvalidInput("indefinite_cholesky_upper_dual: input is not Hermitian")
-    b = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        d = a[k, k].real - np.sum(j[k + 1:] * np.abs(b[k, k + 1:]) ** 2)
-        pivot = j[k] * d
-        if pivot <= 0.0:
-            raise NotOnLeaf(f"pivot {k} has wrong sign for the signature")
-        b[k, k] = math.sqrt(pivot)
-        if k:
-            s = b[:k, k + 1:] @ (j[k + 1:] * b[k, k + 1:].conj())
-            b[:k, k] = j[k] * (a[:k, k] - s) / b[k, k].real
+    b, m11, m12, m22 = _signature_input(m, tol, "indefinite_cholesky_upper_dual")
+    n = m11.shape[0]
+    b[n:, n:] = b22 = _cholesky(-m22[::-1, ::-1], "lower-right block")[::-1, ::-1]
+    b[:n, n:] = b12 = -np.linalg.solve(b22, m12.conj().T).conj().T
+    b[:n, :n] = _cholesky((m11 + b12 @ b12.conj().T)[::-1, ::-1],
+                          "Schur complement")[::-1, ::-1]
     return b

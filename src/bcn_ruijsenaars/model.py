@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChamberViolation, InvalidInput, SeparationViolation
+from .errors import ChamberViolation, InvalidInput, NumericalFailure, SeparationViolation
 
 __all__ = [
     "ModelParams",
@@ -206,11 +206,17 @@ def separation_margin(q: np.ndarray, c2: float) -> float:
 
 def pair_factors(q: np.ndarray, c2: float) -> np.ndarray:
     """Matrix 1 - c2 / (4 sinh^2(q_i - q_k)), 1 on the diagonal; raises
-    ChamberViolation (unordered q) or SeparationViolation (an entry <= 0)."""
+    ChamberViolation (unordered q), NumericalFailure (non-finite q, as from
+    an overflowed RK stage) or SeparationViolation (an entry <= 0)."""
     n = q.size
     fac = np.ones((n, n))
     if n > 1:
-        _require_chamber(q)
+        try:
+            _require_chamber(q)
+        except ChamberViolation:
+            if not np.all(np.isfinite(q)):
+                raise NumericalFailure(f"non-finite positions q = {q}") from None
+            raise
         d = q[:, None] - q[None, :]
         mask = ~np.eye(n, dtype=bool)
         fac[mask] = 1.0 - c2 / (4.0 * np.sinh(d[mask]) ** 2)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ChamberViolation,
     InternalInconsistency,
+    NumericalFailure,
     SeparationViolation,
 )
 from .matops import frob, inn, rel_err
@@ -84,8 +85,9 @@ def solve_v(Sigma, alpha: float) -> np.ndarray:
     v_k^2 = prod_i (Sigma_i^2 - alpha^2 Sigma_k^2) /
             prod_{j != k} alpha^2 (Sigma_j^2 - Sigma_k^2)
 
-    Raises SeparationViolation when any v_k^2 is not strictly positive,
-    which happens exactly when the pairwise separation condition fails.
+    Raises NumericalFailure on a non-finite v_k^2, SeparationViolation
+    when any v_k^2 is not strictly positive, which happens exactly when the
+    pairwise separation condition fails.
     """
     sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     if sigma.size > 1 and not np.all(np.diff(sigma) < 0.0):
@@ -94,12 +96,13 @@ def solve_v(Sigma, alpha: float) -> np.ndarray:
         raise ChamberViolation("Sigma must be positive")
     s = sigma ** 2
     a2 = alpha ** 2
-    n = s.size
-    v2 = np.empty(n)
-    for k in range(n):
-        num = np.prod(s - a2 * s[k])
-        den = np.prod(np.concatenate([a2 * (s[:k] - s[k]), a2 * (s[k + 1:] - s[k])]))
-        v2[k] = num / den
+    # one ratio per factor: raw products of Sigma^2 terms overflow at n ~ 24
+    # where v^2 is moderate; the i = k numerator factor stands alone
+    den = a2 * (s[:, None] - s[None, :])
+    np.fill_diagonal(den, 1.0)
+    v2 = np.prod((s[:, None] - a2 * s[None, :]) / den, axis=0)
+    if not np.all(np.isfinite(v2)):
+        raise NumericalFailure(f"non-finite v^2 = {v2}")
     if not np.all(v2 > 0.0):
         raise SeparationViolation(f"non-positive radicand in v^2 = {v2}")
     return np.sqrt(v2)

@@ -5,7 +5,6 @@ summary lines; every tolerance is fixed here, not computed.
 """
 
 import numpy as np
-import pytest
 
 from conftest import (
     block_unitary,

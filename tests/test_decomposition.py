@@ -3,7 +3,6 @@ import pytest
 
 from conftest import (
     block_unitary,
-    default_params,
     draw_point,
     rand_pseudo_unitary,
     rand_triangular_positive,
@@ -151,6 +150,14 @@ class TestExtractReduced:
             out = extract_reduced(u @ fact.g @ h, params)
             assert np.max(np.abs(out.q - point.q)) < 1e-9
             assert np.max(np.abs(wrap_angle(out.p - point.p))) < 1e-9
+
+    def test_far_negative_position_roundtrip(self):
+        # Gamma = sqrt(1 + e^-16) ~ 1: Sigma must not come from sqrt(Gamma^2 - 1)
+        params = make_params(0.5, 1.0, 1.0, 2)
+        point = ReducedPoint(np.array([0.0, -8.0]), np.array([0.3, -0.2]))
+        fact, _ = assemble(point, params)
+        out = extract_reduced(fact.g, params)
+        assert np.max(np.abs(out.q - point.q)) < 1e-13
 
     def test_off_surface_rejected(self):
         params = make_params(0.5, 1, 1, 2)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -176,6 +174,12 @@ class TestIntegrateReduced:
         with pytest.raises(NumericalFailure):
             integrate_reduced(POINT2, PARAMS2, 0.1, 1e-2, method=method)
 
+    def test_overflowed_stage_raises(self):
+        # a stage's gradient overflows and a position comes back infinite
+        pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
+        with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
+            integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, 10.0)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):
             integrate_reduced(POINT2, PARAMS2, 1.0, -1e-3)
@@ -191,6 +195,17 @@ class TestProjectFlow:
         traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
         z0 = extract_reduced(fact.g, PARAMS2)
         assert np.allclose(traj.points[0].q, z0.q)
+
+    def test_sample_equals_extraction_and_residuals(self):
+        from bcn_ruijsenaars.decomposition import extract_reduced, surface_residuals
+
+        fact, _ = assemble(POINT2, PARAMS2)
+        traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
+        for g_t, pt, res in zip((fact.g, exact_flow(fact.g, 0.5)), traj.points,
+                                traj.residual):
+            ref = extract_reduced(g_t, PARAMS2)
+            assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+            assert res == max(surface_residuals(g_t, PARAMS2).values())
 
     def test_surface_residuals_and_energy(self):
         fact, _ = assemble(POINT2, PARAMS2)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import rand_complex, rand_hermitian, rand_triangular_positive, rand_unitary
 
+from bcn_ruijsenaars.dynamics import exact_flow
 from bcn_ruijsenaars.errors import InvalidInput, NotOnLeaf
 from bcn_ruijsenaars.matops import (
     expm,
@@ -17,6 +20,9 @@ from bcn_ruijsenaars.matops import (
     is_upper_triangular_positive,
     svd_ordered,
 )
+from bcn_ruijsenaars.model import make_params
+from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.sampling import random_admissible_point
 
 
 def taylor_expm(a, terms=30):
@@ -132,6 +138,73 @@ class TestIndefiniteCholesky:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInput):
             indefinite_cholesky_upper(np.array([[1.0, 1.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("factor", [indefinite_cholesky_upper,
+                                        indefinite_cholesky_upper_dual])
+    def test_rejects_odd_size(self, factor):
+        with pytest.raises(InvalidInput, match="even dimension"):
+            factor(np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("h, block", [
+        (-inn(2), "upper-left block"),                # h11 = -I
+        (np.eye(4, dtype=complex), "Schur complement"),  # b12 = 0, -h22 = -I
+    ])
+    def test_not_on_leaf_from_each_block(self, h, block):
+        with pytest.raises(NotOnLeaf, match=block):
+            indefinite_cholesky_upper(h)
+
+    @pytest.mark.parametrize("m, block", [
+        (-inn(2), "lower-right block"),                # -m22 = -I
+        (-np.eye(4, dtype=complex), "Schur complement"),  # b12 = 0, m11 = -I
+    ])
+    def test_dual_not_on_leaf_from_each_block(self, m, block):
+        with pytest.raises(NotOnLeaf, match=block):
+            indefinite_cholesky_upper_dual(m)
+
+
+def _loop_cholesky_upper(h):
+    """Reference h = b^dag J b, eliminating row by row (J = diag(I, -I))."""
+    size = h.shape[0]
+    j = np.concatenate([np.ones(size // 2), -np.ones(size // 2)])
+    b = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        d = h[i, i].real - np.sum(j[:i] * np.abs(b[:i, i]) ** 2)
+        b[i, i] = math.sqrt(j[i] * d)
+        s = (j[:i] * b[:i, i].conj()) @ b[:i, i + 1:]
+        b[i, i + 1:] = j[i] * (h[i, i + 1:] - s) / b[i, i].real
+    return b
+
+
+def _loop_cholesky_upper_dual(m):
+    """Reference m = b J b^dag, eliminating from the lower-right corner up."""
+    size = m.shape[0]
+    j = np.concatenate([np.ones(size // 2), -np.ones(size // 2)])
+    b = np.zeros((size, size), dtype=complex)
+    for k in range(size - 1, -1, -1):
+        d = m[k, k].real - np.sum(j[k + 1:] * np.abs(b[k, k + 1:]) ** 2)
+        b[k, k] = math.sqrt(j[k] * d)
+        s = b[:k, k + 1:] @ (j[k + 1:] * b[k, k + 1:].conj())
+        b[:k, k] = j[k] * (m[:k, k] - s) / b[k, k].real
+    return b
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blocked_factorizations_match_row_loop(n):
+    """2n = 2..16, on the elements the factorizations serve: assembled
+    constrained elements and their images under the exact flow."""
+    rng = np.random.default_rng(200 + n)
+    params = make_params(0.6, 1.2, 0.8, n)
+    j = inn(n)
+    for _ in range(5):
+        g0 = assemble(random_admissible_point(rng, params, q_range=(-2.0, 2.0)),
+                      params)[0].g
+        for g in (g0, exact_flow(g0, 0.5)):
+            h = g.conj().T @ j @ g
+            m = g @ j @ g.conj().T
+            ref = _loop_cholesky_upper(h)
+            assert frob(indefinite_cholesky_upper(h) - ref) <= 1e-11 * max(1.0, frob(ref))
+            ref = _loop_cholesky_upper_dual(m)
+            assert frob(indefinite_cholesky_upper_dual(m) - ref) <= 1e-11 * max(1.0, frob(ref))
 
 
 class TestPredicates:

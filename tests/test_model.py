@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput, SeparationViolation
+from bcn_ruijsenaars.errors import (
+    ChamberViolation,
+    InvalidInput,
+    NumericalFailure,
+    SeparationViolation,
+)
 from bcn_ruijsenaars.model import (
     ModelParams,
     ReducedPoint,
@@ -135,6 +140,11 @@ class TestSeparationKernels:
             pair_factors(np.array([0.0, 1.0]), 2.25)
         with pytest.raises(SeparationViolation, match="non-positive interaction radicand"):
             pair_factors(np.array([0.1, 0.0]), 2.25)
+
+    def test_pair_factors_non_finite(self):
+        # unordered only because a stage overflowed: a numerical failure
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            pair_factors(np.array([0.3, np.inf]), 2.25)
 
 
 class TestAbc:

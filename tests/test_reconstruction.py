@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_params, draw_point, vhat_stabilizer
+from conftest import draw_point, vhat_stabilizer
 
-from bcn_ruijsenaars.errors import SeparationViolation
+from bcn_ruijsenaars.errors import NumericalFailure, SeparationViolation
 from bcn_ruijsenaars.matops import frob, inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, cartan_from_q, make_params
 from bcn_ruijsenaars.reconstruction import (
@@ -46,6 +46,29 @@ class TestSolveV:
     def test_separation_violation(self):
         with pytest.raises(SeparationViolation):
             solve_v(np.exp(np.array([0.1, 0.0])), 0.5)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_matches_raw_products(self, n):
+        # the residue formula as written, where its raw products stay finite
+        rng = np.random.default_rng(30 + n)
+        alpha = 0.6
+        q = -np.cumsum(rng.uniform(0.6, 1.0, n)) + 0.4 * n
+        s = np.exp(2.0 * q)
+        raw = [np.prod(s - alpha ** 2 * s[k])
+               / np.prod(alpha ** 2 * np.delete(s - s[k], k)) for k in range(n)]
+        assert np.allclose(solve_v(np.exp(q), alpha), np.sqrt(raw), rtol=1e-13, atol=0.0)
+
+    def test_wide_spread_stays_finite(self):
+        # raw Sigma^2 products overflow here; the ratios do not
+        q = 0.6 * np.arange(23, -1, -1) - 7.2 + 10.0
+        v = solve_v(np.exp(q), 0.6)
+        assert np.all(np.isfinite(v)) and np.all(v > 0.0)
+        expected = 0.6 ** (2 - 2 * 24) - 0.6 ** 2
+        assert np.sum((v / np.exp(q)) ** 2) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_is_numerical_failure(self):
+        with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
+            solve_v(np.array([1e200, 1.0]), 0.5)
 
 
 class TestBuildTtilde:
