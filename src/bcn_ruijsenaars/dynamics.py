@@ -23,7 +23,10 @@ its samples are ReducedPoints.  Each RK stage is checked once, by the
 pair factors in `grad_hamiltonian`: ChamberViolation for unordered q,
 SeparationViolation past the wall.  Each step is checked once: a
 non-finite state raises NumericalFailure, and a separation margin below
-WALL_MARGIN ends the run with `chamber_approach` set.
+WALL_MARGIN ends the run with `chamber_approach` set.  The steps run with
+numpy's overflow and invalid-value warnings off, since such a step ends
+in one of those errors; the samples (energy, residual) are evaluated
+after the stepping, with the caller's warning settings.
 
 `project_flow` composes the exact flow with coordinate extraction (one
 KB split per sample serves the extraction and the residual), and
@@ -155,13 +158,12 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
         raise InvalidInput(f"unknown method {method!r}")
     n = point0.n
     f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
-    samples = []
 
-    def record(t, z):
+    def sample(t, z):
         pt = ReducedPoint(z[:n], z[n:])
         energy = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
         fact, cdata = assemble(pt, params)
-        samples.append((t, pt, energy, verify_constraints(fact, cdata, params).max_residual))
+        return t, pt, energy, verify_constraints(fact, cdata, params).max_residual
 
     def at_wall(z) -> bool:
         if not np.all(np.isfinite(z)):
@@ -169,42 +171,46 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
         return separation_margin(z[:n], params.coupling_sq) < WALL_MARGIN
 
     z = np.concatenate([point0.q, point0.p])
-    record(0.0, z)
+    kept = [(0.0, z)]       # (t, z) of each sample, evaluated after the stepping
     approached = False
-    if method == "rk4":
-        n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
-        step = dt if n_steps == 0 else t_max / n_steps
-        for k in range(1, n_steps + 1):
-            z = _rk4_step(f, z, step)
-            approached = at_wall(z)
-            if approached:
-                break
-            if k % sample_every == 0 or k == n_steps:
-                record(k * step, z)
-    else:
-        sample_dt = dt * sample_every
-        sample_times = np.arange(1, int(np.ceil(t_max / sample_dt)) + 1) * sample_dt
-        sample_times = sample_times[sample_times <= t_max + 1e-12 * max(1.0, t_max)]
-        if sample_times.size == 0 or sample_times[-1] < t_max:
-            sample_times = np.append(sample_times, t_max)
-        t = 0.0
-        h = dt
-        for t_target in sample_times:
-            while t < t_target and not approached:
-                h = min(h, t_target - t)
-                z_new, err = _ck_step(f, z, h)
-                wall = at_wall(z_new)   # here: a NaN step is never accepted
-                scale = atol + rtol * float(np.max(np.abs(z)))
-                if err <= scale:
-                    t += h
-                    z = z_new
-                    approached = wall
-                h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-            if approached:
-                break
-            record(t, z)
+    # An overflowing stage or step raises NumericalFailure (`pair_factors`,
+    # `at_wall`), so numpy's warnings would only add noise.  One context for
+    # all steps: entering one per step slows the stepping measurably.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "rk4":
+            n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
+            step = dt if n_steps == 0 else t_max / n_steps
+            for k in range(1, n_steps + 1):
+                z = _rk4_step(f, z, step)
+                approached = at_wall(z)
+                if approached:
+                    break
+                if k % sample_every == 0 or k == n_steps:
+                    kept.append((k * step, z))
+        else:
+            sample_dt = dt * sample_every
+            sample_times = np.arange(1, int(np.ceil(t_max / sample_dt)) + 1) * sample_dt
+            sample_times = sample_times[sample_times <= t_max + 1e-12 * max(1.0, t_max)]
+            if sample_times.size == 0 or sample_times[-1] < t_max:
+                sample_times = np.append(sample_times, t_max)
+            t = 0.0
+            h = dt
+            for t_target in sample_times:
+                while t < t_target and not approached:
+                    h = min(h, t_target - t)
+                    z_new, err = _ck_step(f, z, h)
+                    wall = at_wall(z_new)   # here: a NaN step is never accepted
+                    scale = atol + rtol * float(np.max(np.abs(z)))
+                    if err <= scale:
+                        t += h
+                        z = z_new
+                        approached = wall
+                    h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
+                if approached:
+                    break
+                kept.append((t, z))
 
-    times, points, energy, residual = zip(*samples)
+    times, points, energy, residual = zip(*(sample(t, z) for t, z in kept))
     return Trajectory(times=np.array(times), points=points,
                       energy=np.array(energy), residual=np.array(residual),
                       chamber_approach=approached)

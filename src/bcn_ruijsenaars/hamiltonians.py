@@ -163,8 +163,10 @@ def grad_hamiltonian(q, p, params: ModelParams):
 def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None):
     """Central-difference gradient with one Richardson step (h0, h0/2).
 
-    `func(point, params) -> float`.  Returns (df_dq, df_dp).  Stencil
-    evaluation failures (e.g. a chamber violation) propagate.
+    `func(point, params)` returns a float or a 1-d array; the differences
+    are taken elementwise.  Returns (df_dq, df_dp), each of shape (n,) or
+    (n, m) for an array of m values.  Stencil evaluation failures (e.g. a
+    chamber violation) propagate.
     """
     q, p = point.q, point.p
     if h0 is None:
@@ -229,19 +231,21 @@ def involution_report(params: ModelParams, point_samples, max_order: int = 3,
     if max_order > 4:
         raise InvalidInput("max_order > 4 is outside the conditioned regime")
     orders = tuple(range(1, max_order + 1))
+
+    def phis(point, pr):
+        g = assemble(point, pr)[0].g
+        return np.array([phi_trace(g, nu) for nu in orders])
+
     mat = np.zeros((max_order, max_order))
     for pt in point_samples:
-        grads = {}
-        for nu in orders:
-            grads[nu] = fd_gradient(
-                lambda z, pr, nu=nu: phi_reduced(z, pr, nu), pt, params, h0)
+        # row nu - 1: the gradient of Phi_nu, one assembly per stencil point;
+        # contiguous rows keep each dot product that of a lone gradient
+        dq, dp = (np.ascontiguousarray(d.T) for d in fd_gradient(phis, pt, params, h0))
         for a in orders:
             for b in orders:
                 if a >= b:
                     continue
-                fq, fp = grads[a]
-                hq, hp = grads[b]
-                val = abs(0.5 * (fq @ hp - fp @ hq))
+                val = abs(0.5 * (dq[a - 1] @ dp[b - 1] - dp[a - 1] @ dq[b - 1]))
                 mat[a - 1, b - 1] = max(mat[a - 1, b - 1], val)
                 mat[b - 1, a - 1] = mat[a - 1, b - 1]
     idx = np.unravel_index(np.argmax(mat), mat.shape)

@@ -195,13 +195,13 @@ def check_separation(point: ReducedPoint, params: ModelParams) -> SeparationRepo
                             margins=margins, min_margin=float(np.min(margins)))
 
 
-def separation_margin(q: np.ndarray, c2: float) -> float:
+def separation_margin(q: np.ndarray, c2: float):
     """min_i 4 sinh^2(q_i - q_{i+1}) - c2: `check_separation`'s min_margin
-    for ordered q (the closest pair is adjacent), negative for unordered q."""
-    if q.size < 2:
-        return math.inf
-    s = np.sinh(q[:-1] - q[1:])
-    return float(np.min(4.0 * s * np.abs(s))) - c2
+    for ordered q (the closest pair is adjacent), negative for unordered q,
+    inf for one particle.  A (k, n) stack of positions gives the k margins."""
+    s = np.sinh(q[..., :-1] - q[..., 1:])
+    margin = (4.0 * s * np.abs(s)).min(axis=-1, initial=math.inf) - c2
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def pair_factors(q: np.ndarray, c2: float) -> np.ndarray:

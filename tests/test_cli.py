@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -78,6 +79,17 @@ class TestSimulate:
                                  "--dt", "1e-3", "--seed", "3")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_overflowed_stage_prints_one_line(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "simulate", "--n", "2", "--q=0.8,-0.8",
+                                     "--p=0.1,-0.05", "--alpha", "0.5",
+                                     "--t-max", "10", "--dt", "10")
+        assert code == 2
+        assert out == ""
+        assert caught == []
+        assert err == "numerical failure: non-finite positions q = [6.51311025        inf]\n"
 
 
 class TestInvolution:

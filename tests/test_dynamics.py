@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,14 @@ class TestIntegrateReduced:
         pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
         with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
             integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, 10.0)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_overflowed_stage_raises_without_warnings(self, method):
+        pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure):
+                integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, 10.0, method=method)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):

@@ -18,6 +18,7 @@ from bcn_ruijsenaars.hamiltonians import (
 )
 from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params
 from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.sampling import random_admissible_point
 
 
 class TestPhiTrace:
@@ -125,6 +126,19 @@ class TestGradient:
             assert np.max(np.abs(aq - fq)) <= 1e-6 * scale
             assert np.max(np.abs(ap - fp)) <= 1e-6 * scale
 
+    def test_array_valued_equals_scalar_calls(self):
+        rng = np.random.default_rng(58)
+        params = make_params(0.6, 1.2, 0.8, 3)
+        pt = draw_point(rng, params, q_range=(-1.0, 1.0))
+        funcs = [lambda z, pr, nu=nu: phi_reduced(z, pr, nu) for nu in (1, 2, 3)]
+        dq, dp = fd_gradient(lambda z, pr: np.array([f(z, pr) for f in funcs]),
+                             pt, params, 2.5e-4)
+        assert dq.shape == dp.shape == (3, 3)
+        for j, f in enumerate(funcs):
+            fq, fp = fd_gradient(f, pt, params, 2.5e-4)
+            assert dq[:, j].tolist() == fq.tolist()
+            assert dp[:, j].tolist() == fp.tolist()
+
 
 class TestPoissonBracket:
     def test_canonical_pairs(self):
@@ -153,6 +167,26 @@ class TestPoissonBracket:
         assert abs(val) < 1e-5
 
 
+def _loop_report(params, points, max_order, h0=2.5e-4):
+    """Bracket matrix, worst pair and max of `involution_report`, with one
+    gradient (and so one assembly per stencil point) per order."""
+    orders = range(1, max_order + 1)
+    mat = np.zeros((max_order, max_order))
+    for pt in points:
+        grads = {nu: fd_gradient(lambda z, pr, nu=nu: phi_reduced(z, pr, nu),
+                                 pt, params, h0) for nu in orders}
+        for a in orders:
+            for b in orders:
+                if a >= b:
+                    continue
+                fq, fp = grads[a]
+                hq, hp = grads[b]
+                mat[a - 1, b - 1] = max(mat[a - 1, b - 1], abs(0.5 * (fq @ hp - fp @ hq)))
+                mat[b - 1, a - 1] = mat[a - 1, b - 1]
+    idx = np.unravel_index(np.argmax(mat), mat.shape)
+    return mat, (int(idx[0]) + 1, int(idx[1]) + 1), float(mat[idx])
+
+
 class TestInvolution:
     def test_report_structure_and_magnitude(self):
         rng = np.random.default_rng(57)
@@ -164,6 +198,20 @@ class TestInvolution:
         assert np.allclose(rep.bracket_matrix, rep.bracket_matrix.T)
         assert rep.max_abs < 1e-5
         assert rep.extrapolation_order == 4
+
+    @pytest.mark.parametrize("max_order", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_order_loop(self, n, max_order):
+        rng = np.random.default_rng(59 + n)
+        params = make_params(0.6, 1.2, 0.8, n)
+        pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
+                                       margin_factor=1.2, max_stretch=0)
+               for _ in range(3)]
+        rep = involution_report(params, pts, max_order=max_order)
+        mat, worst, max_abs = _loop_report(params, pts, max_order)
+        assert rep.bracket_matrix.tolist() == mat.tolist()
+        assert rep.worst_pair == worst
+        assert rep.max_abs == max_abs
 
     def test_max_order_guard(self):
         params = make_params(0.5, 1, 1, 2)

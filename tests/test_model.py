@@ -127,6 +127,14 @@ class TestSeparationKernels:
         assert separation_margin(np.array([3.0, 1.0, 2.0]), 0.01) < 0.0
         assert separation_margin(np.array([1.0, 1.0]), 0.01) < 0.0
 
+    def test_margin_of_a_stack_is_per_row(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 9):
+            q = np.sort(rng.uniform(-2.0, 2.0, size=(6, n)), axis=1)[:, ::-1]
+            rows = separation_margin(q, 2.25)
+            assert rows.shape == (6,)
+            assert rows.tolist() == [separation_margin(row, 2.25) for row in q]
+
     def test_pair_factors_values(self):
         q = np.array([1.2, 0.1, -1.4])
         fac = pair_factors(q, 2.25)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars.errors import InvalidInput
+from bcn_ruijsenaars.errors import InvalidInput, NumericalFailure
 from bcn_ruijsenaars.model import check_separation, make_params
 from bcn_ruijsenaars.sampling import random_admissible_point
 
@@ -34,3 +34,87 @@ def test_margin_factor_below_one_rejected():
     with pytest.raises(InvalidInput):
         random_admissible_point(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2),
                                 margin_factor=0.9)
+
+
+def test_negative_max_stretch_rejected():
+    # every candidate gets its unstretched test, so a negative count has no meaning
+    with pytest.raises(InvalidInput):
+        random_admissible_point(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2),
+                                max_stretch=-1)
+
+
+def _loop_sampler(rng, params, q_range=(-2.0, 2.0), margin_factor=1.05,
+                  max_stretch=4, max_redraw=2000):
+    """The one-candidate-at-a-time sampler the blocked one must reproduce."""
+    n = params.n
+    c2 = margin_factor * params.coupling_sq
+    for _ in range(max_redraw):
+        q = np.sort(rng.uniform(q_range[0], q_range[1], size=n))[::-1]
+        p = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=n)
+        for _ in range(max_stretch + 1):
+            s = np.sinh(q[:-1] - q[1:])
+            if n < 2 or float(np.min(4.0 * s * np.abs(s))) - c2 > 0.0:
+                return q.copy(), p
+            q = np.mean(q) + 1.25 * (q - np.mean(q))
+    raise NumericalFailure("could not draw an admissible point; widen q_range")
+
+
+GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+SAMPLER_ARGS = {
+    "default": {},
+    "involution": {"q_range": (-0.95, 0.95), "margin_factor": 1.2, "max_stretch": 0},
+    "non_dyadic": {"q_range": (-1.7, 2.3)},
+}
+
+
+def _same_state(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            _same_state(a[key], b[key])
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
+def _outcome(sampler, rng, params, kwargs):
+    """(q, p) bytes of a draw, or None when the sampler gives up."""
+    try:
+        q, p = sampler(rng, params, **kwargs)
+    except NumericalFailure:
+        return None
+    return q.tobytes(), p.tobytes()
+
+
+def _blocked_sampler(rng, params, **kwargs):
+    pt = random_admissible_point(rng, params, **kwargs)
+    return pt.q, pt.p
+
+
+@pytest.mark.parametrize("args", sorted(SAMPLER_ARGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
+def test_blocked_draws_equal_loop(bitgen, n, args):
+    """Points and generator state after each of a run of draws; with the
+    involution arguments at n = 5, 8 every draw gives up, after the same
+    number of candidates."""
+    params = make_params(0.6, 1.2, 0.8, n)
+    kwargs = SAMPLER_ARGS[args]
+    ours, ref = np.random.Generator(bitgen(17)), np.random.Generator(bitgen(17))
+    for _ in range(6):
+        got = _outcome(_blocked_sampler, ours, params, kwargs)
+        assert got == _outcome(_loop_sampler, ref, params, kwargs)
+        _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        if got is None:
+            break
+
+
+@pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
+def test_exhaustion_consumes_the_loops_draws(bitgen):
+    params = make_params(0.6, 1.2, 0.8, 8)
+    kwargs = {"max_stretch": 2, "max_redraw": 7}
+    ours, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
+    with pytest.raises(NumericalFailure):
+        random_admissible_point(ours, params, **kwargs)
+    with pytest.raises(NumericalFailure):
+        _loop_sampler(ref, params, **kwargs)
+    _same_state(ours.bit_generator.state, ref.bit_generator.state)
