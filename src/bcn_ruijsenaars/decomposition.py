@@ -13,6 +13,18 @@ The master contract is the round trip
 together with invariance under admissible gauge transformations: right
 multiplication by block-diagonal unitaries, and left multiplication by
 diag(u1, u2) with u1 stabilizing the reference vector vhat.
+
+Everything here runs on stacks (T, 2n, 2n) of elements: `reduce_stack`
+makes one KB split of the stack, reads (q, p) off it and then computes
+the surface residuals, each stage as stacked numpy/LAPACK calls.  A
+check fails when it fails for any element; its error names the first
+such element, so on a stack of one it is exactly the error of that
+element.  `extract_reduced`, `surface_residuals` and
+`extract_with_residual` are the stack-of-one calls; `project_flow`
+passes chunks of a trajectory (about 4096 complex entries per stacked
+array, `dynamics.CHUNK_ENTRIES`) and replays a failing chunk element by
+element.  Each element gets the arithmetic it gets alone, so q, p, the
+residuals and the moment value do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -23,12 +35,13 @@ import numpy as np
 
 from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface
 from .matops import (
-    frob,
+    dagger,
+    frob_stack,
     indefinite_cholesky_upper,
     indefinite_cholesky_upper_dual,
     inn,
     is_pseudo_unitary,
-    rel_err,
+    rel_err_stack,
 )
 from .model import ModelParams, ReducedPoint
 from .reconstruction import build_Ttilde, solve_v
@@ -38,6 +51,7 @@ __all__ = [
     "decompose_KB",
     "decompose_BK",
     "cartan_KAK",
+    "reduce_stack",
     "extract_reduced",
     "surface_residuals",
     "extract_with_residual",
@@ -52,7 +66,8 @@ class KAKData:
     """Normal form k = diag(rho_hat, tau_hat) C(Delta) diag(khat, lhat).
 
     C(Delta) is the hyperbolic rotation [[cosh D, sinh D], [sinh D,
-    cosh D]] and Delta is strictly decreasing (open Weyl chamber).
+    cosh D]] and Delta is strictly decreasing (open Weyl chamber).  For a
+    stack of elements every field has the stack's leading axes.
     """
 
     rho_hat: np.ndarray
@@ -70,14 +85,12 @@ class KAKData:
         return np.cosh(self.Delta)
 
     def reassemble(self) -> np.ndarray:
-        g, s = np.diag(self.Gamma), np.diag(self.Sigma)
+        eye = np.eye(self.Delta.shape[-1])
+        g, s = self.Gamma[..., None, :] * eye, self.Sigma[..., None, :] * eye
         c = np.block([[g, s], [s, g]]).astype(complex)
-        left = np.block([
-            [self.rho_hat, np.zeros_like(self.rho_hat)],
-            [np.zeros_like(self.tau_hat), self.tau_hat]])
-        right = np.block([
-            [self.khat, np.zeros_like(self.khat)],
-            [np.zeros_like(self.lhat), self.lhat]])
+        zero = np.zeros_like(self.rho_hat)
+        left = np.block([[self.rho_hat, zero], [zero, self.tau_hat]])
+        right = np.block([[self.khat, zero], [zero, self.lhat]])
         return left @ c @ right
 
 
@@ -88,9 +101,9 @@ def decompose_KB(g):
     Raises NotOnLeaf (from the factorization) when g is not on the leaf.
     """
     g = np.asarray(g, dtype=complex)
-    h = g.conj().T @ inn(g.shape[0] // 2) @ g
+    h = dagger(g) @ inn(g.shape[-1] // 2) @ g
     b = indefinite_cholesky_upper(h)
-    k = np.linalg.solve(b.T, g.T).T   # g b^{-1}
+    k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
 
 
@@ -100,14 +113,15 @@ def decompose_BK(g):
     Uses m = g J g^dag = b J b^dag and the dual signature factorization.
     """
     g = np.asarray(g, dtype=complex)
-    m = g @ inn(g.shape[0] // 2) @ g.conj().T
+    m = g @ inn(g.shape[-1] // 2) @ dagger(g)
     b = indefinite_cholesky_upper_dual(m)
     k = np.linalg.solve(b, g)
     return b, k
 
 
 def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
-    """Normal form of a regular pseudo-unitary element.
+    """Normal form of a regular pseudo-unitary element (or of each element
+    of a stack).
 
     The (1,1) block A = rho_hat Gamma khat is an SVD with descending
     singular values Gamma_i; regularity requires them distinct and > 1.
@@ -116,54 +130,48 @@ def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
     pseudo-unitary.
     """
     k = np.asarray(k, dtype=complex)
-    n = k.shape[0] // 2
+    n = k.shape[-1] // 2
     if not is_pseudo_unitary(k, tol=tol):
         raise InvalidInput("cartan_KAK: input is not pseudo-unitary")
-    a, c, d = k[:n, :n], k[n:, :n], k[n:, n:]
-    rho_hat, gamma, khat_dag = np.linalg.svd(a)
-    khat = khat_dag  # numpy returns V^dag, which is exactly khat
-    scale = max(1.0, gamma[0])
-    if gamma[-1] <= 1.0 + 1e-12 * scale:
-        raise DegenerateElement(f"unit radial singular value: Gamma = {gamma}")
-    if np.any(np.diff(gamma) > -1e-12 * scale):
-        raise DegenerateElement(f"coinciding radial singular values: Gamma = {gamma}")
+    a, c, d = k[..., :n, :n], k[..., n:, :n], k[..., n:, n:]
+    rho_hat, gamma, khat = np.linalg.svd(a)   # numpy's V^dag is exactly khat
+    rows = gamma.reshape(-1, n)
+    scale = np.maximum(1.0, rows[:, 0])
+    failed = rows[:, -1] <= 1.0 + 1e-12 * scale
+    if np.any(failed):
+        raise DegenerateElement(
+            f"unit radial singular value: Gamma = {rows[np.argmax(failed)]}")
+    failed = np.any(np.diff(rows, axis=1) > -1e-12 * scale[:, None], axis=1)
+    if np.any(failed):
+        raise DegenerateElement(
+            f"coinciding radial singular values: Gamma = {rows[np.argmax(failed)]}")
     # c khat^dag = tau_hat Sigma: its column norms give Sigma without the
     # cancellation of sqrt(Gamma^2 - 1) at Gamma ~ 1 (q far below 0)
-    c_k = c @ khat.conj().T
-    sigma = np.linalg.norm(c_k, axis=0)
-    tau_hat = c_k / sigma[None, :]
-    lhat = (tau_hat.conj().T @ d) / gamma[:, None]
+    c_k = c @ dagger(khat)
+    sigma = np.linalg.norm(c_k, axis=-2)
+    tau_hat = c_k / sigma[..., None, :]
+    lhat = (dagger(tau_hat) @ d) / gamma[..., :, None]
     delta = np.arcsinh(sigma)
     return KAKData(rho_hat=rho_hat, tau_hat=tau_hat, khat=khat, lhat=lhat,
                    Delta=delta)
 
 
-def extract_reduced(g, params: ModelParams, tol: float = SURFACE_TOL) -> ReducedPoint:
-    """Recover (q, p) from an element on the constraint surface modulo gauge.
+def _read_stack(g, k_L, b_R, params: ModelParams, tol: float) -> list:
+    """The reduced point of each element of a stack, from its KB split.
 
-    Pipeline: KB-split, radial normal form of the pseudo-unitary factor,
-    gauge normalization by explicit block-diagonal multiplications,
+    Radial normal form of the pseudo-unitary factor, gauge normalization,
     residual torus fixing against the non-negative gauge of vtilde, and
-    phase read-off from T Ttilde^T.  Raises NotOnConstraintSurface when a
-    step residual exceeds `tol`, DegenerateElement at collisions.
+    phase read-off from T Ttilde^T.
     """
-    return _extract(g, params, tol)[0]
-
-
-def _extract(g, params: ModelParams, tol: float):
-    """extract_reduced, and the KB split (g, k_L, b_R) it was read from."""
-    g = np.asarray(g, dtype=complex)
     n = params.n
-    if g.shape != (2 * n, 2 * n):
-        raise InvalidInput(f"expected shape {(2*n, 2*n)}, got {g.shape}")
     x = params.x
-
-    k_L, b_R = decompose_KB(g)
-    bad = max(rel_err(b_R[:n, :n], x * np.eye(n)),
-              rel_err(b_R[n:, n:], np.eye(n) / x))
-    if bad > tol:
+    eye = np.eye(n)
+    bad = np.maximum(rel_err_stack(b_R[:, :n, :n], x * eye),
+                     rel_err_stack(b_R[:, n:, n:], eye / x))
+    failed = bad > tol
+    if np.any(failed):
         raise NotOnConstraintSurface(
-            f"right factor diagonal blocks off by {bad:.2e}")
+            f"right factor diagonal blocks off by {bad[np.argmax(failed)]:.2e}")
 
     kak = cartan_KAK(k_L)
     Sigma = kak.Sigma
@@ -171,37 +179,108 @@ def _extract(g, params: ModelParams, tol: float):
 
     # gauge-normalize: after this, the pseudo-unitary factor of g_norm is
     # (rho_hat Gamma, rho_hat Sigma; Sigma, Gamma) and its lower-right
-    # block is Omega conjugated by the residual torus
-    left = np.block([
-        [np.eye(n), np.zeros((n, n))],
-        [np.zeros((n, n)), kak.tau_hat.conj().T]]).astype(complex)
-    right = np.block([
-        [kak.khat.conj().T, np.zeros((n, n))],
-        [np.zeros((n, n)), kak.lhat.conj().T]]).astype(complex)
+    # block is Omega conjugated by the residual torus.  The products are
+    # the full block-diagonal ones, zero blocks included, because those
+    # change how BLAS groups the sums, and with it the last bit of p.
+    left = np.zeros_like(g)
+    left[:, :n, :n] = eye
+    left[:, n:, n:] = dagger(kak.tau_hat)
+    right = np.zeros_like(g)
+    right[:, :n, :n] = dagger(kak.khat)
+    right[:, n:, n:] = dagger(kak.lhat)
     g_norm = left @ g @ right
-
     Lambda = np.sqrt(params.y ** 2 + params.x ** 2 * Sigma ** 2)
-    T = g_norm[n:, n:] / Lambda[:, None]
-    if rel_err(T.conj().T @ T, np.eye(n)) > tol:
+    T = g_norm[:, n:, n:] / Lambda[:, :, None]
+    if np.any(rel_err_stack(dagger(T) @ T, eye) > tol):
         raise NotOnConstraintSurface("lower-right block is not Lambda-unitary")
 
     # residual torus: align the first row of rho_hat with the
     # non-negative gauge of vtilde
     v = solve_v(Sigma, params.alpha)
     vtilde = v / Sigma
-    w = np.sqrt(float(vtilde @ vtilde)) * kak.rho_hat[0, :].conj()
-    if np.max(np.abs(np.abs(w) - vtilde)) > tol * max(1.0, float(np.max(vtilde))):
+    # |vtilde| by a (1 x n)(n x 1) product: the dot product `vtilde @ vtilde`
+    # of one row, bit for bit
+    w = (np.sqrt(vtilde[:, None, :] @ vtilde[:, :, None])[:, 0]
+         * kak.rho_hat[:, 0, :].conj())
+    if np.any(np.max(np.abs(np.abs(w) - vtilde), axis=-1)
+              > tol * np.maximum(1.0, np.max(vtilde, axis=-1))):
         raise NotOnConstraintSurface("vtilde misaligned with the reference gauge")
     delta = w / np.abs(w)
-    T = delta.conj()[:, None] * T * delta[None, :]
+    T = delta.conj()[:, :, None] * T * delta[:, None, :]
 
-    Ttilde = build_Ttilde(Sigma, params.alpha, v)
-    D = T @ Ttilde.T
-    off = D - np.diag(np.diagonal(D))
-    if frob(off) > 1e-8 * max(1.0, frob(D)):
+    D = T @ build_Ttilde(Sigma, params.alpha, v).swapaxes(-1, -2)
+    if np.any(frob_stack(D * ~np.eye(n, dtype=bool))
+              > 1e-8 * np.maximum(1.0, frob_stack(D))):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
-    p = np.angle(np.diagonal(D))
-    return ReducedPoint(q=q, p=p), (g, k_L, b_R)
+    p = np.angle(np.diagonal(D, axis1=-2, axis2=-1))
+    return [ReducedPoint(q=q_t, p=p_t) for q_t, p_t in zip(q, p)]
+
+
+def _residual_stack(g, k_L, b_R, params: ModelParams):
+    """Named residuals, one value per element, and the moment value
+    m = g J g^dag = b_L J b_L^dag they were read from."""
+    n = params.n
+    x, y, alpha = params.x, params.y, params.alpha
+    J = inn(n)
+    eye = np.eye(n)
+    res = {}
+
+    res["bR_block_11"] = rel_err_stack(b_R[:, :n, :n], x * eye)
+    res["bR_block_22"] = rel_err_stack(b_R[:, n:, n:], eye / x)
+    res["kL_pseudounitary"] = rel_err_stack(dagger(k_L) @ J @ k_L, J)
+
+    m = g @ J @ dagger(g)
+    b_L = indefinite_cholesky_upper_dual(m)
+    res["bL_block_22"] = rel_err_stack(b_L[:, n:, n:], y * eye)
+    sig = y * b_L[:, :n, :n]
+    spec = np.sort(np.linalg.eigvalsh(sig @ dagger(sig)), axis=-1)
+    target = np.sort(np.concatenate([
+        [alpha ** 2 + params.vhat_norm_sq], np.full(n - 1, alpha ** 2)]))
+    res["kks_spectrum"] = np.max(np.abs(spec - target), axis=-1) / max(1.0, target[-1])
+    # the exact flow multiplies det g by a unimodular central phase
+    # (exp(4 i Phi_1 t)); the surface content is insensitive to it, so
+    # only the modulus is checked here (hypot: the complex abs of one
+    # number; numpy's vectorized complex abs rounds differently)
+    det = np.linalg.det(g)
+    res["g_det_modulus"] = np.abs(np.hypot(det.real, det.imag) - 1.0)
+    return res, m
+
+
+def reduce_stack(g, params: ModelParams):
+    """Reduced points, worst surface residuals and moment values of a
+    stack (T, 2n, 2n) of elements, from one KB split.
+
+    Returns (points, residual, m): a list of T ReducedPoints, the (T,)
+    maxima of `surface_residuals`, and the (T, 2n, 2n) stack of
+    m = g J g^dag.  The extraction runs first, so its errors come first.
+    """
+    g = np.asarray(g, dtype=complex)
+    k_L, b_R = decompose_KB(g)
+    points = _read_stack(g, k_L, b_R, params, SURFACE_TOL)
+    res, m = _residual_stack(g, k_L, b_R, params)
+    return points, np.max(list(res.values()), axis=0), m
+
+
+def _one(g, params: ModelParams) -> np.ndarray:
+    """One element as a stack of one."""
+    g = np.asarray(g, dtype=complex)
+    n = params.n
+    if g.shape != (2 * n, 2 * n):
+        raise InvalidInput(f"expected shape {(2*n, 2*n)}, got {g.shape}")
+    return g[None]
+
+
+def extract_reduced(g, params: ModelParams, tol: float = SURFACE_TOL) -> ReducedPoint:
+    """Recover (q, p) from an element on the constraint surface modulo gauge.
+
+    Pipeline: KB-split, radial normal form of the pseudo-unitary factor,
+    gauge normalization, residual torus fixing against the non-negative
+    gauge of vtilde, and phase read-off from T Ttilde^T.  Raises
+    NotOnConstraintSurface when a step residual exceeds `tol`,
+    DegenerateElement at collisions.
+    """
+    g = _one(g, params)
+    return _read_stack(g, *decompose_KB(g), params, tol)[0]
 
 
 def surface_residuals(g, params: ModelParams) -> dict:
@@ -211,36 +290,13 @@ def surface_residuals(g, params: ModelParams) -> dict:
     unitarity of the left factor, the spectrum of the reference momentum
     value, and the determinant.  Factorization errors propagate.
     """
-    g = np.asarray(g, dtype=complex)
-    return _residuals(g, *decompose_KB(g), params)
-
-
-def _residuals(g, k_L, b_R, params: ModelParams) -> dict:
-    n = params.n
-    x, y, alpha = params.x, params.y, params.alpha
-    J = inn(n)
-    res = {}
-
-    res["bR_block_11"] = rel_err(b_R[:n, :n], x * np.eye(n))
-    res["bR_block_22"] = rel_err(b_R[n:, n:], np.eye(n) / x)
-    res["kL_pseudounitary"] = rel_err(k_L.conj().T @ J @ k_L, J)
-
-    b_L = indefinite_cholesky_upper_dual(g @ J @ g.conj().T)
-    res["bL_block_22"] = rel_err(b_L[n:, n:], y * np.eye(n))
-    sig = y * b_L[:n, :n]
-    spec = np.sort(np.linalg.eigvalsh(sig @ sig.conj().T))
-    target = np.sort(np.concatenate([
-        [alpha ** 2 + params.vhat_norm_sq], np.full(n - 1, alpha ** 2)]))
-    res["kks_spectrum"] = float(np.max(np.abs(spec - target))) / max(1.0, target[-1])
-    # the exact flow multiplies det g by a unimodular central phase
-    # (exp(4 i Phi_1 t)); the surface content is insensitive to it, so
-    # only the modulus is checked here
-    res["g_det_modulus"] = abs(abs(np.linalg.det(g)) - 1.0)
-    return res
+    g = _one(g, params)
+    res, _ = _residual_stack(g, *decompose_KB(g), params)
+    return {name: float(r[0]) for name, r in res.items()}
 
 
 def extract_with_residual(g, params: ModelParams):
     """(extract_reduced(g, params), max of surface_residuals(g, params)),
     from one KB split; the extraction runs first, so its errors come first."""
-    point, split = _extract(g, params, SURFACE_TOL)
-    return point, max(_residuals(*split, params).values())
+    points, residual, _ = reduce_stack(_one(g, params), params)
+    return points[0], float(residual[0])

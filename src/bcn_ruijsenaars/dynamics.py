@@ -28,9 +28,19 @@ numpy's overflow and invalid-value warnings off, since such a step ends
 in one of those errors; the samples (energy, residual) are evaluated
 after the stepping, with the caller's warning settings.
 
-`project_flow` composes the exact flow with coordinate extraction (one
-KB split per sample serves the extraction and the residual), and
-`compare_trajectories` measures the deviation between the two routes.
+`project_flow` composes the exact flow with coordinate extraction and
+runs as one stacked pipeline: the time grid is cut into chunks of
+CHUNK_ENTRIES // (2n)^2 samples (each stacked (T, 2n, 2n) array then
+holds about CHUNK_ENTRIES complex entries, which bounds the memory), and
+each chunk makes one `exact_flow` call (a grouped-Pade `expm` of the
+stacked generators) and one `reduce_stack` pass: one KB split, the
+extraction and the residuals, with the energy read from the same
+m = g J g^dag that gives b_L.  If any check fails, `LinAlgError` is
+raised or a floating-point warning would be issued anywhere in a chunk,
+the chunk is replayed sample by sample in time order, under the caller's
+warning settings, so the first failing sample in time raises exactly the
+error of a lone sample.  `compare_trajectories` measures the deviation
+between the two routes.
 """
 
 from __future__ import annotations
@@ -40,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import extract_with_residual
-from .errors import InvalidInput, NumericalFailure
-from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_trace
+from .decomposition import reduce_stack
+from .errors import BCNError, InvalidInput, NumericalFailure
+from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
 from .matops import expm, inn
 from .model import ModelParams, ReducedPoint, separation_margin, wrap_angle
 from .reconstruction import assemble, verify_constraints
@@ -73,6 +83,10 @@ FLOW_TIME_SCALE = 2.0
 #: abort threshold on the separation margin (chamber-wall approach)
 WALL_MARGIN = 1e-6
 
+#: complex entries per stacked (T, 2n, 2n) array of a `project_flow`
+#: chunk: T = CHUNK_ENTRIES // (2n)^2 samples (256 at n = 2, 16 at n = 8)
+CHUNK_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -89,11 +103,15 @@ class Trajectory:
         return np.array([np.concatenate([pt.q, pt.p]) for pt in self.points])
 
 
-def exact_flow(g0, t: float) -> np.ndarray:
-    """Propagate g0 for time t along the first Hamiltonian's flow."""
+def exact_flow(g0, t) -> np.ndarray:
+    """Propagate g0 for time t along the first Hamiltonian's flow.
+
+    A 1-d array of times gives the (T, 2n, 2n) stack of g(t).
+    """
     g0 = np.asarray(g0, dtype=complex)
     j = inn(g0.shape[0] // 2)
-    gen = -2.0j * t * (j @ g0.conj().T @ j @ g0)
+    gen = (-2.0j * np.asarray(t, dtype=float))[..., None, None] \
+        * (j @ g0.conj().T @ j @ g0)
     return g0 @ expm(gen)
 
 
@@ -217,20 +235,42 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
 
 
 def project_flow(g0, params: ModelParams, times) -> Trajectory:
-    """Exact flow sampled at `times`, projected to reduced coordinates."""
+    """Exact flow sampled at `times`, projected to reduced coordinates.
+
+    Runs in chunks of stacked samples; a chunk in which anything fails is
+    replayed one sample at a time (see the module docstring).
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
     g0 = np.asarray(g0, dtype=complex)
+    size = max(1, CHUNK_ENTRIES // g0.size)
+    # a warning that the replay would print is an error in the stacked pass
+    raise_on = {kind: "ignore" if how == "ignore" else "raise"
+                for kind, how in np.geterr().items()}
     points, energy, residual = [], [], []
-    for t in times:
-        g_t = g0 if t == 0.0 else exact_flow(g0, t)
-        point, res = extract_with_residual(g_t, params)
-        points.append(point)
-        energy.append(phi_trace(g_t, 1))
-        residual.append(res)
+    for start in range(0, times.size, size):
+        chunk = times[start:start + size]
+        try:
+            with np.errstate(**raise_on):
+                parts = [_project_stack(g0, params, chunk)]
+        except (BCNError, np.linalg.LinAlgError, FloatingPointError):
+            parts = [_project_stack(g0, params, chunk[i:i + 1])
+                     for i in range(chunk.size)]
+        for part_points, part_energy, part_residual in parts:
+            points += part_points
+            energy.extend(part_energy)
+            residual.extend(part_residual)
     return Trajectory(times=times.copy(), points=tuple(points),
                       energy=np.array(energy), residual=np.array(residual))
+
+
+def _project_stack(g0, params: ModelParams, times):
+    """(points, energy, residual) at `times`, as one stack."""
+    g = exact_flow(g0, times)
+    g[times == 0.0] = g0      # the t = 0 sample is g0 itself, unrounded
+    points, residual, m = reduce_stack(g, params)
+    return points, phi_from_moment(m, 1), residual
 
 
 @dataclass(frozen=True)

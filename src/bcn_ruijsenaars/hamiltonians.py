@@ -38,6 +38,7 @@ from .reconstruction import assemble
 
 __all__ = [
     "phi_trace",
+    "phi_from_moment",
     "hamiltonian_sigma",
     "hamiltonian_q",
     "phi_reduced",
@@ -61,14 +62,28 @@ def phi_trace(g, nu: int) -> float:
     g = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise InvalidInput("phi_trace: non-finite input")
+    j = inn(g.shape[0] // 2)
+    return float(_phi(g @ j @ g.conj().T @ j, nu))
+
+
+def phi_from_moment(m, nu: int):
+    """Phi_nu from the moment value m = g J g^dag, as :func:`phi_trace`
+    computes it from g; a stack (T, 2n, 2n) of moment values gives T
+    values, and the reality check names the first failing one."""
+    m = np.asarray(m, dtype=complex)
+    return _phi(m @ inn(m.shape[-1] // 2), nu)
+
+
+def _phi(mj, nu: int):
+    """-(1/(2 nu)) tr mj^nu for mj = g J g^dag J, one matrix or a stack."""
     if nu < 1:
         raise InvalidInput("nu must be a positive integer")
-    j = inn(g.shape[0] // 2)
-    m = g @ j @ g.conj().T @ j
-    val = -np.trace(np.linalg.matrix_power(m, nu)) / (2.0 * nu)
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise NumericalFailure(f"trace has imaginary part {val.imag}")
-    return float(val.real)
+    val = -np.trace(np.linalg.matrix_power(mj, nu), axis1=-2, axis2=-1) / (2.0 * nu)
+    failed = np.abs(val.imag) > 1e-8 * np.maximum(1.0, np.abs(val.real))
+    if failed.any():
+        raise NumericalFailure(
+            f"trace has imaginary part {np.ravel(val.imag)[np.argmax(failed)]}")
+    return val.real
 
 
 def _pair_factors_sq(s, alpha: float):

@@ -5,8 +5,8 @@ Everything downstream works with plain ``numpy`` arrays of ``complex128``
 factorizations and transcendental operations the rest of the package
 needs at sizes up to a few dozen:
 
-* structural predicates (Hermitian, unitary, triangular-positive,
-  pseudo-unitary with respect to an indefinite signature),
+* structural predicates (Hermitian, pseudo-unitary with respect to an
+  indefinite signature),
 * Hermitian eigendecomposition and singular value decomposition with a
   fixed ordering convention,
 * the matrix exponential by scaling-and-squaring with a diagonal Pade
@@ -14,6 +14,15 @@ needs at sizes up to a few dozen:
 * the signature ("indefinite") Cholesky factorizations H = b^dag J b and
   M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
   diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
+
+Every function except `inn`, `frob` and `rel_err` also takes a stack
+(..., N, N) of matrices.  Each matrix of a stack gets the arithmetic it
+gets alone (numpy's stacked `matmul`, `solve`, `cholesky` and `svd` run
+the same BLAS/LAPACK call on every matrix), so a stack only saves the
+Python overhead of a loop; a predicate holds, and a factorization
+succeeds, only when it does for every matrix.  `frob_stack` and
+`rel_err_stack` are the per-matrix forms of `frob` and `rel_err`, equal
+to them bit for bit on C-ordered matrices.
 
 All functions are pure; inputs are never modified.
 """
@@ -30,9 +39,10 @@ __all__ = [
     "inn",
     "frob",
     "rel_err",
+    "dagger",
+    "frob_stack",
+    "rel_err_stack",
     "is_hermitian",
-    "is_unitary",
-    "is_upper_triangular_positive",
     "is_pseudo_unitary",
     "hermitian_eig",
     "svd_ordered",
@@ -61,9 +71,33 @@ def rel_err(actual: np.ndarray, target: np.ndarray) -> float:
     return frob(np.asarray(actual) - target) / max(1.0, frob(target))
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def frob_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., N, N).
+
+    Summed as `frob` sums one matrix (a dot product of the raveled real
+    and imaginary parts), so for C-ordered matrices each value equals
+    `frob` bit for bit.
+    """
+    a = np.asarray(a)
+    rows = a.reshape(*a.shape[:-2], 1, -1)
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+
+
+def rel_err_stack(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """`rel_err` of each matrix of a stack against `target` (one matrix or a stack)."""
+    return frob_stack(actual - target) / np.maximum(1.0, frob_stack(target))
+
+
 def _as_square(m, name: str = "matrix") -> np.ndarray:
+    """A finite complex square matrix, or stack (..., N, N) of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidInput(f"{name} contains non-finite entries")
@@ -71,31 +105,18 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:
+    """m = m^dag within tol (for a stack: every matrix)."""
     a = _as_square(m)
-    return frob(a - a.conj().T) <= tol * max(1.0, frob(a))
-
-
-def is_unitary(m, tol: float = STRUCT_TOL) -> bool:
-    a = _as_square(m)
-    return frob(a.conj().T @ a - np.eye(a.shape[0])) <= tol * max(1.0, frob(a))
-
-
-def is_upper_triangular_positive(m, tol: float = STRUCT_TOL) -> bool:
-    """Strictly lower entries below tol, diagonal real and positive."""
-    a = _as_square(m)
-    scale = max(1.0, frob(a))
-    lower = a[np.tril_indices_from(a, k=-1)]
-    if lower.size and np.max(np.abs(lower)) > tol * scale:
-        return False
-    d = np.diagonal(a)
-    return bool(np.all(np.abs(d.imag) <= tol * scale) and np.all(d.real > 0.0))
+    return bool(np.all(frob_stack(a - dagger(a)) <= tol * np.maximum(1.0, frob_stack(a))))
 
 
 def is_pseudo_unitary(m, signature=None, tol: float = STRUCT_TOL) -> bool:
-    """Check m^dag J m = J for the signature matrix J (default diag(I, -I))."""
+    """Check m^dag J m = J for the signature matrix J (default diag(I, -I));
+    for a stack, every matrix."""
     a = _as_square(m)
-    j = inn(a.shape[0] // 2) if signature is None else np.asarray(signature, dtype=complex)
-    return frob(a.conj().T @ j @ a - j) <= tol * max(1.0, frob(a) ** 2)
+    j = inn(a.shape[-1] // 2) if signature is None else np.asarray(signature, dtype=complex)
+    return bool(np.all(frob_stack(dagger(a) @ j @ a - j)
+                       <= tol * np.maximum(1.0, frob_stack(a) ** 2)))
 
 
 def hermitian_eig(m, tol: float = STRUCT_TOL):
@@ -119,7 +140,7 @@ def svd_ordered(m):
     """
     a = _as_square(m)
     u, s, vh = np.linalg.svd(a)
-    return u, s, vh.conj().T
+    return u, s, dagger(vh)
 
 
 # --- matrix exponential -----------------------------------------------------
@@ -144,7 +165,7 @@ def _pade_coeffs(m: int) -> np.ndarray:
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    n = a.shape[0]
+    n = a.shape[-1]
     b = _pade_coeffs(m)
     eye = np.eye(n, dtype=complex)
     a2 = a @ a
@@ -169,31 +190,47 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
+def _pade_plan(norm: float):
+    """(approximant order, squaring count) for a matrix of 1-norm `norm`."""
+    for order, theta in _PADE_THETA:
+        if norm <= theta:
+            return order, 0
+    return 13, max(0, int(math.ceil(math.log2(norm / _THETA13))))
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with diagonal Pade steps.
 
     The approximant order and squaring count are chosen from the 1-norm of
     the input; relative accuracy is ~1e-12 for norms up to a few tens.
-    Raises NumericalFailure if the result overflows.
+    A stack (..., N, N) is grouped by (order, squaring count) and each
+    group runs as one stack, so every matrix gets the arithmetic it gets
+    alone.  Raises NumericalFailure if a result overflows.
     """
     a = _as_square(m)
-    norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    for order, theta in _PADE_THETA:
-        if norm <= theta:
-            return _pade(a, order)
-    s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
-    x = _pade(a / (2.0 ** s), 13)
-    for _ in range(s):
-        x = x @ x
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailure("expm: overflow during squaring phase")
-    return x
+    flat = a.reshape(-1, *a.shape[-2:])
+    norms = np.linalg.norm(flat, 1, axis=(-2, -1)) if a.size else np.zeros(len(flat))
+    plans = [_pade_plan(float(norm)) for norm in norms]
+    out = np.empty_like(flat)
+    for order, s in dict.fromkeys(plans):
+        idx = [i for i, plan in enumerate(plans) if plan == (order, s)]
+        if order != 13:
+            out[idx] = _pade(flat[idx], order)
+            continue
+        x = _pade(flat[idx] / (2.0 ** s), 13)
+        for _ in range(s):
+            x = x @ x
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailure("expm: overflow during squaring phase")
+        out[idx] = x
+    return out.reshape(a.shape)
 
 
 # --- signature Cholesky -----------------------------------------------------
 
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of a block that must be positive definite."""
+    """Lower Cholesky factor of a block (or a stack of blocks) that must be
+    positive definite."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -202,14 +239,14 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
 
 def _signature_input(h, tol: float, name: str):
     """A zero matrix for the factor and the n x n blocks of a validated
-    2n x 2n Hermitian input."""
+    2n x 2n Hermitian input (or stack of inputs)."""
     a = _as_square(h)
-    if a.shape[0] % 2:
+    if a.shape[-1] % 2:
         raise InvalidInput(f"{name}: the signature diag(I, -I) needs even dimension")
     if not is_hermitian(a, tol):
         raise InvalidInput(f"{name}: input is not Hermitian")
-    n = a.shape[0] // 2
-    return np.zeros_like(a), a[:n, :n], a[:n, n:], a[n:, n:]
+    n = a.shape[-1] // 2
+    return np.zeros_like(a), a[..., :n, :n], a[..., :n, n:], a[..., n:, n:]
 
 
 def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
@@ -222,11 +259,11 @@ def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
     of b -> b^dag J b; otherwise NotOnLeaf is raised.
     """
     b, h11, h12, h22 = _signature_input(h, tol, "indefinite_cholesky_upper")
-    n = h11.shape[0]
+    n = h11.shape[-1]
     l11 = _cholesky(h11, "upper-left block")
-    b[:n, :n] = l11.conj().T
-    b[:n, n:] = b12 = np.linalg.solve(l11, h12)
-    b[n:, n:] = _cholesky(b12.conj().T @ b12 - h22, "Schur complement").conj().T
+    b[..., :n, :n] = dagger(l11)
+    b[..., :n, n:] = b12 = np.linalg.solve(l11, h12)
+    b[..., n:, n:] = dagger(_cholesky(dagger(b12) @ b12 - h22, "Schur complement"))
     return b
 
 
@@ -239,9 +276,10 @@ def indefinite_cholesky_upper_dual(m, tol: float = STRUCT_TOL):
     and columns reversed, reversed back.
     """
     b, m11, m12, m22 = _signature_input(m, tol, "indefinite_cholesky_upper_dual")
-    n = m11.shape[0]
-    b[n:, n:] = b22 = _cholesky(-m22[::-1, ::-1], "lower-right block")[::-1, ::-1]
-    b[:n, n:] = b12 = -np.linalg.solve(b22, m12.conj().T).conj().T
-    b[:n, :n] = _cholesky((m11 + b12 @ b12.conj().T)[::-1, ::-1],
-                          "Schur complement")[::-1, ::-1]
+    n = m11.shape[-1]
+    b[..., n:, n:] = b22 = _cholesky(-m22[..., ::-1, ::-1],
+                                     "lower-right block")[..., ::-1, ::-1]
+    b[..., :n, n:] = b12 = -dagger(np.linalg.solve(b22, dagger(m12)))
+    b[..., :n, :n] = _cholesky((m11 + b12 @ dagger(b12))[..., ::-1, ::-1],
+                               "Schur complement")[..., ::-1, ::-1]
     return b

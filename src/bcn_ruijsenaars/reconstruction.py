@@ -85,12 +85,14 @@ def solve_v(Sigma, alpha: float) -> np.ndarray:
     v_k^2 = prod_i (Sigma_i^2 - alpha^2 Sigma_k^2) /
             prod_{j != k} alpha^2 (Sigma_j^2 - Sigma_k^2)
 
-    Raises NumericalFailure on a non-finite v_k^2, SeparationViolation
-    when any v_k^2 is not strictly positive, which happens exactly when the
-    pairwise separation condition fails.
+    Sigma may also be a (T, n) stack of rows, giving one v per row; an
+    error names the first failing row.  Raises NumericalFailure on a
+    non-finite v_k^2, SeparationViolation when any v_k^2 is not strictly
+    positive, which happens exactly when the pairwise separation
+    condition fails.
     """
     sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    if sigma.size > 1 and not np.all(np.diff(sigma) < 0.0):
+    if not np.all(np.diff(sigma, axis=-1) < 0.0):
         raise ChamberViolation("Sigma must be strictly decreasing and positive")
     if not np.all(sigma > 0.0):
         raise ChamberViolation("Sigma must be positive")
@@ -98,14 +100,21 @@ def solve_v(Sigma, alpha: float) -> np.ndarray:
     a2 = alpha ** 2
     # one ratio per factor: raw products of Sigma^2 terms overflow at n ~ 24
     # where v^2 is moderate; the i = k numerator factor stands alone
-    den = a2 * (s[:, None] - s[None, :])
-    np.fill_diagonal(den, 1.0)
-    v2 = np.prod((s[:, None] - a2 * s[None, :]) / den, axis=0)
+    den = a2 * (s[..., :, None] - s[..., None, :])
+    n = s.shape[-1]
+    den.reshape(-1, n * n)[:, ::n + 1] = 1.0      # den[..., k, k] = 1
+    v2 = np.prod((s[..., :, None] - a2 * s[..., None, :]) / den, axis=-2)
     if not np.all(np.isfinite(v2)):
-        raise NumericalFailure(f"non-finite v^2 = {v2}")
+        raise NumericalFailure(f"non-finite v^2 = {_first_row(v2, ~np.isfinite(v2))}")
     if not np.all(v2 > 0.0):
-        raise SeparationViolation(f"non-positive radicand in v^2 = {v2}")
+        raise SeparationViolation(
+            f"non-positive radicand in v^2 = {_first_row(v2, ~(v2 > 0.0))}")
     return np.sqrt(v2)
+
+
+def _first_row(a, bad):
+    """The first row of a (T, n) stack with a bad entry (a vector: itself)."""
+    return np.atleast_2d(a)[np.argmax(np.atleast_2d(bad).any(axis=-1))]
 
 
 def build_Ttilde(Sigma, alpha: float, v) -> np.ndarray:
@@ -113,18 +122,19 @@ def build_Ttilde(Sigma, alpha: float, v) -> np.ndarray:
 
     The rows are normalized with a positive factor, so the diagonal of
     Ttilde is positive and the matrix is uniquely determined.  It
-    satisfies Ttilde^T Sigma^2 Ttilde = alpha^2 Sigma^2 + v v^T.
+    satisfies Ttilde^T Sigma^2 Ttilde = alpha^2 Sigma^2 + v v^T.  A (T, n)
+    stack of Sigma and v rows gives a (T, n, n) stack.
     """
     sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if sigma.size > 1 and not np.all(np.diff(sigma) < 0.0):
+    if not np.all(np.diff(sigma, axis=-1) < 0.0):
         raise ChamberViolation("Sigma must be strictly decreasing")
     s = sigma ** 2
-    denom = s[:, None] - alpha ** 2 * s[None, :]
+    denom = s[..., :, None] - alpha ** 2 * s[..., None, :]
     if np.any(denom == 0.0):
         raise SeparationViolation("Sigma_i^2 = alpha^2 Sigma_j^2: separation boundary")
-    that = v[None, :] / denom
-    return that / np.linalg.norm(that, axis=1)[:, None]
+    that = v[..., None, :] / denom
+    return that / np.linalg.norm(that, axis=-1)[..., None]
 
 
 def build_sigma_rho(cdata: CartanData, v, params: ModelParams):

@@ -91,6 +91,21 @@ class TestSimulate:
         assert caught == []
         assert err == "numerical failure: non-finite positions q = [6.51311025        inf]\n"
 
+    @pytest.mark.parametrize("t_max", ["10", "20"])
+    def test_exact_flow_fails_at_the_first_failing_sample(self, capsys, t_max):
+        # the extraction first fails near t = 4.5; samples from t ~ 10 on
+        # are off the leaf (NotOnLeaf, exit 1), and they must not be the
+        # ones reported
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "simulate", "--n", "2", "--alpha", "0.6",
+                                     "--x", "1.2", "--y", "0.8", "--seed", "2",
+                                     "--method", "exact", "--t-max", t_max)
+        assert code == 2
+        assert out == ""
+        assert caught == []
+        assert err == "numerical failure: phase matrix has off-diagonal content\n"
+
 
 class TestInvolution:
     def test_report(self, capsys):

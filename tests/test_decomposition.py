@@ -19,6 +19,7 @@ from bcn_ruijsenaars.decomposition import (
 )
 from bcn_ruijsenaars.errors import (
     DegenerateElement,
+    InvalidInput,
     NotOnConstraintSurface,
     NotOnLeaf,
 )
@@ -171,3 +172,10 @@ def test_surface_residuals_on_assembled_point():
     fact, _ = assemble(draw_point(rng, params), params)
     res = surface_residuals(fact.g, params)
     assert max(res.values()) < 1e-10
+
+
+@pytest.mark.parametrize("func", [extract_reduced, surface_residuals])
+def test_element_of_the_wrong_size_rejected(func):
+    # a 6 x 6 identity is on the leaf, so only the size check can stop it
+    with pytest.raises(InvalidInput, match="expected shape"):
+        func(np.eye(6), make_params(0.5, 1.0, 1.0, 2))

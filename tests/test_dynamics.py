@@ -17,16 +17,19 @@ from bcn_ruijsenaars.dynamics import (
     write_trajectory_csv,
 )
 from bcn_ruijsenaars import dynamics
+from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB
 from bcn_ruijsenaars.errors import (
     ChamberViolation,
     InvalidInput,
+    NotOnConstraintSurface,
     NumericalFailure,
     SeparationViolation,
 )
 from bcn_ruijsenaars.hamiltonians import grad_hamiltonian, phi_trace, spectral_invariants
-from bcn_ruijsenaars.matops import inn, rel_err
-from bcn_ruijsenaars.model import ReducedPoint, make_params
-from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
+from bcn_ruijsenaars.model import ReducedPoint, make_params, wrap_angle
+from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
+from bcn_ruijsenaars.sampling import random_admissible_point
 
 # wall-safe reference configuration used across the dynamics tests
 PARAMS2 = make_params(0.5, 1.0, 1.0, 2)
@@ -222,6 +225,134 @@ class TestProjectFlow:
         traj = project_flow(fact.g, PARAMS2, np.linspace(0.0, 1.0, 11))
         assert np.max(traj.residual) < 1e-8
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-10
+
+
+def _loop_extract(g, params):
+    """Reference: extraction of one element with 2-d operations only,
+    as `extract_reduced` computed it before it ran on stacks."""
+    n = params.n
+    x = params.x
+    k_L, b_R = decompose_KB(g)
+    bad = max(rel_err(b_R[:n, :n], x * np.eye(n)),
+              rel_err(b_R[n:, n:], np.eye(n) / x))
+    if bad > SURFACE_TOL:
+        raise NotOnConstraintSurface(f"right factor diagonal blocks off by {bad:.2e}")
+    kak = cartan_KAK(k_L)
+    Sigma = kak.Sigma
+    q = np.log(Sigma)
+    left = np.block([
+        [np.eye(n), np.zeros((n, n))],
+        [np.zeros((n, n)), kak.tau_hat.conj().T]]).astype(complex)
+    right = np.block([
+        [kak.khat.conj().T, np.zeros((n, n))],
+        [np.zeros((n, n)), kak.lhat.conj().T]]).astype(complex)
+    g_norm = left @ g @ right
+    Lambda = np.sqrt(params.y ** 2 + params.x ** 2 * Sigma ** 2)
+    T = g_norm[n:, n:] / Lambda[:, None]
+    if rel_err(T.conj().T @ T, np.eye(n)) > SURFACE_TOL:
+        raise NotOnConstraintSurface("lower-right block is not Lambda-unitary")
+    v = solve_v(Sigma, params.alpha)
+    vtilde = v / Sigma
+    w = np.sqrt(float(vtilde @ vtilde)) * kak.rho_hat[0, :].conj()
+    if np.max(np.abs(np.abs(w) - vtilde)) > SURFACE_TOL * max(1.0, float(np.max(vtilde))):
+        raise NotOnConstraintSurface("vtilde misaligned with the reference gauge")
+    delta = w / np.abs(w)
+    T = delta.conj()[:, None] * T * delta[None, :]
+    D = T @ build_Ttilde(Sigma, params.alpha, v).T
+    off = D - np.diag(np.diagonal(D))
+    if frob(off) > 1e-8 * max(1.0, frob(D)):
+        raise NotOnConstraintSurface("phase matrix has off-diagonal content")
+    return ReducedPoint(q=q, p=np.angle(np.diagonal(D))), k_L, b_R
+
+
+def _loop_residual(g, k_L, b_R, params):
+    """Reference: max of `surface_residuals`, with 2-d operations only."""
+    n = params.n
+    x, y, alpha = params.x, params.y, params.alpha
+    J = inn(n)
+    b_L = indefinite_cholesky_upper_dual(g @ J @ g.conj().T)
+    sig = y * b_L[:n, :n]
+    spec = np.sort(np.linalg.eigvalsh(sig @ sig.conj().T))
+    target = np.sort(np.concatenate([
+        [alpha ** 2 + params.vhat_norm_sq], np.full(n - 1, alpha ** 2)]))
+    return max(rel_err(b_R[:n, :n], x * np.eye(n)),
+               rel_err(b_R[n:, n:], np.eye(n) / x),
+               rel_err(k_L.conj().T @ J @ k_L, J),
+               rel_err(b_L[n:, n:], y * np.eye(n)),
+               float(np.max(np.abs(spec - target))) / max(1.0, target[-1]),
+               abs(abs(np.linalg.det(g)) - 1.0))
+
+
+def _loop_project(g0, params, times):
+    """Reference: `project_flow` one sample at a time (expm, extraction,
+    residual, phi_trace)."""
+    points, energy, residual = [], [], []
+    for t in times:
+        g_t = g0 if t == 0.0 else exact_flow(g0, t)
+        point, k_L, b_R = _loop_extract(g_t, params)
+        points.append(point)
+        residual.append(_loop_residual(g_t, k_L, b_R, params))
+        energy.append(phi_trace(g_t, 1))
+    return points, np.array(energy), np.array(residual)
+
+
+def _bounded_start(rng, params):
+    """Gaps in [0.7, 0.9] above a lowest position in [-0.3, 0.3]: starts
+    whose exact flow stays well inside the chart up to t = 1."""
+    gaps = rng.uniform(0.7, 0.9, size=params.n - 1)
+    q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
+    point = ReducedPoint(q, rng.uniform(-0.5, 0.5, size=params.n))
+    return assemble(point, params)[0].g
+
+
+class TestStackedProjection:
+    """`project_flow` runs chunks of stacked samples; it must give what the
+    per-sample loop gives: q and energy bit for bit, p within 2e-15
+    (mod 2 pi) and the residual within 1e-3 r + 1e-15."""
+
+    @staticmethod
+    def _assert_matches_loop(g0, params, times):
+        traj = project_flow(g0, params, times)
+        points, energy, residual = _loop_project(g0, params, times)
+        assert np.array_equal(traj.times, np.asarray(times, dtype=float))
+        assert np.array_equal(np.array([pt.q for pt in traj.points]),
+                              np.array([pt.q for pt in points]))
+        assert np.array_equal(traj.energy, energy)
+        dp = wrap_angle(np.array([pt.p for pt in traj.points])
+                        - np.array([pt.p for pt in points]))
+        assert np.max(np.abs(dp)) <= 2e-15
+        assert np.all(np.abs(traj.residual - residual) <= 1e-3 * residual + 1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_grid(self, n, seed):
+        params = make_params(0.6, 1.2, 0.8, n)
+        g0 = _bounded_start(np.random.default_rng(300 + 10 * n + seed), params)
+        self._assert_matches_loop(g0, params, np.linspace(0.0, 1.0, 101))
+
+    def test_many_chunks_at_n8(self):
+        # 16 samples per chunk at n = 8: 1001 samples cross 62 boundaries
+        params = make_params(0.6, 1.2, 0.8, 8)
+        g0 = _bounded_start(np.random.default_rng(390), params)
+        self._assert_matches_loop(g0, params, np.linspace(0.0, 1.0, 1001))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_non_uniform_grid(self, n):
+        params = make_params(0.6, 1.2, 0.8, n)
+        rng = np.random.default_rng(395 + n)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.5, 300))])
+        self._assert_matches_loop(_bounded_start(rng, params), params, times)
+
+    def test_first_failing_sample_in_time_raises(self):
+        # near t = 4.5 the phase check fails; from t = 10 on the samples
+        # are off the leaf (NotOnLeaf), and a stage-by-stage pass over the
+        # whole stack would meet those first
+        params = make_params(0.6, 1.2, 0.8, 2)
+        g0 = assemble(random_admissible_point(np.random.default_rng(2), params),
+                      params)[0].g
+        with pytest.raises(NotOnConstraintSurface,
+                           match="phase matrix has off-diagonal content"):
+            project_flow(g0, params, [0, 4, 6, 8, 10, 12])
 
 
 class TestCompare:
