@@ -36,7 +36,7 @@ each chunk makes one `exact_flow` call (a grouped-Pade `expm` of the
 stacked generators) and one `reduce_stack` pass: one KB split, the
 extraction and the residuals, with the energy read from the same
 m = g J g^dag that gives b_L.  If any check fails, `LinAlgError` is
-raised or a floating-point warning would be issued anywhere in a chunk,
+raised or a floating-point warning would be printed anywhere in a chunk,
 the chunk is replayed sample by sample in time order, under the caller's
 warning settings, so the first failing sample in time raises exactly the
 error of a lone sample.  `compare_trajectories` measures the deviation
