@@ -10,10 +10,10 @@ import numpy as np
 from bcn_ruijsenaars import (
     ReducedPoint,
     assemble,
-    check_separation,
     make_params,
     verify_constraints,
 )
+from bcn_ruijsenaars.model import separation_margin
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -24,9 +24,9 @@ print("parameters:", params)
 # positions must be strictly decreasing and pairwise separated:
 # 4 sinh^2(q_i - q_k) must exceed (alpha - 1/alpha)^2 = 2.25
 point = ReducedPoint(q=np.array([1.4, 0.2, -1.1]), p=np.array([0.7, -0.3, 2.0]))
-sep = check_separation(point, params)
-print(f"\nseparation ok: {sep.ok}, min margin {sep.min_margin:.3f} "
-      f"(coupling^2 = {sep.coupling_sq:.3f})")
+margin = separation_margin(point.q, params.coupling_sq)
+print(f"\nseparation ok: {margin > 0.0}, min margin {margin:.3f} "
+      f"(coupling^2 = {params.coupling_sq:.3f})")
 
 fact, cdata = assemble(point, params)
 

@@ -30,8 +30,8 @@ traj = integrate_reduced(point, params, t_max=1.0, dt=1e-4, sample_every=1000)
 proj = project_flow(fact.g, params, traj.times)
 
 print("t, q (reduced ODE) vs q (projected exact flow):")
-for t, a, b in zip(traj.times, traj.points, proj.points):
-    print(f"  t={t:4.1f}  {np.round(a.q, 10)}  {np.round(b.q, 10)}")
+for t, a, b in zip(traj.times, traj.q, proj.q):
+    print(f"  t={t:4.1f}  {np.round(a, 10)}  {np.round(b, 10)}")
 
 dev = compare_trajectories(traj, proj)
 print(f"\nmax deviation: q {dev.q_dev:.3e}, p (mod 2pi) {dev.p_dev:.3e}")

@@ -25,7 +25,6 @@ from .model import (
     ReducedPoint,
     abc_from_params,
     cartan_from_q,
-    check_separation,
     make_params,
     params_from_abc,
     wrap_angle,

@@ -15,9 +15,11 @@ input), 2 numerical failure or tolerance breach.  Vector values may
 start with ``-`` (``--p -0.2,0.15``).  All random draws are
 fixed by ``--seed``; identical configuration and seed give byte-identical
 output.  A JSON file with the same field names as the long flags
-(underscores for dashes) can be supplied via ``--config``; explicit
-flags override it.  Set ``BCN_LOG=debug`` for progress messages on
-standard error.
+(underscores for dashes) can be supplied via ``--config PATH`` or
+``--config=PATH``; explicit flags override it, and keys that name no
+flag of the subcommand are ignored.  ``--format json|csv`` selects the
+report format of ``verify``, ``involution`` and ``limit``.  Set
+``BCN_LOG=debug`` for progress messages on standard error.
 """
 
 from __future__ import annotations
@@ -305,43 +307,43 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated scale grid")
     sp.set_defaults(func=cmd_limit)
 
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
         sp.add_argument("--output", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format")
+        if name != "simulate":      # simulate writes trajectory CSV only
+            sp.add_argument("--format", choices=("json", "csv"), default="json",
+                            help="report format")
         sp.add_argument("--config", default=None, help="JSON file with flag defaults")
+    ap.subcommands = sub.choices     # name -> parser, for --config defaults
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv):
-    """Load --config JSON (if any) as parser defaults; flags override."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
+def _apply_config(sp: argparse.ArgumentParser, args) -> None:
+    """Set the keys of the --config JSON object that name a flag of the
+    chosen subcommand as defaults of its parser `sp`."""
     try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise InvalidInput("--config needs a file path")
-    with open(path) as fh:
-        cfg = json.load(fh)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or encoding
+        raise InvalidInput(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidInput("config file must hold a JSON object")
     sub = cfg.pop("subcommand", None)
-    if sub is not None and argv and argv[0] != sub:
-        raise InvalidInput(f"config is for subcommand {sub!r}, got {argv[0]!r}")
-    for action in ap._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        known = {a.dest for a in action._actions}  # noqa: SLF001
-        action.set_defaults(**{k: v for k, v in cfg.items() if k in known})
-    return argv
+    if sub is not None and sub != args.subcommand:
+        raise InvalidInput(f"config is for subcommand {sub!r}, got {args.subcommand!r}")
+    # every flag has a default, so the parsed namespace names them all
+    flags = set(vars(args)) - {"func", "subcommand", "config"}
+    sp.set_defaults(**{k: v for k, v in cfg.items() if k in flags})
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_vector_values(list(sys.argv[1:] if argv is None else argv))
     ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
-        args = ap.parse_args(_attach_vector_values(argv))
+        args = ap.parse_args(argv)
+        if args.config is not None:
+            _apply_config(ap.subcommands[args.subcommand], args)
+            args = ap.parse_args(argv)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

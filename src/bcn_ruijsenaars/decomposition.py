@@ -25,6 +25,9 @@ passes chunks of a trajectory (about 4096 complex entries per stacked
 array, `dynamics.CHUNK_ENTRIES`) and replays a failing chunk element by
 element.  Each element gets the arithmetic it gets alone, so q, p, the
 residuals and the moment value do not depend on the stack it is in.
+The residuals here use `rel_err_stack`; the 2-D `rel_err` stays for the
+one-matrix checks of `reconstruction.verify_constraints`, where it costs
+about a third as much per call (see `matops`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .matops import (
     is_pseudo_unitary,
     rel_err_stack,
 )
-from .model import ModelParams, ReducedPoint
+from .model import ModelParams, ReducedPoint, require_points
 from .reconstruction import build_Ttilde, solve_v
 
 __all__ = [
@@ -119,7 +122,7 @@ def decompose_BK(g):
     return b, k
 
 
-def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
+def cartan_KAK(k) -> KAKData:
     """Normal form of a regular pseudo-unitary element (or of each element
     of a stack).
 
@@ -131,7 +134,7 @@ def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
     """
     k = np.asarray(k, dtype=complex)
     n = k.shape[-1] // 2
-    if not is_pseudo_unitary(k, tol=tol):
+    if not is_pseudo_unitary(k, tol=1e-8):
         raise InvalidInput("cartan_KAK: input is not pseudo-unitary")
     a, c, d = k[..., :n, :n], k[..., n:, :n], k[..., n:, n:]
     rho_hat, gamma, khat = np.linalg.svd(a)   # numpy's V^dag is exactly khat
@@ -156,19 +159,20 @@ def cartan_KAK(k, tol: float = 1e-8) -> KAKData:
                    Delta=delta)
 
 
-def _read_stack(g, k_L, b_R, params: ModelParams, tol: float) -> list:
-    """The reduced point of each element of a stack, from its KB split.
+def _read_stack(g, k_L, b_R, params: ModelParams):
+    """(q, p), each (T, n), of a stack of elements, from its KB split.
 
     Radial normal form of the pseudo-unitary factor, gauge normalization,
     residual torus fixing against the non-negative gauge of vtilde, and
-    phase read-off from T Ttilde^T.
+    phase read-off from T Ttilde^T.  Each row is checked as a
+    ReducedPoint; the first failing row raises ReducedPoint's error.
     """
     n = params.n
     x = params.x
     eye = np.eye(n)
     bad = np.maximum(rel_err_stack(b_R[:, :n, :n], x * eye),
                      rel_err_stack(b_R[:, n:, n:], eye / x))
-    failed = bad > tol
+    failed = bad > SURFACE_TOL
     if np.any(failed):
         raise NotOnConstraintSurface(
             f"right factor diagonal blocks off by {bad[np.argmax(failed)]:.2e}")
@@ -191,7 +195,7 @@ def _read_stack(g, k_L, b_R, params: ModelParams, tol: float) -> list:
     g_norm = left @ g @ right
     Lambda = np.sqrt(params.y ** 2 + params.x ** 2 * Sigma ** 2)
     T = g_norm[:, n:, n:] / Lambda[:, :, None]
-    if np.any(rel_err_stack(dagger(T) @ T, eye) > tol):
+    if np.any(rel_err_stack(dagger(T) @ T, eye) > SURFACE_TOL):
         raise NotOnConstraintSurface("lower-right block is not Lambda-unitary")
 
     # residual torus: align the first row of rho_hat with the
@@ -203,7 +207,7 @@ def _read_stack(g, k_L, b_R, params: ModelParams, tol: float) -> list:
     w = (np.sqrt(vtilde[:, None, :] @ vtilde[:, :, None])[:, 0]
          * kak.rho_hat[:, 0, :].conj())
     if np.any(np.max(np.abs(np.abs(w) - vtilde), axis=-1)
-              > tol * np.maximum(1.0, np.max(vtilde, axis=-1))):
+              > SURFACE_TOL * np.maximum(1.0, np.max(vtilde, axis=-1))):
         raise NotOnConstraintSurface("vtilde misaligned with the reference gauge")
     delta = w / np.abs(w)
     T = delta.conj()[:, :, None] * T * delta[:, None, :]
@@ -213,7 +217,8 @@ def _read_stack(g, k_L, b_R, params: ModelParams, tol: float) -> list:
               > 1e-8 * np.maximum(1.0, frob_stack(D))):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
     p = np.angle(np.diagonal(D, axis1=-2, axis2=-1))
-    return [ReducedPoint(q=q_t, p=p_t) for q_t, p_t in zip(q, p)]
+    require_points(q, p)
+    return q, p
 
 
 def _residual_stack(g, k_L, b_R, params: ModelParams):
@@ -250,15 +255,15 @@ def reduce_stack(g, params: ModelParams):
     """Reduced points, worst surface residuals and moment values of a
     stack (T, 2n, 2n) of elements, from one KB split.
 
-    Returns (points, residual, m): a list of T ReducedPoints, the (T,)
+    Returns (q, p, residual, m): the (T, n) positions and angles, the (T,)
     maxima of `surface_residuals`, and the (T, 2n, 2n) stack of
     m = g J g^dag.  The extraction runs first, so its errors come first.
     """
     g = np.asarray(g, dtype=complex)
     k_L, b_R = decompose_KB(g)
-    points = _read_stack(g, k_L, b_R, params, SURFACE_TOL)
+    q, p = _read_stack(g, k_L, b_R, params)
     res, m = _residual_stack(g, k_L, b_R, params)
-    return points, np.max(list(res.values()), axis=0), m
+    return q, p, np.max(list(res.values()), axis=0), m
 
 
 def _one(g, params: ModelParams) -> np.ndarray:
@@ -270,17 +275,18 @@ def _one(g, params: ModelParams) -> np.ndarray:
     return g[None]
 
 
-def extract_reduced(g, params: ModelParams, tol: float = SURFACE_TOL) -> ReducedPoint:
+def extract_reduced(g, params: ModelParams) -> ReducedPoint:
     """Recover (q, p) from an element on the constraint surface modulo gauge.
 
     Pipeline: KB-split, radial normal form of the pseudo-unitary factor,
     gauge normalization, residual torus fixing against the non-negative
     gauge of vtilde, and phase read-off from T Ttilde^T.  Raises
-    NotOnConstraintSurface when a step residual exceeds `tol`,
+    NotOnConstraintSurface when a step residual exceeds SURFACE_TOL,
     DegenerateElement at collisions.
     """
     g = _one(g, params)
-    return _read_stack(g, *decompose_KB(g), params, tol)[0]
+    q, p = _read_stack(g, *decompose_KB(g), params)
+    return ReducedPoint(q=q[0], p=p[0])
 
 
 def surface_residuals(g, params: ModelParams) -> dict:
@@ -298,5 +304,5 @@ def surface_residuals(g, params: ModelParams) -> dict:
 def extract_with_residual(g, params: ModelParams):
     """(extract_reduced(g, params), max of surface_residuals(g, params)),
     from one KB split; the extraction runs first, so its errors come first."""
-    points, residual, _ = reduce_stack(_one(g, params), params)
-    return points[0], float(residual[0])
+    q, p, residual, _ = reduce_stack(_one(g, params), params)
+    return ReducedPoint(q=q[0], p=p[0]), float(residual[0])

@@ -18,15 +18,17 @@ of unreduced time advances the naively-scaled reduced clock by a factor
 4 more than the 1/2 suggested by the bare coefficient of the reduced
 symplectic form.  The calibration is re-asserted by the test suite.
 
-`integrate_reduced` runs on raw (q, p) arrays; only its start point and
-its samples are ReducedPoints.  Each RK stage is checked once, by the
-pair factors in `grad_hamiltonian`: ChamberViolation for unordered q,
-SeparationViolation past the wall.  Each step is checked once: a
-non-finite state raises NumericalFailure, and a separation margin below
-WALL_MARGIN ends the run with `chamber_approach` set.  The steps run with
-numpy's overflow and invalid-value warnings off, since such a step ends
-in one of those errors; the samples (energy, residual) are evaluated
-after the stepping, with the caller's warning settings.
+A `Trajectory` holds (T, n) arrays of q and p.  `integrate_reduced` runs
+on raw (q, p) arrays; only its start point and its samples are
+ReducedPoints (`assemble` takes one for each sample's residual).  Each
+RK stage is checked once, by the pair factors in `grad_hamiltonian`:
+ChamberViolation for unordered q, SeparationViolation past the wall.
+Each step is checked once: a non-finite state raises NumericalFailure,
+and a separation margin below WALL_MARGIN ends the run with
+`chamber_approach` set.  The steps run with numpy's overflow and
+invalid-value warnings off, since such a step ends in one of those
+errors; the samples (energy, residual) are evaluated after the stepping,
+with the caller's warning settings.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline: the time grid is cut into chunks of
@@ -41,6 +43,11 @@ the chunk is replayed sample by sample in time order, under the caller's
 warning settings, so the first failing sample in time raises exactly the
 error of a lone sample.  `compare_trajectories` measures the deviation
 between the two routes.
+
+The sample residuals of `integrate_reduced` come from
+`verify_constraints`, which measures one matrix at a time with the 2-D
+`matops.rel_err`: on one matrix it gives the bits of `rel_err_stack` at
+about a third of the cost, and it runs once per sample.
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ FLOW_TIME_SCALE = 2.0
 #: abort threshold on the separation margin (chamber-wall approach)
 WALL_MARGIN = 1e-6
 
+#: error control of the "rk45" integrator: a step is accepted when its
+#: embedded error estimate is at most RK45_ATOL + RK45_RTOL * max|z|
+RK45_RTOL = 1e-10
+RK45_ATOL = 1e-12
+
 #: complex entries per stacked (T, 2n, 2n) array of a `project_flow`
 #: chunk: T = CHUNK_ENTRIES // (2n)^2 samples (256 at n = 2, 16 at n = 8)
 CHUNK_ENTRIES = 4096
@@ -90,17 +102,15 @@ CHUNK_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled trajectory: coordinates, energy and constraint residual."""
+    """Sampled trajectory: positions q and angles p, each (T, n), energy
+    and constraint residual, each (T,), at the T sample times."""
 
     times: np.ndarray
-    points: tuple
+    q: np.ndarray
+    p: np.ndarray
     energy: np.ndarray
     residual: np.ndarray
     chamber_approach: bool = False
-
-    def coords(self):
-        """(len(times), 2n) array of [q, p] rows."""
-        return np.array([np.concatenate([pt.q, pt.p]) for pt in self.points])
 
 
 def exact_flow(g0, t) -> np.ndarray:
@@ -156,8 +166,7 @@ def _ck_step(f, z, h):
 
 def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
                       dt: float, method: str = "rk4", sample_every: int = 1,
-                      orientation: int = FLOW_SIGN, rtol: float = 1e-10,
-                      atol: float = 1e-12) -> Trajectory:
+                      orientation: int = FLOW_SIGN) -> Trajectory:
     """Integrate the reduced ODE and sample the trajectory.
 
     `method` is "rk4" (classical fixed-step, default) or "rk45" (embedded
@@ -177,11 +186,11 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     n = point0.n
     f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
 
-    def sample(t, z):
+    def sample(z):
         pt = ReducedPoint(z[:n], z[n:])
         energy = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
         fact, cdata = assemble(pt, params)
-        return t, pt, energy, verify_constraints(fact, cdata, params).max_residual
+        return energy, verify_constraints(fact, cdata, params).max_residual
 
     def at_wall(z) -> bool:
         if not np.all(np.isfinite(z)):
@@ -218,7 +227,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
                     h = min(h, t_target - t)
                     z_new, err = _ck_step(f, z, h)
                     wall = at_wall(z_new)   # here: a NaN step is never accepted
-                    scale = atol + rtol * float(np.max(np.abs(z)))
+                    scale = RK45_ATOL + RK45_RTOL * float(np.max(np.abs(z)))
                     if err <= scale:
                         t += h
                         z = z_new
@@ -228,8 +237,10 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
                     break
                 kept.append((t, z))
 
-    times, points, energy, residual = zip(*(sample(t, z) for t, z in kept))
-    return Trajectory(times=np.array(times), points=points,
+    times, zs = zip(*kept)
+    energy, residual = zip(*(sample(z) for z in zs))
+    rows = np.array(zs)
+    return Trajectory(times=np.array(times), q=rows[:, :n], p=rows[:, n:],
                       energy=np.array(energy), residual=np.array(residual),
                       chamber_approach=approached)
 
@@ -248,29 +259,27 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     # a warning that the replay would print is an error in the stacked pass
     raise_on = {kind: "ignore" if how == "ignore" else "raise"
                 for kind, how in np.geterr().items()}
-    points, energy, residual = [], [], []
+    parts = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty(0),
+              np.empty(0))]
     for start in range(0, times.size, size):
         chunk = times[start:start + size]
         try:
             with np.errstate(**raise_on):
-                parts = [_project_stack(g0, params, chunk)]
+                parts.append(_project_stack(g0, params, chunk))
         except (BCNError, np.linalg.LinAlgError, FloatingPointError):
-            parts = [_project_stack(g0, params, chunk[i:i + 1])
-                     for i in range(chunk.size)]
-        for part_points, part_energy, part_residual in parts:
-            points += part_points
-            energy.extend(part_energy)
-            residual.extend(part_residual)
-    return Trajectory(times=times.copy(), points=tuple(points),
-                      energy=np.array(energy), residual=np.array(residual))
+            parts += [_project_stack(g0, params, chunk[i:i + 1])
+                      for i in range(chunk.size)]
+    q, p, energy, residual = (np.concatenate(a) for a in zip(*parts))
+    return Trajectory(times=times.copy(), q=q, p=p, energy=energy,
+                      residual=residual)
 
 
 def _project_stack(g0, params: ModelParams, times):
-    """(points, energy, residual) at `times`, as one stack."""
+    """(q, p, energy, residual) at `times`, as one stack."""
     g = exact_flow(g0, times)
     g[times == 0.0] = g0      # the t = 0 sample is g0 itself, unrounded
-    points, residual, m = reduce_stack(g, params)
-    return points, phi_from_moment(m, 1), residual
+    q, p, residual, m = reduce_stack(g, params)
+    return q, p, phi_from_moment(m, 1), residual
 
 
 @dataclass(frozen=True)
@@ -293,10 +302,8 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> DeviationReport:
             a.times.size and float(np.max(np.abs(a.times - b.times)))
             > 1e-9 * max(1.0, float(a.times[-1]))):
         raise InvalidInput("trajectories are not on the same time grid")
-    q_dev = p_dev = 0.0
-    for pa, pb in zip(a.points, b.points):
-        q_dev = max(q_dev, float(np.max(np.abs(pa.q - pb.q))))
-        p_dev = max(p_dev, float(np.max(np.abs(wrap_angle(pa.p - pb.p)))))
+    q_dev = float(np.max(np.abs(a.q - b.q), initial=0.0))
+    p_dev = float(np.max(np.abs(wrap_angle(a.p - b.p)), initial=0.0))
     e_dev = float(np.max(np.abs(a.energy - b.energy))) if a.energy.size else 0.0
     return DeviationReport(q_dev=q_dev, p_dev=p_dev, energy_dev=e_dev,
                            count=int(a.times.size))
@@ -307,13 +314,13 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     own = isinstance(fh, (str, bytes))
     stream = open(fh, "w", newline="") if own else fh
     try:
-        n = traj.points[0].n if traj.points else 0
+        n = traj.q.shape[1]
         header = ["t"] + [f"q{i+1}" for i in range(n)] \
             + [f"p{i+1}" for i in range(n)] + ["energy", "residual"]
         stream.write(",".join(header) + "\n")
-        for t, pt, en, res in zip(traj.times, traj.points, traj.energy,
-                                  traj.residual):
-            row = [t, *pt.q, *pt.p, en, res]
+        for t, q, p, en, res in zip(traj.times, traj.q, traj.p, traj.energy,
+                                    traj.residual):
+            row = [t, *q, *p, en, res]
             stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
     finally:
         if own:

@@ -212,6 +212,11 @@ def poisson_bracket_fd(f, h, point: ReducedPoint, params: ModelParams,
     return float(0.5 * (fq @ hp - fp @ hq))
 
 
+#: finite-difference step of `involution_report` (with one Richardson
+#: step at h/2)
+BRACKET_STEP = 2.5e-4
+
+
 @dataclass(frozen=True)
 class InvolutionReport:
     """Worst-case |{Phi_mu, Phi_nu}| estimates over a sample of points."""
@@ -234,12 +239,12 @@ class InvolutionReport:
         }
 
 
-def involution_report(params: ModelParams, point_samples, max_order: int = 3,
-                      h0: float = 2.5e-4) -> InvolutionReport:
+def involution_report(params: ModelParams, point_samples,
+                      max_order: int = 3) -> InvolutionReport:
     """Estimate |{Phi_mu, Phi_nu}| for mu, nu <= max_order on given points.
 
     The matrix entry [mu-1, nu-1] is the worst absolute bracket over the
-    samples.  The default step balances the rapid growth of the higher
+    samples.  The step BRACKET_STEP balances the rapid growth of the higher
     traces near the separation walls (truncation) against rounding in
     the trace evaluation; the steps used are recorded in the report.
     """
@@ -255,7 +260,8 @@ def involution_report(params: ModelParams, point_samples, max_order: int = 3,
     for pt in point_samples:
         # row nu - 1: the gradient of Phi_nu, one assembly per stencil point;
         # contiguous rows keep each dot product that of a lone gradient
-        dq, dp = (np.ascontiguousarray(d.T) for d in fd_gradient(phis, pt, params, h0))
+        dq, dp = (np.ascontiguousarray(d.T)
+                  for d in fd_gradient(phis, pt, params, BRACKET_STEP))
         for a in orders:
             for b in orders:
                 if a >= b:
@@ -265,7 +271,8 @@ def involution_report(params: ModelParams, point_samples, max_order: int = 3,
                 mat[b - 1, a - 1] = mat[a - 1, b - 1]
     idx = np.unravel_index(np.argmax(mat), mat.shape)
     return InvolutionReport(orders=orders, bracket_matrix=mat,
-                            fd_steps=(h0, h0 / 2.0), extrapolation_order=4,
+                            fd_steps=(BRACKET_STEP, BRACKET_STEP / 2.0),
+                            extrapolation_order=4,
                             worst_pair=(int(idx[0]) + 1, int(idx[1]) + 1),
                             max_abs=float(mat[idx]))
 

@@ -128,23 +128,24 @@ def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
     return val
 
 
-def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3,
-                  levels: int = 4) -> float:
-    """Numerical H2 = lim_{t->0} (Phi(t) - H0)/t^2 by extrapolation."""
+def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3) -> float:
+    """Numerical H2 = lim_{t->0} (Phi(t) - H0)/t^2 by extrapolation from
+    the four scales t0, t0/2, t0/4, t0/8."""
     n = np.atleast_1d(np.asarray(q)).size
-    ts = t0 / 2.0 ** np.arange(levels)
+    ts = t0 / 2.0 ** np.arange(4)
     gs = [(phi_linearized(q, pi_vec, lp, t) + n) / t ** 2 for t in ts]
     # full-degree polynomial through the levels, evaluated at t = 0
     return float(np.polyfit(ts, gs, ts.size - 1)[-1])
 
 
-def fit_expansion(q, pi_vec, lp: LimitParams, t_lo: float = 1e-3,
-                  t_hi: float = 8e-3, n_points: int = 6, degree: int = 4):
-    """Estimate (H0, H1) from a polynomial fit of Phi(t) on a small grid."""
-    ts = np.geomspace(t_lo, t_hi, n_points)
+def fit_expansion(q, pi_vec, lp: LimitParams):
+    """Estimate (H0, H1) from a degree-4 polynomial fit of Phi(t) at six
+    geometrically spaced t in [1e-3, 8e-3]."""
+    t_hi = 8e-3
+    ts = np.geomspace(1e-3, t_hi, 6)
     phis = [phi_linearized(q, pi_vec, lp, t) for t in ts]
     # fit in the scaled variable s = t/t_hi for conditioning
-    coeffs = np.polyfit(ts / t_hi, phis, degree)
+    coeffs = np.polyfit(ts / t_hi, phis, 4)
     h0 = float(coeffs[-1])
     h1 = float(coeffs[-2]) / t_hi
     return h0, h1
@@ -197,7 +198,7 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
                              np.log(np.maximum(errs[clean], 1e-300)), 1)[0])
     # the extrapolated limit uses its own base scale: pushing it down to
     # the grid floor would only amplify the 1/t^2 rounding noise
-    h2_lim = richardson_H2(q, pi_vec, lp, t0=min(4e-3, float(ts[-1])), levels=4)
+    h2_lim = richardson_H2(q, pi_vec, lp, t0=min(4e-3, float(ts[-1])))
     h0_est, h1_est = fit_expansion(q, pi_vec, lp)
     ok = bool(order >= 0.9 and errs[0] <= 1e-4 * max(1.0, abs(h2)))
     return LimitReport(t=ts, error=errs, fitted_order=order, H2_closed=h2,
@@ -205,23 +206,22 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
                        H1_error=abs(h1_est), passes=ok)
 
 
-def fit_potential_coefficients(lp: LimitParams, rng: np.random.Generator,
-                               n_list=(2, 3), configs_per_n: int = 4,
-                               t0: float = 4e-3, levels: int = 4):
+def fit_potential_coefficients(lp: LimitParams, rng: np.random.Generator):
     """Independent oracle for (c1, c2, c3): least-squares fit of the limit.
 
-    Draws momentum-free configurations, extrapolates (Phi(t) - H0)/t^2
-    numerically, and fits against the three potential basis functions.
+    Draws four momentum-free configurations at each of n = 2 and 3,
+    extrapolates (Phi(t) - H0)/t^2 numerically, and fits against the three
+    potential basis functions.
     Returns (c_fit, rms_residual).
     """
     rows, vals = [], []
-    for n in n_list:
-        for _ in range(configs_per_n):
-            gaps = rng.uniform(0.4, 0.9, size=n - 1) if n > 1 else np.empty(0)
+    for n in (2, 3):
+        for _ in range(4):
+            gaps = rng.uniform(0.4, 0.9, size=n - 1)
             q = rng.uniform(-0.8, 1.2) - np.concatenate([[0.0], np.cumsum(gaps)])
             hq, _ = hat_coords(q, np.zeros(n))
             rows.append(_potential_basis(hq))
-            vals.append(richardson_H2(q, np.zeros(n), lp, t0=t0, levels=levels))
+            vals.append(richardson_H2(q, np.zeros(n), lp))
     a = np.array(rows)
     b = np.array(vals)
     c_fit, _, _, _ = np.linalg.lstsq(a, b, rcond=None)

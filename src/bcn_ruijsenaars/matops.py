@@ -22,7 +22,10 @@ the same BLAS/LAPACK call on every matrix), so a stack only saves the
 Python overhead of a loop; a predicate holds, and a factorization
 succeeds, only when it does for every matrix.  `frob_stack` and
 `rel_err_stack` are the per-matrix forms of `frob` and `rel_err`, equal
-to them bit for bit on C-ordered matrices.
+to them bit for bit on C-ordered matrices.  Both forms stay because of
+the call overhead: on one n x n matrix (n = 2..8) `rel_err_stack` takes
+about 13 us against 5 us for `rel_err`, and `verify_constraints` makes
+some fifteen one-matrix checks per call.
 
 All functions are pure; inputs are never modified.
 """
@@ -104,30 +107,30 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:
-    """m = m^dag within tol (for a stack: every matrix)."""
+def is_hermitian(m) -> bool:
+    """m = m^dag within STRUCT_TOL (for a stack: every matrix)."""
     a = _as_square(m)
-    return bool(np.all(frob_stack(a - dagger(a)) <= tol * np.maximum(1.0, frob_stack(a))))
+    return bool(np.all(frob_stack(a - dagger(a))
+                       <= STRUCT_TOL * np.maximum(1.0, frob_stack(a))))
 
 
-def is_pseudo_unitary(m, signature=None, tol: float = STRUCT_TOL) -> bool:
-    """Check m^dag J m = J for the signature matrix J (default diag(I, -I));
-    for a stack, every matrix."""
+def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
+    """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix."""
     a = _as_square(m)
-    j = inn(a.shape[-1] // 2) if signature is None else np.asarray(signature, dtype=complex)
+    j = inn(a.shape[-1] // 2)
     return bool(np.all(frob_stack(dagger(a) @ j @ a - j)
                        <= tol * np.maximum(1.0, frob_stack(a) ** 2)))
 
 
-def hermitian_eig(m, tol: float = STRUCT_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, u) with w real ascending and m = u diag(w) u^dag up to a
     relative residual of about 1e-12.  Raises InvalidInput when m is not
-    Hermitian within `tol`.
+    Hermitian within STRUCT_TOL.
     """
     a = _as_square(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise InvalidInput("hermitian_eig: input is not Hermitian within tolerance")
     w, u = np.linalg.eigh(a)
     return w, u
@@ -237,19 +240,19 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
         raise NotOnLeaf(f"{what} is not positive definite") from None
 
 
-def _signature_input(h, tol: float, name: str):
+def _signature_input(h, name: str):
     """A zero matrix for the factor and the n x n blocks of a validated
     2n x 2n Hermitian input (or stack of inputs)."""
     a = _as_square(h)
     if a.shape[-1] % 2:
         raise InvalidInput(f"{name}: the signature diag(I, -I) needs even dimension")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise InvalidInput(f"{name}: input is not Hermitian")
     n = a.shape[-1] // 2
     return np.zeros_like(a), a[..., :n, :n], a[..., :n, n:], a[..., n:, n:]
 
 
-def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
+def indefinite_cholesky_upper(h):
     """Factor a Hermitian matrix as h = b^dag J b with J = diag(I, -I).
 
     b is upper triangular with real positive diagonal.  In n x n blocks,
@@ -258,7 +261,7 @@ def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
     factorization exists and is unique exactly when h lies in the image
     of b -> b^dag J b; otherwise NotOnLeaf is raised.
     """
-    b, h11, h12, h22 = _signature_input(h, tol, "indefinite_cholesky_upper")
+    b, h11, h12, h22 = _signature_input(h, "indefinite_cholesky_upper")
     n = h11.shape[-1]
     l11 = _cholesky(h11, "upper-left block")
     b[..., :n, :n] = dagger(l11)
@@ -267,7 +270,7 @@ def indefinite_cholesky_upper(h, tol: float = STRUCT_TOL):
     return b
 
 
-def indefinite_cholesky_upper_dual(m, tol: float = STRUCT_TOL):
+def indefinite_cholesky_upper_dual(m):
     """Factor a Hermitian matrix as m = b J b^dag (same b conventions).
 
     The mirror of :func:`indefinite_cholesky_upper`: b22 b22^dag = -m22,
@@ -275,7 +278,7 @@ def indefinite_cholesky_upper_dual(m, tol: float = STRUCT_TOL):
     factor u with a = u u^dag is the lower Cholesky factor of a with rows
     and columns reversed, reversed back.
     """
-    b, m11, m12, m22 = _signature_input(m, tol, "indefinite_cholesky_upper_dual")
+    b, m11, m12, m22 = _signature_input(m, "indefinite_cholesky_upper_dual")
     n = m11.shape[-1]
     b[..., n:, n:] = b22 = _cholesky(-m22[..., ::-1, ::-1],
                                      "lower-right block")[..., ::-1, ::-1]

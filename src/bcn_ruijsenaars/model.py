@@ -19,9 +19,8 @@ the pair factors and the separation margin are defined here only.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +30,9 @@ __all__ = [
     "ModelParams",
     "ReducedPoint",
     "CartanData",
-    "SeparationReport",
+    "require_points",
     "make_params",
     "cartan_from_q",
-    "check_separation",
     "separation_margin",
     "pair_factors",
     "abc_from_params",
@@ -70,20 +68,6 @@ class ModelParams:
     def coupling_sq(self) -> float:
         """c^2 = (alpha - 1/alpha)^2, the separation threshold."""
         return (self.alpha - 1.0 / self.alpha) ** 2
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "x": self.x, "y": self.y, "n": self.n}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelParams":
-        return make_params(d["alpha"], d["x"], d["y"], d["n"])
-
-    @staticmethod
-    def from_json(s: str) -> "ModelParams":
-        return ModelParams.from_dict(json.loads(s))
 
 
 def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
@@ -132,20 +116,15 @@ class ReducedPoint:
     def n(self) -> int:
         return self.q.size
 
-    def to_dict(self) -> dict:
-        return {"q": self.q.tolist(), "p": self.p.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ReducedPoint":
-        return ReducedPoint(q=np.asarray(d["q"], dtype=float),
-                            p=np.asarray(d["p"], dtype=float))
-
-    @staticmethod
-    def from_json(s: str) -> "ReducedPoint":
-        return ReducedPoint.from_dict(json.loads(s))
+def require_points(q: np.ndarray, p: np.ndarray) -> None:
+    """Check each row of two (T, n) arrays as a ReducedPoint (q[i], p[i]):
+    one stacked test, and only when it fails, a ReducedPoint per row, so the
+    first failing row raises exactly ReducedPoint's error."""
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))
+            and np.all(np.diff(q, axis=-1) < 0.0)):
+        for q_t, p_t in zip(q, p):
+            ReducedPoint(q_t, p_t)
 
 
 @dataclass(frozen=True)
@@ -171,34 +150,11 @@ def cartan_from_q(q, params: ModelParams) -> CartanData:
     )
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    """Outcome of the pairwise separation check."""
-
-    ok: bool
-    coupling_sq: float                    # (alpha - 1/alpha)^2
-    margins: np.ndarray = field(repr=False)  # 4 sinh^2(q_i - q_k) - coupling_sq, i < k
-    min_margin: float = math.inf
-
-
-def check_separation(point: ReducedPoint, params: ModelParams) -> SeparationReport:
-    """Check 4 sinh^2(q_i - q_k) > (alpha - 1/alpha)^2 for every pair i != k."""
-    q = point.q
-    c2 = params.coupling_sq
-    if q.size < 2:
-        return SeparationReport(ok=True, coupling_sq=c2,
-                                margins=np.empty(0), min_margin=math.inf)
-    diffs = q[:, None] - q[None, :]
-    iu = np.triu_indices(q.size, k=1)
-    margins = 4.0 * np.sinh(diffs[iu]) ** 2 - c2
-    return SeparationReport(ok=bool(np.all(margins > 0.0)), coupling_sq=c2,
-                            margins=margins, min_margin=float(np.min(margins)))
-
-
 def separation_margin(q: np.ndarray, c2: float):
-    """min_i 4 sinh^2(q_i - q_{i+1}) - c2: `check_separation`'s min_margin
-    for ordered q (the closest pair is adjacent), negative for unordered q,
-    inf for one particle.  A (k, n) stack of positions gives the k margins."""
+    """min_i 4 sinh^2(q_i - q_{i+1}) - c2: the smallest pairwise margin
+    4 sinh^2(q_i - q_k) - c2 for ordered q (the closest pair is adjacent),
+    negative for unordered q, inf for one particle.  A (k, n) stack of
+    positions gives the k margins."""
     s = np.sinh(q[..., :-1] - q[..., 1:])
     margin = (4.0 * s * np.abs(s)).min(axis=-1, initial=math.inf) - c2
     return float(margin) if margin.ndim == 0 else margin

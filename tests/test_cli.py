@@ -146,6 +146,22 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 1 and "error" in err
 
+    def test_equals_form_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 3, "func": "ignored", "bogus": 1}))
+        code, out, _ = run_cli(capsys, "verify", f"--config={cfg}")
+        assert code == 0
+        assert json.loads(out)["samples"] == 3
+
+    @pytest.mark.parametrize("content", [None, "{\"samples\": 3,"])
+    def test_unreadable_file_exits_1(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read config file")
+
 
 class TestUsageErrors:
     # usage errors are validation errors: exit 1, never the numerical code 2
@@ -155,6 +171,7 @@ class TestUsageErrors:
         ("simulate", "--n", "two"),
         ("verify", "--bogus"),
         ("simulate", "--method", "euler"),
+        ("simulate", "--format", "json", "--t-max", "0.01"),
     ])
     def test_bad_flags_exit_1(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

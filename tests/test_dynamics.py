@@ -8,6 +8,7 @@ from conftest import draw_point
 from bcn_ruijsenaars.dynamics import (
     FLOW_SIGN,
     FLOW_TIME_SCALE,
+    Trajectory,
     compare_trajectories,
     exact_flow,
     integrate_reduced,
@@ -114,7 +115,7 @@ class TestIntegrateReduced:
     def test_zero_horizon(self):
         traj = integrate_reduced(POINT2, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)
-        assert np.allclose(traj.points[0].q, POINT2.q)
+        assert np.allclose(traj.q[0], POINT2.q)
 
     def test_orientation_calibration(self):
         fact, _ = assemble(POINT2, PARAMS2)
@@ -145,16 +146,17 @@ class TestIntegrateReduced:
     def test_bounded_oscillation_long_run(self):
         traj = integrate_reduced(POINT1, PARAMS1, 100.0, 1e-2, sample_every=100)
         assert not traj.chamber_approach
-        qs = traj.coords()[:, 0]
+        qs = traj.q[:, 0]
         assert np.max(np.abs(qs)) < 2.0
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-6
 
     def test_time_reversal(self):
         fwd = integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, sample_every=1000)
-        back = integrate_reduced(fwd.points[-1], PARAMS2, 1.0, 1e-3,
+        end = ReducedPoint(fwd.q[-1], fwd.p[-1])
+        back = integrate_reduced(end, PARAMS2, 1.0, 1e-3,
                                  orientation=-FLOW_SIGN, sample_every=1000)
-        assert np.max(np.abs(back.points[-1].q - POINT2.q)) < 1e-10
-        assert np.max(np.abs(back.points[-1].p - POINT2.p)) < 1e-10
+        assert np.max(np.abs(back.q[-1] - POINT2.q)) < 1e-10
+        assert np.max(np.abs(back.p[-1] - POINT2.p)) < 1e-10
 
     def test_adaptive_pair_matches_exact(self):
         fact, _ = assemble(POINT2, PARAMS2)
@@ -207,17 +209,17 @@ class TestProjectFlow:
         fact, _ = assemble(POINT2, PARAMS2)
         traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
         z0 = extract_reduced(fact.g, PARAMS2)
-        assert np.allclose(traj.points[0].q, z0.q)
+        assert np.allclose(traj.q[0], z0.q)
 
     def test_sample_equals_extraction_and_residuals(self):
         from bcn_ruijsenaars.decomposition import extract_reduced, surface_residuals
 
         fact, _ = assemble(POINT2, PARAMS2)
         traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
-        for g_t, pt, res in zip((fact.g, exact_flow(fact.g, 0.5)), traj.points,
-                                traj.residual):
+        for g_t, q, p, res in zip((fact.g, exact_flow(fact.g, 0.5)), traj.q, traj.p,
+                                  traj.residual):
             ref = extract_reduced(g_t, PARAMS2)
-            assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+            assert np.array_equal(q, ref.q) and np.array_equal(p, ref.p)
             assert res == max(surface_residuals(g_t, PARAMS2).values())
 
     def test_surface_residuals_and_energy(self):
@@ -315,11 +317,9 @@ class TestStackedProjection:
         traj = project_flow(g0, params, times)
         points, energy, residual = _loop_project(g0, params, times)
         assert np.array_equal(traj.times, np.asarray(times, dtype=float))
-        assert np.array_equal(np.array([pt.q for pt in traj.points]),
-                              np.array([pt.q for pt in points]))
+        assert np.array_equal(traj.q, np.array([pt.q for pt in points]))
         assert np.array_equal(traj.energy, energy)
-        dp = wrap_angle(np.array([pt.p for pt in traj.points])
-                        - np.array([pt.p for pt in points]))
+        dp = wrap_angle(traj.p - np.array([pt.p for pt in points]))
         assert np.max(np.abs(dp)) <= 2e-15
         assert np.all(np.abs(traj.residual - residual) <= 1e-3 * residual + 1e-15)
 
@@ -367,6 +367,32 @@ class TestCompare:
         with pytest.raises(InvalidInput):
             compare_trajectories(a, b)
 
+    @pytest.mark.parametrize("point,params", [(POINT1, PARAMS1), (POINT2, PARAMS2)])
+    def test_routes_give_T_by_n_arrays(self, point, params):
+        traj = integrate_reduced(point, params, 0.1, 1e-2)
+        proj = project_flow(assemble(point, params)[0].g, params, traj.times)
+        for tr in (traj, proj):
+            assert tr.q.shape == tr.p.shape == (traj.times.size, point.n)
+
+    def test_matches_per_row_reference(self):
+        # angles on both sides of +-pi, so the wrap decides the p deviation
+        rng = np.random.default_rng(17)
+        times = np.linspace(0.0, 1.0, 9)
+        q = np.sort(rng.uniform(-2.0, 2.0, (9, 3)), axis=1)[:, ::-1]
+        p = np.pi + rng.uniform(-0.1, 0.1, (9, 3))
+        a = Trajectory(times, q, p, rng.uniform(size=9), np.zeros(9))
+        b = Trajectory(times, q + rng.uniform(-1e-3, 1e-3, q.shape),
+                       -p + rng.uniform(-0.1, 0.1, p.shape), rng.uniform(size=9),
+                       np.zeros(9))
+        q_ref = p_ref = 0.0
+        for i in range(times.size):
+            pa, pb = ReducedPoint(a.q[i], a.p[i]), ReducedPoint(b.q[i], b.p[i])
+            q_ref = max(q_ref, float(np.max(np.abs(pa.q - pb.q))))
+            p_ref = max(p_ref, float(np.max(np.abs(wrap_angle(pa.p - pb.p)))))
+        dev = compare_trajectories(a, b)
+        assert (dev.q_dev, dev.p_dev) == (q_ref, p_ref)
+        assert p_ref < 0.4      # the raw difference is near 2 pi
+
 
 class TestCsv:
     def test_header_and_roundtrip(self):
@@ -377,7 +403,7 @@ class TestCsv:
         row = lines[1].split(",")
         # 17 significant digits parse back to the stored doubles exactly
         assert float(row[0]) == traj.times[0]
-        assert float(row[1]) == traj.points[0].q[0]
+        assert float(row[1]) == traj.q[0, 0]
         assert float(row[-2]) == traj.energy[0]
 
     def test_file_writer(self, tmp_path):
@@ -385,3 +411,12 @@ class TestCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, str(path))
         assert path.read_text() == trajectory_csv_text(traj)
+
+    def test_rows_match_per_row_reference(self):
+        traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)
+        lines = ["t,q1,q2,p1,p2,energy,residual"]
+        for i, t in enumerate(traj.times):
+            pt = ReducedPoint(traj.q[i], traj.p[i])
+            row = [t, *pt.q, *pt.p, traj.energy[i], traj.residual[i]]
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+        assert trajectory_csv_text(traj) == "\n".join(lines) + "\n"

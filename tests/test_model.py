@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,14 +10,13 @@ from bcn_ruijsenaars.errors import (
     SeparationViolation,
 )
 from bcn_ruijsenaars.model import (
-    ModelParams,
     ReducedPoint,
     abc_from_params,
     cartan_from_q,
-    check_separation,
     make_params,
     pair_factors,
     params_from_abc,
+    require_points,
     separation_margin,
     wrap_angle,
 )
@@ -80,23 +78,27 @@ class TestCartan:
         assert np.allclose(c.Gamma ** 2 - c.Sigma ** 2, 1.0)
 
 
+def pairwise_margins(q, c2):
+    """4 sinh^2(q_i - q_k) - c2 for every pair i < k: the reference that
+    `separation_margin`, which looks at adjacent pairs only, must match."""
+    iu = np.triu_indices(q.size, k=1)
+    return 4.0 * np.sinh((q[:, None] - q[None, :])[iu]) ** 2 - c2
+
+
 class TestSeparation:
     def test_single_particle_always_ok(self):
-        rep = check_separation(ReducedPoint(np.array([0.3]), np.array([0.0])),
-                               make_params(0.5, 1, 1, 1))
-        assert rep.ok and rep.min_margin == math.inf
+        c2 = make_params(0.5, 1, 1, 1).coupling_sq
+        assert separation_margin(np.array([0.3]), c2) == math.inf
 
     def test_wide_pair_ok(self):
-        rep = check_separation(ReducedPoint(np.array([1.0, 0.0]), np.zeros(2)),
-                               make_params(0.5, 1, 1, 2))
-        assert rep.ok
-        assert rep.min_margin == pytest.approx(4 * math.sinh(1.0) ** 2 - 2.25)
+        c2 = make_params(0.5, 1, 1, 2).coupling_sq
+        margin = separation_margin(np.array([1.0, 0.0]), c2)
+        assert margin > 0.0
+        assert margin == pytest.approx(4 * math.sinh(1.0) ** 2 - 2.25)
 
     def test_close_pair_fails(self):
-        rep = check_separation(ReducedPoint(np.array([0.1, 0.0]), np.zeros(2)),
-                               make_params(0.5, 1, 1, 2))
-        assert not rep.ok
-        assert rep.min_margin < 0.0
+        c2 = make_params(0.5, 1, 1, 2).coupling_sq
+        assert separation_margin(np.array([0.1, 0.0]), c2) < 0.0
 
 
 class TestSeparationKernels:
@@ -114,11 +116,12 @@ class TestSeparationKernels:
             n = int(rng.integers(2, 7))
             q = rng.uniform(-1.0, 1.0) - np.concatenate(
                 [[0.0], np.cumsum(rng.uniform(0.2, 1.2, size=n - 1))])
-            rep = check_separation(ReducedPoint(q, np.zeros(n)), params)
+            ref = pairwise_margins(q, params.coupling_sq)
             margin = separation_margin(q, params.coupling_sq)
-            assert margin == pytest.approx(rep.min_margin, rel=1e-14, abs=1e-14)
-            assert (margin > 0.0) == rep.ok
-            seen.add(rep.ok)
+            assert margin == pytest.approx(ref.min(), rel=1e-14, abs=1e-14)
+            ok = bool(np.all(ref > 0.0))
+            assert (margin > 0.0) == ok
+            seen.add(ok)
         assert seen == {True, False}
 
     def test_margin_single_particle_and_unordered(self):
@@ -194,21 +197,6 @@ class TestAbc:
             params_from_abc(1.0, 1.0, 0.0, 2)
 
 
-class TestSerialization:
-    def test_params_field_names(self):
-        d = json.loads(make_params(0.6, 1.2, 0.8, 3).to_json())
-        assert sorted(d) == ["alpha", "n", "x", "y"]
-        p = ModelParams.from_json(json.dumps(d))
-        assert p == make_params(0.6, 1.2, 0.8, 3)
-
-    def test_point_field_names(self):
-        pt = ReducedPoint(np.array([1.0, 0.0]), np.array([0.3, -0.4]))
-        d = json.loads(pt.to_json())
-        assert sorted(d) == ["p", "q"]
-        back = ReducedPoint.from_json(pt.to_json())
-        assert np.allclose(back.q, pt.q) and np.allclose(back.p, pt.p)
-
-
 class TestReducedPoint:
     def test_ordering_enforced(self):
         with pytest.raises(ChamberViolation):
@@ -217,6 +205,16 @@ class TestReducedPoint:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             ReducedPoint(np.array([1.0, 0.0]), np.zeros(3))
+
+    def test_rows_checked_as_points(self):
+        # the first failing row raises what ReducedPoint raises for it
+        q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        p = np.array([[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]])
+        require_points(q[:1], p[:1])
+        with pytest.raises(ChamberViolation, match="strictly decreasing"):
+            require_points(q, p)
+        with pytest.raises(InvalidInput, match="must be finite"):
+            require_points(q[::2], p[::2])
 
     def test_wrap_angle_range(self):
         x = np.array([0.0, np.pi, -np.pi, 3 * np.pi, -2.5 * np.pi, 7.0])
