@@ -16,7 +16,8 @@ start with ``-`` (``--p -0.2,0.15``).  All random draws are
 fixed by ``--seed``; identical configuration and seed give byte-identical
 output.  A JSON file with the same field names as the long flags
 (underscores for dashes) can be supplied via ``--config PATH`` or
-``--config=PATH``; explicit flags override it, and keys that name no
+``--config=PATH``; its values (JSON strings or numbers) are checked as
+flag values are, explicit flags override them, and keys that name no
 flag of the subcommand are ignored.  ``--format json|csv`` selects the
 report format of ``verify``, ``involution`` and ``limit``.  Set
 ``BCN_LOG=debug`` for progress messages on standard error.
@@ -36,6 +37,7 @@ from .dynamics import (
     compare_trajectories,
     integrate_reduced,
     project_flow,
+    sample_times,
     trajectory_csv_text,
 )
 from .errors import (
@@ -81,21 +83,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (bool, np.bool_)):
-            return bool(obj)
-        if isinstance(obj, (np.floating, float)):
-            return float(f"{float(obj):.17g}")
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, np.ndarray):
-            return clean(obj.tolist())
-        return obj
-    return json.dumps(clean(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _kv_csv(payload: dict) -> str:
@@ -159,7 +148,7 @@ def _initial_point(args, params) -> ReducedPoint:
 def cmd_simulate(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
     point = _initial_point(args, params)
-    n_steps = max(1, int(round(args.t_max / args.dt))) if args.t_max > 0 else 0
+    n_steps = int(sample_times(args.t_max, args.dt)[1][-1])   # the last count
     stride = max(1, n_steps // max(1, args.sample_count))
     _log(f"initial point q={point.q} p={point.p}; {n_steps} steps, stride {stride}")
 
@@ -172,9 +161,11 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
     if args.method in ("exact", "both"):
         fact, _ = assemble(point, params)
-        times = reduced.times if reduced is not None else \
-            np.concatenate([[0.0], (np.arange(1, n_steps + 1) * args.dt)[
-                [min(k, n_steps - 1) for k in range(stride - 1, n_steps, stride)]]])
+        if reduced is not None:
+            times = reduced.times
+        else:
+            step, counts = sample_times(args.t_max, args.dt, stride)
+            times = counts * step
         exact = project_flow(fact.g, params, times)
 
     primary = reduced if reduced is not None else exact
@@ -188,9 +179,8 @@ def cmd_simulate(args) -> int:
 
     if args.method == "both":
         dev = compare_trajectories(reduced, exact)
-        payload = dev.to_dict()
-        payload["tol"] = args.tol
-        payload["pass"] = dev.q_dev < args.tol and dev.p_dev < args.tol
+        payload = {**vars(dev), "tol": args.tol,
+                   "pass": dev.q_dev < args.tol and dev.p_dev < args.tol}
         sys.stdout.write(_json_text(payload))
         return 0 if payload["pass"] else 2
     return 0
@@ -205,10 +195,9 @@ def cmd_involution(args) -> int:
                                    margin_factor=1.2, max_stretch=0)
            for _ in range(args.points)]
     rep = involution_report(params, pts, max_order=args.max_order)
-    payload = rep.to_dict()
-    payload.update({"alpha": params.alpha, "x": params.x, "y": params.y,
-                    "n": params.n, "points": args.points, "seed": args.seed,
-                    "tol": args.tol, "pass": rep.max_abs < args.tol})
+    payload = {**vars(rep), "alpha": params.alpha, "x": params.x, "y": params.y,
+               "n": params.n, "points": args.points, "seed": args.seed,
+               "tol": args.tol, "pass": rep.max_abs < args.tol}
     _emit(_report_text(payload, args.format), args.output)
     return 0 if payload["pass"] else 2
 
@@ -228,10 +217,8 @@ def cmd_limit(args) -> int:
     t_grid = _parse_vector(args.t_grid) if args.t_grid is not None \
         else np.geomspace(5e-5, 5e-3, 8)
     rep = limit_convergence(q, pi_vec, lp, t_grid=t_grid)
-    payload = rep.to_dict()
-    payload.update({"xi": lp.xi, "eta": lp.eta, "zeta": lp.zeta,
-                    "n": args.n, "q": q.tolist(), "pi": pi_vec.tolist(),
-                    "seed": args.seed})
+    payload = {**vars(rep), "xi": lp.xi, "eta": lp.eta, "zeta": lp.zeta,
+               "n": args.n, "q": q, "pi": pi_vec, "seed": args.seed}
     _emit(_report_text(payload, args.format), args.output)
     return 0 if rep.passes else 2
 
@@ -314,13 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("json", "csv"), default="json",
                             help="report format")
         sp.add_argument("--config", default=None, help="JSON file with flag defaults")
-    ap.subcommands = sub.choices     # name -> parser, for --config defaults
     return ap
 
 
-def _apply_config(sp: argparse.ArgumentParser, args) -> None:
-    """Set the keys of the --config JSON object that name a flag of the
-    chosen subcommand as defaults of its parser `sp`."""
+def _config_tokens(args) -> list:
+    """`--flag=value` tokens for the keys of the --config JSON object that
+    name a flag of the chosen subcommand."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -333,7 +319,14 @@ def _apply_config(sp: argparse.ArgumentParser, args) -> None:
         raise InvalidInput(f"config is for subcommand {sub!r}, got {args.subcommand!r}")
     # every flag has a default, so the parsed namespace names them all
     flags = set(vars(args)) - {"func", "subcommand", "config"}
-    sp.set_defaults(**{k: v for k, v in cfg.items() if k in flags})
+    tokens = []
+    for key, value in cfg.items():
+        if key not in flags:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise InvalidInput(f"config value of {key!r} must be a string or a number")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -342,8 +335,9 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         if args.config is not None:
-            _apply_config(ap.subcommands[args.subcommand], args)
-            args = ap.parse_args(argv)
+            # config flags go first, so the command line's own flags win
+            at = argv.index(args.subcommand) + 1
+            args = ap.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

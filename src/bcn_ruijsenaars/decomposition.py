@@ -19,11 +19,10 @@ makes one KB split of the stack, reads (q, p) off it and then computes
 the surface residuals, each stage as stacked numpy/LAPACK calls.  A
 check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
-element.  `extract_reduced`, `surface_residuals` and
-`extract_with_residual` are the stack-of-one calls; `project_flow`
-passes chunks of a trajectory (about 4096 complex entries per stacked
-array, `dynamics.CHUNK_ENTRIES`) and replays a failing chunk element by
-element.  Each element gets the arithmetic it gets alone, so q, p, the
+element.  `extract_reduced` and `surface_residuals` are the
+stack-of-one calls; `project_flow` passes chunks of a trajectory (about
+4096 complex entries per stacked array, `dynamics.CHUNK_ENTRIES`) and
+replays a failing chunk element by element.  Each element gets the arithmetic it gets alone, so q, p, the
 residuals and the moment value do not depend on the stack it is in.
 The residuals here use `rel_err_stack`; the 2-D `rel_err` stays for the
 one-matrix checks of `reconstruction.verify_constraints`, where it costs
@@ -57,7 +56,6 @@ __all__ = [
     "reduce_stack",
     "extract_reduced",
     "surface_residuals",
-    "extract_with_residual",
 ]
 
 #: residual threshold above which an element is rejected as off-surface
@@ -299,10 +297,3 @@ def surface_residuals(g, params: ModelParams) -> dict:
     g = _one(g, params)
     res, _ = _residual_stack(g, *decompose_KB(g), params)
     return {name: float(r[0]) for name, r in res.items()}
-
-
-def extract_with_residual(g, params: ModelParams):
-    """(extract_reduced(g, params), max of surface_residuals(g, params)),
-    from one KB split; the extraction runs first, so its errors come first."""
-    q, p, residual, _ = reduce_stack(_one(g, params), params)
-    return ReducedPoint(q=q[0], p=p[0]), float(residual[0])

@@ -18,17 +18,22 @@ of unreduced time advances the naively-scaled reduced clock by a factor
 4 more than the 1/2 suggested by the bare coefficient of the reduced
 symplectic form.  The calibration is re-asserted by the test suite.
 
-A `Trajectory` holds (T, n) arrays of q and p.  `integrate_reduced` runs
-on raw (q, p) arrays; only its start point and its samples are
-ReducedPoints (`assemble` takes one for each sample's residual).  Each
-RK stage is checked once, by the pair factors in `grad_hamiltonian`:
-ChamberViolation for unordered q, SeparationViolation past the wall.
-Each step is checked once: a non-finite state raises NumericalFailure,
-and a separation margin below WALL_MARGIN ends the run with
-`chamber_approach` set.  The steps run with numpy's overflow and
-invalid-value warnings off, since such a step ends in one of those
-errors; the samples (energy, residual) are evaluated after the stepping,
-with the caller's warning settings.
+A `Trajectory` holds (T, n) arrays of q and p.  Every route samples the
+grid of `sample_times`, so `project_flow` on its times and both
+integrators give one `t` column.  `integrate_reduced` makes one loop
+over the samples; rk4 reaches the next one by fixed steps, rk45 by
+adaptive Cash-Karp steps.  It runs on raw (q, p) arrays; only its start
+point and its samples are ReducedPoints (`assemble` takes one for each
+sample's residual).  Each RK stage is checked once, by the pair factors
+in `grad_hamiltonian`: ChamberViolation for unordered q,
+SeparationViolation past the wall.  Under rk4 that error ends the run;
+under rk45 it rejects the trial step, which is retried at a fifth of its
+length.  Each step is checked once: a non-finite state raises
+NumericalFailure, and a separation margin below WALL_MARGIN ends the
+run with `chamber_approach` set.  The steps run with numpy's overflow
+and invalid-value warnings off, since such a step ends in one of those
+errors; the samples (energy, residual) are evaluated after the
+stepping, with the caller's warning settings.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline: the time grid is cut into chunks of
@@ -58,7 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import reduce_stack
-from .errors import BCNError, InvalidInput, NumericalFailure
+from .errors import (BCNError, ChamberViolation, InvalidInput,
+                     NumericalFailure, SeparationViolation)
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
 from .matops import expm, inn
 from .model import ModelParams, ReducedPoint, separation_margin, wrap_angle
@@ -70,6 +76,7 @@ __all__ = [
     "DeviationReport",
     "exact_flow",
     "reduced_rhs",
+    "sample_times",
     "integrate_reduced",
     "project_flow",
     "compare_trajectories",
@@ -164,25 +171,43 @@ def _ck_step(f, z, h):
     return z5, float(np.max(np.abs(z5 - z4)))
 
 
-def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
-                      dt: float, method: str = "rk4", sample_every: int = 1,
-                      orientation: int = FLOW_SIGN) -> Trajectory:
-    """Integrate the reduced ODE and sample the trajectory.
+def sample_times(t_max: float, dt: float, sample_every: int = 1):
+    """The time grid of a run to `t_max` on steps of about `dt`.
 
-    `method` is "rk4" (classical fixed-step, default) or "rk45" (embedded
-    Cash-Karp pair with adaptive sub-steps between samples; `dt` then
-    sets the sampling cadence only).  Samples are recorded every
-    `sample_every` steps.  If the separation margin drops below
-    WALL_MARGIN the integration stops and the partial trajectory is
-    returned with `chamber_approach` set (see the module docstring for
-    the errors a stage or a step raises).
+    The run takes n = round(t_max / dt) steps (at least one, none when
+    t_max is 0) of length step = t_max / n (`dt` when t_max is 0).
+    Returns `(step, counts)`: the step counts of the samples, which are
+    step 0, every `sample_every`-th step and the last step.  Sample k is
+    at time counts[k] * step.
     """
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
     if t_max < 0.0:
         raise InvalidInput("t_max must be non-negative")
+    n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
+    counts = np.arange(0, n_steps + 1, sample_every)
+    if counts[-1] != n_steps:
+        counts = np.append(counts, n_steps)
+    return (t_max / n_steps if n_steps else dt), counts
+
+
+def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
+                      dt: float, method: str = "rk4", sample_every: int = 1,
+                      orientation: int = FLOW_SIGN) -> Trajectory:
+    """Integrate the reduced ODE and sample the trajectory.
+
+    The samples are those of `sample_times(t_max, dt, sample_every)`.
+    `method` is "rk4" (classical, fixed steps of that grid's step,
+    default) or "rk45" (embedded Cash-Karp pair with adaptive sub-steps
+    between samples; `dt` then sets the sampling cadence and the first
+    trial step).  If the separation margin drops below WALL_MARGIN the
+    integration stops and the partial trajectory is returned with
+    `chamber_approach` set (see the module docstring for the errors a
+    stage or a step raises).
+    """
     if method not in ("rk4", "rk45"):
         raise InvalidInput(f"unknown method {method!r}")
+    step, counts = sample_times(t_max, dt, sample_every)
     n = point0.n
     f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
 
@@ -192,50 +217,51 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
         fact, cdata = assemble(pt, params)
         return energy, verify_constraints(fact, cdata, params).max_residual
 
-    def at_wall(z) -> bool:
+    def finite(z):
         if not np.all(np.isfinite(z)):
             raise NumericalFailure("reduced flow: non-finite state after a step")
-        return separation_margin(z[:n], params.coupling_sq) < WALL_MARGIN
+        return z
 
-    z = np.concatenate([point0.q, point0.p])
-    kept = [(0.0, z)]       # (t, z) of each sample, evaluated after the stepping
+    def rk4_steps(t, z, k0, k):
+        for j in range(k0 + 1, k + 1):
+            z = finite(_rk4_step(f, z, step))
+            yield j * step, z
+
+    h = dt
+
+    def rk45_steps(t, z, k0, k):
+        nonlocal h
+        t_target = k * step
+        while t < t_target:
+            h = min(h, t_target - t)
+            try:
+                z_new, err = _ck_step(f, z, h)
+                finite(z_new)
+            except (ChamberViolation, SeparationViolation):
+                err = np.inf        # a stage left the chamber: reject the step
+            scale = RK45_ATOL + RK45_RTOL * float(np.max(np.abs(z)))
+            if err <= scale:
+                t += h
+                z = z_new
+                yield t, z
+            h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
+
+    steps = rk4_steps if method == "rk4" else rk45_steps
+    t, z = 0.0, np.concatenate([point0.q, point0.p])
+    kept = [(t, z)]         # (t, z) of each sample, evaluated after the stepping
     approached = False
     # An overflowing stage or step raises NumericalFailure (`pair_factors`,
-    # `at_wall`), so numpy's warnings would only add noise.  One context for
+    # `finite`), so numpy's warnings would only add noise.  One context for
     # all steps: entering one per step slows the stepping measurably.
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "rk4":
-            n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
-            step = dt if n_steps == 0 else t_max / n_steps
-            for k in range(1, n_steps + 1):
-                z = _rk4_step(f, z, step)
-                approached = at_wall(z)
+        for k0, k in zip(counts.tolist(), counts[1:].tolist()):
+            for t, z in steps(t, z, k0, k):
+                approached = separation_margin(z[:n], params.coupling_sq) < WALL_MARGIN
                 if approached:
                     break
-                if k % sample_every == 0 or k == n_steps:
-                    kept.append((k * step, z))
-        else:
-            sample_dt = dt * sample_every
-            sample_times = np.arange(1, int(np.ceil(t_max / sample_dt)) + 1) * sample_dt
-            sample_times = sample_times[sample_times <= t_max + 1e-12 * max(1.0, t_max)]
-            if sample_times.size == 0 or sample_times[-1] < t_max:
-                sample_times = np.append(sample_times, t_max)
-            t = 0.0
-            h = dt
-            for t_target in sample_times:
-                while t < t_target and not approached:
-                    h = min(h, t_target - t)
-                    z_new, err = _ck_step(f, z, h)
-                    wall = at_wall(z_new)   # here: a NaN step is never accepted
-                    scale = RK45_ATOL + RK45_RTOL * float(np.max(np.abs(z)))
-                    if err <= scale:
-                        t += h
-                        z = z_new
-                        approached = wall
-                    h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-                if approached:
-                    break
-                kept.append((t, z))
+            if approached:
+                break
+            kept.append((t, z))
 
     times, zs = zip(*kept)
     energy, residual = zip(*(sample(z) for z in zs))
@@ -290,10 +316,6 @@ class DeviationReport:
     p_dev: float          # modulo 2 pi
     energy_dev: float
     count: int = 0
-
-    def to_dict(self) -> dict:
-        return {"q_dev": self.q_dev, "p_dev": self.p_dev,
-                "energy_dev": self.energy_dev, "count": self.count}
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> DeviationReport:

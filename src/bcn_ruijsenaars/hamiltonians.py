@@ -228,16 +228,6 @@ class InvolutionReport:
     worst_pair: tuple
     max_abs: float
 
-    def to_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "bracket_matrix": self.bracket_matrix.tolist(),
-            "fd_steps": list(self.fd_steps),
-            "extrapolation_order": self.extrapolation_order,
-            "worst_pair": list(self.worst_pair),
-            "max_abs": self.max_abs,
-        }
-
 
 def involution_report(params: ModelParams, point_samples,
                       max_order: int = 3) -> InvolutionReport:

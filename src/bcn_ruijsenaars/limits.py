@@ -128,6 +128,13 @@ def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
     return val
 
 
+def _fit_at_zero(ts, values, degree: int) -> np.ndarray:
+    """Coefficients c_0, c_1, ... in t of the degree-`degree` polynomial
+    fit of `values` at `ts`, made in s = t / max(ts) for conditioning."""
+    scale = float(np.max(ts))
+    return np.polyfit(ts / scale, values, degree)[::-1] / scale ** np.arange(degree + 1)
+
+
 def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3) -> float:
     """Numerical H2 = lim_{t->0} (Phi(t) - H0)/t^2 by extrapolation from
     the four scales t0, t0/2, t0/4, t0/8."""
@@ -135,20 +142,15 @@ def richardson_H2(q, pi_vec, lp: LimitParams, t0: float = 4e-3) -> float:
     ts = t0 / 2.0 ** np.arange(4)
     gs = [(phi_linearized(q, pi_vec, lp, t) + n) / t ** 2 for t in ts]
     # full-degree polynomial through the levels, evaluated at t = 0
-    return float(np.polyfit(ts, gs, ts.size - 1)[-1])
+    return float(_fit_at_zero(ts, gs, ts.size - 1)[0])
 
 
 def fit_expansion(q, pi_vec, lp: LimitParams):
     """Estimate (H0, H1) from a degree-4 polynomial fit of Phi(t) at six
     geometrically spaced t in [1e-3, 8e-3]."""
-    t_hi = 8e-3
-    ts = np.geomspace(1e-3, t_hi, 6)
-    phis = [phi_linearized(q, pi_vec, lp, t) for t in ts]
-    # fit in the scaled variable s = t/t_hi for conditioning
-    coeffs = np.polyfit(ts / t_hi, phis, 4)
-    h0 = float(coeffs[-1])
-    h1 = float(coeffs[-2]) / t_hi
-    return h0, h1
+    ts = np.geomspace(1e-3, 8e-3, 6)
+    h0, h1 = _fit_at_zero(ts, [phi_linearized(q, pi_vec, lp, t) for t in ts], 4)[:2]
+    return float(h0), float(h1)
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,6 @@ class LimitReport:
     H0_error: float
     H1_error: float
     passes: bool
-
-    def to_dict(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in vars(self).items()}
 
 
 def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:

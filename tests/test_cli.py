@@ -106,6 +106,30 @@ class TestSimulate:
         assert caught == []
         assert err == "numerical failure: phase matrix has off-diagonal content\n"
 
+    @pytest.mark.parametrize("grid", [("--dt", "3e-3"),
+                                      ("--dt", "1e-3", "--sample-count", "300")],
+                             ids=["dt3e-3", "dt1e-3-count300"])
+    def test_every_route_samples_one_grid(self, capsys, grid):
+        common = ("simulate", "--n", "2", "--q", "1.0,-1.0", "--p", "0.2,0.15",
+                  "--t-max", "1", *grid)
+        columns = []
+        for route in (("--method", "exact"), ("--integrator", "rk4"),
+                      ("--integrator", "rk45")):
+            code, out, _ = run_cli(capsys, *common, *route)
+            assert code == 0
+            columns.append([row.split(",")[0] for row in out.splitlines()[1:]])
+        assert columns[0] == columns[1] == columns[2]
+        assert float(columns[0][-1]) == 1.0
+
+    @pytest.mark.parametrize("grid", [("--dt", "0"), ("--dt", "-1", "--method", "exact"),
+                                      ("--t-max", "-1", "--method", "exact")],
+                             ids=["dt0", "exact-dt-1", "exact-tmax-1"])
+    def test_bad_grid_exits_1(self, capsys, grid):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--q", "1.0,-1.0",
+                                 "--p", "0.2,0.15", *grid)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestInvolution:
     def test_report(self, capsys):
@@ -161,6 +185,19 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (("verify",), {"samples": 2.5}),
+        (("simulate", "--t-max", "0.01"), {"method": "euler"}),
+        (("verify",), {"samples": [3]}),
+        (("verify",), {"samples": True}),
+    ], ids=["float-for-int", "bad-choice", "list", "bool"])
+    def test_values_checked_like_flags(self, capsys, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 1 and out == ""
+        assert "error" in err
 
 
 class TestUsageErrors:

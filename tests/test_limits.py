@@ -126,8 +126,7 @@ class TestConvergence:
                                 t_grid=np.geomspace(5e-5, 5e-3, 8))
         assert rep.passes
         assert abs(rep.H2_limit - rep.H2_closed) < 1e-6 * max(1.0, abs(rep.H2_closed))
-        d = rep.to_dict()
-        assert set(d) >= {"t", "error", "fitted_order", "H2_closed", "H2_limit"}
+        assert set(vars(rep)) >= {"t", "error", "fitted_order", "H2_closed", "H2_limit"}
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
