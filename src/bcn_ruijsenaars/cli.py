@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``verify``     draw random admissible points, rebuild the constrained
-                 element at each, and report the worst constraint residual;
+                 elements (stacked, in chunks), and report the worst
+                 constraint residual;
 * ``simulate``   integrate the reduced ODE and/or project the exact flow,
                  writing ``t,q1..qn,p1..pn,energy,residual`` CSV rows;
 * ``involution`` estimate the pairwise Poisson brackets of the commuting
@@ -19,8 +20,7 @@ output.  A JSON file with the same field names as the long flags
 ``--config=PATH``; its values (JSON strings or numbers) are checked as
 flag values are, explicit flags override them, and keys that name no
 flag of the subcommand are ignored.  ``--format json|csv`` selects the
-report format of ``verify``, ``involution`` and ``limit``.  Set
-``BCN_LOG=debug`` for progress messages on standard error.
+report format of ``verify``, ``involution`` and ``limit``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .dynamics import (
     integrate_reduced,
     project_flow,
     sample_times,
+    step_count,
     trajectory_csv_text,
 )
 from .errors import (
@@ -49,17 +50,13 @@ from .errors import (
 )
 from .hamiltonians import involution_report
 from .limits import LimitParams, limit_convergence
+from .matops import chunk_rows
 from .model import ReducedPoint, make_params
-from .reconstruction import assemble, verify_constraints
+from .reconstruction import assemble, constraint_residuals
 from .sampling import random_admissible_point
 
 _VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation,
                       NotOnLeaf)
-
-
-def _log(msg: str) -> None:
-    if os.environ.get("BCN_LOG", "").lower() in ("1", "debug", "info"):
-        print(f"[bcn] {msg}", file=sys.stderr)
 
 
 def _fmt(x: float) -> str:
@@ -77,7 +74,6 @@ def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
-        _log(f"wrote {output}")
     else:
         sys.stdout.write(text)
 
@@ -105,17 +101,22 @@ def _report_text(payload: dict, fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
+    if args.samples < 1:
+        raise InvalidInput(f"--samples must be positive, got {args.samples}")
     rng = np.random.default_rng(args.seed)
+    size = chunk_rows(2 * params.n)
     per_constraint: dict = {}
-    max_residual = 0.0
-    for i in range(args.samples):
-        point = random_admissible_point(rng, params)
-        fact, cdata = assemble(point, params)
-        rep = verify_constraints(fact, cdata, params, tol=args.tol)
-        for name, r in rep.residuals.items():
-            per_constraint[name] = max(per_constraint.get(name, 0.0), r)
-        max_residual = max(max_residual, rep.max_residual)
-        _log(f"sample {i}: max residual {rep.max_residual:.3e}")
+    # one chunk of points drawn and checked at a time, so the memory does
+    # not grow with --samples; fmax from 0, as a running max, skips a NaN
+    for start in range(0, args.samples, size):
+        points = [random_admissible_point(rng, params)
+                  for _ in range(min(size, args.samples - start))]
+        res = constraint_residuals(np.array([pt.q for pt in points]),
+                                   np.array([pt.p for pt in points]), params)
+        for name, r in res.items():
+            per_constraint[name] = float(np.fmax.reduce(
+                r, initial=per_constraint.get(name, 0.0)))
+    max_residual = max(per_constraint.values())
     worst = max(per_constraint, key=per_constraint.get)
     payload = {
         "alpha": params.alpha, "x": params.x, "y": params.y, "n": params.n,
@@ -148,9 +149,8 @@ def _initial_point(args, params) -> ReducedPoint:
 def cmd_simulate(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
     point = _initial_point(args, params)
-    n_steps = int(sample_times(args.t_max, args.dt)[1][-1])   # the last count
+    n_steps = step_count(args.t_max, args.dt)
     stride = max(1, n_steps // max(1, args.sample_count))
-    _log(f"initial point q={point.q} p={point.p}; {n_steps} steps, stride {stride}")
 
     reduced = exact = None
     if args.method in ("reduced", "both"):
@@ -205,6 +205,8 @@ def cmd_involution(args) -> int:
 def cmd_limit(args) -> int:
     lp = LimitParams(xi=args.xi, eta=args.eta, zeta=args.zeta)
     rng = np.random.default_rng(args.seed)
+    if args.n < 1:
+        raise InvalidInput(f"--n must be positive, got {args.n}")
     if args.q is not None:
         q = _parse_vector(args.q)
     else:

@@ -20,13 +20,10 @@ the surface residuals, each stage as stacked numpy/LAPACK calls.  A
 check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
 element.  `extract_reduced` and `surface_residuals` are the
-stack-of-one calls; `project_flow` passes chunks of a trajectory (about
-4096 complex entries per stacked array, `dynamics.CHUNK_ENTRIES`) and
-replays a failing chunk element by element.  Each element gets the arithmetic it gets alone, so q, p, the
-residuals and the moment value do not depend on the stack it is in.
-The residuals here use `rel_err_stack`; the 2-D `rel_err` stays for the
-one-matrix checks of `reconstruction.verify_constraints`, where it costs
-about a third as much per call (see `matops`).
+stack-of-one calls; `project_flow` passes chunks of a trajectory
+(`matops.chunk_rows` elements each) and replays a failing chunk element
+by element.  Each element gets the arithmetic it gets alone, so q, p,
+the residuals and the moment value do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -38,12 +35,12 @@ import numpy as np
 from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface
 from .matops import (
     dagger,
-    frob_stack,
+    frob,
     indefinite_cholesky_upper,
     indefinite_cholesky_upper_dual,
     inn,
     is_pseudo_unitary,
-    rel_err_stack,
+    rel_err,
 )
 from .model import ModelParams, ReducedPoint, require_points
 from .reconstruction import build_Ttilde, solve_v
@@ -168,8 +165,8 @@ def _read_stack(g, k_L, b_R, params: ModelParams):
     n = params.n
     x = params.x
     eye = np.eye(n)
-    bad = np.maximum(rel_err_stack(b_R[:, :n, :n], x * eye),
-                     rel_err_stack(b_R[:, n:, n:], eye / x))
+    bad = np.maximum(rel_err(b_R[:, :n, :n], x * eye),
+                     rel_err(b_R[:, n:, n:], eye / x))
     failed = bad > SURFACE_TOL
     if np.any(failed):
         raise NotOnConstraintSurface(
@@ -193,7 +190,7 @@ def _read_stack(g, k_L, b_R, params: ModelParams):
     g_norm = left @ g @ right
     Lambda = np.sqrt(params.y ** 2 + params.x ** 2 * Sigma ** 2)
     T = g_norm[:, n:, n:] / Lambda[:, :, None]
-    if np.any(rel_err_stack(dagger(T) @ T, eye) > SURFACE_TOL):
+    if np.any(rel_err(dagger(T) @ T, eye) > SURFACE_TOL):
         raise NotOnConstraintSurface("lower-right block is not Lambda-unitary")
 
     # residual torus: align the first row of rho_hat with the
@@ -211,8 +208,8 @@ def _read_stack(g, k_L, b_R, params: ModelParams):
     T = delta.conj()[:, :, None] * T * delta[:, None, :]
 
     D = T @ build_Ttilde(Sigma, params.alpha, v).swapaxes(-1, -2)
-    if np.any(frob_stack(D * ~np.eye(n, dtype=bool))
-              > 1e-8 * np.maximum(1.0, frob_stack(D))):
+    if np.any(frob(D * ~np.eye(n, dtype=bool))
+              > 1e-8 * np.maximum(1.0, frob(D))):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
     p = np.angle(np.diagonal(D, axis1=-2, axis2=-1))
     require_points(q, p)
@@ -228,13 +225,13 @@ def _residual_stack(g, k_L, b_R, params: ModelParams):
     eye = np.eye(n)
     res = {}
 
-    res["bR_block_11"] = rel_err_stack(b_R[:, :n, :n], x * eye)
-    res["bR_block_22"] = rel_err_stack(b_R[:, n:, n:], eye / x)
-    res["kL_pseudounitary"] = rel_err_stack(dagger(k_L) @ J @ k_L, J)
+    res["bR_block_11"] = rel_err(b_R[:, :n, :n], x * eye)
+    res["bR_block_22"] = rel_err(b_R[:, n:, n:], eye / x)
+    res["kL_pseudounitary"] = rel_err(dagger(k_L) @ J @ k_L, J)
 
     m = g @ J @ dagger(g)
     b_L = indefinite_cholesky_upper_dual(m)
-    res["bL_block_22"] = rel_err_stack(b_L[:, n:, n:], y * eye)
+    res["bL_block_22"] = rel_err(b_L[:, n:, n:], y * eye)
     sig = y * b_L[:, :n, :n]
     spec = np.sort(np.linalg.eigvalsh(sig @ dagger(sig)), axis=-1)
     target = np.sort(np.concatenate([

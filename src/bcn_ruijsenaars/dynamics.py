@@ -22,9 +22,9 @@ A `Trajectory` holds (T, n) arrays of q and p.  Every route samples the
 grid of `sample_times`, so `project_flow` on its times and both
 integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
-adaptive Cash-Karp steps.  It runs on raw (q, p) arrays; only its start
-point and its samples are ReducedPoints (`assemble` takes one for each
-sample's residual).  Each RK stage is checked once, by the pair factors
+adaptive Cash-Karp steps.  It runs on raw (q, p) arrays; its start point
+is a ReducedPoint and its samples are checked as such by
+`require_points`.  Each RK stage is checked once, by the pair factors
 in `grad_hamiltonian`: ChamberViolation for unordered q,
 SeparationViolation past the wall.  Under rk4 that error ends the run;
 under rk45 it rejects the trial step, which is retried at a fifth of its
@@ -33,26 +33,20 @@ NumericalFailure, and a separation margin below WALL_MARGIN ends the
 run with `chamber_approach` set.  The steps run with numpy's overflow
 and invalid-value warnings off, since such a step ends in one of those
 errors; the samples (energy, residual) are evaluated after the
-stepping, with the caller's warning settings.
+stepping, with the caller's warning settings, the residuals of all
+samples by one `constraint_residuals` call (stacked, in chunks).
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline: the time grid is cut into chunks of
-CHUNK_ENTRIES // (2n)^2 samples (each stacked (T, 2n, 2n) array then
-holds about CHUNK_ENTRIES complex entries, which bounds the memory), and
-each chunk makes one `exact_flow` call (a grouped-Pade `expm` of the
-stacked generators) and one `reduce_stack` pass: one KB split, the
-extraction and the residuals, with the energy read from the same
-m = g J g^dag that gives b_L.  If any check fails, `LinAlgError` is
-raised or a floating-point warning would be printed anywhere in a chunk,
-the chunk is replayed sample by sample in time order, under the caller's
-warning settings, so the first failing sample in time raises exactly the
-error of a lone sample.  `compare_trajectories` measures the deviation
-between the two routes.
-
-The sample residuals of `integrate_reduced` come from
-`verify_constraints`, which measures one matrix at a time with the 2-D
-`matops.rel_err`: on one matrix it gives the bits of `rel_err_stack` at
-about a third of the cost, and it runs once per sample.
+`matops.chunk_rows(2n)` samples, and each chunk makes one `exact_flow`
+call (a grouped-Pade `expm` of the stacked generators) and one
+`reduce_stack` pass: one KB split, the extraction and the residuals,
+with the energy read from the same m = g J g^dag that gives b_L.  If any
+check fails, `LinAlgError` is raised or a floating-point warning would
+be printed anywhere in a chunk, the chunk is replayed sample by sample
+in time order, under the caller's warning settings, so the first failing
+sample in time raises exactly the error of a lone sample.
+`compare_trajectories` measures the deviation between the two routes.
 """
 
 from __future__ import annotations
@@ -66,9 +60,10 @@ from .decomposition import reduce_stack
 from .errors import (BCNError, ChamberViolation, InvalidInput,
                      NumericalFailure, SeparationViolation)
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
-from .matops import expm, inn
-from .model import ModelParams, ReducedPoint, separation_margin, wrap_angle
-from .reconstruction import assemble, verify_constraints
+from .matops import chunk_rows, expm, inn
+from .model import (ModelParams, ReducedPoint, require_points,
+                    separation_margin, wrap_angle)
+from .reconstruction import constraint_residuals
 
 __all__ = [
     "FLOW_SIGN",
@@ -76,6 +71,7 @@ __all__ = [
     "DeviationReport",
     "exact_flow",
     "reduced_rhs",
+    "step_count",
     "sample_times",
     "integrate_reduced",
     "project_flow",
@@ -101,10 +97,6 @@ WALL_MARGIN = 1e-6
 #: embedded error estimate is at most RK45_ATOL + RK45_RTOL * max|z|
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
-
-#: complex entries per stacked (T, 2n, 2n) array of a `project_flow`
-#: chunk: T = CHUNK_ENTRIES // (2n)^2 samples (256 at n = 2, 16 at n = 8)
-CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -171,20 +163,29 @@ def _ck_step(f, z, h):
     return z5, float(np.max(np.abs(z5 - z4)))
 
 
-def sample_times(t_max: float, dt: float, sample_every: int = 1):
-    """The time grid of a run to `t_max` on steps of about `dt`.
-
-    The run takes n = round(t_max / dt) steps (at least one, none when
-    t_max is 0) of length step = t_max / n (`dt` when t_max is 0).
-    Returns `(step, counts)`: the step counts of the samples, which are
-    step 0, every `sample_every`-th step and the last step.  Sample k is
-    at time counts[k] * step.
-    """
+def step_count(t_max: float, dt: float) -> int:
+    """Steps of a run to `t_max` on steps of about `dt`: round(t_max / dt),
+    at least one, none when t_max is 0.  Raises InvalidInput for a count
+    that numpy cannot index."""
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
     if t_max < 0.0:
         raise InvalidInput("t_max must be non-negative")
-    n_steps = max(1, int(round(t_max / dt))) if t_max > 0.0 else 0
+    ratio = t_max / dt
+    if not ratio < np.iinfo(np.intp).max:
+        raise InvalidInput(f"cannot run t_max / dt = {ratio:g} steps")
+    return max(1, int(round(ratio))) if t_max > 0.0 else 0
+
+
+def sample_times(t_max: float, dt: float, sample_every: int = 1):
+    """The time grid of a run of `step_count(t_max, dt)` steps.
+
+    The n steps have length step = t_max / n (`dt` when t_max is 0).
+    Returns `(step, counts)`: the step counts of the samples, which are
+    step 0, every `sample_every`-th step and the last step.  Sample k is
+    at time counts[k] * step.
+    """
+    n_steps = step_count(t_max, dt)
     counts = np.arange(0, n_steps + 1, sample_every)
     if counts[-1] != n_steps:
         counts = np.append(counts, n_steps)
@@ -210,12 +211,6 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     step, counts = sample_times(t_max, dt, sample_every)
     n = point0.n
     f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
-
-    def sample(z):
-        pt = ReducedPoint(z[:n], z[n:])
-        energy = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
-        fact, cdata = assemble(pt, params)
-        return energy, verify_constraints(fact, cdata, params).max_residual
 
     def finite(z):
         if not np.all(np.isfinite(z)):
@@ -264,11 +259,14 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
             kept.append((t, z))
 
     times, zs = zip(*kept)
-    energy, residual = zip(*(sample(z) for z in zs))
     rows = np.array(zs)
-    return Trajectory(times=np.array(times), q=rows[:, :n], p=rows[:, n:],
-                      energy=np.array(energy), residual=np.array(residual),
-                      chamber_approach=approached)
+    q, p = rows[:, :n], rows[:, n:]
+    require_points(q, p)
+    energy = [hamiltonian_sigma(np.exp(q_k), p_k, params) for q_k, p_k in zip(q, p)]
+    # the worst residual of each sample; fmax, as Python's max, skips a NaN
+    residual = np.fmax.reduce(list(constraint_residuals(q, p, params).values()))
+    return Trajectory(times=np.array(times), q=q, p=p, energy=np.array(energy),
+                      residual=residual, chamber_approach=approached)
 
 
 def project_flow(g0, params: ModelParams, times) -> Trajectory:
@@ -281,7 +279,7 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
     g0 = np.asarray(g0, dtype=complex)
-    size = max(1, CHUNK_ENTRIES // g0.size)
+    size = chunk_rows(g0.shape[-1])
     # a warning that the replay would print is an error in the stacked pass
     raise_on = {kind: "ignore" if how == "ignore" else "raise"
                 for kind, how in np.geterr().items()}

@@ -237,9 +237,14 @@ def involution_report(params: ModelParams, point_samples,
     samples.  The step BRACKET_STEP balances the rapid growth of the higher
     traces near the separation walls (truncation) against rounding in
     the trace evaluation; the steps used are recorded in the report.
+    Raises InvalidInput for max_order outside 1..4 or no points.
     """
     if max_order > 4:
         raise InvalidInput("max_order > 4 is outside the conditioned regime")
+    if max_order < 1:
+        raise InvalidInput(f"max_order must be at least 1, got {max_order}")
+    if not point_samples:
+        raise InvalidInput("involution_report needs at least one point")
     orders = tuple(range(1, max_order + 1))
 
     def phis(point, pr):

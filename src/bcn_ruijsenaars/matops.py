@@ -15,17 +15,13 @@ needs at sizes up to a few dozen:
   M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
   diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
 
-Every function except `inn`, `frob` and `rel_err` also takes a stack
-(..., N, N) of matrices.  Each matrix of a stack gets the arithmetic it
-gets alone (numpy's stacked `matmul`, `solve`, `cholesky` and `svd` run
-the same BLAS/LAPACK call on every matrix), so a stack only saves the
-Python overhead of a loop; a predicate holds, and a factorization
-succeeds, only when it does for every matrix.  `frob_stack` and
-`rel_err_stack` are the per-matrix forms of `frob` and `rel_err`, equal
-to them bit for bit on C-ordered matrices.  Both forms stay because of
-the call overhead: on one n x n matrix (n = 2..8) `rel_err_stack` takes
-about 13 us against 5 us for `rel_err`, and `verify_constraints` makes
-some fifteen one-matrix checks per call.
+Every function except `inn` also takes a stack (..., N, N) of
+matrices.  Each matrix of a stack gets the arithmetic it gets alone
+(numpy's stacked `matmul`, `solve`, `cholesky` and `svd` run the same
+BLAS/LAPACK call on every matrix), so a stack only saves the Python
+overhead of a loop; a predicate holds, and a factorization succeeds,
+only when it does for every matrix.  Stacked callers cut their work
+into chunks of `chunk_rows` matrices.
 
 All functions are pure; inputs are never modified.
 """
@@ -43,8 +39,8 @@ __all__ = [
     "frob",
     "rel_err",
     "dagger",
-    "frob_stack",
-    "rel_err_stack",
+    "CHUNK_ENTRIES",
+    "chunk_rows",
     "is_hermitian",
     "is_pseudo_unitary",
     "hermitian_eig",
@@ -63,15 +59,25 @@ def inn(n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
 
 
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def frob(a: np.ndarray):
+    """Frobenius norm of a matrix (or vector), or of each matrix of a
+    stack (..., N, N).
+
+    Summed as a dot product of the C-ordered raveled real and imaginary
+    parts, so a matrix has the same norm alone and in a stack.
+    """
+    a = np.asarray(a)
+    rows = a.reshape(*a.shape[:-2], 1, math.prod(a.shape[-2:]))
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
 
 
-def rel_err(actual: np.ndarray, target: np.ndarray) -> float:
-    """Frobenius deviation of `actual` from `target`, relative to max(1, |target|)."""
+def rel_err(actual: np.ndarray, target: np.ndarray):
+    """Frobenius deviation of `actual` from `target`, relative to
+    max(1, |target|); for a stack, one value per matrix (`target` may be
+    one matrix or a stack)."""
     target = np.asarray(target)
-    return frob(np.asarray(actual) - target) / max(1.0, frob(target))
+    return frob(np.asarray(actual) - target) / np.maximum(1.0, frob(target))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -79,22 +85,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def frob_stack(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (..., N, N).
-
-    Summed as `frob` sums one matrix (a dot product of the raveled real
-    and imaginary parts), so for C-ordered matrices each value equals
-    `frob` bit for bit.
-    """
-    a = np.asarray(a)
-    rows = a.reshape(*a.shape[:-2], 1, -1)
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+#: complex entries per stacked (T, N, N) array of one chunk
+CHUNK_ENTRIES = 4096
 
 
-def rel_err_stack(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """`rel_err` of each matrix of a stack against `target` (one matrix or a stack)."""
-    return frob_stack(actual - target) / np.maximum(1.0, frob_stack(target))
+def chunk_rows(size: int) -> int:
+    """Matrices of one chunk of a stack of size x size matrices:
+    CHUNK_ENTRIES // size^2, at least one (256 at 2n = 4, 16 at 2n = 16),
+    which bounds the memory of a stacked pass."""
+    return max(1, CHUNK_ENTRIES // (size * size))
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
@@ -110,16 +109,16 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 def is_hermitian(m) -> bool:
     """m = m^dag within STRUCT_TOL (for a stack: every matrix)."""
     a = _as_square(m)
-    return bool(np.all(frob_stack(a - dagger(a))
-                       <= STRUCT_TOL * np.maximum(1.0, frob_stack(a))))
+    return bool(np.all(frob(a - dagger(a))
+                       <= STRUCT_TOL * np.maximum(1.0, frob(a))))
 
 
 def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
     """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix."""
     a = _as_square(m)
     j = inn(a.shape[-1] // 2)
-    return bool(np.all(frob_stack(dagger(a) @ j @ a - j)
-                       <= tol * np.maximum(1.0, frob_stack(a) ** 2)))
+    return bool(np.all(frob(dagger(a) @ j @ a - j)
+                       <= tol * np.maximum(1.0, frob(a) ** 2)))
 
 
 def hermitian_eig(m):

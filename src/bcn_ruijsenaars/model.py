@@ -129,7 +129,8 @@ def require_points(q: np.ndarray, p: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Radial chart derived from q (plus x, y for Lambda)."""
+    """Radial chart derived from q (plus x, y for Lambda); for a (T, n)
+    stack of positions every field is (T, n)."""
 
     Delta: np.ndarray
     Sigma: np.ndarray
@@ -138,9 +139,12 @@ class CartanData:
 
 
 def cartan_from_q(q, params: ModelParams) -> CartanData:
-    """Radial chart at positions q; raises ChamberViolation if q unordered."""
+    """Radial chart at positions q, or at each row of a (T, n) stack;
+    raises ChamberViolation for the first unordered row."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    _require_chamber(q)
+    if not np.all(np.diff(q, axis=-1) < 0.0):
+        for row in np.atleast_2d(q):
+            _require_chamber(row)
     sigma = np.exp(q)
     return CartanData(
         Delta=np.arcsinh(sigma),

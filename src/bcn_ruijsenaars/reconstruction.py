@@ -15,8 +15,13 @@ constraint analysis:
   nu, and the two triangular/pseudo-unitary factorizations
   g = k_L b_R = b_L k_R.
 
-`verify_constraints` re-checks every invariant of the construction and
-returns a named residual report; it never raises.
+Everything here also runs on stacks: `assemble_stack` takes (T, n)
+arrays q and p, and every field of its records then has the leading T
+axis; `constraint_residuals` re-checks every invariant at each row,
+`matops.chunk_rows(2n)` rows at a time, and never raises on a bad
+residual.  `assemble` and `verify_constraints` are the one-point calls of
+the same code, so a point gets the same bits alone and in a stack.  A
+failing check names the first failing row.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NumericalFailure,
     SeparationViolation,
 )
-from .matops import frob, inn, rel_err
+from .matops import chunk_rows, dagger, frob, inn, rel_err
 from .model import CartanData, ModelParams, ReducedPoint, cartan_from_q
 
 __all__ = [
@@ -41,14 +46,17 @@ __all__ = [
     "solve_v",
     "build_Ttilde",
     "build_sigma_rho",
+    "assemble_stack",
     "assemble",
+    "constraint_residuals",
     "verify_constraints",
 ]
 
 
 @dataclass(frozen=True)
 class ConstraintData:
-    """Intermediates of the constraint solution at one reduced point."""
+    """Intermediates of the constraint solution at one reduced point (or
+    at each point of a stack: every field then has the leading axis)."""
 
     cartan: CartanData
     v: np.ndarray          # non-negative, from the residue formula
@@ -66,7 +74,8 @@ class ConstraintData:
 
 @dataclass(frozen=True)
 class LeafFactorization:
-    """The quadruple (k_L, b_R, b_L, k_R) and the element g they factor."""
+    """The quadruple (k_L, b_R, b_L, k_R) and the element g they factor
+    (or a stack of them)."""
 
     g: np.ndarray
     k_L: np.ndarray
@@ -76,7 +85,7 @@ class LeafFactorization:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0] // 2
+        return self.g.shape[-1] // 2
 
 
 def solve_v(Sigma, alpha: float) -> np.ndarray:
@@ -137,6 +146,12 @@ def build_Ttilde(Sigma, alpha: float, v) -> np.ndarray:
     return that / np.linalg.norm(that, axis=-1)[..., None]
 
 
+def _dot(a, b):
+    """Row-wise dot product of two stacks of vectors, as (1 x n)(n x 1)
+    products: for one row, the bits of `a @ b`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def build_sigma_rho(cdata: CartanData, v, params: ModelParams):
     """Reference momentum data: (sigma, rho, vhat).
 
@@ -144,40 +159,43 @@ def build_sigma_rho(cdata: CartanData, v, params: ModelParams):
     of alpha^2 I + vhat vhat^dag is the diagonal sigma =
     diag(alpha^{1-n}, alpha, ..., alpha) with det sigma = 1.  rho is the
     real special orthogonal map sending vtilde to vhat (a Householder
-    reflection composed with a sign flip to land in SO(n)).
+    reflection composed with a sign flip to land in SO(n)).  A (T, n)
+    stack of v rows (with the chart of the same rows) gives stacks of all
+    three.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    n = v.size
+    n = v.shape[-1]
     vtilde = v / cdata.Sigma
-    norm_sq = float(vtilde @ vtilde)
-    if abs(norm_sq - params.vhat_norm_sq) > 1e-8 * max(1.0, params.vhat_norm_sq):
-        raise InternalInconsistency(
-            f"|vtilde|^2 = {norm_sq} vs expected {params.vhat_norm_sq}")
-    nrm = np.sqrt(norm_sq)
-    vhat = np.zeros(n)
-    vhat[0] = nrm
-    sigma = np.diag(np.concatenate([[params.alpha ** (1 - n)],
-                                    np.full(n - 1, params.alpha)]))
+    norm_sq = _dot(vtilde, vtilde)
+    bad = np.abs(norm_sq - params.vhat_norm_sq) > 1e-8 * max(1.0, params.vhat_norm_sq)
+    if np.any(bad):
+        raise InternalInconsistency(f"|vtilde|^2 = {np.extract(bad, norm_sq)[0]} "
+                                    f"vs expected {params.vhat_norm_sq}")
+    vhat = np.zeros_like(vtilde)
+    vhat[..., 0] = np.sqrt(norm_sq)
+    idx = np.arange(n)
+    sigma = np.zeros(v.shape + (n,))
+    sigma[..., idx, idx] = np.concatenate([[params.alpha ** (1 - n)],
+                                           np.full(n - 1, params.alpha)])
     # w = vtilde + |vtilde| e_1 never suffers cancellation (vtilde_1 > 0);
     # the reflection along w sends vtilde to -vhat, the sign flip of the
     # first row fixes both the image and the determinant.
     w = vtilde + vhat
-    rho = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
-    rho[0, :] = -rho[0, :]
+    rho = np.eye(n) - 2.0 * (w[..., :, None] * w[..., None, :]) \
+        / _dot(w, w)[..., None, None]
+    rho[..., 0, :] = -rho[..., 0, :]
     return sigma, rho, vhat
 
 
-def assemble(point: ReducedPoint, params: ModelParams):
-    """Build the full constrained element at a reduced point.
+def assemble_stack(q, p, params: ModelParams):
+    """Build the constrained elements at each row of (T, n) arrays q and p
+    (or at one point, from vectors q and p).
 
     Returns (LeafFactorization, ConstraintData).  Raises
-    SeparationViolation / ChamberViolation for inadmissible points.
+    SeparationViolation / ChamberViolation for inadmissible rows.
     """
-    if point.n != params.n:
-        raise InternalInconsistency(f"point has n={point.n}, params n={params.n}")
-    x, y = params.x, params.y
-    n = params.n
-    cdata = cartan_from_q(point.q, params)
+    x, y, n = params.x, params.y, params.n
+    cdata = cartan_from_q(q, params)
     Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
 
     v = solve_v(Sigma, params.alpha)
@@ -185,22 +203,31 @@ def assemble(point: ReducedPoint, params: ModelParams):
     sigma, rho, vhat = build_sigma_rho(cdata, v, params)
     vtilde = v / Sigma
 
-    phases = np.exp(1j * point.p)
-    T = phases[:, None] * Ttilde
-    Omega = Lambda[:, None] * T
-    omega = (Omega - x ** -1 * np.diag(Gamma)) / Sigma[:, None]
-    nu = rho @ ((y ** 2 * np.diag(Gamma).astype(complex)
-                 - x ** -1 * Omega.conj().T) / Sigma[:, None])
-
+    # diag(Gamma) as Gamma times the identity: the entries of np.diag for
+    # the finite Gamma that `solve_v` lets through
     eye = np.eye(n)
-    k_L = np.block([[rho * Gamma[None, :], rho * Sigma[None, :]],
-                    [np.diag(Sigma), np.diag(Gamma)]]).astype(complex)
-    b_R = np.block([[x * eye, np.zeros((n, n))],
-                    [np.zeros((n, n)), eye / x]]).astype(complex)
-    b_R[:n, n:] = omega
-    b_L = np.block([[sigma / y, np.zeros((n, n))],
-                    [np.zeros((n, n)), y * eye]]).astype(complex)
-    b_L[:n, n:] = nu / y
+    diag_gamma = Gamma[..., None] * eye
+    phases = np.exp(1j * p)
+    T = phases[..., :, None] * Ttilde
+    Omega = Lambda[..., :, None] * T
+    omega = (Omega - x ** -1 * diag_gamma) / Sigma[..., :, None]
+    nu = rho @ ((y ** 2 * diag_gamma.astype(complex) - x ** -1 * dagger(Omega))
+                / Sigma[..., :, None])
+
+    idx = np.arange(n)
+    k_L = np.zeros(Sigma.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    k_L[..., :n, :n] = rho * Gamma[..., None, :]
+    k_L[..., :n, n:] = rho * Sigma[..., None, :]
+    k_L[..., n + idx, idx] = Sigma
+    k_L[..., n + idx, n + idx] = Gamma
+    b_R = np.zeros_like(k_L)
+    b_R[..., idx, idx] = x
+    b_R[..., n + idx, n + idx] = 1.0 / x
+    b_R[..., :n, n:] = omega
+    b_L = np.zeros_like(k_L)
+    b_L[..., :n, :n] = sigma / y
+    b_L[..., n + idx, n + idx] = y
+    b_L[..., :n, n:] = nu / y
     g = k_L @ b_R
     k_R = np.linalg.solve(b_L, g)
 
@@ -209,6 +236,18 @@ def assemble(point: ReducedPoint, params: ModelParams):
                           Ttilde=Ttilde, phases=phases, T=T, Omega=Omega,
                           omega=omega, nu=nu, rho=rho, sigma=sigma)
     return fact, data
+
+
+def assemble(point: ReducedPoint, params: ModelParams):
+    """Build the full constrained element at a reduced point.
+
+    The one-point call of `assemble_stack`.  Returns (LeafFactorization,
+    ConstraintData).  Raises SeparationViolation / ChamberViolation for
+    inadmissible points.
+    """
+    if point.n != params.n:
+        raise InternalInconsistency(f"point has n={point.n}, params n={params.n}")
+    return assemble_stack(point.q, point.p, params)
 
 
 @dataclass(frozen=True)
@@ -226,60 +265,89 @@ class ConstraintReport:
         return name, self.residuals[name]
 
 
-def verify_constraints(fact: LeafFactorization, cdata: ConstraintData,
-                       params: ModelParams, tol: float = 1e-10) -> ConstraintReport:
-    """Residual report for every invariant; a pure report, never raises."""
+def _residuals(fact: LeafFactorization, cdata: ConstraintData,
+               params: ModelParams) -> dict:
+    """Named residual of every invariant, one value per point of a stack.
+
+    |det - 1| is taken by hypot, the complex abs of one number: numpy's
+    vectorized complex abs rounds differently.
+    """
     n = params.n
     x, y, alpha = params.x, params.y, params.alpha
     J = inn(n)
-    Sigma, Gamma, Lambda = cdata.cartan.Sigma, cdata.cartan.Gamma, cdata.cartan.Lambda
-    s2 = np.diag(Sigma ** 2)
-    T, Ttilde, v = cdata.T, cdata.Ttilde, cdata.v
-    sig = cdata.sigma
-    ssdag = sig @ sig.conj().T if np.iscomplexobj(sig) else sig @ sig.T
+    eye = np.eye(n)
+    Sigma, Lambda = cdata.cartan.Sigma, cdata.cartan.Lambda
+    s2 = (Sigma ** 2)[..., None] * eye
+    T, Ttilde, v, vhat = cdata.T, cdata.Ttilde, cdata.v, cdata.vhat
+    rho, sig = cdata.rho, cdata.sigma
+    ssdag = sig @ dagger(sig)
+    TsT = dagger(T) @ s2 @ T
 
     res = {}
-    res["v_nonnegative"] = max(0.0, -float(np.min(v)))
-    res["vtilde_norm"] = abs(float(cdata.vtilde @ cdata.vtilde) - params.vhat_norm_sq) \
-        / max(1.0, params.vhat_norm_sq)
-    res["Ttilde_real"] = frob(np.imag(Ttilde)) if np.iscomplexobj(Ttilde) else 0.0
-    res["Ttilde_orthogonal"] = rel_err(np.real(Ttilde).T @ np.real(Ttilde), np.eye(n))
-    res["T_constraint"] = rel_err(T.conj().T @ s2 @ T,
-                                  alpha ** 2 * s2 + np.outer(v, v))
-    res["Omega_polar"] = rel_err(cdata.Omega @ cdata.Omega.conj().T,
-                                 np.diag(Lambda ** 2))
-    res["kks_element"] = rel_err(ssdag, alpha ** 2 * np.eye(n)
-                                 + np.outer(cdata.vhat, cdata.vhat))
-    res["sigma_det"] = abs(np.linalg.det(sig) - 1.0)
-    res["rho_orthogonal"] = rel_err(np.asarray(cdata.rho).T @ cdata.rho, np.eye(n))
-    res["rho_maps_vtilde"] = frob(cdata.rho @ cdata.vtilde - cdata.vhat) \
-        / max(1.0, frob(cdata.vhat))
+    res["v_nonnegative"] = np.maximum(0.0, -np.min(v, axis=-1))
+    res["vtilde_norm"] = np.abs(_dot(cdata.vtilde, cdata.vtilde)
+                                - params.vhat_norm_sq) / max(1.0, params.vhat_norm_sq)
+    res["Ttilde_real"] = frob(np.imag(Ttilde)) if np.iscomplexobj(Ttilde) \
+        else np.zeros(v.shape[:-1])
+    res["Ttilde_orthogonal"] = rel_err(np.real(Ttilde).swapaxes(-1, -2)
+                                       @ np.real(Ttilde), eye)
+    res["T_constraint"] = rel_err(TsT, alpha ** 2 * s2
+                                  + v[..., :, None] * v[..., None, :])
+    res["Omega_polar"] = rel_err(cdata.Omega @ dagger(cdata.Omega),
+                                 (Lambda ** 2)[..., None] * eye)
+    res["kks_element"] = rel_err(ssdag, alpha ** 2 * eye
+                                 + vhat[..., :, None] * vhat[..., None, :])
+    det = np.linalg.det(sig) - 1.0
+    res["sigma_det"] = np.hypot(det.real, det.imag)
+    res["rho_orthogonal"] = rel_err(rho.swapaxes(-1, -2) @ rho, eye)
+    res["rho_maps_vtilde"] = frob(rho @ cdata.vtilde[..., None] - vhat[..., None]) \
+        / np.maximum(1.0, frob(vhat[..., None]))
     res["momentum_constraint"] = rel_err(
-        T.conj().T @ s2 @ T,
-        Sigma[:, None] * (cdata.rho.T @ ssdag @ cdata.rho) * Sigma[None, :])
+        TsT, Sigma[..., :, None] * (rho.swapaxes(-1, -2) @ ssdag @ rho)
+        * Sigma[..., None, :])
 
     g, k_L, k_R, b_L, b_R = fact.g, fact.k_L, fact.k_R, fact.b_L, fact.b_R
     res["leaf_left"] = rel_err(k_L @ b_R, g)
     res["leaf_right"] = rel_err(b_L @ k_R, g)
-    res["kL_pseudounitary"] = rel_err(k_L.conj().T @ J @ k_L, J)
-    res["kR_pseudounitary"] = rel_err(k_R.conj().T @ J @ k_R, J)
+    res["kL_pseudounitary"] = rel_err(dagger(k_L) @ J @ k_L, J)
+    res["kR_pseudounitary"] = rel_err(dagger(k_R) @ J @ k_R, J)
 
     bR_target = b_R.copy()
-    bR_target[:n, :n] = x * np.eye(n)
-    bR_target[n:, n:] = np.eye(n) / x
-    bR_target[n:, :n] = 0.0
+    bR_target[..., :n, :n] = x * eye
+    bR_target[..., n:, n:] = eye / x
+    bR_target[..., n:, :n] = 0.0
     res["bR_structure"] = rel_err(b_R, bR_target)
     bL_target = b_L.copy()
-    bL_target[:n, :n] = sig / y
-    bL_target[n:, n:] = y * np.eye(n)
-    bL_target[n:, :n] = 0.0
+    bL_target[..., :n, :n] = sig / y
+    bL_target[..., n:, n:] = y * eye
+    bL_target[..., n:, :n] = 0.0
     res["bL_structure"] = rel_err(b_L, bL_target)
 
-    res["g_det"] = abs(np.linalg.det(g) - 1.0)
-    gJg = g @ J @ g.conj().T
-    res["momentum_block_22"] = rel_err(gJg[n:, n:], -y ** 2 * np.eye(n))
-    res["momentum_block_12"] = rel_err(gJg[:n, n:], -cdata.nu)
+    det = np.linalg.det(g) - 1.0
+    res["g_det"] = np.hypot(det.real, det.imag)
+    gJg = g @ J @ dagger(g)
+    res["momentum_block_22"] = rel_err(gJg[..., n:, n:], -y ** 2 * eye)
+    res["momentum_block_12"] = rel_err(gJg[..., :n, n:], -cdata.nu)
+    return res
 
+
+def constraint_residuals(q, p, params: ModelParams) -> dict:
+    """The residuals of `verify_constraints` at each row of (T, n) arrays
+    q and p, as (T,) arrays, `chunk_rows(2n)` rows at a time (which bounds
+    the memory).  Raises as `assemble_stack` does."""
+    size = chunk_rows(2 * params.n)
+    parts = [_residuals(*assemble_stack(q[s:s + size], p[s:s + size], params),
+                        params)
+             for s in range(0, max(1, len(q)), size)]
+    return {name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]}
+
+
+def verify_constraints(fact: LeafFactorization, cdata: ConstraintData,
+                       params: ModelParams, tol: float = 1e-10) -> ConstraintReport:
+    """Residual report for every invariant at one point, by the residual
+    routine of `constraint_residuals`; a pure report, never raises."""
+    res = {name: float(r) for name, r in _residuals(fact, cdata, params).items()}
     max_res = max(res.values())
     violated = tuple(k for k, r in res.items() if r >= tol)
     return ConstraintReport(residuals=res, max_residual=max_res, tol=tol,

@@ -28,6 +28,7 @@ class TestVerify:
                                "--format", "csv")
         assert code == 0
         assert out.startswith("key,value")
+        assert "np.float64" not in out       # plain numbers in the nested cell
 
     def test_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "7")
@@ -209,6 +210,13 @@ class TestUsageErrors:
         ("verify", "--bogus"),
         ("simulate", "--method", "euler"),
         ("simulate", "--format", "json", "--t-max", "0.01"),
+        ("verify", "--samples", "0"),
+        ("verify", "--samples", "-3"),
+        ("involution", "--max-order", "0"),
+        ("involution", "--max-order", "-1"),
+        ("involution", "--points", "0"),
+        ("limit", "--n", "0"),
+        ("simulate", "--dt", "1e-300"),
     ])
     def test_bad_flags_exit_1(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -112,6 +112,13 @@ class TestReducedRhs:
 
 
 class TestIntegrateReduced:
+    def test_step_count_needs_no_grid(self):
+        assert dynamics.step_count(1.0, 1e-7) == 10 ** 7
+        assert dynamics.step_count(0.0, 1e-3) == 0
+        assert dynamics.step_count(1.0, 1e-3) == dynamics.sample_times(1.0, 1e-3)[1][-1]
+        with pytest.raises(InvalidInput):
+            dynamics.step_count(1.0, 1e-300)
+
     def test_zero_horizon(self):
         traj = integrate_reduced(POINT2, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)

@@ -218,6 +218,13 @@ class TestInvolution:
         with pytest.raises(InvalidInput):
             involution_report(params, [], max_order=5)
 
+    @pytest.mark.parametrize("max_order,count", [(0, 1), (-1, 1), (3, 0)])
+    def test_needs_an_order_and_a_point(self, max_order, count):
+        params = make_params(0.5, 1, 1, 2)
+        pts = [draw_point(np.random.default_rng(5), params)] * count
+        with pytest.raises(InvalidInput):
+            involution_report(params, pts, max_order=max_order)
+
 
 class TestWeyl:
     def test_sign_flip(self):

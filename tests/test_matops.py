@@ -109,6 +109,17 @@ class TestExpm:
         assert frob(e1 - e2) <= 1e-12 * frob(e2)
 
 
+def test_norms_of_a_stack_are_per_matrix():
+    rng = np.random.default_rng(18)
+    a, b = rand_complex(rng, (2, 5, 6, 6))
+    norms, errs = frob(a), matops.rel_err(a, b)
+    assert norms.shape == errs.shape == (5,)
+    for i in range(5):
+        assert norms[i] == frob(a[i]) == pytest.approx(np.linalg.norm(a[i]), rel=1e-15)
+        assert errs[i] == matops.rel_err(a[i], b[i])
+    assert np.array_equal(matops.rel_err(a, b[0]), frob(a - b[0]) / frob(b[0]))
+
+
 def test_stacked_expm_equals_each_matrix_alone():
     """A stack is grouped by (Pade order, squaring count); each matrix gets
     the arithmetic it gets alone, bit for bit, in every group."""

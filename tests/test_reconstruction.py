@@ -5,16 +5,22 @@ import pytest
 
 from conftest import draw_point, vhat_stabilizer
 
-from bcn_ruijsenaars.errors import NumericalFailure, SeparationViolation
+from bcn_ruijsenaars import cli, reconstruction
+from bcn_ruijsenaars.cli import main
+from bcn_ruijsenaars.dynamics import integrate_reduced
+from bcn_ruijsenaars.errors import ChamberViolation, NumericalFailure, SeparationViolation
 from bcn_ruijsenaars.matops import frob, inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, cartan_from_q, make_params
 from bcn_ruijsenaars.reconstruction import (
     assemble,
+    assemble_stack,
     build_sigma_rho,
     build_Ttilde,
+    constraint_residuals,
     solve_v,
     verify_constraints,
 )
+from bcn_ruijsenaars.sampling import random_admissible_point
 
 
 class TestSolveV:
@@ -222,3 +228,142 @@ class TestVerifyReport:
                              b_R=fact.b_R, b_L=fact.b_L, k_R=fact.k_R)
         rep = verify_constraints(bad, cdata, params)
         assert not rep.ok and len(rep.violated) > 0
+
+
+def _loop_verify(points, params):
+    """Reference: the per-point `assemble` and `verify_constraints` of one
+    matrix at a time, with 2-D norms; one residual dict per point."""
+    def frob2(a):
+        return float(np.linalg.norm(a))
+
+    def rel_err2(actual, target):
+        target = np.asarray(target)
+        return frob2(np.asarray(actual) - target) / max(1.0, frob2(target))
+
+    n, x, y, alpha = params.n, params.x, params.y, params.alpha
+    eye, J = np.eye(n), inn(n)
+    out = []
+    for point in points:
+        cdata = cartan_from_q(point.q, params)
+        Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
+        v = solve_v(Sigma, alpha)
+        Ttilde = build_Ttilde(Sigma, alpha, v)
+        sig, rho, vhat = build_sigma_rho(cdata, v, params)
+        vtilde = v / Sigma
+        T = np.exp(1j * point.p)[:, None] * Ttilde
+        Omega = Lambda[:, None] * T
+        omega = (Omega - x ** -1 * np.diag(Gamma)) / Sigma[:, None]
+        nu = rho @ ((y ** 2 * np.diag(Gamma).astype(complex)
+                     - x ** -1 * Omega.conj().T) / Sigma[:, None])
+        z = np.zeros((n, n))
+        k_L = np.block([[rho * Gamma[None, :], rho * Sigma[None, :]],
+                        [np.diag(Sigma), np.diag(Gamma)]]).astype(complex)
+        b_R = np.block([[x * eye, z], [z, eye / x]]).astype(complex)
+        b_R[:n, n:] = omega
+        b_L = np.block([[sig / y, z], [z, y * eye]]).astype(complex)
+        b_L[:n, n:] = nu / y
+        g = k_L @ b_R
+        k_R = np.linalg.solve(b_L, g)
+
+        s2 = np.diag(Sigma ** 2)
+        ssdag = sig @ sig.T
+        res = {}
+        res["v_nonnegative"] = max(0.0, -float(np.min(v)))
+        res["vtilde_norm"] = abs(float(vtilde @ vtilde) - params.vhat_norm_sq) \
+            / max(1.0, params.vhat_norm_sq)
+        res["Ttilde_real"] = 0.0
+        res["Ttilde_orthogonal"] = rel_err2(Ttilde.T @ Ttilde, eye)
+        res["T_constraint"] = rel_err2(T.conj().T @ s2 @ T,
+                                       alpha ** 2 * s2 + np.outer(v, v))
+        res["Omega_polar"] = rel_err2(Omega @ Omega.conj().T, np.diag(Lambda ** 2))
+        res["kks_element"] = rel_err2(ssdag, alpha ** 2 * eye + np.outer(vhat, vhat))
+        res["sigma_det"] = abs(np.linalg.det(sig) - 1.0)
+        res["rho_orthogonal"] = rel_err2(rho.T @ rho, eye)
+        res["rho_maps_vtilde"] = frob2(rho @ vtilde - vhat) / max(1.0, frob2(vhat))
+        res["momentum_constraint"] = rel_err2(
+            T.conj().T @ s2 @ T, Sigma[:, None] * (rho.T @ ssdag @ rho) * Sigma[None, :])
+        res["leaf_left"] = rel_err2(k_L @ b_R, g)
+        res["leaf_right"] = rel_err2(b_L @ k_R, g)
+        res["kL_pseudounitary"] = rel_err2(k_L.conj().T @ J @ k_L, J)
+        res["kR_pseudounitary"] = rel_err2(k_R.conj().T @ J @ k_R, J)
+        target = b_R.copy()
+        target[:n, :n], target[n:, n:], target[n:, :n] = x * eye, eye / x, 0.0
+        res["bR_structure"] = rel_err2(b_R, target)
+        target = b_L.copy()
+        target[:n, :n], target[n:, n:], target[n:, :n] = sig / y, y * eye, 0.0
+        res["bL_structure"] = rel_err2(b_L, target)
+        res["g_det"] = abs(np.linalg.det(g) - 1.0)
+        gJg = g @ J @ g.conj().T
+        res["momentum_block_22"] = rel_err2(gJg[n:, n:], -y ** 2 * eye)
+        res["momentum_block_12"] = rel_err2(gJg[:n, n:], -nu)
+        out.append((g, res))
+    return out
+
+
+def _points(n, count, seed, alpha=0.6):
+    params = make_params(alpha, 1.2, 0.8, n)
+    rng = np.random.default_rng(seed)
+    points = [random_admissible_point(rng, params) for _ in range(count)]
+    return params, points
+
+
+class TestStackedCore:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_residuals_equal_the_loop_bit_for_bit(self, n):
+        # 40 points are three chunks at n = 8 (16 rows each)
+        params, points = _points(n, 40, 300 + n)
+        q = np.array([pt.q for pt in points])
+        p = np.array([pt.p for pt in points])
+        stacked = constraint_residuals(q, p, params)
+        fact, _ = assemble_stack(q, p, params)
+        for i, (point, (g, res)) in enumerate(zip(points, _loop_verify(points, params))):
+            assert np.array_equal(fact.g[i], g)
+            assert {name: r[i] for name, r in stacked.items()} == res
+            one = verify_constraints(*assemble(point, params), params)
+            assert one.residuals == res
+            assert one.max_residual == max(res.values())
+
+    def test_fields_carry_the_leading_axis(self):
+        params, points = _points(3, 5, 310)
+        fact, cdata = assemble_stack(np.array([pt.q for pt in points]),
+                                     np.array([pt.p for pt in points]), params)
+        assert fact.g.shape == (5, 6, 6) and fact.n == 3
+        assert cdata.sigma.shape == cdata.rho.shape == (5, 3, 3)
+        assert cdata.cartan.Sigma.shape == cdata.vhat.shape == (5, 3)
+        one, _ = assemble(points[2], params)
+        assert np.array_equal(one.k_R, fact.k_R[2]) and one.g.shape == (6, 6)
+
+    def test_a_stack_raises_the_error_of_its_first_failing_row(self):
+        params = make_params(0.5, 1, 1, 2)
+        q = np.array([[1.0, -1.0], [0.5, 0.8], [0.2, 0.9]])
+        with pytest.raises(ChamberViolation, match=r"\[0.5 0.8\]"):
+            assemble_stack(q, np.zeros_like(q), params)
+
+    def test_residual_column_equals_the_loop(self):
+        params, (point,) = _points(3, 1, 311)
+        traj = integrate_reduced(point, params, 0.2, 1e-3, sample_every=20)
+        points = [ReducedPoint(q, p) for q, p in zip(traj.q, traj.p)]
+        loop = [max(res.values()) for _, res in _loop_verify(points, params)]
+        assert np.array_equal(traj.residual, loop)
+
+    def test_verify_assembles_at_most_one_chunk_per_call(self, monkeypatch, capsys):
+        # the `verify --n 8` run of 200 points, in chunks of 4096 // 16^2
+        # rows, each drawn just before it is checked
+        rows, drawn = [], []
+        core, draw = reconstruction.assemble_stack, cli.random_admissible_point
+
+        def spy(q, p, params):
+            rows.append(len(q))
+            assert len(drawn) == sum(rows)
+            return core(q, p, params)
+
+        def spy_draw(rng, params):
+            drawn.append(1)
+            return draw(rng, params)
+
+        monkeypatch.setattr(reconstruction, "assemble_stack", spy)
+        monkeypatch.setattr(cli, "random_admissible_point", spy_draw)
+        main(["verify", "--n", "8", "--alpha", "0.6", "--x", "1.2", "--y", "0.8",
+              "--samples", "200", "--seed", "1"])
+        capsys.readouterr()
+        assert sum(rows) == 200 and max(rows) == 16
