@@ -66,7 +66,6 @@ from .dynamics import (
     integrate_reduced,
     project_flow,
     reduced_rhs,
-    write_trajectory_csv,
 )
 from .limits import (
     LimitParams,

@@ -84,9 +84,15 @@ def _json_text(payload: dict) -> str:
 
 
 def _kv_csv(payload: dict) -> str:
+    flat = {}
+    for key, val in payload.items():
+        if isinstance(val, dict):       # one `key.name` row per entry
+            flat.update({f"{key}.{name}": v for name, v in val.items()})
+        else:
+            flat[key] = val
     lines = ["key,value"]
-    for key in sorted(payload):
-        val = payload[key]
+    for key in sorted(flat):
+        val = flat[key]
         if isinstance(val, (list, tuple, np.ndarray)):
             val = ";".join(_fmt(float(v)) for v in np.ravel(np.asarray(val)))
         elif isinstance(val, float):

@@ -32,9 +32,9 @@ length.  Each step is checked once: a non-finite state raises
 NumericalFailure, and a separation margin below WALL_MARGIN ends the
 run with `chamber_approach` set.  The steps run with numpy's overflow
 and invalid-value warnings off, since such a step ends in one of those
-errors; the samples (energy, residual) are evaluated after the
-stepping, with the caller's warning settings, the residuals of all
-samples by one `constraint_residuals` call (stacked, in chunks).
+errors; the samples are evaluated after the stepping, with the
+caller's warning settings: the energy column by one `hamiltonian_sigma`
+call on the (T, n) arrays, the residuals by one `constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline: the time grid is cut into chunks of
@@ -51,7 +51,6 @@ sample in time raises exactly the error of a lone sample.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,7 @@ __all__ = [
     "integrate_reduced",
     "project_flow",
     "compare_trajectories",
-    "write_trajectory_csv",
+    "trajectory_csv_text",
 ]
 
 #: orientation of the reduced flow relative to the exact unreduced flow,
@@ -262,10 +261,10 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     rows = np.array(zs)
     q, p = rows[:, :n], rows[:, n:]
     require_points(q, p)
-    energy = [hamiltonian_sigma(np.exp(q_k), p_k, params) for q_k, p_k in zip(q, p)]
+    energy = hamiltonian_sigma(np.exp(q), p, params)
     # the worst residual of each sample; fmax, as Python's max, skips a NaN
     residual = np.fmax.reduce(list(constraint_residuals(q, p, params).values()))
-    return Trajectory(times=np.array(times), q=q, p=p, energy=np.array(energy),
+    return Trajectory(times=np.array(times), q=q, p=p, energy=energy,
                       residual=residual, chamber_approach=approached)
 
 
@@ -329,25 +328,12 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> DeviationReport:
                            count=int(a.times.size))
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """CSV rows `t,q1..qn,p1..pn,energy,residual`, 17 significant digits."""
-    own = isinstance(fh, (str, bytes))
-    stream = open(fh, "w", newline="") if own else fh
-    try:
-        n = traj.q.shape[1]
-        header = ["t"] + [f"q{i+1}" for i in range(n)] \
-            + [f"p{i+1}" for i in range(n)] + ["energy", "residual"]
-        stream.write(",".join(header) + "\n")
-        for t, q, p, en, res in zip(traj.times, traj.q, traj.p, traj.energy,
-                                    traj.residual):
-            row = [t, *q, *p, en, res]
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if own:
-            stream.close()
-
-
 def trajectory_csv_text(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    return buf.getvalue()
+    """CSV rows `t,q1..qn,p1..pn,energy,residual`, 17 significant digits."""
+    n = traj.q.shape[1]
+    lines = [",".join(["t"] + [f"q{i+1}" for i in range(n)]
+                      + [f"p{i+1}" for i in range(n)] + ["energy", "residual"])]
+    for t, q, p, en, res in zip(traj.times, traj.q, traj.p, traj.energy,
+                                traj.residual):
+        lines.append(",".join(f"{v:.17g}" for v in [t, *q, *p, en, res]))
+    return "\n".join(lines) + "\n"

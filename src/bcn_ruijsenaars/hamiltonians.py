@@ -23,18 +23,23 @@ which in the three-constant form reads
 
 The reduced Poisson bracket carries a factor 1/2 (the reduced symplectic
 form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
+
+`hamiltonian_sigma` also takes (T, n) stacks.  `fd_gradient` passes all
+8n stencil rows of a point to its function as one stack, and
+`involution_report` evaluates them through `assemble_chunks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, SeparationViolation
-from .model import ModelParams, ReducedPoint, pair_factors
-from .matops import inn
-from .reconstruction import assemble
+from .errors import BCNError, InvalidInput, NumericalFailure, SeparationViolation
+from .model import ModelParams, ReducedPoint, pair_factors, require_points
+from .matops import dagger, inn
+from .reconstruction import assemble, assemble_chunks
 
 __all__ = [
     "phi_trace",
@@ -62,22 +67,17 @@ def phi_trace(g, nu: int) -> float:
     g = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise InvalidInput("phi_trace: non-finite input")
-    j = inn(g.shape[0] // 2)
-    return float(_phi(g @ j @ g.conj().T @ j, nu))
+    return float(phi_from_moment(g @ inn(g.shape[0] // 2) @ dagger(g), nu))
 
 
 def phi_from_moment(m, nu: int):
-    """Phi_nu from the moment value m = g J g^dag, as :func:`phi_trace`
-    computes it from g; a stack (T, 2n, 2n) of moment values gives T
-    values, and the reality check names the first failing one."""
-    m = np.asarray(m, dtype=complex)
-    return _phi(m @ inn(m.shape[-1] // 2), nu)
-
-
-def _phi(mj, nu: int):
-    """-(1/(2 nu)) tr mj^nu for mj = g J g^dag J, one matrix or a stack."""
+    """Phi_nu from the moment value m = g J g^dag; a stack (T, 2n, 2n) of
+    moment values gives T values, and the reality check names the first
+    failing one."""
     if nu < 1:
         raise InvalidInput("nu must be a positive integer")
+    m = np.asarray(m, dtype=complex)
+    mj = m @ inn(m.shape[-1] // 2)
     val = -np.trace(np.linalg.matrix_power(mj, nu), axis1=-2, axis2=-1) / (2.0 * nu)
     failed = np.abs(val.imag) > 1e-8 * np.maximum(1.0, np.abs(val.real))
     if failed.any():
@@ -87,32 +87,30 @@ def _phi(mj, nu: int):
 
 
 def _pair_factors_sq(s, alpha: float):
-    """Matrix of (s_k/alpha - alpha s_i)(alpha s_k - s_i/alpha)/(s_k - s_i)^2
-    over k != i, with s_i = Sigma_i^2; entries on the diagonal are 1."""
-    n = s.size
-    if n == 1:
-        return np.ones((1, 1))
-    sk, si = s[None, :], s[:, None]
+    """For each row of s = Sigma^2, the matrix of (s_k/alpha - alpha s_i)
+    (alpha s_k - s_i/alpha) / (s_k - s_i)^2 over k != i, 1 on the diagonal."""
+    n = s.shape[-1]
+    sk, si = s[..., None, :], s[..., :, None]
     diff = sk - si
     mask = ~np.eye(n, dtype=bool)
-    if np.any(diff[mask] == 0.0):
+    if np.any(diff[..., mask] == 0.0):
         raise SeparationViolation("coinciding Sigma_i^2: particle collision")
-    fac = np.ones((n, n))
-    fac[mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[mask] \
-        / diff[mask] ** 2
+    fac = np.ones(s.shape + (n,))
+    fac[..., mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[..., mask] \
+        / diff[..., mask] ** 2
     return fac
 
 
-def hamiltonian_sigma(Sigma, p, params: ModelParams) -> float:
+def hamiltonian_sigma(Sigma, p, params: ModelParams):
     """Closed form of the reduced Phi_1 in the (Sigma, p) chart.
 
     The formula depends on Sigma only through Sigma^2, so it is even in
     each Sigma_i and symmetric under simultaneous permutations of the
-    (Sigma_i, p_i) pairs; Sigma need not be ordered here.  Raises
-    SeparationViolation when a pair radicand is non-positive.
+    (Sigma_i, p_i) pairs; Sigma need not be ordered here.  (T, n) arrays
+    give T values with the bits of each row alone; one point, a float.
+    Raises SeparationViolation when a pair radicand is non-positive.
     """
     sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(sigma == 0.0):
         raise InvalidInput("Sigma entries must be non-zero")
     x, y, alpha = params.x, params.y, params.alpha
@@ -121,9 +119,10 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams) -> float:
     if np.any(fac <= 0.0):
         raise SeparationViolation("non-positive interaction radicand")
     w = (np.sqrt((1.0 + 1.0 / s) * (x ** 2 + y ** 2 / s)) / x
-         * np.prod(np.sqrt(fac), axis=1))
-    return float(0.5 * (x ** -2 + y ** 2) * np.sum(1.0 / s)
-                 - np.sum(np.cos(p) * w))
+         * np.prod(np.sqrt(fac), axis=-1))
+    val = (0.5 * (x ** -2 + y ** 2) * np.sum(1.0 / s, axis=-1)
+           - np.sum(np.cos(p) * w, axis=-1))
+    return float(val) if val.ndim == 0 else val
 
 
 def hamiltonian_q(q, p, a2: float, b2: float, c2: float) -> float:
@@ -178,34 +177,44 @@ def grad_hamiltonian(q, p, params: ModelParams):
 def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None):
     """Central-difference gradient with one Richardson step (h0, h0/2).
 
-    `func(point, params)` returns a float or a 1-d array; the differences
-    are taken elementwise.  Returns (df_dq, df_dp), each of shape (n,) or
-    (n, m) for an array of m values.  Stencil evaluation failures (e.g. a
-    chamber violation) propagate.
+    `func(q, p, params)` takes the 8n stencil rows as two (8n, n) arrays
+    (q_1 ... q_n, then p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2) and
+    returns (8n,) or (8n, m) values.  Returns (df_dq, df_dp), each (n,)
+    or (n, m).  If the stack raises a BCNError, the rows are replayed one
+    at a time (a ReducedPoint check, then `func`), so the first failing
+    row raises its own error, as in a loop over the rows.
     """
     q, p = point.q, point.p
+    n = q.size
     if h0 is None:
         h0 = 1e-4 * max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(p))))
-
-    def diff(build):
-        def central(h):
-            return (func(build(h), params) - func(build(-h), params)) / (2.0 * h)
-        d1, d2 = central(h0), central(h0 / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    dq = np.array([diff(lambda h, i=i: ReducedPoint(
-        q + h * np.eye(q.size)[i], p)) for i in range(q.size)])
-    dp = np.array([diff(lambda h, i=i: ReducedPoint(
-        q, p + h * np.eye(p.size)[i])) for i in range(p.size)])
-    return dq, dp
+    steps = np.array([h0, -h0, h0 / 2.0, -h0 / 2.0])
+    # row 4 i + k shifts coordinate i by steps[k]
+    shifts = (np.eye(n)[:, None, :] * steps[:, None]).reshape(4 * n, n)
+    qs = np.concatenate([q + shifts, np.broadcast_to(q, shifts.shape)])
+    ps = np.concatenate([np.broadcast_to(p, shifts.shape), p + shifts])
+    try:
+        require_points(qs, ps)
+        vals = func(qs, ps, params)
+    except BCNError:
+        vals = []
+        for i in range(8 * n):
+            require_points(qs[i:i + 1], ps[i:i + 1])
+            vals.append(func(qs[i:i + 1], ps[i:i + 1], params))
+        vals = np.concatenate(vals)
+    f = vals.reshape(2 * n, 4, *vals.shape[1:])
+    d1 = (f[:, 0] - f[:, 1]) / (2.0 * h0)
+    d2 = (f[:, 2] - f[:, 3]) / (2.0 * (h0 / 2.0))
+    grad = (4.0 * d2 - d1) / 3.0
+    return grad[:n], grad[n:]
 
 
 def poisson_bracket_fd(f, h, point: ReducedPoint, params: ModelParams,
                        h0: float = None) -> float:
     """{f, h} = (1/2) sum_i (df/dq_i dh/dp_i - df/dp_i dh/dq_i).
 
-    Partials by central differences with Richardson extrapolation; the
-    factor 1/2 reflects the factor 2 in the reduced symplectic form.
+    Partials by `fd_gradient` (so `f` and `h` take stacks); the factor
+    1/2 reflects the factor 2 in the reduced symplectic form.
     """
     fq, fp = fd_gradient(f, point, params, h0)
     hq, hp = fd_gradient(h, point, params, h0)
@@ -247,23 +256,22 @@ def involution_report(params: ModelParams, point_samples,
         raise InvalidInput("involution_report needs at least one point")
     orders = tuple(range(1, max_order + 1))
 
-    def phis(point, pr):
-        g = assemble(point, pr)[0].g
-        return np.array([phi_trace(g, nu) for nu in orders])
+    def phis(q, p, pr):
+        j = inn(pr.n)
+        return np.concatenate([
+            np.stack([phi_from_moment(fact.g @ j @ dagger(fact.g), nu)
+                      for nu in orders], axis=-1)
+            for fact, _ in assemble_chunks(q, p, pr)])
 
     mat = np.zeros((max_order, max_order))
     for pt in point_samples:
-        # row nu - 1: the gradient of Phi_nu, one assembly per stencil point;
-        # contiguous rows keep each dot product that of a lone gradient
+        # row nu - 1: the gradient of Phi_nu; contiguous rows keep each
+        # dot product that of a lone gradient
         dq, dp = (np.ascontiguousarray(d.T)
                   for d in fd_gradient(phis, pt, params, BRACKET_STEP))
-        for a in orders:
-            for b in orders:
-                if a >= b:
-                    continue
-                val = abs(0.5 * (dq[a - 1] @ dp[b - 1] - dp[a - 1] @ dq[b - 1]))
-                mat[a - 1, b - 1] = max(mat[a - 1, b - 1], val)
-                mat[b - 1, a - 1] = mat[a - 1, b - 1]
+        for i, j in combinations(range(max_order), 2):
+            val = abs(0.5 * (dq[i] @ dp[j] - dp[i] @ dq[j]))
+            mat[i, j] = mat[j, i] = max(mat[i, j], val)
     idx = np.unravel_index(np.argmax(mat), mat.shape)
     return InvolutionReport(orders=orders, bracket_matrix=mat,
                             fd_steps=(BRACKET_STEP, BRACKET_STEP / 2.0),
@@ -284,8 +292,6 @@ class WeylReport:
 def weyl_check(Sigma, p, params: ModelParams, tol: float = 1e-12) -> WeylReport:
     """Check invariance under all sign flips of Sigma_i and simultaneous
     permutations of the (Sigma_i, p_i) pairs."""
-    from itertools import permutations, product
-
     sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     n = sigma.size

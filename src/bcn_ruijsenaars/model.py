@@ -52,16 +52,15 @@ class ModelParams:
     """Coupling data.  Use :func:`make_params` to construct.
 
     ``alpha`` is normalized into (0, 1) (the model is invariant under
-    alpha -> 1/alpha), ``epsilon`` is +1 in this normalization, and
-    ``vhat_norm_sq = alpha^(2-2n) - alpha^2 > 0`` is the squared length of
-    the rank-one deformation vector of the reference momentum value.
+    alpha -> 1/alpha), and ``vhat_norm_sq = alpha^(2-2n) - alpha^2 > 0``
+    is the squared length of the rank-one deformation vector of the
+    reference momentum value.
     """
 
     alpha: float
     x: float
     y: float
     n: int
-    epsilon: int = 1
     vhat_norm_sq: float = 0.0
 
     @property
@@ -82,8 +81,7 @@ def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
     if alpha > 1.0:
         alpha = 1.0 / alpha
     vhat_norm_sq = alpha ** (2 - 2 * n) - alpha ** 2
-    return ModelParams(alpha=alpha, x=x, y=y, n=int(n),
-                       epsilon=1, vhat_norm_sq=vhat_norm_sq)
+    return ModelParams(alpha=alpha, x=x, y=y, n=int(n), vhat_norm_sq=vhat_norm_sq)
 
 
 def _require_chamber(q: np.ndarray) -> None:

@@ -17,9 +17,10 @@ constraint analysis:
 
 Everything here also runs on stacks: `assemble_stack` takes (T, n)
 arrays q and p, and every field of its records then has the leading T
-axis; `constraint_residuals` re-checks every invariant at each row,
-`matops.chunk_rows(2n)` rows at a time, and never raises on a bad
-residual.  `assemble` and `verify_constraints` are the one-point calls of
+axis.  `assemble_chunks`, the one chunk loop, runs it on
+`matops.chunk_rows(2n)` rows at a time; `constraint_residuals` (every
+invariant, never raising on a bad residual) and the involution brackets
+use it.  `assemble` and `verify_constraints` are the one-point calls of
 the same code, so a point gets the same bits alone and in a stack.  A
 failing check names the first failing row.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "build_sigma_rho",
     "assemble_stack",
     "assemble",
+    "assemble_chunks",
     "constraint_residuals",
     "verify_constraints",
 ]
@@ -195,6 +197,8 @@ def assemble_stack(q, p, params: ModelParams):
     SeparationViolation / ChamberViolation for inadmissible rows.
     """
     x, y, n = params.x, params.y, params.n
+    if np.shape(q)[-1] != n:
+        raise InternalInconsistency(f"point has n={np.shape(q)[-1]}, params n={n}")
     cdata = cartan_from_q(q, params)
     Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
 
@@ -239,14 +243,8 @@ def assemble_stack(q, p, params: ModelParams):
 
 
 def assemble(point: ReducedPoint, params: ModelParams):
-    """Build the full constrained element at a reduced point.
-
-    The one-point call of `assemble_stack`.  Returns (LeafFactorization,
-    ConstraintData).  Raises SeparationViolation / ChamberViolation for
-    inadmissible points.
-    """
-    if point.n != params.n:
-        raise InternalInconsistency(f"point has n={point.n}, params n={params.n}")
+    """The constrained element at a reduced point: the one-point call of
+    `assemble_stack`, with its records and errors."""
     return assemble_stack(point.q, point.p, params)
 
 
@@ -331,14 +329,20 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
     return res
 
 
+def assemble_chunks(q, p, params: ModelParams):
+    """`assemble_stack` on the rows of (T, n) arrays q and p,
+    `chunk_rows(2n)` rows at a time (which bounds the memory): yields the
+    (LeafFactorization, ConstraintData) of each chunk in row order."""
+    size = chunk_rows(2 * params.n)
+    for s in range(0, max(1, len(q)), size):
+        yield assemble_stack(q[s:s + size], p[s:s + size], params)
+
+
 def constraint_residuals(q, p, params: ModelParams) -> dict:
     """The residuals of `verify_constraints` at each row of (T, n) arrays
-    q and p, as (T,) arrays, `chunk_rows(2n)` rows at a time (which bounds
-    the memory).  Raises as `assemble_stack` does."""
-    size = chunk_rows(2 * params.n)
-    parts = [_residuals(*assemble_stack(q[s:s + size], p[s:s + size], params),
-                        params)
-             for s in range(0, max(1, len(q)), size)]
+    q and p, as (T,) arrays, by `assemble_chunks`; raises as it does."""
+    parts = [_residuals(fact, cdata, params)
+             for fact, cdata in assemble_chunks(q, p, params)]
     return {name: np.concatenate([part[name] for part in parts])
             for name in parts[0]}
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -28,7 +29,15 @@ class TestVerify:
                                "--format", "csv")
         assert code == 0
         assert out.startswith("key,value")
-        assert "np.float64" not in out       # plain numbers in the nested cell
+        rows = list(csv.reader(out.splitlines()))
+        assert all(len(row) == 2 for row in rows)
+        # one row per constraint, with the number format of the other rows
+        per = {k: v for k, v in rows if k.startswith("per_constraint_max.")}
+        assert len(per) == 20
+        assert all(f"{float(v):.17g}" == v for v in per.values())
+        _, js, _ = run_cli(capsys, "verify", "--samples", "5", "--seed", "1")
+        for name, value in json.loads(js)["per_constraint_max"].items():
+            assert float(per[f"per_constraint_max.{name}"]) == value
 
     def test_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "7")

@@ -15,7 +15,6 @@ from bcn_ruijsenaars.dynamics import (
     project_flow,
     reduced_rhs,
     trajectory_csv_text,
-    write_trajectory_csv,
 )
 from bcn_ruijsenaars import dynamics
 from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB
@@ -424,12 +423,6 @@ class TestCsv:
         assert float(row[0]) == traj.times[0]
         assert float(row[1]) == traj.q[0, 0]
         assert float(row[-2]) == traj.energy[0]
-
-    def test_file_writer(self, tmp_path):
-        traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, str(path))
-        assert path.read_text() == trajectory_csv_text(traj)
 
     def test_rows_match_per_row_reference(self):
         traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)

@@ -3,7 +3,10 @@ import pytest
 
 from conftest import draw_point
 
-from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput, SeparationViolation
+import bcn_ruijsenaars.hamiltonians as hamiltonians
+import bcn_ruijsenaars.reconstruction as reconstruction
+from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
+                                    SeparationViolation)
 from bcn_ruijsenaars.hamiltonians import (
     fd_gradient,
     grad_hamiltonian,
@@ -16,9 +19,37 @@ from bcn_ruijsenaars.hamiltonians import (
     spectral_invariants,
     weyl_check,
 )
+from bcn_ruijsenaars.matops import chunk_rows
 from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params
 from bcn_ruijsenaars.reconstruction import assemble
 from bcn_ruijsenaars.sampling import random_admissible_point
+
+
+def rowwise(func):
+    """A function of one point, `func(point, params)`, as a function of
+    stacks for `fd_gradient`: one call per row."""
+    return lambda q, p, params: np.array(
+        [func(ReducedPoint(a, b), params) for a, b in zip(q, p)])
+
+
+def _loop_fd_gradient(func, point, params, h0=None):
+    """The per-point `fd_gradient` the stacked one replaces: one
+    ReducedPoint and one `func(point, params)` call per stencil row."""
+    q, p = point.q, point.p
+    if h0 is None:
+        h0 = 1e-4 * max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(p))))
+
+    def diff(build):
+        def central(h):
+            return (func(build(h), params) - func(build(-h), params)) / (2.0 * h)
+        d1, d2 = central(h0), central(h0 / 2.0)
+        return (4.0 * d2 - d1) / 3.0
+
+    dq = np.array([diff(lambda h, i=i: ReducedPoint(
+        q + h * np.eye(q.size)[i], p)) for i in range(q.size)])
+    dp = np.array([diff(lambda h, i=i: ReducedPoint(
+        q, p + h * np.eye(p.size)[i])) for i in range(p.size)])
+    return dq, dp
 
 
 class TestPhiTrace:
@@ -96,6 +127,20 @@ class TestClosedForms:
         with pytest.raises(SeparationViolation):
             hamiltonian_sigma(np.exp([0.1, 0.0]), np.zeros(2), params)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_stack_equals_rows(self, n):
+        rng = np.random.default_rng(70 + n)
+        for alpha in (0.3, 0.6, 0.9):
+            params = make_params(alpha, 1.2, 0.8, n)
+            pts = [draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+                   for _ in range(16)]
+            q = np.array([pt.q for pt in pts])
+            p = np.array([pt.p for pt in pts])
+            stacked = hamiltonian_sigma(np.exp(q), p, params)
+            assert stacked.shape == (16,)
+            assert stacked.tolist() == [hamiltonian_sigma(np.exp(pt.q), pt.p, params)
+                                        for pt in pts]
+
     def test_q_chart_needs_ordered_separated_q(self):
         # the Sigma chart is permutation invariant; the q chart is not
         with pytest.raises(ChamberViolation):
@@ -117,7 +162,7 @@ class TestGradient:
     def test_analytic_matches_fd(self, n):
         rng = np.random.default_rng(55 + n)
         params = make_params(0.55, 1.2, 0.85, n)
-        f = lambda pt, pr: hamiltonian_sigma(np.exp(pt.q), pt.p, pr)
+        f = lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr)
         for _ in range(5):
             pt = draw_point(rng, params, q_range=(-1.2, 1.2))
             aq, ap = grad_hamiltonian(pt.q, pt.p, params)
@@ -130,14 +175,36 @@ class TestGradient:
         rng = np.random.default_rng(58)
         params = make_params(0.6, 1.2, 0.8, 3)
         pt = draw_point(rng, params, q_range=(-1.0, 1.0))
-        funcs = [lambda z, pr, nu=nu: phi_reduced(z, pr, nu) for nu in (1, 2, 3)]
-        dq, dp = fd_gradient(lambda z, pr: np.array([f(z, pr) for f in funcs]),
+        funcs = [rowwise(lambda z, pr, nu=nu: phi_reduced(z, pr, nu))
+                 for nu in (1, 2, 3)]
+        dq, dp = fd_gradient(lambda q, p, pr: np.stack([f(q, p, pr) for f in funcs],
+                                                      axis=-1),
                              pt, params, 2.5e-4)
         assert dq.shape == dp.shape == (3, 3)
         for j, f in enumerate(funcs):
             fq, fp = fd_gradient(f, pt, params, 2.5e-4)
             assert dq[:, j].tolist() == fq.tolist()
             assert dp[:, j].tolist() == fp.tolist()
+
+    def test_one_call_on_the_stencil_stack(self):
+        rng = np.random.default_rng(59)
+        params = make_params(0.6, 1.2, 0.8, 3)
+        pt = draw_point(rng, params, q_range=(-1.0, 1.0))
+        calls = []
+
+        def f(q, p, pr):
+            calls.append((q.copy(), p.copy()))
+            return hamiltonian_sigma(np.exp(q), p, pr)
+
+        dq, dp = fd_gradient(f, pt, params, 2.5e-4)
+        assert len(calls) == 1 and calls[0][0].shape == (24, 3)
+        # q_1 .. q_n, then p_1 .. p_n, each at +h, -h, +h/2, -h/2
+        h = np.array([2.5e-4, -2.5e-4, 1.25e-4, -1.25e-4])
+        assert calls[0][0][4:8, 1].tolist() == (pt.q[1] + h).tolist()
+        assert calls[0][1][12:16, 0].tolist() == (pt.p[0] + h).tolist()
+        lq, lp = _loop_fd_gradient(lambda z, pr: hamiltonian_sigma(np.exp(z.q), z.p, pr),
+                                   pt, params, 2.5e-4)
+        assert dq.tolist() == lq.tolist() and dp.tolist() == lp.tolist()
 
 
 class TestPoissonBracket:
@@ -146,23 +213,23 @@ class TestPoissonBracket:
         pt = ReducedPoint(np.array([0.9, -0.4]), np.array([0.3, 1.0]))
         for i in range(2):
             for j in range(2):
-                f = lambda z, _p, i=i: float(z.q[i])
-                h = lambda z, _p, j=j: float(z.p[j])
+                f = lambda q, p, _pr, i=i: q[:, i]
+                h = lambda q, p, _pr, j=j: p[:, j]
                 val = poisson_bracket_fd(f, h, pt, params)
                 assert val == pytest.approx(0.5 if i == j else 0.0, abs=1e-8)
 
     def test_antisymmetry_self(self):
         params = make_params(0.5, 1, 1, 2)
         pt = ReducedPoint(np.array([0.9, -0.4]), np.array([0.3, 1.0]))
-        f = lambda z, pr: phi_reduced(z, pr, 1)
+        f = rowwise(lambda z, pr: phi_reduced(z, pr, 1))
         assert abs(poisson_bracket_fd(f, f, pt, params)) < 1e-10
 
     def test_first_two_hamiltonians_commute(self):
         rng = np.random.default_rng(56)
         params = make_params(0.5, 1, 1, 2)
         pt = draw_point(rng, params, q_range=(-1.0, 1.0))
-        val = poisson_bracket_fd(lambda z, pr: phi_reduced(z, pr, 1),
-                                 lambda z, pr: phi_reduced(z, pr, 2),
+        val = poisson_bracket_fd(rowwise(lambda z, pr: phi_reduced(z, pr, 1)),
+                                 rowwise(lambda z, pr: phi_reduced(z, pr, 2)),
                                  pt, params, h0=1e-3)
         assert abs(val) < 1e-5
 
@@ -173,8 +240,8 @@ def _loop_report(params, points, max_order, h0=2.5e-4):
     orders = range(1, max_order + 1)
     mat = np.zeros((max_order, max_order))
     for pt in points:
-        grads = {nu: fd_gradient(lambda z, pr, nu=nu: phi_reduced(z, pr, nu),
-                                 pt, params, h0) for nu in orders}
+        grads = {nu: _loop_fd_gradient(lambda z, pr, nu=nu: phi_reduced(z, pr, nu),
+                                       pt, params, h0) for nu in orders}
         for a in orders:
             for b in orders:
                 if a >= b:
@@ -200,10 +267,12 @@ class TestInvolution:
         assert rep.extrapolation_order == 4
 
     @pytest.mark.parametrize("max_order", [2, 3, 4])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
     def test_matches_per_order_loop(self, n, max_order):
+        # n = 6: 48 stencil rows, two chunks of at most chunk_rows(12) = 28;
+        # alpha 0.9 leaves room for six separated positions in the range
         rng = np.random.default_rng(59 + n)
-        params = make_params(0.6, 1.2, 0.8, n)
+        params = make_params(0.6 if n < 5 else 0.9, 1.2, 0.8, n)
         pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
                                        margin_factor=1.2, max_stretch=0)
                for _ in range(3)]
@@ -212,6 +281,46 @@ class TestInvolution:
         assert rep.bracket_matrix.tolist() == mat.tolist()
         assert rep.worst_pair == worst
         assert rep.max_abs == max_abs
+
+    def test_stencil_runs_through_assemble_stack(self, monkeypatch):
+        sizes = []
+        stack = reconstruction.assemble_stack
+
+        def spy(q, p, params):
+            sizes.append(len(q))
+            return stack(q, p, params)
+
+        def per_point(*args):
+            raise AssertionError("a per-point evaluation")
+
+        monkeypatch.setattr(reconstruction, "assemble_stack", spy)
+        monkeypatch.setattr(hamiltonians, "assemble", per_point)
+        monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
+        rng = np.random.default_rng(61)
+        params = make_params(0.9, 1.2, 0.8, 6)
+        pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
+                                       margin_factor=1.2, max_stretch=0)
+               for _ in range(2)]
+        involution_report(params, pts, max_order=3)
+        assert sizes == [28, 20, 28, 20]
+        assert max(sizes) <= chunk_rows(12)
+
+    @pytest.mark.parametrize("q", [
+        [0.30005, 0.3, -0.5],       # the loop: SeparationViolation at row 0
+        [0.5109, 0.0],
+        [0.9, 0.5109, 0.0],
+    ])
+    def test_wall_points_raise_the_loop_error(self, q):
+        # closer to the separation wall than the step: a stack of the
+        # stencil fails at another row than the loop unless it is replayed
+        params = make_params(0.6, 1.2, 0.8, len(q))
+        pt = ReducedPoint(np.array(q), np.full(len(q), 0.2))
+        with pytest.raises(BCNError) as loop:
+            _loop_report(params, [pt], 3)
+        with pytest.raises(BCNError) as stacked:
+            involution_report(params, [pt], 3)
+        assert type(stacked.value) is type(loop.value)
+        assert str(stacked.value) == str(loop.value)
 
     def test_max_order_guard(self):
         params = make_params(0.5, 1, 1, 2)

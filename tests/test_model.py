@@ -29,7 +29,6 @@ class TestMakeParams:
     def test_alpha_normalized_below_one(self):
         p = make_params(2.0, 1, 1, 1)
         assert p.alpha == pytest.approx(0.5)
-        assert p.epsilon == 1
 
     def test_vhat_norm_n2(self):
         assert make_params(0.5, 1, 1, 2).vhat_norm_sq == pytest.approx(3.75)
