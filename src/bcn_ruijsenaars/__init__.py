@@ -26,7 +26,6 @@ from .model import (
     abc_from_params,
     cartan_from_q,
     make_params,
-    params_from_abc,
     wrap_angle,
 )
 from .reconstruction import (

@@ -138,7 +138,9 @@ def cmd_verify(args) -> int:
     return 0 if payload["pass"] else 2
 
 
-def _initial_point(args, params) -> ReducedPoint:
+def _initial_point(args, params):
+    """The start point, with its group element g when --q/--p give it
+    (the reconstruction of g validates the point), else None."""
     if args.q is not None or args.p is not None:
         if args.q is None or args.p is None:
             raise InvalidInput("--q and --p must be given together")
@@ -146,15 +148,14 @@ def _initial_point(args, params) -> ReducedPoint:
         if q.size != params.n or p.size != params.n:
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
         point = ReducedPoint(q=q, p=p)
-        assemble(point, params)   # validates admissibility
-        return point
+        return point, assemble(point, params)[0].g
     rng = np.random.default_rng(args.seed)
-    return random_admissible_point(rng, params)
+    return random_admissible_point(rng, params), None
 
 
 def cmd_simulate(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
-    point = _initial_point(args, params)
+    point, g0 = _initial_point(args, params)
     n_steps = step_count(args.t_max, args.dt)
     stride = max(1, n_steps // max(1, args.sample_count))
 
@@ -166,13 +167,14 @@ def cmd_simulate(args) -> int:
             print("warning: chamber-wall approach, trajectory truncated",
                   file=sys.stderr)
     if args.method in ("exact", "both"):
-        fact, _ = assemble(point, params)
+        if g0 is None:
+            g0 = assemble(point, params)[0].g
         if reduced is not None:
             times = reduced.times
         else:
             step, counts = sample_times(args.t_max, args.dt, stride)
             times = counts * step
-        exact = project_flow(fact.g, params, times)
+        exact = project_flow(g0, params, times)
 
     primary = reduced if reduced is not None else exact
     if args.output:

@@ -24,17 +24,18 @@ integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
 adaptive Cash-Karp steps.  It runs on raw (q, p) arrays; its start point
 is a ReducedPoint and its samples are checked as such by
-`require_points`.  Each RK stage is checked once, by the pair factors
-in `grad_hamiltonian`: ChamberViolation for unordered q,
-SeparationViolation past the wall.  Under rk4 that error ends the run;
-under rk45 it rejects the trial step, which is retried at a fifth of its
-length.  Each step is checked once: a non-finite state raises
-NumericalFailure, and a separation margin below WALL_MARGIN ends the
-run with `chamber_approach` set.  The steps run with numpy's overflow
-and invalid-value warnings off, since such a step ends in one of those
-errors; the samples are evaluated after the stepping, with the
-caller's warning settings: the energy column by one `hamiltonian_sigma`
-call on the (T, n) arrays, the residuals by one `constraint_residuals`.
+`require_points`.  Each RK stage is checked once, by the pair factors in
+`grad_hamiltonian`: NumericalFailure for non-finite q, ChamberViolation
+for unordered q, SeparationViolation past the wall.  Under rk4 that
+error ends the run; under rk45 it rejects the trial step, which is
+retried at a fifth of its length.  Each step is checked once: a
+non-finite state raises NumericalFailure, and a separation margin below
+WALL_MARGIN ends the run with `chamber_approach` set.  The steps run
+with numpy's overflow and invalid-value warnings off, since such a step
+ends in one of those errors; the samples are evaluated after the
+stepping, with the caller's warning settings: the energy column by one
+`hamiltonian_sigma` call on the (T, n) arrays, the residuals by one
+`constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline: the time grid is cut into chunks of
@@ -123,10 +124,10 @@ def exact_flow(g0, t) -> np.ndarray:
     return g0 @ expm(gen)
 
 
-def reduced_rhs(q, p, params: ModelParams, orientation: int = FLOW_SIGN):
+def reduced_rhs(q, p, params: ModelParams):
     """Right-hand side (dq/dt, dp/dt) of the reduced canonical ODE."""
     dq_h, dp_h = grad_hamiltonian(q, p, params)
-    k = orientation * FLOW_TIME_SCALE
+    k = FLOW_SIGN * FLOW_TIME_SCALE
     return k * dp_h, -k * dq_h
 
 
@@ -192,8 +193,8 @@ def sample_times(t_max: float, dt: float, sample_every: int = 1):
 
 
 def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
-                      dt: float, method: str = "rk4", sample_every: int = 1,
-                      orientation: int = FLOW_SIGN) -> Trajectory:
+                      dt: float, method: str = "rk4",
+                      sample_every: int = 1) -> Trajectory:
     """Integrate the reduced ODE and sample the trajectory.
 
     The samples are those of `sample_times(t_max, dt, sample_every)`.
@@ -209,7 +210,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
         raise InvalidInput(f"unknown method {method!r}")
     step, counts = sample_times(t_max, dt, sample_every)
     n = point0.n
-    f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params, orientation))
+    f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params))
 
     def finite(z):
         if not np.all(np.isfinite(z)):
@@ -244,7 +245,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     t, z = 0.0, np.concatenate([point0.q, point0.p])
     kept = [(t, z)]         # (t, z) of each sample, evaluated after the stepping
     approached = False
-    # An overflowing stage or step raises NumericalFailure (`pair_factors`,
+    # An overflowing stage or step raises NumericalFailure (`grad_hamiltonian`,
     # `finite`), so numpy's warnings would only add noise.  One context for
     # all steps: entering one per step slows the stepping measurably.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -24,9 +24,13 @@ which in the three-constant form reads
 The reduced Poisson bracket carries a factor 1/2 (the reduced symplectic
 form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 
-`hamiltonian_sigma` also takes (T, n) stacks.  `fd_gradient` passes all
-8n stencil rows of a point to its function as one stack, and
-`involution_report` evaluates them through `assemble_chunks`.
+`hamiltonian_q` and `grad_hamiltonian` are one kernel, which builds the
+pair factors 1 - c^2 / (4 sinh^2(q_i - q_k)) and their log-derivatives
+once and checks the chart: finite, strictly decreasing and separated q.
+`hamiltonian_sigma`, the independent Sigma-chart form, also takes
+(T, n) stacks.  `fd_gradient` passes all 8n stencil rows of a point to
+its function as one stack, and `involution_report` evaluates them
+through `assemble_chunks`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import BCNError, InvalidInput, NumericalFailure, SeparationViolation
-from .model import ModelParams, ReducedPoint, pair_factors, require_points
+from .errors import (BCNError, ChamberViolation, InvalidInput, NumericalFailure,
+                     SeparationViolation)
+from .model import ModelParams, ReducedPoint, abc_from_params, require_points
 from .matops import dagger, inn
 from .reconstruction import assemble, assemble_chunks
 
@@ -125,14 +130,42 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams):
     return float(val) if val.ndim == 0 else val
 
 
+def _q_chart(q, p, a2: float, b2: float, c2: float):
+    """(H, dH/dq, dH/dp) of the three-constant form at 1-d q, p.
+
+    Raises NumericalFailure (non-finite q, as from an overflowed RK
+    stage), ChamberViolation (unordered q) or SeparationViolation (a pair
+    factor 1 - c2 / (4 sinh^2(q_i - q_k)) <= 0).
+    """
+    if q.size > 1 and not (q[1:] < q[:-1]).all():
+        if not np.isfinite(q).all():
+            raise NumericalFailure(f"non-finite positions q = {q}")
+        raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+    u = np.exp(-2.0 * q)
+    radicand = 1.0 + (1.0 + b2) * u + b2 * u ** 2
+    bracket = np.sqrt(radicand)
+    d = q[:, None] - q[None, :]
+    sh = np.sinh(d)
+    sh.flat[::q.size + 1] = np.inf      # the diagonal factor is 1
+    ratio = c2 / (4.0 * sh ** 2)
+    fac = 1.0 - ratio
+    if fac.min() <= 0.0:
+        raise SeparationViolation("non-positive interaction radicand")
+    prod = np.sqrt(fac).prod(axis=1)
+    # dlog[i, k] = d log sqrt(fac[i, k]) / d q_i = -d log sqrt(fac[i, k]) / d q_k
+    dlog = ratio * (np.cosh(d) / sh) / fac
+    cw = np.cos(p) * bracket * prod
+    dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
+    dh_dq = -2.0 * a2 * u - cw * (dlog_bracket + dlog.sum(axis=1)) + cw @ dlog
+    return a2 * u.sum() - cw.sum(), dh_dq, np.sin(p) * bracket * prod
+
+
 def hamiltonian_q(q, p, a2: float, b2: float, c2: float) -> float:
-    """Three-constant form of the Hamiltonian in the (q, p) chart."""
+    """Three-constant form of the Hamiltonian in the (q, p) chart; raises
+    as `grad_hamiltonian` does."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    u = np.exp(-2.0 * q)
-    bracket = np.sqrt(1.0 + (1.0 + b2) * u + b2 * u ** 2)
-    prod = np.prod(np.sqrt(pair_factors(q, c2)), axis=1)
-    return float(a2 * np.sum(u) - np.sum(np.cos(p) * bracket * prod))
+    return float(_q_chart(q, p, a2, b2, c2)[0])
 
 
 def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
@@ -142,36 +175,11 @@ def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
 
 
 def grad_hamiltonian(q, p, params: ModelParams):
-    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at 1-d arrays."""
-    x, y, c2 = params.x, params.y, params.coupling_sq
-    n = q.size
-    u = np.exp(-2.0 * q)
-    b = np.sqrt((1.0 + u) * (x ** 2 + y ** 2 * u)) / x
-    db = b * (-u) * (1.0 / (1.0 + u) + y ** 2 / (x ** 2 + y ** 2 * u))
-
-    f = np.sqrt(pair_factors(q, c2))
-    # df[i, k] = d f_{ik} / d q_i  (= -d f_{ik} / d q_k)
-    df = np.zeros((n, n))
-    if n > 1:
-        d = q[:, None] - q[None, :]
-        mask = ~np.eye(n, dtype=bool)
-        df[mask] = c2 * np.cosh(d[mask]) / (2.0 * np.sinh(d[mask]) ** 3) \
-            / (2.0 * f[mask])
-    ratio = df / f
-    pi_prod = np.prod(f, axis=1)
-
-    w = b * pi_prod
-    dphi_dp = np.sin(p) * w
-
-    cosp = np.cos(p)
-    dphi_dq = -(x ** -2 + y ** 2) * u
-    # own-coordinate derivative of W_i
-    dw_own = db * pi_prod + w * np.sum(ratio, axis=1)
-    dphi_dq = dphi_dq - cosp * dw_own
-    if n > 1:
-        # cross terms: d W_i / d q_j = -B_i (df[i, j] / f[i, j]) Pi_i
-        dphi_dq = dphi_dq - cosp @ (-w[:, None] * ratio)
-    return dphi_dq, dphi_dp
+    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at 1-d
+    arrays.  Raises NumericalFailure for non-finite q, ChamberViolation
+    for unordered q and SeparationViolation past the wall."""
+    _, dh_dq, dh_dp = _q_chart(q, p, *abc_from_params(params))
+    return dh_dq, dh_dp
 
 
 def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None):

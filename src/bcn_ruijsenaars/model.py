@@ -13,8 +13,10 @@ vectors
 The standard three-constant form of the Hamiltonian corresponds to
 
     a^2 = (x^-2 + y^2)/2,   b^2 = y^2/x^2,   c^2 = (alpha - 1/alpha)^2.
-The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair; c^2,
-the pair factors and the separation margin are defined here only.
+The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair.  c^2
+and the separation margin are defined here; the pair factors
+1 - c^2 / (4 sinh^2(q_i - q_k)) belong to the closed form of the
+Hamiltonian and are built in `hamiltonians` only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChamberViolation, InvalidInput, NumericalFailure, SeparationViolation
+from .errors import ChamberViolation, InvalidInput
 
 __all__ = [
     "ModelParams",
@@ -34,9 +36,7 @@ __all__ = [
     "make_params",
     "cartan_from_q",
     "separation_margin",
-    "pair_factors",
     "abc_from_params",
-    "params_from_abc",
     "wrap_angle",
 ]
 
@@ -162,51 +162,8 @@ def separation_margin(q: np.ndarray, c2: float):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def pair_factors(q: np.ndarray, c2: float) -> np.ndarray:
-    """Matrix 1 - c2 / (4 sinh^2(q_i - q_k)), 1 on the diagonal; raises
-    ChamberViolation (unordered q), NumericalFailure (non-finite q, as from
-    an overflowed RK stage) or SeparationViolation (an entry <= 0)."""
-    n = q.size
-    fac = np.ones((n, n))
-    if n > 1:
-        try:
-            _require_chamber(q)
-        except ChamberViolation:
-            if not np.all(np.isfinite(q)):
-                raise NumericalFailure(f"non-finite positions q = {q}") from None
-            raise
-        d = q[:, None] - q[None, :]
-        mask = ~np.eye(n, dtype=bool)
-        fac[mask] = 1.0 - c2 / (4.0 * np.sinh(d[mask]) ** 2)
-        if np.any(fac <= 0.0):
-            raise SeparationViolation("non-positive interaction radicand")
-    return fac
-
-
 def abc_from_params(params: ModelParams):
     """Map (alpha, x, y) to the three positive constants (a^2, b^2, c^2)."""
     a2 = (params.x ** -2 + params.y ** 2) / 2.0
     b2 = params.y ** 2 / params.x ** 2
     return a2, b2, params.coupling_sq
-
-
-def params_from_abc(a2: float, b2: float, c2: float, n: int) -> ModelParams:
-    """Invert :func:`abc_from_params`.
-
-    Two (x, y) pairs map to each admissible (a^2, b^2), related by
-    (x, y) -> (1/y, 1/x); the branch with x*y >= 1 is returned.  alpha is
-    returned on its alpha < 1 branch.  Raises InvalidInput for a
-    non-positive triple or a negative discriminant a^4 - b^2.
-    """
-    if not (a2 > 0.0 and b2 > 0.0 and c2 > 0.0):
-        raise InvalidInput("a^2, b^2, c^2 must all be positive")
-    disc = a2 * a2 - b2
-    if disc < 0.0:
-        raise InvalidInput("inconsistent triple: a^4 - b^2 is negative")
-    # b2*u^2 - 2*a2*u + 1 = 0 with u = x^2; the '+' root is the x*y >= 1 branch
-    u = (a2 + math.sqrt(disc)) / b2
-    x = math.sqrt(u)
-    y = math.sqrt(b2) * x
-    c = math.sqrt(c2)
-    alpha = (-c + math.sqrt(c2 + 4.0)) / 2.0
-    return make_params(alpha, x, y, n)

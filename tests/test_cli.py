@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
+from bcn_ruijsenaars import cli
 from bcn_ruijsenaars.cli import main
+from bcn_ruijsenaars.reconstruction import assemble
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +61,18 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--q", "0.1,0", "--p", "0,0")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("method", ["exact", "both"])
+    def test_given_start_is_assembled_once(self, capsys, monkeypatch, method):
+        # the reconstruction that validates --q/--p also gives g(0)
+        calls = []
+        monkeypatch.setattr(cli, "assemble",
+                            lambda *a: calls.append(a) or assemble(*a))
+        code, _, _ = run_cli(capsys, "simulate", "--n", "2", "--q", "1.0,-1.0",
+                             "--p", "0.2,0.15", "--t-max", "0.01",
+                             "--method", method)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"

@@ -123,12 +123,11 @@ class TestIntegrateReduced:
         assert traj.times.shape == (1,)
         assert np.allclose(traj.q[0], POINT2.q)
 
-    def test_orientation_calibration(self):
+    def test_orientation_calibration(self, monkeypatch):
         fact, _ = assemble(POINT2, PARAMS2)
-        good = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50,
-                                 orientation=+1)
-        bad = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50,
-                                orientation=-1)
+        good = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50)
+        monkeypatch.setattr(dynamics, "FLOW_SIGN", -1)
+        bad = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50)
         proj = project_flow(fact.g, PARAMS2, good.times)
         assert compare_trajectories(good, proj).q_dev < 1e-9
         assert compare_trajectories(bad, proj).q_dev > 1e-2
@@ -156,11 +155,11 @@ class TestIntegrateReduced:
         assert np.max(np.abs(qs)) < 2.0
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-6
 
-    def test_time_reversal(self):
+    def test_time_reversal(self, monkeypatch):
         fwd = integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, sample_every=1000)
         end = ReducedPoint(fwd.q[-1], fwd.p[-1])
-        back = integrate_reduced(end, PARAMS2, 1.0, 1e-3,
-                                 orientation=-FLOW_SIGN, sample_every=1000)
+        monkeypatch.setattr(dynamics, "FLOW_SIGN", -FLOW_SIGN)
+        back = integrate_reduced(end, PARAMS2, 1.0, 1e-3, sample_every=1000)
         assert np.max(np.abs(back.q[-1] - POINT2.q)) < 1e-10
         assert np.max(np.abs(back.p[-1] - POINT2.p)) < 1e-10
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conftest import draw_point
 import bcn_ruijsenaars.hamiltonians as hamiltonians
 import bcn_ruijsenaars.reconstruction as reconstruction
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
-                                    SeparationViolation)
+                                    NumericalFailure, SeparationViolation)
 from bcn_ruijsenaars.hamiltonians import (
     fd_gradient,
     grad_hamiltonian,
@@ -106,13 +108,25 @@ class TestClosedForms:
 
     def test_parameter_correspondence(self):
         rng = np.random.default_rng(53)
-        params = make_params(0.45, 1.4, 0.7, 3)
-        a2, b2, c2 = abc_from_params(params)
-        for _ in range(20):
-            pt = draw_point(rng, params)
-            h1 = hamiltonian_q(pt.q, pt.p, a2, b2, c2)
-            h2 = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
-            assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1), abs(h2))
+        for n in (1, 2, 4, 8):
+            params = make_params(0.45, 1.4, 0.7, n)
+            a2, b2, c2 = abc_from_params(params)
+            for _ in range(20):
+                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+                h1 = hamiltonian_q(pt.q, pt.p, a2, b2, c2)
+                h2 = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
+                assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1), abs(h2))
+
+    def test_pair_factor_values(self):
+        # a2 = b2 = 0 and p = 0 leave -sum_i sqrt(1 + e^{-2 q_i}) prod_k f_ik
+        # with f_ik = sqrt(1 - c2 / (4 sinh^2(q_i - q_k))); one particle has none
+        q = [1.2, 0.1, -1.4]
+        f = lambda d: math.sqrt(1.0 - 2.25 / (4.0 * math.sinh(d) ** 2))
+        ref = -sum(math.sqrt(1.0 + math.exp(-2.0 * qi))
+                   * math.prod(f(qi - qk) for k, qk in enumerate(q) if k != i)
+                   for i, qi in enumerate(q))
+        assert hamiltonian_q(q, np.zeros(3), 0.0, 0.0, 2.25) == pytest.approx(ref, rel=1e-15)
+        assert hamiltonian_q([0.3], [0.0], 0.0, 0.0, 2.25) == -math.sqrt(1.0 + math.exp(-0.6))
 
     def test_zero_coupling_decouples(self):
         q = np.array([0.8, -0.3])
@@ -142,11 +156,17 @@ class TestClosedForms:
                                         for pt in pts]
 
     def test_q_chart_needs_ordered_separated_q(self):
-        # the Sigma chart is permutation invariant; the q chart is not
-        with pytest.raises(ChamberViolation):
-            hamiltonian_q([-1.0, 1.0], [0.0, 0.0], 1.0, 1.0, 2.25)
-        with pytest.raises(SeparationViolation):
-            hamiltonian_q([0.1, 0.0], [0.0, 0.0], 1.0, 1.0, 2.25)
+        # the Sigma chart is permutation invariant; the q chart is not.  A
+        # non-finite q (an overflowed RK stage) is a numerical failure.
+        params = make_params(0.5, 1, 1, 2)
+        for q, error, message in (
+                ([-1.0, 1.0], ChamberViolation, r"q must be strictly decreasing, got \["),
+                ([0.1, 0.0], SeparationViolation, "non-positive interaction radicand"),
+                ([0.3, np.inf], NumericalFailure, r"non-finite positions q = \[")):
+            with pytest.raises(error, match=message):
+                hamiltonian_q(q, [0.0, 0.0], *abc_from_params(params))
+            with pytest.raises(error, match=message):
+                grad_hamiltonian(np.array(q), np.zeros(2), params)
 
     def test_phase_periodicity(self):
         rng = np.random.default_rng(54)
@@ -158,13 +178,14 @@ class TestClosedForms:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_analytic_matches_fd(self, n):
         rng = np.random.default_rng(55 + n)
         params = make_params(0.55, 1.2, 0.85, n)
         f = lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr)
+        half = 1.2 if n <= 3 else 1.0 + n
         for _ in range(5):
-            pt = draw_point(rng, params, q_range=(-1.2, 1.2))
+            pt = draw_point(rng, params, q_range=(-half, half))
             aq, ap = grad_hamiltonian(pt.q, pt.p, params)
             fq, fp = fd_gradient(f, pt, params)
             scale = max(1.0, float(np.max(np.abs(aq))), float(np.max(np.abs(ap))))

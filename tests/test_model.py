@@ -9,13 +9,12 @@ from bcn_ruijsenaars.errors import (
     NumericalFailure,
     SeparationViolation,
 )
+from bcn_ruijsenaars.hamiltonians import hamiltonian_q
 from bcn_ruijsenaars.model import (
     ReducedPoint,
     abc_from_params,
     cartan_from_q,
     make_params,
-    pair_factors,
-    params_from_abc,
     require_points,
     separation_margin,
     wrap_angle,
@@ -137,24 +136,18 @@ class TestSeparationKernels:
             assert rows.shape == (6,)
             assert rows.tolist() == [separation_margin(row, 2.25) for row in q]
 
-    def test_pair_factors_values(self):
-        q = np.array([1.2, 0.1, -1.4])
-        fac = pair_factors(q, 2.25)
-        assert np.array_equal(np.diag(fac), np.ones(3))
-        assert fac[0, 2] == pytest.approx(1.0 - 2.25 / (4.0 * math.sinh(2.6) ** 2))
-        assert np.array_equal(fac, fac.T)
-        assert np.array_equal(pair_factors(np.array([0.3]), 2.25), np.ones((1, 1)))
-
+    # the pair factors 1 - c2 / (4 sinh^2(q_i - q_k)) are built by the
+    # q-chart kernel of hamiltonians; its chart errors are checked here
     def test_pair_factors_errors(self):
         with pytest.raises(ChamberViolation, match="strictly decreasing"):
-            pair_factors(np.array([0.0, 1.0]), 2.25)
+            hamiltonian_q(np.array([0.0, 1.0]), np.zeros(2), 1.0, 1.0, 2.25)
         with pytest.raises(SeparationViolation, match="non-positive interaction radicand"):
-            pair_factors(np.array([0.1, 0.0]), 2.25)
+            hamiltonian_q(np.array([0.1, 0.0]), np.zeros(2), 1.0, 1.0, 2.25)
 
     def test_pair_factors_non_finite(self):
         # unordered only because a stage overflowed: a numerical failure
         with pytest.raises(NumericalFailure, match="non-finite"):
-            pair_factors(np.array([0.3, np.inf]), 2.25)
+            hamiltonian_q(np.array([0.3, np.inf]), np.zeros(2), 1.0, 1.0, 2.25)
 
 
 class TestAbc:
@@ -166,34 +159,11 @@ class TestAbc:
         _, b2, _ = abc_from_params(make_params(0.7, 1.4, 1.4, 2))
         assert b2 == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("x,y,alpha", [
-        (1.0, 1.0, 0.5),    # zero discriminant (x*y = 1)
-        (1.0, 2.0, 0.4),
-        (1.5, 0.8, 0.7),
-        (2.0, 0.9, 0.25),
-    ])
-    def test_roundtrip_on_canonical_branch(self, x, y, alpha):
-        p = make_params(alpha, x, y, 2)
-        if p.x * p.y < 1.0:
-            pytest.skip("inverse returns the x*y >= 1 branch")
-        q = params_from_abc(*abc_from_params(p), n=2)
-        assert (q.alpha, q.x, q.y) == pytest.approx((p.alpha, p.x, p.y), rel=1e-12)
-
     def test_both_branches_share_abc(self):
         # (x, y) and (1/y, 1/x) map to the same constants
         p1 = make_params(0.5, 1.0, 2.0, 2)
         p2 = make_params(0.5, 0.5, 1.0, 2)
         assert abc_from_params(p1) == pytest.approx(abc_from_params(p2))
-        q = params_from_abc(*abc_from_params(p2), n=2)
-        assert (q.x, q.y) == pytest.approx((1.0, 2.0))  # canonical branch
-
-    def test_invalid_triples(self):
-        with pytest.raises(InvalidInput):
-            params_from_abc(1.0, 4.0, 1.0, 2)   # a^4 < b^2
-        with pytest.raises(InvalidInput):
-            params_from_abc(-1.0, 1.0, 1.0, 2)
-        with pytest.raises(InvalidInput):
-            params_from_abc(1.0, 1.0, 0.0, 2)
 
 
 class TestReducedPoint:
