@@ -52,7 +52,6 @@ from .hamiltonians import (
     involution_report,
     phi_reduced,
     phi_trace,
-    poisson_bracket_fd,
     spectral_invariants,
     weyl_check,
 )

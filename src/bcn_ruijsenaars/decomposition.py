@@ -20,10 +20,10 @@ the surface residuals, each stage as stacked numpy/LAPACK calls.  A
 check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
 element.  `extract_reduced` and `surface_residuals` are the
-stack-of-one calls; `project_flow` passes chunks of a trajectory
-(`matops.chunk_rows` elements each) and replays a failing chunk element
-by element.  Each element gets the arithmetic it gets alone, so q, p,
-the residuals and the moment value do not depend on the stack it is in.
+stack-of-one calls; `project_flow` runs `reduce_stack` through
+`matops.map_chunks`.  Each element gets the arithmetic it gets alone,
+so q, p, the residuals and the moment value do not depend on the stack
+it is in.
 """
 
 from __future__ import annotations
@@ -154,8 +154,19 @@ def cartan_KAK(k) -> KAKData:
                    Delta=delta)
 
 
-def _read_stack(g, k_L, b_R, params: ModelParams):
-    """(q, p), each (T, n), of a stack of elements, from its KB split.
+def _split(g, params: ModelParams):
+    """The pseudo-unitary factor k_L of the KB split of a stack of
+    elements, and the relative errors of the diagonal blocks of its
+    triangular factor b_R against diag(x, 1/x), one value per element."""
+    n, x = params.n, params.x
+    eye = np.eye(n)
+    k_L, b_R = decompose_KB(g)
+    return k_L, {"bR_block_11": rel_err(b_R[:, :n, :n], x * eye),
+                 "bR_block_22": rel_err(b_R[:, n:, n:], eye / x)}
+
+
+def _read_stack(g, k_L, blocks, params: ModelParams):
+    """(q, p), each (T, n), of a stack of elements, from its `_split`.
 
     Radial normal form of the pseudo-unitary factor, gauge normalization,
     residual torus fixing against the non-negative gauge of vtilde, and
@@ -163,10 +174,8 @@ def _read_stack(g, k_L, b_R, params: ModelParams):
     ReducedPoint; the first failing row raises ReducedPoint's error.
     """
     n = params.n
-    x = params.x
     eye = np.eye(n)
-    bad = np.maximum(rel_err(b_R[:, :n, :n], x * eye),
-                     rel_err(b_R[:, n:, n:], eye / x))
+    bad = np.maximum(blocks["bR_block_11"], blocks["bR_block_22"])
     failed = bad > SURFACE_TOL
     if np.any(failed):
         raise NotOnConstraintSurface(
@@ -216,17 +225,14 @@ def _read_stack(g, k_L, b_R, params: ModelParams):
     return q, p
 
 
-def _residual_stack(g, k_L, b_R, params: ModelParams):
-    """Named residuals, one value per element, and the moment value
-    m = g J g^dag = b_L J b_L^dag they were read from."""
+def _residual_stack(g, k_L, blocks, params: ModelParams):
+    """Named residuals, one value per element, from its `_split`, and the
+    moment value m = g J g^dag = b_L J b_L^dag they were read from."""
     n = params.n
-    x, y, alpha = params.x, params.y, params.alpha
+    y, alpha = params.y, params.alpha
     J = inn(n)
     eye = np.eye(n)
-    res = {}
-
-    res["bR_block_11"] = rel_err(b_R[:, :n, :n], x * eye)
-    res["bR_block_22"] = rel_err(b_R[:, n:, n:], eye / x)
+    res = dict(blocks)
     res["kL_pseudounitary"] = rel_err(dagger(k_L) @ J @ k_L, J)
 
     m = g @ J @ dagger(g)
@@ -255,9 +261,9 @@ def reduce_stack(g, params: ModelParams):
     m = g J g^dag.  The extraction runs first, so its errors come first.
     """
     g = np.asarray(g, dtype=complex)
-    k_L, b_R = decompose_KB(g)
-    q, p = _read_stack(g, k_L, b_R, params)
-    res, m = _residual_stack(g, k_L, b_R, params)
+    k_L, blocks = _split(g, params)
+    q, p = _read_stack(g, k_L, blocks, params)
+    res, m = _residual_stack(g, k_L, blocks, params)
     return q, p, np.max(list(res.values()), axis=0), m
 
 
@@ -280,7 +286,7 @@ def extract_reduced(g, params: ModelParams) -> ReducedPoint:
     DegenerateElement at collisions.
     """
     g = _one(g, params)
-    q, p = _read_stack(g, *decompose_KB(g), params)
+    q, p = _read_stack(g, *_split(g, params), params)
     return ReducedPoint(q=q[0], p=p[0])
 
 
@@ -292,5 +298,5 @@ def surface_residuals(g, params: ModelParams) -> dict:
     value, and the determinant.  Factorization errors propagate.
     """
     g = _one(g, params)
-    res, _ = _residual_stack(g, *decompose_KB(g), params)
+    res, _ = _residual_stack(g, *_split(g, params), params)
     return {name: float(r[0]) for name, r in res.items()}

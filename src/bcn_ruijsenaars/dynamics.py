@@ -38,16 +38,12 @@ stepping, with the caller's warning settings: the energy column by one
 `constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
-runs as one stacked pipeline: the time grid is cut into chunks of
-`matops.chunk_rows(2n)` samples, and each chunk makes one `exact_flow`
-call (a grouped-Pade `expm` of the stacked generators) and one
-`reduce_stack` pass: one KB split, the extraction and the residuals,
-with the energy read from the same m = g J g^dag that gives b_L.  If any
-check fails, `LinAlgError` is raised or a floating-point warning would
-be printed anywhere in a chunk, the chunk is replayed sample by sample
-in time order, under the caller's warning settings, so the first failing
-sample in time raises exactly the error of a lone sample.
-`compare_trajectories` measures the deviation between the two routes.
+runs as one stacked pipeline through `matops.map_chunks`: each chunk of
+`chunk_rows(2n)` samples makes one `exact_flow` call (a grouped-Pade
+`expm` of the stacked generators) and one `reduce_stack` pass: one KB
+split, the extraction and the residuals, with the energy read from the
+same m = g J g^dag that gives b_L.  `compare_trajectories` measures the
+deviation between the two routes.
 """
 
 from __future__ import annotations
@@ -57,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import reduce_stack
-from .errors import (BCNError, ChamberViolation, InvalidInput,
-                     NumericalFailure, SeparationViolation)
+from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
+                     SeparationViolation)
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
-from .matops import chunk_rows, expm, inn
+from .matops import chunk_rows, expm, inn, map_chunks
 from .model import (ModelParams, ReducedPoint, require_points,
                     separation_margin, wrap_angle)
 from .reconstruction import constraint_residuals
@@ -272,28 +268,15 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
 def project_flow(g0, params: ModelParams, times) -> Trajectory:
     """Exact flow sampled at `times`, projected to reduced coordinates.
 
-    Runs in chunks of stacked samples; a chunk in which anything fails is
-    replayed one sample at a time (see the module docstring).
+    Runs as `matops.map_chunks` of `chunk_rows(2n)` samples, so the first
+    failing sample in time raises the error it raises alone.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
     g0 = np.asarray(g0, dtype=complex)
-    size = chunk_rows(g0.shape[-1])
-    # a warning that the replay would print is an error in the stacked pass
-    raise_on = {kind: "ignore" if how == "ignore" else "raise"
-                for kind, how in np.geterr().items()}
-    parts = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty(0),
-              np.empty(0))]
-    for start in range(0, times.size, size):
-        chunk = times[start:start + size]
-        try:
-            with np.errstate(**raise_on):
-                parts.append(_project_stack(g0, params, chunk))
-        except (BCNError, np.linalg.LinAlgError, FloatingPointError):
-            parts += [_project_stack(g0, params, chunk[i:i + 1])
-                      for i in range(chunk.size)]
-    q, p, energy, residual = (np.concatenate(a) for a in zip(*parts))
+    q, p, energy, residual = map_chunks(lambda t: _project_stack(g0, params, t),
+                                        chunk_rows(g0.shape[-1]), times)
     return Trajectory(times=times.copy(), q=q, p=p, energy=energy,
                       residual=residual)
 

@@ -28,23 +28,24 @@ form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 pair factors 1 - c^2 / (4 sinh^2(q_i - q_k)) and their log-derivatives
 once and checks the chart: finite, strictly decreasing and separated q.
 `hamiltonian_sigma`, the independent Sigma-chart form, also takes
-(T, n) stacks.  `fd_gradient` passes all 8n stencil rows of a point to
-its function as one stack, and `involution_report` evaluates them
-through `assemble_chunks`.
+(T, n) stacks.  `fd_gradient` passes the 8n stencil rows of a point to
+its function through `matops.map_chunks`, and `involution_report`
+assembles each chunk of them as one stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import (BCNError, ChamberViolation, InvalidInput, NumericalFailure,
+from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
 from .model import ModelParams, ReducedPoint, abc_from_params, require_points
-from .matops import dagger, inn
-from .reconstruction import assemble, assemble_chunks
+from .matops import chunk_rows, dagger, inn, map_chunks
+from .reconstruction import assemble, assemble_stack
 
 __all__ = [
     "phi_trace",
@@ -53,7 +54,6 @@ __all__ = [
     "hamiltonian_q",
     "phi_reduced",
     "grad_hamiltonian",
-    "poisson_bracket_fd",
     "fd_gradient",
     "InvolutionReport",
     "involution_report",
@@ -137,7 +137,9 @@ def _q_chart(q, p, a2: float, b2: float, c2: float):
     stage), ChamberViolation (unordered q) or SeparationViolation (a pair
     factor 1 - c2 / (4 sinh^2(q_i - q_k)) <= 0).
     """
-    if q.size > 1 and not (q[1:] < q[:-1]).all():
+    # ordered q is finite when its ends are: a NaN fails the order test
+    ordered = q.size < 2 or (q[1:] < q[:-1]).all()
+    if not (ordered and math.isfinite(q[0]) and math.isfinite(q[-1])):
         if not np.isfinite(q).all():
             raise NumericalFailure(f"non-finite positions q = {q}")
         raise ChamberViolation(f"q must be strictly decreasing, got {q}")
@@ -188,9 +190,9 @@ def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None
     `func(q, p, params)` takes the 8n stencil rows as two (8n, n) arrays
     (q_1 ... q_n, then p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2) and
     returns (8n,) or (8n, m) values.  Returns (df_dq, df_dp), each (n,)
-    or (n, m).  If the stack raises a BCNError, the rows are replayed one
-    at a time (a ReducedPoint check, then `func`), so the first failing
-    row raises its own error, as in a loop over the rows.
+    or (n, m).  The rows are checked as ReducedPoints and passed to `func`
+    by `matops.map_chunks` at `chunk_rows(2n)`, so the first failing row
+    raises its own error, as in a loop over the rows.
     """
     q, p = point.q, point.p
     n = q.size
@@ -201,32 +203,17 @@ def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None
     shifts = (np.eye(n)[:, None, :] * steps[:, None]).reshape(4 * n, n)
     qs = np.concatenate([q + shifts, np.broadcast_to(q, shifts.shape)])
     ps = np.concatenate([np.broadcast_to(p, shifts.shape), p + shifts])
-    try:
-        require_points(qs, ps)
-        vals = func(qs, ps, params)
-    except BCNError:
-        vals = []
-        for i in range(8 * n):
-            require_points(qs[i:i + 1], ps[i:i + 1])
-            vals.append(func(qs[i:i + 1], ps[i:i + 1], params))
-        vals = np.concatenate(vals)
+
+    def checked(q, p):
+        require_points(q, p)
+        return func(q, p, params)
+
+    vals = map_chunks(checked, chunk_rows(2 * n), qs, ps)
     f = vals.reshape(2 * n, 4, *vals.shape[1:])
     d1 = (f[:, 0] - f[:, 1]) / (2.0 * h0)
     d2 = (f[:, 2] - f[:, 3]) / (2.0 * (h0 / 2.0))
     grad = (4.0 * d2 - d1) / 3.0
     return grad[:n], grad[n:]
-
-
-def poisson_bracket_fd(f, h, point: ReducedPoint, params: ModelParams,
-                       h0: float = None) -> float:
-    """{f, h} = (1/2) sum_i (df/dq_i dh/dp_i - df/dp_i dh/dq_i).
-
-    Partials by `fd_gradient` (so `f` and `h` take stacks); the factor
-    1/2 reflects the factor 2 in the reduced symplectic form.
-    """
-    fq, fp = fd_gradient(f, point, params, h0)
-    hq, hp = fd_gradient(h, point, params, h0)
-    return float(0.5 * (fq @ hp - fp @ hq))
 
 
 #: finite-difference step of `involution_report` (with one Richardson
@@ -265,11 +252,9 @@ def involution_report(params: ModelParams, point_samples,
     orders = tuple(range(1, max_order + 1))
 
     def phis(q, p, pr):
-        j = inn(pr.n)
-        return np.concatenate([
-            np.stack([phi_from_moment(fact.g @ j @ dagger(fact.g), nu)
-                      for nu in orders], axis=-1)
-            for fact, _ in assemble_chunks(q, p, pr)])
+        g = assemble_stack(q, p, pr)[0].g
+        m = g @ inn(pr.n) @ dagger(g)
+        return np.stack([phi_from_moment(m, nu) for nu in orders], axis=-1)
 
     mat = np.zeros((max_order, max_order))
     for pt in point_samples:

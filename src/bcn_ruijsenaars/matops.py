@@ -20,8 +20,9 @@ matrices.  Each matrix of a stack gets the arithmetic it gets alone
 (numpy's stacked `matmul`, `solve`, `cholesky` and `svd` run the same
 BLAS/LAPACK call on every matrix), so a stack only saves the Python
 overhead of a loop; a predicate holds, and a factorization succeeds,
-only when it does for every matrix.  Stacked callers cut their work
-into chunks of `chunk_rows` matrices.
+only when it does for every matrix.  The package's chunked passes
+(reconstruction, extraction, finite-difference stencils) run through
+`map_chunks`, whose docstring states the chunk-and-replay rule.
 
 All functions are pure; inputs are never modified.
 """
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, NotOnLeaf, NumericalFailure
+from .errors import BCNError, InvalidInput, NotOnLeaf, NumericalFailure
 
 __all__ = [
     "inn",
@@ -41,6 +42,7 @@ __all__ = [
     "dagger",
     "CHUNK_ENTRIES",
     "chunk_rows",
+    "map_chunks",
     "is_hermitian",
     "is_pseudo_unitary",
     "hermitian_eig",
@@ -94,6 +96,40 @@ def chunk_rows(size: int) -> int:
     CHUNK_ENTRIES // size^2, at least one (256 at 2n = 4, 16 at 2n = 16),
     which bounds the memory of a stacked pass."""
     return max(1, CHUNK_ENTRIES // (size * size))
+
+
+def map_chunks(fn, size: int, *stacks):
+    """`fn` on the rows of equally long stacks, `size` rows at a time:
+    the chunk-and-replay rule of the package's chunked passes.
+
+    `fn(*chunks)` returns an array, a tuple of arrays or a dict of
+    arrays, each with one leading entry per row; the results of the
+    chunks are concatenated in row order.  Each call runs with every
+    floating-point warning the caller would see raised as an error.  A
+    call that raises BCNError, LinAlgError or FloatingPointError is
+    replayed one row at a time under the caller's warning settings: a
+    stacked check meets its failing rows in the order of the checks, the
+    replay in the order of the rows, so the first failing row raises
+    exactly the error it raises alone and a row's warnings show as they
+    would alone.  Stacks of no rows make one call on the empty stacks.
+    """
+    raise_on = {kind: "ignore" if how == "ignore" else "raise"
+                for kind, how in np.geterr().items()}
+    parts = []
+    for start in range(0, max(1, len(stacks[0])), size):
+        chunk = [s[start:start + size] for s in stacks]
+        try:
+            with np.errstate(**raise_on):
+                parts.append(fn(*chunk))
+        except (BCNError, np.linalg.LinAlgError, FloatingPointError):
+            parts += [fn(*(s[i:i + 1] for s in chunk))
+                      for i in range(max(1, len(chunk[0])))]
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: np.concatenate([part[key] for part in parts]) for key in first}
+    if isinstance(first, tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:

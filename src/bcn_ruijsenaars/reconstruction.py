@@ -17,12 +17,11 @@ constraint analysis:
 
 Everything here also runs on stacks: `assemble_stack` takes (T, n)
 arrays q and p, and every field of its records then has the leading T
-axis.  `assemble_chunks`, the one chunk loop, runs it on
-`matops.chunk_rows(2n)` rows at a time; `constraint_residuals` (every
-invariant, never raising on a bad residual) and the involution brackets
-use it.  `assemble` and `verify_constraints` are the one-point calls of
-the same code, so a point gets the same bits alone and in a stack.  A
-failing check names the first failing row.
+axis.  `constraint_residuals` (every invariant, never raising on a bad
+residual) runs it with the residuals through `matops.map_chunks`.
+`assemble` and `verify_constraints` are the one-point calls of the same
+code, so a point gets the same bits alone and in a stack.  A failing
+check names the first failing row.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import (
     NumericalFailure,
     SeparationViolation,
 )
-from .matops import chunk_rows, dagger, frob, inn, rel_err
+from .matops import chunk_rows, dagger, frob, inn, map_chunks, rel_err
 from .model import CartanData, ModelParams, ReducedPoint, cartan_from_q
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "build_sigma_rho",
     "assemble_stack",
     "assemble",
-    "assemble_chunks",
     "constraint_residuals",
     "verify_constraints",
 ]
@@ -329,22 +327,12 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
     return res
 
 
-def assemble_chunks(q, p, params: ModelParams):
-    """`assemble_stack` on the rows of (T, n) arrays q and p,
-    `chunk_rows(2n)` rows at a time (which bounds the memory): yields the
-    (LeafFactorization, ConstraintData) of each chunk in row order."""
-    size = chunk_rows(2 * params.n)
-    for s in range(0, max(1, len(q)), size):
-        yield assemble_stack(q[s:s + size], p[s:s + size], params)
-
-
 def constraint_residuals(q, p, params: ModelParams) -> dict:
     """The residuals of `verify_constraints` at each row of (T, n) arrays
-    q and p, as (T,) arrays, by `assemble_chunks`; raises as it does."""
-    parts = [_residuals(fact, cdata, params)
-             for fact, cdata in assemble_chunks(q, p, params)]
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+    q and p, as (T,) arrays, by `matops.map_chunks` at `chunk_rows(2n)`;
+    raises the error `assemble_stack` raises at the first failing row."""
+    return map_chunks(lambda q, p: _residuals(*assemble_stack(q, p, params), params),
+                      chunk_rows(2 * params.n), q, p)
 
 
 def verify_constraints(fact: LeafFactorization, cdata: ConstraintData,

@@ -6,7 +6,6 @@ import pytest
 from conftest import draw_point
 
 import bcn_ruijsenaars.hamiltonians as hamiltonians
-import bcn_ruijsenaars.reconstruction as reconstruction
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
                                     NumericalFailure, SeparationViolation)
 from bcn_ruijsenaars.hamiltonians import (
@@ -17,7 +16,6 @@ from bcn_ruijsenaars.hamiltonians import (
     involution_report,
     phi_reduced,
     phi_trace,
-    poisson_bracket_fd,
     spectral_invariants,
     weyl_check,
 )
@@ -168,6 +166,19 @@ class TestClosedForms:
             with pytest.raises(error, match=message):
                 grad_hamiltonian(np.array(q), np.zeros(2), params)
 
+    @pytest.mark.parametrize("q", [
+        [np.nan], [np.inf], [-np.inf],
+        # ordered: the chamber test passes with +-inf at the ends
+        [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf],
+    ])
+    def test_q_chart_rejects_non_finite_q(self, q):
+        params = make_params(0.5, 1, 1, len(q))
+        message = r"non-finite positions q = \["
+        with pytest.raises(NumericalFailure, match=message):
+            hamiltonian_q(q, [0.1] * len(q), 1.0, 1.0, 2.25)
+        with pytest.raises(NumericalFailure, match=message):
+            grad_hamiltonian(np.array(q), np.full(len(q), 0.1), params)
+
     def test_phase_periodicity(self):
         rng = np.random.default_rng(54)
         params = make_params(0.5, 1, 1, 2)
@@ -227,32 +238,18 @@ class TestGradient:
                                    pt, params, 2.5e-4)
         assert dq.tolist() == lq.tolist() and dp.tolist() == lp.tolist()
 
-
-class TestPoissonBracket:
     def test_canonical_pairs(self):
+        # the coordinate functions q_i and p_i have unit gradients
         params = make_params(0.5, 1, 1, 2)
         pt = ReducedPoint(np.array([0.9, -0.4]), np.array([0.3, 1.0]))
+        eye, zero = np.eye(2), np.zeros(2)
         for i in range(2):
-            for j in range(2):
-                f = lambda q, p, _pr, i=i: q[:, i]
-                h = lambda q, p, _pr, j=j: p[:, j]
-                val = poisson_bracket_fd(f, h, pt, params)
-                assert val == pytest.approx(0.5 if i == j else 0.0, abs=1e-8)
-
-    def test_antisymmetry_self(self):
-        params = make_params(0.5, 1, 1, 2)
-        pt = ReducedPoint(np.array([0.9, -0.4]), np.array([0.3, 1.0]))
-        f = rowwise(lambda z, pr: phi_reduced(z, pr, 1))
-        assert abs(poisson_bracket_fd(f, f, pt, params)) < 1e-10
-
-    def test_first_two_hamiltonians_commute(self):
-        rng = np.random.default_rng(56)
-        params = make_params(0.5, 1, 1, 2)
-        pt = draw_point(rng, params, q_range=(-1.0, 1.0))
-        val = poisson_bracket_fd(rowwise(lambda z, pr: phi_reduced(z, pr, 1)),
-                                 rowwise(lambda z, pr: phi_reduced(z, pr, 2)),
-                                 pt, params, h0=1e-3)
-        assert abs(val) < 1e-5
+            dq, dp = fd_gradient(lambda q, p, _pr: q[:, i], pt, params)
+            assert dq == pytest.approx(eye[i], abs=1e-8)
+            assert dp == pytest.approx(zero, abs=1e-8)
+            dq, dp = fd_gradient(lambda q, p, _pr: p[:, i], pt, params)
+            assert dq == pytest.approx(zero, abs=1e-8)
+            assert dp == pytest.approx(eye[i], abs=1e-8)
 
 
 def _loop_report(params, points, max_order, h0=2.5e-4):
@@ -305,7 +302,7 @@ class TestInvolution:
 
     def test_stencil_runs_through_assemble_stack(self, monkeypatch):
         sizes = []
-        stack = reconstruction.assemble_stack
+        stack = hamiltonians.assemble_stack
 
         def spy(q, p, params):
             sizes.append(len(q))
@@ -314,7 +311,7 @@ class TestInvolution:
         def per_point(*args):
             raise AssertionError("a per-point evaluation")
 
-        monkeypatch.setattr(reconstruction, "assemble_stack", spy)
+        monkeypatch.setattr(hamiltonians, "assemble_stack", spy)
         monkeypatch.setattr(hamiltonians, "assemble", per_point)
         monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
         rng = np.random.default_rng(61)

@@ -7,7 +7,7 @@ from conftest import rand_complex, rand_hermitian, rand_triangular_positive, ran
 
 from bcn_ruijsenaars import matops
 from bcn_ruijsenaars.dynamics import exact_flow
-from bcn_ruijsenaars.errors import InvalidInput, NotOnLeaf
+from bcn_ruijsenaars.errors import InvalidInput, NotOnLeaf, NumericalFailure
 from bcn_ruijsenaars.matops import (
     expm,
     frob,
@@ -17,6 +17,7 @@ from bcn_ruijsenaars.matops import (
     inn,
     is_hermitian,
     is_pseudo_unitary,
+    map_chunks,
     svd_ordered,
 )
 from bcn_ruijsenaars.model import make_params
@@ -134,6 +135,59 @@ def test_stacked_expm_equals_each_matrix_alone():
     for x, e in zip(a, stacked):
         assert np.array_equal(e, expm(x))
     assert np.array_equal(expm(a.reshape(4, 12, 6, 6)).reshape(a.shape), stacked)
+
+
+class TestMapChunks:
+    def test_results_in_row_order(self):
+        a, b = np.arange(10.0), np.arange(10.0, 30.0).reshape(10, 2)
+        sizes = []
+
+        def fn(x, y):
+            sizes.append(len(x))
+            return x[:, None] * y
+
+        assert map_chunks(fn, 4, a, b).tolist() == (a[:, None] * b).tolist()
+        assert sizes == [4, 4, 2]
+        first, second = map_chunks(lambda x: (x, 2 * x), 3, a)
+        assert first.tolist() == a.tolist() and second.tolist() == (2 * a).tolist()
+        named = map_chunks(lambda x: {"neg": -x, "sq": x * x}, 6, a)
+        assert list(named) == ["neg", "sq"]
+        assert named["sq"].tolist() == (a * a).tolist()
+
+    def test_no_rows_make_one_call(self):
+        sizes = []
+        out = map_chunks(lambda x: sizes.append(len(x)) or x + 1.0, 4, np.empty(0))
+        assert sizes == [0] and out.shape == (0,)
+
+    def test_a_failing_chunk_raises_the_error_of_its_first_failing_row(self):
+        def fn(x):
+            # a stage-by-stage check of a stack meets the last bad row first
+            if np.any(x < 0):
+                raise NumericalFailure(f"bad row {x[x < 0][-1]}")
+            return x
+        rows = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
+        with pytest.raises(NumericalFailure, match="bad row -2.0"):
+            map_chunks(fn, 8, rows)
+
+    def test_warnings_follow_the_caller_settings(self):
+        rows = np.array([1.0, 0.0, 2.0])
+        sizes = []
+
+        def fn(x):
+            sizes.append(len(x))
+            return np.log(x)
+
+        with np.errstate(divide="ignore"):
+            out = map_chunks(fn, 8, rows)
+        assert sizes == [3] and out.tolist() == [0.0, -np.inf, math.log(2.0)]
+        sizes.clear()
+        # a warning the caller would see replays the chunk row by row, so
+        # it is issued once, by the row that causes it
+        with np.errstate(divide="warn"), pytest.warns(RuntimeWarning) as seen:
+            assert map_chunks(fn, 8, rows).tolist() == out.tolist()
+        assert sizes == [3, 1, 1, 1] and len(seen) == 1
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            map_chunks(fn, 8, rows)
 
 
 class TestIndefiniteCholesky:

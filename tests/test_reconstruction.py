@@ -8,7 +8,8 @@ from conftest import draw_point, vhat_stabilizer
 from bcn_ruijsenaars import cli, reconstruction
 from bcn_ruijsenaars.cli import main
 from bcn_ruijsenaars.dynamics import integrate_reduced
-from bcn_ruijsenaars.errors import ChamberViolation, NumericalFailure, SeparationViolation
+from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, NumericalFailure,
+                                    SeparationViolation)
 from bcn_ruijsenaars.matops import frob, inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, cartan_from_q, make_params
 from bcn_ruijsenaars.reconstruction import (
@@ -338,6 +339,19 @@ class TestStackedCore:
         q = np.array([[1.0, -1.0], [0.5, 0.8], [0.2, 0.9]])
         with pytest.raises(ChamberViolation, match=r"\[0.5 0.8\]"):
             assemble_stack(q, np.zeros_like(q), params)
+
+    def test_residuals_raise_the_error_of_the_first_failing_row(self):
+        # row 0 fails a later check (v^2) than row 1 (the order of q), so a
+        # check-by-check pass over the whole stack would meet row 1 first
+        params = make_params(0.5, 1, 1, 2)
+        q = np.array([[0.30, 0.29], [0.1, 0.2]])
+        with pytest.raises(BCNError) as alone:
+            constraint_residuals(q[:1], np.zeros((1, 2)), params)
+        with pytest.raises(BCNError) as stacked:
+            constraint_residuals(q, np.zeros_like(q), params)
+        assert type(alone.value) is SeparationViolation
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
 
     def test_residual_column_equals_the_loop(self):
         params, (point,) = _points(3, 1, 311)
