@@ -33,7 +33,7 @@ h2 = sutherland_H2(hq, hp, lp.xi, lp.eta, lp.zeta)
 print(f"\nclosed-form H2 at this configuration: {h2:+.10f}")
 
 print("\nconvergence of (Phi(t) + n)/t^2 to H2:")
-rep = limit_convergence(q, piv, lp, t_grid=np.geomspace(5e-5, 5e-3, 8))
+rep = limit_convergence(q, piv, lp)
 for t, e in zip(rep.t, rep.error):
     print(f"  t={t:9.3e}  error {e:.3e}")
 print(f"fitted order {rep.fitted_order:.3f}, extrapolated limit "

@@ -45,7 +45,6 @@ from .errors import (
     BCNError,
     ChamberViolation,
     InvalidInput,
-    NotOnLeaf,
     SeparationViolation,
 )
 from .hamiltonians import involution_report
@@ -55,8 +54,7 @@ from .model import ReducedPoint, make_params
 from .reconstruction import assemble, constraint_residuals
 from .sampling import random_admissible_point
 
-_VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation,
-                      NotOnLeaf)
+_VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation)
 
 
 def _fmt(x: float) -> str:
@@ -224,8 +222,7 @@ def cmd_limit(args) -> int:
         else rng.uniform(-0.7, 0.7, size=args.n)
     if q.size != args.n or pi_vec.size != args.n:
         raise InvalidInput(f"--q/--pi must have n={args.n} entries")
-    t_grid = _parse_vector(args.t_grid) if args.t_grid is not None \
-        else np.geomspace(5e-5, 5e-3, 8)
+    t_grid = _parse_vector(args.t_grid) if args.t_grid is not None else None
     rep = limit_convergence(q, pi_vec, lp, t_grid=t_grid)
     payload = {**vars(rep), "xi": lp.xi, "eta": lp.eta, "zeta": lp.zeta,
                "n": args.n, "q": q, "pi": pi_vec, "seed": args.seed}

@@ -51,6 +51,7 @@ __all__ = [
     "decompose_BK",
     "cartan_KAK",
     "reduce_stack",
+    "require_element",
     "extract_reduced",
     "surface_residuals",
 ]
@@ -267,13 +268,14 @@ def reduce_stack(g, params: ModelParams):
     return q, p, np.max(list(res.values()), axis=0), m
 
 
-def _one(g, params: ModelParams) -> np.ndarray:
-    """One element as a stack of one."""
+def require_element(g, params: ModelParams) -> np.ndarray:
+    """g as one complex 2n x 2n element; raises InvalidInput for any other
+    shape."""
     g = np.asarray(g, dtype=complex)
     n = params.n
     if g.shape != (2 * n, 2 * n):
         raise InvalidInput(f"expected shape {(2*n, 2*n)}, got {g.shape}")
-    return g[None]
+    return g
 
 
 def extract_reduced(g, params: ModelParams) -> ReducedPoint:
@@ -285,7 +287,7 @@ def extract_reduced(g, params: ModelParams) -> ReducedPoint:
     NotOnConstraintSurface when a step residual exceeds SURFACE_TOL,
     DegenerateElement at collisions.
     """
-    g = _one(g, params)
+    g = require_element(g, params)[None]
     q, p = _read_stack(g, *_split(g, params), params)
     return ReducedPoint(q=q[0], p=p[0])
 
@@ -297,6 +299,6 @@ def surface_residuals(g, params: ModelParams) -> dict:
     unitarity of the left factor, the spectrum of the reference momentum
     value, and the determinant.  Factorization errors propagate.
     """
-    g = _one(g, params)
+    g = require_element(g, params)[None]
     res, _ = _residual_stack(g, *_split(g, params), params)
     return {name: float(r[0]) for name, r in res.items()}

@@ -52,12 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import reduce_stack
+from .decomposition import reduce_stack, require_element
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
 from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
 from .matops import chunk_rows, expm, inn, map_chunks
-from .model import (ModelParams, ReducedPoint, require_points,
+from .model import (ModelParams, ReducedPoint, require_points, require_size,
                     separation_margin, wrap_angle)
 from .reconstruction import constraint_residuals
 
@@ -204,6 +204,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     """
     if method not in ("rk4", "rk45"):
         raise InvalidInput(f"unknown method {method!r}")
+    require_size(point0.n, params)
     step, counts = sample_times(t_max, dt, sample_every)
     n = point0.n
     f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params))
@@ -274,7 +275,7 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
-    g0 = np.asarray(g0, dtype=complex)
+    g0 = require_element(g0, params)
     q, p, energy, residual = map_chunks(lambda t: _project_stack(g0, params, t),
                                         chunk_rows(g0.shape[-1]), times)
     return Trajectory(times=times.copy(), q=q, p=p, energy=energy,

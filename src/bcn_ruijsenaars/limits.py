@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: default sampling grid for the convergence report
-DEFAULT_T_GRID = (1.25e-3, 2.5e-3, 5e-3, 1e-2)
+DEFAULT_T_GRID = tuple(np.geomspace(5e-5, 5e-3, 8).tolist())
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,8 @@ def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
     if np.any(hq == 0.0):
         raise InvalidInput("hat_q entries must be non-zero")
     single, double, pairs = _potential_basis(hq)
-    d = eta - xi
-    val = 0.5 * float(hp @ hp)
-    val += 2.0 * xi * eta * single
-    val += 2.0 * d * d * double
-    val += 0.5 * zeta ** 2 * pairs
-    return val
+    c1, c2, c3 = LimitParams(xi, eta, zeta).coefficients()
+    return 0.5 * float(hp @ hp) + c1 * single + c2 * double + c3 * pairs
 
 
 def _fit_at_zero(ts, values, degree: int) -> np.ndarray:

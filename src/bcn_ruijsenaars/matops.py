@@ -7,17 +7,15 @@ needs at sizes up to a few dozen:
 
 * structural predicates (Hermitian, pseudo-unitary with respect to an
   indefinite signature),
-* Hermitian eigendecomposition and singular value decomposition with a
-  fixed ordering convention,
 * the matrix exponential by scaling-and-squaring with a diagonal Pade
-  approximant,
+  approximant (Higham 2005),
 * the signature ("indefinite") Cholesky factorizations H = b^dag J b and
   M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
   diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
 
 Every function except `inn` also takes a stack (..., N, N) of
 matrices.  Each matrix of a stack gets the arithmetic it gets alone
-(numpy's stacked `matmul`, `solve`, `cholesky` and `svd` run the same
+(numpy's stacked `matmul`, `solve` and `cholesky` run the same
 BLAS/LAPACK call on every matrix), so a stack only saves the Python
 overhead of a loop; a predicate holds, and a factorization succeeds,
 only when it does for every matrix.  The package's chunked passes
@@ -45,8 +43,6 @@ __all__ = [
     "map_chunks",
     "is_hermitian",
     "is_pseudo_unitary",
-    "hermitian_eig",
-    "svd_ordered",
     "expm",
     "indefinite_cholesky_upper",
     "indefinite_cholesky_upper_dual",
@@ -157,30 +153,6 @@ def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
                        <= tol * np.maximum(1.0, frob(a) ** 2)))
 
 
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, u) with w real ascending and m = u diag(w) u^dag up to a
-    relative residual of about 1e-12.  Raises InvalidInput when m is not
-    Hermitian within STRUCT_TOL.
-    """
-    a = _as_square(m)
-    if not is_hermitian(a):
-        raise InvalidInput("hermitian_eig: input is not Hermitian within tolerance")
-    w, u = np.linalg.eigh(a)
-    return w, u
-
-
-def svd_ordered(m):
-    """SVD of a square matrix: m = u diag(s) v^dag with s descending.
-
-    Returns (u, s, v); note the third factor is v, not v^dag.
-    """
-    a = _as_square(m)
-    u, s, vh = np.linalg.svd(a)
-    return u, s, dagger(vh)
-
-
 # --- matrix exponential -----------------------------------------------------
 
 # 1-norm thresholds for the diagonal Pade approximants of orders 3,5,7,9,13
@@ -239,11 +211,13 @@ def _pade_plan(norm: float):
 def expm(m) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with diagonal Pade steps.
 
-    The approximant order and squaring count are chosen from the 1-norm of
-    the input; relative accuracy is ~1e-12 for norms up to a few tens.
-    A stack (..., N, N) is grouped by (order, squaring count) and each
-    group runs as one stack, so every matrix gets the arithmetic it gets
-    alone.  Raises NumericalFailure if a result overflows.
+    The approximant order and squaring count s are chosen from the 1-norm
+    of the input (s = 0 for orders 3-9); the approximant is taken at
+    m / 2^s and squared s times.  Relative accuracy is ~1e-12 for norms
+    up to a few tens.  A stack (..., N, N) is grouped by (order, squaring
+    count) and each group runs as one stack, so every matrix gets the
+    arithmetic it gets alone.  Raises NumericalFailure if a result
+    overflows.
     """
     a = _as_square(m)
     flat = a.reshape(-1, *a.shape[-2:])
@@ -252,10 +226,7 @@ def expm(m) -> np.ndarray:
     out = np.empty_like(flat)
     for order, s in dict.fromkeys(plans):
         idx = [i for i, plan in enumerate(plans) if plan == (order, s)]
-        if order != 13:
-            out[idx] = _pade(flat[idx], order)
-            continue
-        x = _pade(flat[idx] / (2.0 ** s), 13)
+        x = _pade(flat[idx] / 2.0 ** s, order)
         for _ in range(s):
             x = x @ x
         if not np.all(np.isfinite(x)):

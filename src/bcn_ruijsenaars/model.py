@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChamberViolation, InvalidInput
+from .errors import ChamberViolation, InternalInconsistency, InvalidInput
 
 __all__ = [
     "ModelParams",
     "ReducedPoint",
     "CartanData",
     "require_points",
+    "require_size",
     "make_params",
     "cartan_from_q",
     "separation_margin",
@@ -52,21 +53,24 @@ class ModelParams:
     """Coupling data.  Use :func:`make_params` to construct.
 
     ``alpha`` is normalized into (0, 1) (the model is invariant under
-    alpha -> 1/alpha), and ``vhat_norm_sq = alpha^(2-2n) - alpha^2 > 0``
-    is the squared length of the rank-one deformation vector of the
-    reference momentum value.
+    alpha -> 1/alpha).
     """
 
     alpha: float
     x: float
     y: float
     n: int
-    vhat_norm_sq: float = 0.0
 
     @property
     def coupling_sq(self) -> float:
         """c^2 = (alpha - 1/alpha)^2, the separation threshold."""
         return (self.alpha - 1.0 / self.alpha) ** 2
+
+    @property
+    def vhat_norm_sq(self) -> float:
+        """|vhat|^2 = alpha^(2-2n) - alpha^2 > 0, the squared length of the
+        rank-one deformation vector of the reference momentum value."""
+        return self.alpha ** (2 - 2 * self.n) - self.alpha ** 2
 
 
 def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
@@ -80,8 +84,7 @@ def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
         raise InvalidInput("x and y must be positive")
     if alpha > 1.0:
         alpha = 1.0 / alpha
-    vhat_norm_sq = alpha ** (2 - 2 * n) - alpha ** 2
-    return ModelParams(alpha=alpha, x=x, y=y, n=int(n), vhat_norm_sq=vhat_norm_sq)
+    return ModelParams(alpha=alpha, x=x, y=y, n=int(n))
 
 
 def _require_chamber(q: np.ndarray) -> None:
@@ -123,6 +126,13 @@ def require_points(q: np.ndarray, p: np.ndarray) -> None:
             and np.all(np.diff(q, axis=-1) < 0.0)):
         for q_t, p_t in zip(q, p):
             ReducedPoint(q_t, p_t)
+
+
+def require_size(n: int, params: ModelParams) -> None:
+    """Raise InternalInconsistency unless points of n particles belong to
+    the model of `params`."""
+    if n != params.n:
+        raise InternalInconsistency(f"point has n={n}, params n={params.n}")
 
 
 @dataclass(frozen=True)

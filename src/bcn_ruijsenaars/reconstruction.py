@@ -37,7 +37,8 @@ from .errors import (
     SeparationViolation,
 )
 from .matops import chunk_rows, dagger, frob, inn, map_chunks, rel_err
-from .model import CartanData, ModelParams, ReducedPoint, cartan_from_q
+from .model import (CartanData, ModelParams, ReducedPoint, cartan_from_q,
+                    require_size)
 
 __all__ = [
     "ConstraintData",
@@ -195,8 +196,7 @@ def assemble_stack(q, p, params: ModelParams):
     SeparationViolation / ChamberViolation for inadmissible rows.
     """
     x, y, n = params.x, params.y, params.n
-    if np.shape(q)[-1] != n:
-        raise InternalInconsistency(f"point has n={np.shape(q)[-1]}, params n={n}")
+    require_size(np.shape(q)[-1], params)
     cdata = cartan_from_q(q, params)
     Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
 

@@ -118,8 +118,8 @@ class TestSimulate:
     @pytest.mark.parametrize("t_max", ["10", "20"])
     def test_exact_flow_fails_at_the_first_failing_sample(self, capsys, t_max):
         # the extraction first fails near t = 4.5; samples from t ~ 10 on
-        # are off the leaf (NotOnLeaf, exit 1), and they must not be the
-        # ones reported
+        # are off the leaf (NotOnLeaf), and they must not be the ones
+        # reported
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "simulate", "--n", "2", "--alpha", "0.6",
@@ -129,6 +129,16 @@ class TestSimulate:
         assert out == ""
         assert caught == []
         assert err == "numerical failure: phase matrix has off-diagonal content\n"
+
+    def test_element_off_the_leaf_is_a_numerical_failure(self, capsys):
+        # at t = 10 the flowed element has left the leaf: the signature
+        # factorization of the extraction fails, which is no input error
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--seed", "2",
+                                 "--alpha", "0.6", "--x", "1.2", "--y", "0.8",
+                                 "--method", "exact", "--t-max", "10", "--dt", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "numerical failure: upper-left block is not positive definite\n"
 
     @pytest.mark.parametrize("grid", [("--dt", "3e-3"),
                                       ("--dt", "1e-3", "--sample-count", "300")],

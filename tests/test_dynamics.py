@@ -20,6 +20,7 @@ from bcn_ruijsenaars import dynamics
 from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB
 from bcn_ruijsenaars.errors import (
     ChamberViolation,
+    InternalInconsistency,
     InvalidInput,
     NotOnConstraintSurface,
     NumericalFailure,
@@ -218,8 +219,21 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidInput):
             integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, method="euler")
 
+    def test_size_mismatch_raises_before_stepping(self, monkeypatch):
+        def no_rhs(*args):
+            raise AssertionError("reduced_rhs called")
+
+        monkeypatch.setattr(dynamics, "reduced_rhs", no_rhs)
+        with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
+            integrate_reduced(POINT2, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
+
 
 class TestProjectFlow:
+    def test_element_of_the_wrong_size_is_invalid_input(self):
+        g0 = assemble(POINT2, PARAMS2)[0].g
+        with pytest.raises(InvalidInput, match=r"expected shape \(2, 2\), got \(4, 4\)"):
+            project_flow(g0, make_params(0.5, 1, 1, 1), [0.0, 0.1])
+
     def test_time_zero_sample(self):
         from bcn_ruijsenaars.decomposition import extract_reduced
 

@@ -111,6 +111,7 @@ class TestHyperbolicIdentities:
 class TestConvergence:
     def test_default_grid_monotone(self):
         rep = limit_convergence(np.array([1.0, 0.1]), np.array([0.3, -0.4]), LP)
+        assert np.array_equal(rep.t, np.geomspace(5e-5, 5e-3, 8))
         assert np.all(np.diff(rep.error) > 0.0)   # decreasing toward small t
         assert rep.fitted_order > 0.9
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_complex, rand_hermitian, rand_triangular_positive, rand_unitary
+from conftest import rand_complex, rand_hermitian, rand_triangular_positive
 
 from bcn_ruijsenaars import matops
 from bcn_ruijsenaars.dynamics import exact_flow
@@ -11,14 +11,12 @@ from bcn_ruijsenaars.errors import InvalidInput, NotOnLeaf, NumericalFailure
 from bcn_ruijsenaars.matops import (
     expm,
     frob,
-    hermitian_eig,
     indefinite_cholesky_upper,
     indefinite_cholesky_upper_dual,
     inn,
     is_hermitian,
     is_pseudo_unitary,
     map_chunks,
-    svd_ordered,
 )
 from bcn_ruijsenaars.model import make_params
 from bcn_ruijsenaars.reconstruction import assemble
@@ -37,46 +35,6 @@ def taylor_expm(a, terms=30):
     for _ in range(s):
         out = out @ out
     return out
-
-
-class TestHermitianEig:
-    def test_diagonal_is_sorted_ascending(self):
-        w, u = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        assert frob(u @ np.diag(w) @ u.conj().T - np.diag([3.0, 1.0, 2.0])) < 1e-14
-
-    def test_identity(self):
-        w, u = hermitian_eig(np.eye(4, dtype=complex))
-        assert np.allclose(w, 1.0)
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(11)
-        m = rand_hermitian(rng, 6)
-        w, u = hermitian_eig(m)
-        assert frob(u @ np.diag(w) @ u.conj().T - m) <= 1e-12 * frob(m)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInput):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSvdOrdered:
-    def test_diagonal(self):
-        u, s, v = svd_ordered(np.diag([1.0, 2.0]).astype(complex))
-        assert np.allclose(s, [2.0, 1.0])
-
-    def test_unitary_input_has_unit_spectrum(self):
-        rng = np.random.default_rng(12)
-        u0 = rand_unitary(rng, 5)
-        _, s, _ = svd_ordered(u0)
-        assert np.allclose(s, 1.0, atol=1e-13)
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(13)
-        m = rand_complex(rng, (5, 5))
-        u, s, v = svd_ordered(m)
-        assert frob(u @ np.diag(s) @ v.conj().T - m) <= 1e-12 * frob(m)
-        assert np.all(np.diff(s) <= 0.0)
 
 
 class TestExpm:
@@ -301,7 +259,7 @@ class TestPredicates:
     def test_finiteness_guard(self):
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInput):
-            svd_ordered(bad)
+            expm(bad)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -311,12 +269,12 @@ def test_factorization_residual_sweep(n):
     j = inn(n)
     for _ in range(25):
         h = rand_hermitian(rng, n)
-        w, u = hermitian_eig(h)
+        w, u = np.linalg.eigh(h)
         assert frob(u @ np.diag(w) @ u.conj().T - h) <= 1e-12 * max(1.0, frob(h))
 
         m = rand_complex(rng, (n, n))
-        u, s, v = svd_ordered(m)
-        assert frob(u @ np.diag(s) @ v.conj().T - m) <= 1e-12 * max(1.0, frob(m))
+        u, s, vh = np.linalg.svd(m)
+        assert frob(u @ np.diag(s) @ vh - m) <= 1e-12 * max(1.0, frob(m))
 
         b0 = rand_triangular_positive(rng, 2 * n)
         h2 = b0.conj().T @ j @ b0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bcn_ruijsenaars.model import (
     separation_margin,
     wrap_angle,
 )
+from bcn_ruijsenaars.reconstruction import assemble
 
 
 class TestMakeParams:
@@ -31,6 +33,11 @@ class TestMakeParams:
 
     def test_vhat_norm_n2(self):
         assert make_params(0.5, 1, 1, 2).vhat_norm_sq == pytest.approx(3.75)
+
+    def test_vhat_norm_follows_a_replaced_n(self):
+        params = dataclasses.replace(make_params(0.6, 1.2, 0.8, 2), n=3)
+        assert params.vhat_norm_sq == make_params(0.6, 1.2, 0.8, 3).vhat_norm_sq
+        assemble(ReducedPoint([1.0, -0.5, -2.0], [0.1, 0.2, 0.3]), params)
 
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=1.0), dict(alpha=-0.5),
