@@ -169,10 +169,12 @@ def _split(g, params: ModelParams):
 def _read_stack(g, k_L, blocks, params: ModelParams):
     """(q, p), each (T, n), of a stack of elements, from its `_split`.
 
-    Radial normal form of the pseudo-unitary factor, gauge normalization,
-    residual torus fixing against the non-negative gauge of vtilde, and
-    phase read-off from T Ttilde^T.  Each row is checked as a
-    ReducedPoint; the first failing row raises ReducedPoint's error.
+    Radial normal form of the pseudo-unitary factor, the gauge-normalized
+    block T = tau_hat^dag g_22 lhat^dag / Lambda (the only block of the
+    normalized element that is read), residual torus fixing against the
+    non-negative gauge of vtilde, and phase read-off from T Ttilde^T.
+    Each row is checked as a ReducedPoint; the first failing row raises
+    ReducedPoint's error.
     """
     n = params.n
     eye = np.eye(n)
@@ -186,20 +188,11 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
     Sigma = kak.Sigma
     q = np.log(Sigma)
 
-    # gauge-normalize: after this, the pseudo-unitary factor of g_norm is
-    # (rho_hat Gamma, rho_hat Sigma; Sigma, Gamma) and its lower-right
-    # block is Omega conjugated by the residual torus.  The products are
-    # the full block-diagonal ones, zero blocks included, because those
-    # change how BLAS groups the sums, and with it the last bit of p.
-    left = np.zeros_like(g)
-    left[:, :n, :n] = eye
-    left[:, n:, n:] = dagger(kak.tau_hat)
-    right = np.zeros_like(g)
-    right[:, :n, :n] = dagger(kak.khat)
-    right[:, n:, n:] = dagger(kak.lhat)
-    g_norm = left @ g @ right
+    # gauge-normalize: the lower-right block of diag(I, tau_hat^dag) g
+    # diag(khat^dag, lhat^dag) is Lambda Omega, Omega conjugated by the
+    # residual torus
     Lambda = np.sqrt(params.y ** 2 + params.x ** 2 * Sigma ** 2)
-    T = g_norm[:, n:, n:] / Lambda[:, :, None]
+    T = dagger(kak.tau_hat) @ g[:, n:, n:] @ dagger(kak.lhat) / Lambda[:, :, None]
     if np.any(rel_err(dagger(T) @ T, eye) > SURFACE_TOL):
         raise NotOnConstraintSurface("lower-right block is not Lambda-unitary")
 

@@ -27,23 +27,25 @@ is a ReducedPoint and its samples are checked as such by
 `require_points`.  Each RK stage is checked once, by the pair factors in
 `grad_hamiltonian`: NumericalFailure for non-finite q, ChamberViolation
 for unordered q, SeparationViolation past the wall.  Under rk4 that
-error ends the run; under rk45 it rejects the trial step, which is
-retried at a fifth of its length.  Each step is checked once: a
-non-finite state raises NumericalFailure, and a separation margin below
-WALL_MARGIN ends the run with `chamber_approach` set.  The steps run
-with numpy's overflow and invalid-value warnings off, since such a step
-ends in one of those errors; the samples are evaluated after the
-stepping, with the caller's warning settings: the energy column by one
-`hamiltonian_sigma` call on the (T, n) arrays, the residuals by one
-`constraint_residuals`.
+error ends the run.  Under rk45 it rejects the trial step, as a
+non-finite result does, and the step is retried at a fifth of its
+length; a rejected trial step shorter than RK45_MIN_STEP raises
+NumericalFailure naming the step and the time reached.  Each step is
+checked once: a non-finite state raises NumericalFailure, and a
+separation margin below WALL_MARGIN ends the run with
+`chamber_approach` set.  The steps run with numpy's overflow and
+invalid-value warnings off, since such a step ends in one of those
+errors; the samples are evaluated after the stepping, with the caller's
+warning settings: the energy column by one `hamiltonian_sigma` call on
+the (T, n) arrays, the residuals by one `constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline through `matops.map_chunks`: each chunk of
-`chunk_rows(2n)` samples makes one `exact_flow` call (a grouped-Pade
-`expm` of the stacked generators) and one `reduce_stack` pass: one KB
-split, the extraction and the residuals, with the energy read from the
-same m = g J g^dag that gives b_L.  `compare_trajectories` measures the
-deviation between the two routes.
+`chunk_rows(2n)` samples makes one `exact_flow` call (an `expm` of the
+stacked generators, grouped by squaring count) and one `reduce_stack`
+pass: one KB split, the extraction and the residuals, with the energy
+read from the same m = g J g^dag that gives b_L.  `compare_trajectories`
+measures the deviation between the two routes.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ WALL_MARGIN = 1e-6
 #: embedded error estimate is at most RK45_ATOL + RK45_RTOL * max|z|
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
+
+#: a rejected rk45 trial step shorter than this ends the run with
+#: NumericalFailure (an accepted step may be shorter: one clipped to a
+#: sample time can be tiny)
+RK45_MIN_STEP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -229,13 +236,15 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
             try:
                 z_new, err = _ck_step(f, z, h)
                 finite(z_new)
-            except (ChamberViolation, SeparationViolation):
-                err = np.inf        # a stage left the chamber: reject the step
+            except (ChamberViolation, SeparationViolation, NumericalFailure):
+                err = np.inf        # a stage left the chamber or overflowed
             scale = RK45_ATOL + RK45_RTOL * float(np.max(np.abs(z)))
             if err <= scale:
                 t += h
                 z = z_new
                 yield t, z
+            elif h < RK45_MIN_STEP:
+                raise NumericalFailure(f"rk45: step {h:.3g} rejected at t = {t:.10g}")
             h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
 
     steps = rk4_steps if method == "rk4" else rk45_steps

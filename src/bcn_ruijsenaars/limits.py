@@ -67,11 +67,14 @@ class LimitParams:
     zeta: float
 
     def params_at(self, t: float, n: int) -> ModelParams:
-        """Model parameters at scale t; requires t > 0 and zeta != 0."""
+        """Model parameters at scale t; requires t > 0 and zeta != 0.  A
+        rate whose exp(t *) overflows gives InvalidInput from
+        `make_params`."""
         if not (0.0 < t <= 0.1):
             raise InvalidInput("t must lie in (0, 0.1]")
-        return make_params(np.exp(t * self.zeta), np.exp(t * self.xi),
-                           np.exp(t * self.eta), n)
+        with np.errstate(over="ignore"):
+            alpha, x, y = (np.exp(t * r) for r in (self.zeta, self.xi, self.eta))
+        return make_params(alpha, x, y, n)
 
     def coefficients(self):
         """(c1, c2, c3) of the limiting Hamiltonian (ordered-pair basis)."""

@@ -7,8 +7,8 @@ needs at sizes up to a few dozen:
 
 * structural predicates (Hermitian, pseudo-unitary with respect to an
   indefinite signature),
-* the matrix exponential by scaling-and-squaring with a diagonal Pade
-  approximant (Higham 2005),
+* the matrix exponential by scaling-and-squaring with the (13, 13)
+  diagonal Pade approximant (Higham 2005),
 * the signature ("indefinite") Cholesky factorizations H = b^dag J b and
   M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
   diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
@@ -155,78 +155,50 @@ def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
 
 # --- matrix exponential -----------------------------------------------------
 
-# 1-norm thresholds for the diagonal Pade approximants of orders 3,5,7,9,13
-_PADE_THETA = [
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0),
-]
+# 1-norm up to which the (13, 13) diagonal Pade approximant of exp is
+# accurate to double precision (Higham 2005), and its numerator
+# coefficients b_j = (26 - j)! 13! / (26! j! (13 - j)!); the denominator
+# is the same polynomial at -x
 _THETA13 = 5.371920351148152e0
+_B13 = np.array([math.comb(13, j) / math.perm(26, j) for j in range(14)])
 
 
-def _pade_coeffs(m: int) -> np.ndarray:
-    # numerator coefficients of the (m, m) diagonal approximant of exp;
-    # the denominator is the same polynomial evaluated at -x
-    f = math.factorial
-    return np.array(
-        [f(2 * m - j) * f(m) / (f(2 * m) * f(j) * f(m - j)) for j in range(m + 1)]
-    )
-
-
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    n = a.shape[-1]
-    b = _pade_coeffs(m)
-    eye = np.eye(n, dtype=complex)
+def _pade13(a: np.ndarray) -> np.ndarray:
+    b = _B13
+    eye = np.eye(a.shape[-1], dtype=complex)
     a2 = a @ a
-    if m != 13:
-        pows = {0: eye, 2: a2}
-        for k in range(4, m, 2):
-            pows[k] = pows[k - 2] @ a2
-        u_poly = sum(b[j] * pows[j - 1] for j in range(1, m + 1, 2))
-        u = a @ u_poly
-        v = sum(b[j] * pows[j] for j in range(0, m + 1, 2))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        )
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
     return np.linalg.solve(v - u, v + u)
 
 
-def _pade_plan(norm: float):
-    """(approximant order, squaring count) for a matrix of 1-norm `norm`."""
-    for order, theta in _PADE_THETA:
-        if norm <= theta:
-            return order, 0
-    return 13, max(0, int(math.ceil(math.log2(norm / _THETA13))))
-
-
 def expm(m) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with diagonal Pade steps.
+    """Matrix exponential by scaling and squaring with the (13, 13)
+    diagonal Pade approximant (Higham 2005).
 
-    The approximant order and squaring count s are chosen from the 1-norm
-    of the input (s = 0 for orders 3-9); the approximant is taken at
-    m / 2^s and squared s times.  Relative accuracy is ~1e-12 for norms
-    up to a few tens.  A stack (..., N, N) is grouped by (order, squaring
-    count) and each group runs as one stack, so every matrix gets the
-    arithmetic it gets alone.  Raises NumericalFailure if a result
-    overflows.
+    The squaring count is s = ceil(log2(max(|m|_1, theta13) / theta13));
+    the approximant is taken at m / 2^s and squared s times.  Relative
+    accuracy is ~1e-12 for norms up to a few tens.  A stack (..., N, N)
+    is grouped by squaring count and each group runs as one stack, so
+    every matrix gets the arithmetic it gets alone.  Raises
+    NumericalFailure if a result overflows.
     """
     a = _as_square(m)
     flat = a.reshape(-1, *a.shape[-2:])
     norms = np.linalg.norm(flat, 1, axis=(-2, -1)) if a.size else np.zeros(len(flat))
-    plans = [_pade_plan(float(norm)) for norm in norms]
+    counts = np.ceil(np.log2(np.maximum(norms, _THETA13) / _THETA13)).astype(int)
     out = np.empty_like(flat)
-    for order, s in dict.fromkeys(plans):
-        idx = [i for i, plan in enumerate(plans) if plan == (order, s)]
-        x = _pade(flat[idx] / 2.0 ** s, order)
+    for s in dict.fromkeys(counts.tolist()):
+        idx = counts == s
+        x = _pade13(flat[idx] / 2.0 ** s)
         for _ in range(s):
             x = x @ x
         if not np.all(np.isfinite(x)):

@@ -74,17 +74,33 @@ class ModelParams:
 
 
 def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
-    """Validate and normalize (alpha, x, y, n) into a ModelParams record."""
+    """Validate and normalize (alpha, x, y, n) into a ModelParams record.
+
+    alpha, x and y must be finite, and the model constants a^2, b^2, c^2
+    and |vhat|^2 positive and finite; a value that overflows (or
+    underflows to 0) in one of them is invalid input.
+    """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
     alpha, x, y = float(alpha), float(x), float(y)
+    for name, value in (("alpha", alpha), ("x", x), ("y", y)):
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value!r}")
     if not (alpha > 0.0) or alpha == 1.0:
         raise InvalidInput("alpha must be positive and different from 1")
     if not (x > 0.0 and y > 0.0):
         raise InvalidInput("x and y must be positive")
-    if alpha > 1.0:
-        alpha = 1.0 / alpha
-    return ModelParams(alpha=alpha, x=x, y=y, n=int(n))
+    params = ModelParams(alpha=min(alpha, 1.0 / alpha), x=x, y=y, n=int(n))
+    # the constants in float64 scalars, which overflow to inf where the
+    # Python floats of the properties would raise OverflowError
+    with np.errstate(all="ignore"):
+        probe = ModelParams(*map(np.float64, (params.alpha, x, y)), params.n)
+        constants = (*abc_from_params(probe), probe.vhat_norm_sq)
+    for name, value in zip(("a^2", "b^2", "c^2", "|vhat|^2"), constants):
+        if not (0.0 < value < math.inf):
+            raise InvalidInput(f"alpha = {alpha:g}, x = {x:g}, y = {y:g} give "
+                               f"{name} = {float(value):g}; it must be positive and finite")
+    return params
 
 
 def _require_chamber(q: np.ndarray) -> None:

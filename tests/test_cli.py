@@ -115,6 +115,15 @@ class TestSimulate:
         assert caught == []
         assert err == "numerical failure: non-finite positions q = [6.51311025        inf]\n"
 
+    def test_rk45_step_floor_is_a_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--q=1.0,-1.0",
+                                 "--p=-1,1", "--alpha", "0.5", "--t-max", "20",
+                                 "--dt", "2", "--integrator", "rk45")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: rk45: step ")
+        assert "rejected at t = " in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("t_max", ["10", "20"])
     def test_exact_flow_fails_at_the_first_failing_sample(self, capsys, t_max):
         # the extraction first fails near t = 4.5; samples from t ~ 10 on
@@ -255,6 +264,23 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--x", "inf", "--t-max", "0.01", "--dt", "1e-3"),
+        ("verify", "--x", "inf", "--samples", "2"),
+        ("simulate", "--alpha", "inf", "--t-max", "0.01"),
+        ("simulate", "--alpha", "1e-200", "--t-max", "0.01"),
+        ("simulate", "--x", "1e200", "--t-max", "0.01"),
+        ("involution", "--y", "inf", "--points", "1"),
+        ("limit", "--xi", "1e8"),
+    ])
+    def test_non_finite_or_overflowing_parameters_exit_1(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == "" and caught == []
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -192,6 +192,43 @@ class TestIntegrateReduced:
         assert np.max(np.abs(coarse.q[-1] - fine.q[-1])) < 1e-8
         assert np.max(np.abs(wrap_angle(coarse.p[-1] - fine.p[-1]))) < 1e-7
 
+    @pytest.mark.parametrize("dt", [0.05, 10.0])
+    def test_rk45_step_floor_ends_a_crawling_run(self, dt, monkeypatch):
+        # on the head-on pair the step falls below RK45_MIN_STEP near
+        # t = 0.48, where a run without a floor makes no visible progress;
+        # the counter fails such a run instead of letting it go on
+        ck_step, calls = dynamics._ck_step, []
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > 5000:
+                pytest.fail("rk45 made more than 5000 trial steps")
+            return ck_step(*args)
+
+        monkeypatch.setattr(dynamics, "_ck_step", counted)
+        pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
+        with pytest.raises(NumericalFailure, match="rk45: step"):
+            integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, dt, method="rk45")
+
+    def test_rk45_rejects_a_stage_that_fails_numerically(self, monkeypatch):
+        # the second stage of the first trial step raises NumericalFailure,
+        # as an overflowing stage does: the step is rejected and retried
+        # shorter, and the run ends where an undisturbed run ends
+        expected = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
+        calls = []
+
+        def failing_once(q, p, params):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailure("non-finite positions")
+            return grad_hamiltonian(q, p, params)
+
+        monkeypatch.setattr(dynamics, "grad_hamiltonian", failing_once)
+        run = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
+        assert np.array_equal(run.times, expected.times)
+        assert np.max(np.abs(run.q - expected.q)) < 1e-8
+        assert np.max(np.abs(wrap_angle(run.p - expected.p))) < 1e-8
+
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_non_finite_state_raises(self, method, monkeypatch):
         nan = np.full(2, np.nan)

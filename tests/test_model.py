@@ -49,6 +49,29 @@ class TestMakeParams:
         with pytest.raises(InvalidInput):
             make_params(**kw)
 
+    @pytest.mark.parametrize("bad,message", [
+        (dict(alpha=math.inf), "alpha must be finite, got inf"),
+        (dict(alpha=math.nan), "alpha must be finite, got nan"),
+        (dict(x=math.inf), "x must be finite, got inf"),
+        (dict(y=-math.inf), "y must be finite, got -inf"),
+        (dict(alpha=1e-200), "alpha = 1e-200, x = 1, y = 1 give c^2 = inf"),
+        (dict(alpha=1e200), "alpha = 1e+200, x = 1, y = 1 give c^2 = inf"),
+        (dict(x=1e200), "x = 1e+200, y = 1 give b^2 = 0"),
+        (dict(x=1e-200), "x = 1e-200, y = 1 give a^2 = inf"),
+        (dict(y=1e200), "y = 1e+200 give a^2 = inf"),
+        (dict(y=1e-200), "y = 1e-200 give b^2 = 0"),
+        (dict(alpha=0.01, n=200), "give |vhat|^2 = inf"),
+    ])
+    def test_non_finite_or_overflowing_parameters(self, bad, message):
+        # the constants a^2, b^2, c^2 and |vhat|^2 must come out positive
+        # and finite; the message names the value as given, before alpha
+        # is normalized
+        kw = dict(alpha=0.5, x=1.0, y=1.0, n=2)
+        kw.update(bad)
+        with pytest.raises(InvalidInput) as exc:
+            make_params(**kw)
+        assert message in str(exc.value)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_determinant_identity(self, alpha, n):
