@@ -22,22 +22,26 @@ A `Trajectory` holds (T, n) arrays of q and p.  Every route samples the
 grid of `sample_times`, so `project_flow` on its times and both
 integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
-adaptive Cash-Karp steps.  It runs on raw (q, p) arrays; its start point
-is a ReducedPoint and its samples are checked as such by
-`require_points`.  Each RK stage is checked once, by the pair factors in
-`grad_hamiltonian`: NumericalFailure for non-finite q, ChamberViolation
-for unordered q, SeparationViolation past the wall.  Under rk4 that
-error ends the run.  Under rk45 it rejects the trial step, as a
-non-finite result does, and the step is retried at a fifth of its
-length; a rejected trial step shorter than RK45_MIN_STEP raises
-NumericalFailure naming the step and the time reached.  Each step is
-checked once: a non-finite state raises NumericalFailure, and a
-separation margin below WALL_MARGIN ends the run with
-`chamber_approach` set.  The steps run with numpy's overflow and
-invalid-value warnings off, since such a step ends in one of those
-errors; the samples are evaluated after the stepping, with the caller's
-warning settings: the energy column by one `hamiltonian_sigma` call on
-the (T, n) arrays, the residuals by one `constraint_residuals`.
+adaptive Cash-Karp steps.  It steps the state z = q + p as a list of 2n
+Python floats, and its stages call the one-point q-chart kernel
+`hamiltonians._q_chart` with a^2, b^2, c^2 computed once per run: up to
+n = 8, numpy's per-call cost outweighs the arithmetic.  Its start point
+is a ReducedPoint, and its samples become (T, n) arrays once, after the
+stepping, checked by `require_points`.  Each RK stage is checked once,
+by the kernel: NumericalFailure for non-finite q, ChamberViolation for
+unordered q, SeparationViolation past the wall.  Under rk4 that error
+ends the run.  Under rk45 it rejects the trial step, as a non-finite
+result does, and the step is retried at a fifth of its length; a
+rejected trial step shorter than RK45_MIN_STEP raises NumericalFailure
+naming the step and the time reached.  Each step is checked once: a
+non-finite state raises NumericalFailure, and a separation margin below
+WALL_MARGIN ends the run with `chamber_approach` set.  Float arithmetic
+overflows to inf silently, and the kernel maps the math functions'
+OverflowError and ValueError to the IEEE value, so the steps need no
+`np.errstate`: an overflowed stage ends at the next stage's check,
+without a warning.  The samples are evaluated after the stepping: the
+energy column by one `hamiltonian_sigma` call on the (T, n) arrays, the
+residuals by one `constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline through `matops.map_chunks`: each chunk of
@@ -50,6 +54,7 @@ measures the deviation between the two routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +62,11 @@ import numpy as np
 from .decomposition import reduce_stack, require_element
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .hamiltonians import grad_hamiltonian, hamiltonian_sigma, phi_from_moment
+from .hamiltonians import (_q_chart, grad_hamiltonian, hamiltonian_sigma,
+                           phi_from_moment)
 from .matops import chunk_rows, expm, inn, map_chunks
-from .model import (ModelParams, ReducedPoint, require_points, require_size,
-                    separation_margin, wrap_angle)
+from .model import (ModelParams, ReducedPoint, abc_from_params, require_points,
+                    require_size, separation_margin, wrap_angle)
 from .reconstruction import constraint_residuals
 
 __all__ = [
@@ -128,7 +134,9 @@ def exact_flow(g0, t) -> np.ndarray:
 
 
 def reduced_rhs(q, p, params: ModelParams):
-    """Right-hand side (dq/dt, dp/dt) of the reduced canonical ODE."""
+    """Right-hand side (dq/dt, dp/dt) of the reduced canonical ODE at 1-d
+    arrays; `integrate_reduced` takes the same from the kernel on float
+    lists."""
     dq_h, dp_h = grad_hamiltonian(q, p, params)
     k = FLOW_SIGN * FLOW_TIME_SCALE
     return k * dp_h, -k * dq_h
@@ -143,27 +151,41 @@ _CK_A = [
     [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
     [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
 ]
-_CK_B5 = np.array([37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771])
-_CK_B4 = np.array([2825 / 27648, 0, 18575 / 48384, 13525 / 55296,
-                   277 / 14336, 1 / 4])
+_CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
+_CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 
 
 def _rk4_step(f, z, h):
+    """One classical RK4 step on the float list z."""
     k1 = f(z)
-    k2 = f(z + 0.5 * h * k1)
-    k3 = f(z + 0.5 * h * k2)
-    k4 = f(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h2 = 0.5 * h
+    k2 = f([a + h2 * b for a, b in zip(z, k1)])
+    k3 = f([a + h2 * b for a, b in zip(z, k2)])
+    k4 = f([a + h * b for a, b in zip(z, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+
+
+def _combine(z, h, weights, ks):
+    """z + h * sum_s weights[s] * ks[s], the stages summed in order."""
+    return [a + h * sum(w * k for w, k in zip(weights, col))
+            for a, col in zip(z, zip(*ks))]
 
 
 def _ck_step(f, z, h):
+    """One Cash-Karp trial step on the float list z: the fifth-order
+    result and the fourth-order one."""
     ks = [f(z)]
     for row in _CK_A[1:]:
-        ks.append(f(z + h * sum(a * k for a, k in zip(row, ks))))
-    ks = np.array(ks)
-    z5 = z + h * (_CK_B5 @ ks)
-    z4 = z + h * (_CK_B4 @ ks)
-    return z5, float(np.max(np.abs(z5 - z4)))
+        ks.append(f(_combine(z, h, row, ks)))
+    return _combine(z, h, _CK_B5, ks), _combine(z, h, _CK_B4, ks)
+
+
+def _finite(z):
+    if not all(map(math.isfinite, z)):
+        raise NumericalFailure("reduced flow: non-finite state after a step")
+    return z
 
 
 def step_count(t_max: float, dt: float) -> int:
@@ -214,16 +236,16 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     require_size(point0.n, params)
     step, counts = sample_times(t_max, dt, sample_every)
     n = point0.n
-    f = lambda z: np.concatenate(reduced_rhs(z[:n], z[n:], params))
+    a2, b2, c2 = abc_from_params(params)
+    sk = FLOW_SIGN * FLOW_TIME_SCALE
 
-    def finite(z):
-        if not np.all(np.isfinite(z)):
-            raise NumericalFailure("reduced flow: non-finite state after a step")
-        return z
+    def f(z):
+        _, dh_dq, dh_dp = _q_chart(z[:n], z[n:], a2, b2, c2)
+        return [sk * v for v in dh_dp] + [-sk * v for v in dh_dq]
 
     def rk4_steps(t, z, k0, k):
         for j in range(k0 + 1, k + 1):
-            z = finite(_rk4_step(f, z, step))
+            z = _finite(_rk4_step(f, z, step))
             yield j * step, z
 
     h = dt
@@ -234,35 +256,31 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
         while t < t_target:
             h = min(h, t_target - t)
             try:
-                z_new, err = _ck_step(f, z, h)
-                finite(z_new)
+                z5, z4 = _ck_step(f, z, h)
+                err = max(abs(a - b) for a, b in zip(_finite(z5), _finite(z4)))
             except (ChamberViolation, SeparationViolation, NumericalFailure):
-                err = np.inf        # a stage left the chamber or overflowed
-            scale = RK45_ATOL + RK45_RTOL * float(np.max(np.abs(z)))
+                err = math.inf      # a stage left the chamber or overflowed
+            scale = RK45_ATOL + RK45_RTOL * max(map(abs, z))
             if err <= scale:
                 t += h
-                z = z_new
+                z = z5
                 yield t, z
             elif h < RK45_MIN_STEP:
                 raise NumericalFailure(f"rk45: step {h:.3g} rejected at t = {t:.10g}")
             h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
 
     steps = rk4_steps if method == "rk4" else rk45_steps
-    t, z = 0.0, np.concatenate([point0.q, point0.p])
+    t, z = 0.0, point0.q.tolist() + point0.p.tolist()
     kept = [(t, z)]         # (t, z) of each sample, evaluated after the stepping
     approached = False
-    # An overflowing stage or step raises NumericalFailure (`grad_hamiltonian`,
-    # `finite`), so numpy's warnings would only add noise.  One context for
-    # all steps: entering one per step slows the stepping measurably.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k in zip(counts.tolist(), counts[1:].tolist()):
-            for t, z in steps(t, z, k0, k):
-                approached = separation_margin(z[:n], params.coupling_sq) < WALL_MARGIN
-                if approached:
-                    break
+    for k0, k in zip(counts.tolist(), counts[1:].tolist()):
+        for t, z in steps(t, z, k0, k):
+            approached = separation_margin(z[:n], c2) < WALL_MARGIN
             if approached:
                 break
-            kept.append((t, z))
+        if approached:
+            break
+        kept.append((t, z))
 
     times, zs = zip(*kept)
     rows = np.array(zs)

@@ -24,11 +24,14 @@ which in the three-constant form reads
 The reduced Poisson bracket carries a factor 1/2 (the reduced symplectic
 form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 
-`hamiltonian_q` and `grad_hamiltonian` are one kernel, which builds the
-pair factors 1 - c^2 / (4 sinh^2(q_i - q_k)) and their log-derivatives
-once and checks the chart: finite, strictly decreasing and separated q.
-`hamiltonian_sigma`, the independent Sigma-chart form, also takes
-(T, n) stacks.  `fd_gradient` passes the 8n stencil rows of a point to
+`hamiltonian_q`, `grad_hamiltonian` and the reduced ODE's stages share
+one kernel, `_q_chart`, which checks the chart (finite, strictly
+decreasing and separated q) and runs in Python floats: one loop over the
+pairs builds each factor 1 - c^2 / (4 sinh^2(q_i - q_k)) once.  Up to
+n = 8 that is faster than numpy's calls on arrays of 1 to 64 entries;
+being O(n^2) in the interpreter, it is slower from about n = 10.
+`hamiltonian_sigma`, the independent Sigma-chart form, takes (T, n)
+stacks.  `fd_gradient` passes the 8n stencil rows of a point to
 its function through `matops.map_chunks`, and `involution_report`
 assembles each chunk of them as one stack.
 """
@@ -36,6 +39,7 @@ assembles each chunk of them as one stack.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -131,43 +135,93 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams):
 
 
 def _q_chart(q, p, a2: float, b2: float, c2: float):
-    """(H, dH/dq, dH/dp) of the three-constant form at 1-d q, p.
+    """(H, dH/dq, dH/dp) of the three-constant form at one point: q and p
+    are lists of n floats, the gradients lists.
 
-    Raises NumericalFailure (non-finite q, as from an overflowed RK
-    stage), ChamberViolation (unordered q) or SeparationViolation (a pair
-    factor 1 - c2 / (4 sinh^2(q_i - q_k)) <= 0).
+    Each pair i < k gives its factor f = 1 - c2 / (4 sinh^2(q_i - q_k))
+    and dl = d log sqrt(f) / d q_i once; the (k, i) entry is -dl.  A pair
+    whose sinh overflows has its float64 limit: factor 1, dl = 0.  Other
+    overflows give the IEEE value (an overflowing e^{-2 q_i} is inf, cos
+    and sin of an infinite p are NaN), so an overflowed RK stage fails at
+    the next stage's q.  Raises NumericalFailure (non-finite q),
+    ChamberViolation (unordered q) or SeparationViolation (f <= 0).
     """
+    n = len(q)
     # ordered q is finite when its ends are: a NaN fails the order test
-    ordered = q.size < 2 or (q[1:] < q[:-1]).all()
-    if not (ordered and math.isfinite(q[0]) and math.isfinite(q[-1])):
+    if not (all(map(operator.gt, q, q[1:])) and math.isfinite(q[0])
+            and math.isfinite(q[-1])):
+        q = np.array(q, dtype=float)
         if not np.isfinite(q).all():
             raise NumericalFailure(f"non-finite positions q = {q}")
         raise ChamberViolation(f"q must be strictly decreasing, got {q}")
-    u = np.exp(-2.0 * q)
-    radicand = 1.0 + (1.0 + b2) * u + b2 * u ** 2
-    bracket = np.sqrt(radicand)
-    d = q[:, None] - q[None, :]
-    sh = np.sinh(d)
-    sh.flat[::q.size + 1] = np.inf      # the diagonal factor is 1
-    ratio = c2 / (4.0 * sh ** 2)
-    fac = 1.0 - ratio
-    if fac.min() <= 0.0:
-        raise SeparationViolation("non-positive interaction radicand")
-    prod = np.sqrt(fac).prod(axis=1)
-    # dlog[i, k] = d log sqrt(fac[i, k]) / d q_i = -d log sqrt(fac[i, k]) / d q_k
-    dlog = ratio * (np.cosh(d) / sh) / fac
-    cw = np.cos(p) * bracket * prod
-    dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
-    dh_dq = -2.0 * a2 * u - cw * (dlog_bracket + dlog.sum(axis=1)) + cw @ dlog
-    return a2 * u.sum() - cw.sum(), dh_dq, np.sin(p) * bracket * prod
+    prod = [1.0] * n
+    rowsum = [0.0] * n
+    pairs = []
+    for i in range(n - 1):
+        qi = q[i]
+        for k in range(i + 1, n):
+            d = qi - q[k]
+            try:
+                sh, ch = math.sinh(d), math.cosh(d)
+            except OverflowError:
+                continue
+            try:
+                ratio = c2 / (4.0 * (sh * sh))
+            except ZeroDivisionError:   # sinh^2 underflows: ratio inf
+                ratio = math.inf
+            fac = 1.0 - ratio
+            if not fac > 0.0:
+                raise SeparationViolation("non-positive interaction radicand")
+            root = math.sqrt(fac)
+            prod[i] *= root
+            prod[k] *= root
+            dl = ratio * (ch / sh) / fac
+            rowsum[i] += dl
+            rowsum[k] -= dl
+            pairs.append((i, k, dl))
+    h_u = h_cw = 0.0
+    dh_dq, dh_dp, cw, cross = [], [], [], [0.0] * n
+    for qi, pi, pr, rs in zip(q, p, prod, rowsum):
+        try:
+            u = math.exp(-2.0 * qi)
+        except OverflowError:
+            u = math.inf
+        radicand = 1.0 + (1.0 + b2) * u + b2 * (u * u)
+        bracket = math.sqrt(radicand)
+        try:
+            cos_p, sin_p = math.cos(pi), math.sin(pi)
+        except ValueError:          # p = +-inf
+            cos_p = sin_p = math.nan
+        cwi = cos_p * bracket * pr
+        dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
+        dh_dq.append(-2.0 * a2 * u - cwi * (dlog_bracket + rs))
+        dh_dp.append(sin_p * bracket * pr)
+        cw.append(cwi)
+        h_u += u
+        h_cw += cwi
+    # the cross term sum_i cw_i dlog[i, k], in the order of i
+    for i, k, dl in pairs:
+        cross[k] += cw[i] * dl
+        cross[i] -= cw[k] * dl
+    return (a2 * h_u - h_cw, [g + c for g, c in zip(dh_dq, cross)], dh_dp)
+
+
+def _closed_form(q, p, a2: float, b2: float, c2: float):
+    """`_q_chart` at 1-d array-likes, refusing a non-finite result."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if q.shape != p.shape or q.ndim != 1:
+        raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
+    h, dh_dq, dh_dp = _q_chart(q.tolist(), p.tolist(), a2, b2, c2)
+    if not all(map(math.isfinite, [h, *dh_dq, *dh_dp])):
+        raise NumericalFailure(f"non-finite closed form at q = {q}, p = {p}")
+    return h, dh_dq, dh_dp
 
 
 def hamiltonian_q(q, p, a2: float, b2: float, c2: float) -> float:
     """Three-constant form of the Hamiltonian in the (q, p) chart; raises
     as `grad_hamiltonian` does."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return float(_q_chart(q, p, a2, b2, c2)[0])
+    return _closed_form(q, p, a2, b2, c2)[0]
 
 
 def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
@@ -178,10 +232,11 @@ def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
 
 def grad_hamiltonian(q, p, params: ModelParams):
     """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at 1-d
-    arrays.  Raises NumericalFailure for non-finite q, ChamberViolation
-    for unordered q and SeparationViolation past the wall."""
-    _, dh_dq, dh_dp = _q_chart(q, p, *abc_from_params(params))
-    return dh_dq, dh_dp
+    arrays.  Raises NumericalFailure for non-finite q or a non-finite
+    result (e^{-2q} overflows), ChamberViolation for unordered q and
+    SeparationViolation past the wall."""
+    _, dh_dq, dh_dp = _closed_form(q, p, *abc_from_params(params))
+    return np.array(dh_dq), np.array(dh_dp)
 
 
 def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None):

@@ -34,6 +34,7 @@ configurations (agreement to ~1e-7 relative).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,25 @@ class LimitParams:
     zeta: float
 
     def params_at(self, t: float, n: int) -> ModelParams:
-        """Model parameters at scale t; requires t > 0 and zeta != 0.  A
-        rate whose exp(t *) overflows gives InvalidInput from
-        `make_params`."""
+        """Model parameters at scale t; requires t > 0 and zeta != 0.
+        Raises InvalidInput naming the rate and t when exp(t * rate)
+        over- or underflows, and naming all three rates and t when
+        `make_params` rejects the parameters they give."""
         if not (0.0 < t <= 0.1):
             raise InvalidInput("t must lie in (0, 0.1]")
+        rates = {"zeta": self.zeta, "xi": self.xi, "eta": self.eta}
         with np.errstate(over="ignore"):
-            alpha, x, y = (np.exp(t * r) for r in (self.zeta, self.xi, self.eta))
-        return make_params(alpha, x, y, n)
+            alpha, x, y = (np.exp(t * r) for r in rates.values())
+        for (name, rate), value in zip(rates.items(), (alpha, x, y)):
+            if not 0.0 < value < math.inf:
+                raise InvalidInput(f"{name} = {rate:g} at t = {t:g} gives "
+                                   f"exp(t {name}) = {float(value):g}; it must be "
+                                   "positive and finite")
+        try:
+            return make_params(alpha, x, y, n)
+        except InvalidInput as exc:
+            raise InvalidInput(f"xi = {self.xi:g}, eta = {self.eta:g}, zeta = "
+                               f"{self.zeta:g} at t = {t:g}: {exc}") from None
 
     def coefficients(self):
         """(c1, c2, c3) of the limiting Hamiltonian (ordered-pair basis)."""

@@ -22,6 +22,7 @@ Hamiltonian and are built in `hamiltonians` only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +179,22 @@ def cartan_from_q(q, params: ModelParams) -> CartanData:
     )
 
 
-def separation_margin(q: np.ndarray, c2: float):
+def separation_margin(q, c2: float):
     """min_i 4 sinh^2(q_i - q_{i+1}) - c2: the smallest pairwise margin
     4 sinh^2(q_i - q_k) - c2 for ordered q (the closest pair is adjacent),
     negative for unordered q, inf for one particle.  A (k, n) stack of
-    positions gives the k margins."""
+    positions gives the k margins.  A list of floats (one point, as
+    `dynamics.integrate_reduced` steps it) is evaluated in Python floats,
+    a gap past sinh's range counting as +-inf as in numpy."""
+    if isinstance(q, list):
+        margin = math.inf
+        for d in map(operator.sub, q, q[1:]):
+            try:
+                s = math.sinh(d)
+            except OverflowError:
+                s = math.copysign(math.inf, d)
+            margin = min(margin, 4.0 * s * abs(s))
+        return margin - c2
     s = np.sinh(q[..., :-1] - q[..., 1:])
     margin = (4.0 * s * np.abs(s)).min(axis=-1, initial=math.inf) - c2
     return float(margin) if margin.ndim == 0 else margin

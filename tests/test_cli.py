@@ -282,6 +282,13 @@ class TestUsageErrors:
         assert out == "" and caught == []
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--xi=1e8", "--xi=-1e8", "--eta=1e8", "--zeta=1e8"])
+    def test_out_of_range_limit_rate_names_the_rate(self, capsys, flag):
+        code, out, err = run_cli(capsys, "limit", flag)
+        assert code == 1 and out == ""
+        name, value = flag[2:].split("=")
+        assert err.startswith(f"error: {name} = {float(value):g} at t = ")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "-h"])

@@ -26,7 +26,8 @@ from bcn_ruijsenaars.errors import (
     NumericalFailure,
     SeparationViolation,
 )
-from bcn_ruijsenaars.hamiltonians import grad_hamiltonian, phi_trace, spectral_invariants
+from bcn_ruijsenaars.hamiltonians import (_q_chart, grad_hamiltonian, phi_trace,
+                                          spectral_invariants)
 from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
@@ -217,22 +218,23 @@ class TestIntegrateReduced:
         expected = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
         calls = []
 
-        def failing_once(q, p, params):
+        def failing_once(*args):
             calls.append(None)
             if len(calls) == 2:
                 raise NumericalFailure("non-finite positions")
-            return grad_hamiltonian(q, p, params)
+            return _q_chart(*args)
 
-        monkeypatch.setattr(dynamics, "grad_hamiltonian", failing_once)
+        monkeypatch.setattr(dynamics, "_q_chart", failing_once)
         run = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
+        assert len(calls) > 2
         assert np.array_equal(run.times, expected.times)
         assert np.max(np.abs(run.q - expected.q)) < 1e-8
         assert np.max(np.abs(wrap_angle(run.p - expected.p))) < 1e-8
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_non_finite_state_raises(self, method, monkeypatch):
-        nan = np.full(2, np.nan)
-        monkeypatch.setattr(dynamics, "grad_hamiltonian", lambda *a, **k: (nan, nan))
+        nan = [np.nan] * 2
+        monkeypatch.setattr(dynamics, "_q_chart", lambda *a: (np.nan, nan, nan))
         with pytest.raises(NumericalFailure):
             integrate_reduced(POINT2, PARAMS2, 0.1, 1e-2, method=method)
 
@@ -257,10 +259,10 @@ class TestIntegrateReduced:
             integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, method="euler")
 
     def test_size_mismatch_raises_before_stepping(self, monkeypatch):
-        def no_rhs(*args):
-            raise AssertionError("reduced_rhs called")
+        def no_stage(*args):
+            raise AssertionError("_q_chart called")
 
-        monkeypatch.setattr(dynamics, "reduced_rhs", no_rhs)
+        monkeypatch.setattr(dynamics, "_q_chart", no_stage)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
             integrate_reduced(POINT2, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
 

@@ -160,6 +160,8 @@ class TestClosedForms:
         for q, error, message in (
                 ([-1.0, 1.0], ChamberViolation, r"q must be strictly decreasing, got \["),
                 ([0.1, 0.0], SeparationViolation, "non-positive interaction radicand"),
+                # sinh^2(1e-160) underflows to 0: the factor is -inf
+                ([1e-160, 0.0], SeparationViolation, "non-positive interaction radicand"),
                 ([0.3, np.inf], NumericalFailure, r"non-finite positions q = \[")):
             with pytest.raises(error, match=message):
                 hamiltonian_q(q, [0.0, 0.0], *abc_from_params(params))
@@ -250,6 +252,82 @@ class TestGradient:
             dq, dp = fd_gradient(lambda q, p, _pr: p[:, i], pt, params)
             assert dq == pytest.approx(zero, abs=1e-8)
             assert dp == pytest.approx(eye[i], abs=1e-8)
+
+
+def _numpy_q_chart(q, p, a2, b2, c2):
+    """(H, dH/dq, dH/dp) of the three-constant form by broadcasting numpy
+    over all (i, k) pairs, the diagonal's sinh set to inf: an independent
+    oracle for the one-point kernel, which goes pair by pair in floats."""
+    u = np.exp(-2.0 * q)
+    radicand = 1.0 + (1.0 + b2) * u + b2 * u ** 2
+    bracket = np.sqrt(radicand)
+    d = q[:, None] - q[None, :]
+    sh = np.sinh(d)
+    sh.flat[::q.size + 1] = np.inf
+    ratio = c2 / (4.0 * sh ** 2)
+    fac = 1.0 - ratio
+    prod = np.sqrt(fac).prod(axis=1)
+    dlog = ratio * (np.cosh(d) / sh) / fac
+    cw = np.cos(p) * bracket * prod
+    dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
+    dh_dq = -2.0 * a2 * u - cw * (dlog_bracket + dlog.sum(axis=1)) + cw @ dlog
+    return a2 * u.sum() - cw.sum(), dh_dq, np.sin(p) * bracket * prod
+
+
+class TestQChartKernel:
+    @pytest.mark.parametrize("n", [*range(1, 9), 16])
+    def test_matches_the_broadcasting_formula(self, n):
+        # relative to the largest term, a2 sum e^{-2q}: H cancels it
+        # against the cos(p) sum at low q
+        rng = np.random.default_rng(90 + n)
+        for alpha in (0.3, 0.6, 0.9):
+            params = make_params(alpha, 1.2, 0.8, n)
+            abc = abc_from_params(params)
+            for _ in range(10):
+                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+                h, dq, dp = hamiltonians._q_chart(pt.q.tolist(), pt.p.tolist(), *abc)
+                ref_h, ref_dq, ref_dp = _numpy_q_chart(pt.q, pt.p, *abc)
+                scale = max(1.0, abc[0] * float(np.exp(-2.0 * pt.q).sum()),
+                            float(np.max(np.abs(ref_dq))), float(np.max(np.abs(ref_dp))))
+                assert abs(h - ref_h) <= 1e-13 * scale
+                assert np.max(np.abs(np.array(dq) - ref_dq)) <= 1e-13 * scale
+                assert np.max(np.abs(np.array(dp) - ref_dp)) <= 1e-13 * scale
+
+    def test_pair_past_the_sinh_range_has_its_limit(self):
+        # sinh(800) overflows: the pair's factor is 1 and its log-derivative
+        # 0, so each particle moves as it would alone (not NaN)
+        params = make_params(0.5, 1, 1, 2)
+        q, p = np.array([800.0, 0.0]), np.array([0.3, 0.2])
+        dq, dp = grad_hamiltonian(q, p, params)
+        alone = [grad_hamiltonian(q[i:i + 1], p[i:i + 1], params) for i in range(2)]
+        assert dq.tolist() == [a[0][0] for a in alone]
+        assert dp.tolist() == [a[1][0] for a in alone]
+        abc = abc_from_params(params)
+        assert hamiltonian_q(q, p, *abc) == pytest.approx(
+            sum(hamiltonian_q(q[i:i + 1], p[i:i + 1], *abc) for i in range(2)), rel=1e-15)
+
+    def test_overflowing_exponential_is_a_numerical_failure(self):
+        # e^{-2q} overflows at q = -400: an error naming q, not NaN
+        params = make_params(0.5, 1, 1, 2)
+        q, p = np.array([0.0, -400.0]), np.array([0.3, 0.2])
+        message = r"non-finite closed form at q = \[   0. -400.\]"
+        with pytest.raises(NumericalFailure, match=message):
+            grad_hamiltonian(q, p, params)
+        with pytest.raises(NumericalFailure, match=message):
+            hamiltonian_q(q, p, *abc_from_params(params))
+
+    def test_infinite_p_is_a_numerical_failure(self):
+        # cos(inf) is NaN, as in numpy: an error, not a NaN result
+        params = make_params(0.5, 1, 1, 2)
+        with pytest.raises(NumericalFailure, match="non-finite closed form"):
+            grad_hamiltonian(np.array([1.0, -1.0]), np.array([np.inf, 0.2]), params)
+
+    def test_q_and_p_of_different_lengths_are_invalid(self):
+        params = make_params(0.5, 1, 1, 2)
+        with pytest.raises(InvalidInput, match="1-d of equal length"):
+            hamiltonian_q([1.0, -1.0], [0.1], *abc_from_params(params))
+        with pytest.raises(InvalidInput, match="1-d of equal length"):
+            grad_hamiltonian(np.array([1.0, -1.0]), np.zeros(3), params)
 
 
 def _loop_report(params, points, max_order, h0=2.5e-4):

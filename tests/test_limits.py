@@ -32,6 +32,19 @@ class TestSubstitution:
         with pytest.raises(InvalidInput):
             LP.params_at(0.2, 2)
 
+    @pytest.mark.parametrize("lp,t,message", [
+        (LimitParams(1e8, -0.2, 0.4), 5e-5, r"xi = 1e\+08 at t = 5e-05 gives exp\(t xi\) = inf"),
+        (LimitParams(-1e8, -0.2, 0.4), 5e-5, r"xi = -1e\+08 at t = 5e-05 gives exp\(t xi\) = 0"),
+        (LimitParams(0.3, 1e8, 0.4), 5e-5, r"eta = 1e\+08 at t = 5e-05"),
+        (LimitParams(0.3, -0.2, -1e8), 5e-5, r"zeta = -1e\+08 at t = 5e-05"),
+        # exp(t xi) is finite, but b^2 = y^2 / x^2 underflows
+        (LimitParams(1e5, -0.2, 0.4), 5e-3,
+         r"xi = 100000, eta = -0.2, zeta = 0.4 at t = 0.005: .* b\^2 = 0"),
+    ], ids=["xi-overflows", "xi-underflows", "eta", "zeta", "b2-underflows"])
+    def test_out_of_range_rate_is_named(self, lp, t, message):
+        with pytest.raises(InvalidInput, match=message):
+            lp.params_at(t, 2)
+
 
 class TestExpansionHead:
     def test_h0_is_minus_n(self):
