@@ -21,6 +21,7 @@ from bcn_ruijsenaars import (
     random_admissible_point,
     weyl_check,
 )
+from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW
 
 rng = np.random.default_rng(11)
 params = make_params(alpha=0.5, x=1.1, y=0.9, n=3)
@@ -37,8 +38,7 @@ for k in range(4):
           f"|diff| {abs(three_const - closed):.2e}")
 
 print("\ninvolution |{Phi_mu, Phi_nu}| (finite-difference brackets):")
-pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
-                               margin_factor=1.2, max_stretch=0)
+pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
        for _ in range(8)]
 rep = involution_report(params, pts, max_order=3)
 print(np.array2string(rep.bracket_matrix, formatter={"float": "{:9.2e}".format}))

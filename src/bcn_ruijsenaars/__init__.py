@@ -74,6 +74,6 @@ from .limits import (
     richardson_H2,
     sutherland_H2,
 )
-from .sampling import random_admissible_point
+from .sampling import random_admissible_point, random_admissible_points
 
 __version__ = "0.1.0"

@@ -41,18 +41,13 @@ from .dynamics import (
     step_count,
     trajectory_csv_text,
 )
-from .errors import (
-    BCNError,
-    ChamberViolation,
-    InvalidInput,
-    SeparationViolation,
-)
-from .hamiltonians import involution_report
+from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
+from .hamiltonians import BRACKET_DRAW, involution_report
 from .limits import LimitParams, limit_convergence
 from .matops import chunk_rows
 from .model import ReducedPoint, make_params
 from .reconstruction import assemble, constraint_residuals
-from .sampling import random_admissible_point
+from .sampling import random_admissible_point, random_admissible_points
 
 _VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation)
 
@@ -89,8 +84,7 @@ def _kv_csv(payload: dict) -> str:
         else:
             flat[key] = val
     lines = ["key,value"]
-    for key in sorted(flat):
-        val = flat[key]
+    for key, val in sorted(flat.items()):
         if isinstance(val, (list, tuple, np.ndarray)):
             val = ";".join(_fmt(float(v)) for v in np.ravel(np.asarray(val)))
         elif isinstance(val, float):
@@ -105,18 +99,14 @@ def _report_text(payload: dict, fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
-    if args.samples < 1:
-        raise InvalidInput(f"--samples must be positive, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     size = chunk_rows(2 * params.n)
     per_constraint: dict = {}
     # one chunk of points drawn and checked at a time, so the memory does
     # not grow with --samples; fmax from 0, as a running max, skips a NaN
     for start in range(0, args.samples, size):
-        points = [random_admissible_point(rng, params)
-                  for _ in range(min(size, args.samples - start))]
-        res = constraint_residuals(np.array([pt.q for pt in points]),
-                                   np.array([pt.p for pt in points]), params)
+        q, p = random_admissible_points(rng, params, min(size, args.samples - start))
+        res = constraint_residuals(q, p, params)
         for name, r in res.items():
             per_constraint[name] = float(np.fmax.reduce(
                 r, initial=per_constraint.get(name, 0.0)))
@@ -147,15 +137,14 @@ def _initial_point(args, params):
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
         point = ReducedPoint(q=q, p=p)
         return point, assemble(point, params)[0].g
-    rng = np.random.default_rng(args.seed)
-    return random_admissible_point(rng, params), None
+    return random_admissible_point(np.random.default_rng(args.seed), params), None
 
 
 def cmd_simulate(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
     point, g0 = _initial_point(args, params)
     n_steps = step_count(args.t_max, args.dt)
-    stride = max(1, n_steps // max(1, args.sample_count))
+    stride = max(1, n_steps // args.sample_count)
 
     reduced = exact = None
     if args.method in ("reduced", "both"):
@@ -194,13 +183,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_involution(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
-    rng = np.random.default_rng(args.seed)
-    # bounded positions keep the higher traces small enough for the
-    # absolute bracket tolerance to be meaningful in double precision
-    pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
-                                   margin_factor=1.2, max_stretch=0)
-           for _ in range(args.points)]
-    rep = involution_report(params, pts, max_order=args.max_order)
+    q, p = random_admissible_points(np.random.default_rng(args.seed), params,
+                                    args.points, **BRACKET_DRAW)
+    rep = involution_report(params, [ReducedPoint(*pt) for pt in zip(q, p)],
+                            max_order=args.max_order)
     payload = {**vars(rep), "alpha": params.alpha, "x": params.x, "y": params.y,
                "n": params.n, "points": args.points, "seed": args.seed,
                "tol": args.tol, "pass": rep.max_abs < args.tol}
@@ -211,8 +197,6 @@ def cmd_involution(args) -> int:
 def cmd_limit(args) -> int:
     lp = LimitParams(xi=args.xi, eta=args.eta, zeta=args.zeta)
     rng = np.random.default_rng(args.seed)
-    if args.n < 1:
-        raise InvalidInput(f"--n must be positive, got {args.n}")
     if args.q is not None:
         q = _parse_vector(args.q)
     else:
@@ -228,6 +212,17 @@ def cmd_limit(args) -> int:
                "n": args.n, "q": q, "pi": pi_vec, "seed": args.seed}
     _emit(_report_text(payload, args.format), args.output)
     return 0 if rep.passes else 2
+
+
+def _positive(kind):
+    """An argparse type: a `kind` value that must be positive and finite."""
+    def value(text):
+        number = kind(text)
+        if not 0 < number < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return number
+    value.__name__ = kind.__name__      # named in "invalid int value: ..."
+    return value
 
 
 def _add_model_flags(sp):
@@ -265,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="random-point constraint residual suite")
     _add_model_flags(sp)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--samples", type=_positive(int), default=100)
+    sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="trajectory CSV (reduced/exact/both)")
@@ -278,20 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("reduced", "exact", "both"),
                     default="reduced")
     sp.add_argument("--integrator", choices=("rk4", "rk45"), default="rk4")
-    sp.add_argument("--sample-count", dest="sample_count", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-6,
+    sp.add_argument("--sample-count", dest="sample_count", type=_positive(int), default=100)
+    sp.add_argument("--tol", type=_positive(float), default=1e-6,
                     help="deviation tolerance for --method both")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("involution", help="Poisson-bracket matrix of the family")
     _add_model_flags(sp)
-    sp.add_argument("--points", type=int, default=20)
+    sp.add_argument("--points", type=_positive(int), default=20)
     sp.add_argument("--max-order", dest="max_order", type=int, default=3)
-    sp.add_argument("--tol", type=float, default=1e-5)
+    sp.add_argument("--tol", type=_positive(float), default=1e-5)
     sp.set_defaults(func=cmd_involution)
 
     sp = sub.add_parser("limit", help="cotangent-bundle limit convergence report")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=_positive(int), default=2)
     sp.add_argument("--xi", type=float, default=0.3)
     sp.add_argument("--eta", type=float, default=-0.2)
     sp.add_argument("--zeta", type=float, default=0.4)

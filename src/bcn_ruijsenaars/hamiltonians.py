@@ -275,6 +275,11 @@ def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None
 #: step at h/2)
 BRACKET_STEP = 2.5e-4
 
+#: sampler arguments of the points of `bcn involution`: bounded positions keep
+#: the higher traces small enough for an absolute bracket tolerance to be
+#: meaningful in double precision
+BRACKET_DRAW = {"q_range": (-0.95, 0.95), "margin_factor": 1.2, "max_stretch": 0}
+
 
 @dataclass(frozen=True)
 class InvolutionReport:

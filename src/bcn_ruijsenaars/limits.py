@@ -114,16 +114,13 @@ def phi_linearized(q, pi_vec, lp: LimitParams, t: float) -> float:
 def _potential_basis(hq: np.ndarray):
     """(sum 1/sinh^2 qhat_i, sum 1/sinh^2 2qhat_i, ordered-pair sum): the
     three potential terms of H2 without their coefficients."""
-    n = hq.size
-    pairs = 0.0
-    if n > 1:
-        plus = hq[:, None] + hq[None, :]
-        minus = hq[:, None] - hq[None, :]
-        mask = ~np.eye(n, dtype=bool)
-        if np.any(np.sinh(plus[mask]) == 0.0) or np.any(np.sinh(minus[mask]) == 0.0):
-            raise InvalidInput("coinciding or opposite hat_q entries")
-        pairs = float(np.sum(1.0 / np.sinh(plus[mask]) ** 2
-                             + 1.0 / np.sinh(minus[mask]) ** 2))
+    # the off-diagonal entries; one particle has none, and a pair sum of 0
+    mask = ~np.eye(hq.size, dtype=bool)
+    plus = (hq[:, None] + hq[None, :])[mask]
+    minus = (hq[:, None] - hq[None, :])[mask]
+    if np.any(np.sinh(plus) == 0.0) or np.any(np.sinh(minus) == 0.0):
+        raise InvalidInput("coinciding or opposite hat_q entries")
+    pairs = float(np.sum(1.0 / np.sinh(plus) ** 2 + 1.0 / np.sinh(minus) ** 2))
     return (float(np.sum(1.0 / np.sinh(hq) ** 2)),
             float(np.sum(1.0 / np.sinh(2.0 * hq) ** 2)), pairs)
 
@@ -189,8 +186,9 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
     pi_vec = np.atleast_1d(np.asarray(pi_vec, dtype=float))
     ts = np.sort(np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID,
                             dtype=float))
-    if ts.size < 4 or ts[0] <= 0.0 or ts[-1] > 0.05:
-        raise InvalidInput("t_grid needs >= 4 points inside (0, 0.05]")
+    # 4 distinct points of the sorted grid make 3 rises
+    if np.count_nonzero(np.diff(ts) > 0.0) < 3 or ts[0] <= 0.0 or ts[-1] > 0.05:
+        raise InvalidInput("t_grid needs >= 4 distinct points inside (0, 0.05]")
     n = q.size
     hq, hp = hat_coords(q, pi_vec)
     h2 = sutherland_H2(hq, hp, lp.xi, lp.eta, lp.zeta)
@@ -231,8 +229,7 @@ def fit_potential_coefficients(lp: LimitParams, rng: np.random.Generator):
             hq, _ = hat_coords(q, np.zeros(n))
             rows.append(_potential_basis(hq))
             vals.append(richardson_H2(q, np.zeros(n), lp))
-    a = np.array(rows)
-    b = np.array(vals)
+    a, b = np.array(rows), np.array(vals)
     c_fit, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     rms = float(np.sqrt(np.mean((a @ c_fit - b) ** 2)))
     return c_fit, rms

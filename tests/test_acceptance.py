@@ -23,6 +23,7 @@ from bcn_ruijsenaars.dynamics import (
     project_flow,
 )
 from bcn_ruijsenaars.hamiltonians import (
+    BRACKET_DRAW,
     hamiltonian_q,
     hamiltonian_sigma,
     involution_report,
@@ -138,8 +139,7 @@ def test_criterion_05_involution():
     for n in (1, 2, 3):
         rng = np.random.default_rng(5000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
-                                       margin_factor=1.2, max_stretch=0)
+        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
                for _ in range(20)]
         rep = involution_report(params, pts, max_order=3)
         worst = max(worst, rep.max_abs)

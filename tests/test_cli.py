@@ -46,6 +46,13 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "7")
         assert out1 == out2
 
+    def test_sampler_give_up_names_stage_and_quantity(self, capsys):
+        # no seed draws 40 separated positions on [-2, 2] with 4 stretches
+        code, out, err = run_cli(capsys, "verify", "--n", "40", "--samples", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: sampling: 2000 candidates in a row "
+                              "at n = 40, alpha = 0.5 miss the separation margin")
+
 
 class TestSimulate:
     def test_both_methods_agree(self, capsys):
@@ -234,7 +241,8 @@ class TestConfigFile:
         (("simulate", "--t-max", "0.01"), {"method": "euler"}),
         (("verify",), {"samples": [3]}),
         (("verify",), {"samples": True}),
-    ], ids=["float-for-int", "bad-choice", "list", "bool"])
+        (("verify",), {"tol": "nan"}),
+    ], ids=["float-for-int", "bad-choice", "list", "bool", "nan-tol"])
     def test_values_checked_like_flags(self, capsys, tmp_path, argv, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -264,6 +272,34 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--samples", "3"),
+        ("involution", "--points", "1"),
+        ("simulate", "--n", "1", "--q", "0", "--p", "0", "--t-max", "0.01", "--method", "both"),
+    ], ids=lambda argv: argv[0])
+    def test_tol_must_be_positive_and_finite(self, capsys, argv, tol):
+        # nan and a non-positive tol could never pass, inf always would
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.endswith(f"\nerror: argument --tol: must be positive and finite, got {tol}\n")
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_sample_count_below_one_exits_1(self, capsys, count):
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--q", "0", "--p", "0",
+                                 "--t-max", "0.01", "--sample-count", count)
+        assert code == 1 and out == ""
+        assert err.endswith("\nerror: argument --sample-count: must be positive and finite, "
+                            f"got {count}\n")
+
+    def test_limit_grid_of_one_repeated_point_exits_1(self, capsys):
+        # four copies of one scale leave no decay order to fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "limit", "--t-grid", "1e-3,1e-3,1e-3,1e-3")
+        assert code == 1 and out == ""
+        assert "t_grid needs >= 4 distinct points" in err
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--x", "inf", "--t-max", "0.01", "--dt", "1e-3"),

@@ -9,6 +9,7 @@ import bcn_ruijsenaars.hamiltonians as hamiltonians
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
                                     NumericalFailure, SeparationViolation)
 from bcn_ruijsenaars.hamiltonians import (
+    BRACKET_DRAW,
     fd_gradient,
     grad_hamiltonian,
     hamiltonian_q,
@@ -369,8 +370,7 @@ class TestInvolution:
         # alpha 0.9 leaves room for six separated positions in the range
         rng = np.random.default_rng(59 + n)
         params = make_params(0.6 if n < 5 else 0.9, 1.2, 0.8, n)
-        pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
-                                       margin_factor=1.2, max_stretch=0)
+        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
                for _ in range(3)]
         rep = involution_report(params, pts, max_order=max_order)
         mat, worst, max_abs = _loop_report(params, pts, max_order)
@@ -394,8 +394,7 @@ class TestInvolution:
         monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
         rng = np.random.default_rng(61)
         params = make_params(0.9, 1.2, 0.8, 6)
-        pts = [random_admissible_point(rng, params, q_range=(-0.95, 0.95),
-                                       margin_factor=1.2, max_stretch=0)
+        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
                for _ in range(2)]
         involution_report(params, pts, max_order=3)
         assert sizes == [28, 20, 28, 20]

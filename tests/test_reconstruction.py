@@ -364,19 +364,19 @@ class TestStackedCore:
         # the `verify --n 8` run of 200 points, in chunks of 4096 // 16^2
         # rows, each drawn just before it is checked
         rows, drawn = [], []
-        core, draw = reconstruction.assemble_stack, cli.random_admissible_point
+        core, draw = reconstruction.assemble_stack, cli.random_admissible_points
 
         def spy(q, p, params):
             rows.append(len(q))
-            assert len(drawn) == sum(rows)
+            assert drawn == rows
             return core(q, p, params)
 
-        def spy_draw(rng, params):
-            drawn.append(1)
-            return draw(rng, params)
+        def spy_draw(rng, params, count):
+            drawn.append(count)
+            return draw(rng, params, count)
 
         monkeypatch.setattr(reconstruction, "assemble_stack", spy)
-        monkeypatch.setattr(cli, "random_admissible_point", spy_draw)
+        monkeypatch.setattr(cli, "random_admissible_points", spy_draw)
         main(["verify", "--n", "8", "--alpha", "0.6", "--x", "1.2", "--y", "0.8",
               "--samples", "200", "--seed", "1"])
         capsys.readouterr()

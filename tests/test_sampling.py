@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import bcn_ruijsenaars.sampling as sampling
 from bcn_ruijsenaars.errors import InvalidInput, NumericalFailure
+from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW
 from bcn_ruijsenaars.model import make_params, separation_margin
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.sampling import random_admissible_point, random_admissible_points
 
 # draws at alpha 0.6, x 1.2, y 0.8 with the default arguments; a change
 # here changes every seeded `bcn` run that samples its points
@@ -62,7 +64,7 @@ def _loop_sampler(rng, params, q_range=(-2.0, 2.0), margin_factor=1.05,
 GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 SAMPLER_ARGS = {
     "default": {},
-    "involution": {"q_range": (-0.95, 0.95), "margin_factor": 1.2, "max_stretch": 0},
+    "involution": BRACKET_DRAW,
     "non_dyadic": {"q_range": (-1.7, 2.3)},
 }
 
@@ -109,12 +111,70 @@ def test_blocked_draws_equal_loop(bitgen, n, args):
 
 
 @pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
-def test_exhaustion_consumes_the_loops_draws(bitgen):
+def test_exhaustion_consumes_the_loops_draws(monkeypatch, bitgen):
     params = make_params(0.6, 1.2, 0.8, 8)
-    kwargs = {"max_stretch": 2, "max_redraw": 7}
+    monkeypatch.setattr(sampling, "MAX_REDRAW", 7)
     ours, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
     with pytest.raises(NumericalFailure):
-        random_admissible_point(ours, params, **kwargs)
+        random_admissible_point(ours, params, max_stretch=2)
     with pytest.raises(NumericalFailure):
-        _loop_sampler(ref, params, **kwargs)
+        _loop_sampler(ref, params, max_stretch=2, max_redraw=7)
     _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+
+def _loop_sample(rng, params, count, max_redraw, kwargs):
+    """(q, p) bytes of `count` loop draws stacked, and the number of
+    points drawn before a give-up (None when every draw succeeds)."""
+    points = []
+    for _ in range(count):
+        try:
+            points.append(_loop_sampler(rng, params, max_redraw=max_redraw, **kwargs))
+        except NumericalFailure:
+            return None, len(points)
+    q, p = (np.array([pt[i] for pt in points]).reshape(count, params.n) for i in (0, 1))
+    return (q.tobytes(), p.tobytes()), None
+
+
+@pytest.mark.parametrize("max_redraw", [2000, 7, 1])
+@pytest.mark.parametrize("count", [1, 3, 17])
+@pytest.mark.parametrize("args", sorted(SAMPLER_ARGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
+def test_batch_equals_loop_draws(monkeypatch, bitgen, n, args, count, max_redraw):
+    """One call for `count` points gives the points, or the give-up, and
+    the generator state of `count` draws of the loop."""
+    monkeypatch.setattr(sampling, "MAX_REDRAW", max_redraw)
+    params = make_params(0.6, 1.2, 0.8, n)
+    kwargs = SAMPLER_ARGS[args]
+    ours, ref = np.random.Generator(bitgen(29)), np.random.Generator(bitgen(29))
+    expected, _ = _loop_sample(ref, params, count, max_redraw, kwargs)
+    try:
+        got = tuple(a.tobytes() for a in random_admissible_points(ours, params, count, **kwargs))
+    except NumericalFailure:
+        got = None
+    assert got == expected
+    _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
+def test_give_up_on_a_later_point_of_the_batch(monkeypatch, bitgen):
+    # one candidate per point at n = 3: the loop draws some points, then gives up
+    monkeypatch.setattr(sampling, "MAX_REDRAW", 1)
+    params = make_params(0.6, 1.2, 0.8, 3)
+    ours, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
+    expected, drawn = _loop_sample(ref, params, 17, 1, {})
+    assert expected is None and drawn > 0
+    with pytest.raises(NumericalFailure, match="1 candidates in a row at n = 3"):
+        random_admissible_points(ours, params, 17)
+    _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+
+def test_empty_and_negative_samples():
+    params = make_params(0.6, 1.2, 0.8, 3)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    q, p = random_admissible_points(rng, params, 0)
+    assert q.shape == p.shape == (0, 3)
+    assert rng.bit_generator.state == state
+    with pytest.raises(InvalidInput):
+        random_admissible_points(rng, params, -3)
