@@ -19,6 +19,7 @@ from bcn_ruijsenaars import (
     make_params,
     phi_reduced,
     random_admissible_point,
+    random_admissible_points,
     weyl_check,
 )
 from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW
@@ -38,9 +39,8 @@ for k in range(4):
           f"|diff| {abs(three_const - closed):.2e}")
 
 print("\ninvolution |{Phi_mu, Phi_nu}| (finite-difference brackets):")
-pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
-       for _ in range(8)]
-rep = involution_report(params, pts, max_order=3)
+q, p = random_admissible_points(rng, params, 8, **BRACKET_DRAW)
+rep = involution_report(params, q, p, max_order=3)
 print(np.array2string(rep.bracket_matrix, formatter={"float": "{:9.2e}".format}))
 print("worst pair:", rep.worst_pair, " max:", rep.max_abs)
 

@@ -185,8 +185,7 @@ def cmd_involution(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
     q, p = random_admissible_points(np.random.default_rng(args.seed), params,
                                     args.points, **BRACKET_DRAW)
-    rep = involution_report(params, [ReducedPoint(*pt) for pt in zip(q, p)],
-                            max_order=args.max_order)
+    rep = involution_report(params, q, p, max_order=args.max_order)
     payload = {**vars(rep), "alpha": params.alpha, "x": params.x, "y": params.y,
                "n": params.n, "points": args.points, "seed": args.seed,
                "tol": args.tol, "pass": rep.max_abs < args.tol}
@@ -214,12 +213,14 @@ def cmd_limit(args) -> int:
     return 0 if rep.passes else 2
 
 
-def _positive(kind):
-    """An argparse type: a `kind` value that must be positive and finite."""
+def _positive(kind, or_zero=False):
+    """An argparse type: a `kind` value that must be positive and finite,
+    or zero too with `or_zero` (a seed of numpy's generators)."""
     def value(text):
         number = kind(text)
-        if not 0 < number < np.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if not (0 < number < np.inf or or_zero and number == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'non-negative' if or_zero else 'positive and finite'}, got {text}")
         return number
     value.__name__ = kind.__name__      # named in "invalid int value: ..."
     return value
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_limit)
 
     for name, sp in sub.choices.items():
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--seed", type=_positive(int, or_zero=True), default=0, help="RNG seed")
         sp.add_argument("--output", default=None, help="output file (default stdout)")
         if name != "simulate":      # simulate writes trajectory CSV only
             sp.add_argument("--format", choices=("json", "csv"), default="json",

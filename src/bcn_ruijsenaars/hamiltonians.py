@@ -25,15 +25,14 @@ The reduced Poisson bracket carries a factor 1/2 (the reduced symplectic
 form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 
 `hamiltonian_q`, `grad_hamiltonian` and the reduced ODE's stages share
-one kernel, `_q_chart`, which checks the chart (finite, strictly
-decreasing and separated q) and runs in Python floats: one loop over the
-pairs builds each factor 1 - c^2 / (4 sinh^2(q_i - q_k)) once.  Up to
-n = 8 that is faster than numpy's calls on arrays of 1 to 64 entries;
-being O(n^2) in the interpreter, it is slower from about n = 10.
-`hamiltonian_sigma`, the independent Sigma-chart form, takes (T, n)
-stacks.  `fd_gradient` passes the 8n stencil rows of a point to
-its function through `matops.map_chunks`, and `involution_report`
-assembles each chunk of them as one stack.
+one kernel, `_q_chart`, which checks the chart and runs in Python
+floats: one loop over the pairs builds each factor 1 - c^2 / (4
+sinh^2(q_i - q_k)) once.  Up to n = 8 that is faster than numpy's calls
+on arrays of 1 to 64 entries; being O(n^2) in the interpreter, it is
+slower from about n = 10.  The rest runs on stacks: `hamiltonian_sigma`,
+the independent Sigma-chart form, on (T, n) points (`weyl_check`'s
+orbit is one stack), and `fd_gradient` and `involution_report` on (P, n)
+points: the 8n stencil rows of each point of a chunk form one stack.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
 from .model import ModelParams, ReducedPoint, abc_from_params, require_points
 from .matops import chunk_rows, dagger, inn, map_chunks
-from .reconstruction import assemble, assemble_stack
+from .reconstruction import _dot, assemble, assemble_stack
 
 __all__ = [
     "phi_trace",
@@ -95,21 +94,6 @@ def phi_from_moment(m, nu: int):
     return val.real
 
 
-def _pair_factors_sq(s, alpha: float):
-    """For each row of s = Sigma^2, the matrix of (s_k/alpha - alpha s_i)
-    (alpha s_k - s_i/alpha) / (s_k - s_i)^2 over k != i, 1 on the diagonal."""
-    n = s.shape[-1]
-    sk, si = s[..., None, :], s[..., :, None]
-    diff = sk - si
-    mask = ~np.eye(n, dtype=bool)
-    if np.any(diff[..., mask] == 0.0):
-        raise SeparationViolation("coinciding Sigma_i^2: particle collision")
-    fac = np.ones(s.shape + (n,))
-    fac[..., mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[..., mask] \
-        / diff[..., mask] ** 2
-    return fac
-
-
 def hamiltonian_sigma(Sigma, p, params: ModelParams):
     """Closed form of the reduced Phi_1 in the (Sigma, p) chart.
 
@@ -124,7 +108,16 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams):
         raise InvalidInput("Sigma entries must be non-zero")
     x, y, alpha = params.x, params.y, params.alpha
     s = sigma ** 2
-    fac = _pair_factors_sq(s, alpha)
+    # the pair factors (s_k/alpha - alpha s_i)(alpha s_k - s_i/alpha) / (s_k - s_i)^2
+    # of s = Sigma^2 over k != i, 1 on the diagonal
+    sk, si = s[..., None, :], s[..., :, None]
+    diff = sk - si
+    mask = ~np.eye(s.shape[-1], dtype=bool)
+    if np.any(diff[..., mask] == 0.0):
+        raise SeparationViolation("coinciding Sigma_i^2: particle collision")
+    fac = np.ones(diff.shape)
+    fac[..., mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[..., mask] \
+        / diff[..., mask] ** 2
     if np.any(fac <= 0.0):
         raise SeparationViolation("non-positive interaction radicand")
     w = (np.sqrt((1.0 + 1.0 / s) * (x ** 2 + y ** 2 / s)) / x
@@ -239,40 +232,45 @@ def grad_hamiltonian(q, p, params: ModelParams):
     return np.array(dh_dq), np.array(dh_dp)
 
 
-def fd_gradient(func, point: ReducedPoint, params: ModelParams, h0: float = None):
-    """Central-difference gradient with one Richardson step (h0, h0/2).
+def fd_gradient(func, q, p, params: ModelParams, h0=None):
+    """Central-difference gradient with one Richardson step (h0, h0/2) at
+    each row of (P, n) arrays q and p: (df_dq, df_dp), each (P, n) or
+    (P, n, m).  h0 is by default 1e-4 max(1, |q|, |p|) of each point.
 
-    `func(q, p, params)` takes the 8n stencil rows as two (8n, n) arrays
-    (q_1 ... q_n, then p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2) and
-    returns (8n,) or (8n, m) values.  Returns (df_dq, df_dp), each (n,)
-    or (n, m).  The rows are checked as ReducedPoints and passed to `func`
-    by `matops.map_chunks` at `chunk_rows(2n)`, so the first failing row
-    raises its own error, as in a loop over the rows.
+    `func(q, p, params)` takes the stencil rows as two (R, n) arrays and
+    returns (R,) or (R, m) values; a point has 8n rows, q_1 ... q_n, then
+    p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2.  The rows are checked as
+    ReducedPoints and passed to `func` by `matops.map_chunks` at
+    `chunk_rows(2n)`, so the first failing row raises its own error, as in
+    a loop.
     """
-    q, p = point.q, point.p
-    n = q.size
+    count, n = q.shape
     if h0 is None:
-        h0 = 1e-4 * max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(p))))
-    steps = np.array([h0, -h0, h0 / 2.0, -h0 / 2.0])
-    # row 4 i + k shifts coordinate i by steps[k]
-    shifts = (np.eye(n)[:, None, :] * steps[:, None]).reshape(4 * n, n)
-    qs = np.concatenate([q + shifts, np.broadcast_to(q, shifts.shape)])
-    ps = np.concatenate([np.broadcast_to(p, shifts.shape), p + shifts])
+        h0 = 1e-4 * np.maximum(1.0, np.abs(np.hstack([q, p])).max(axis=1))
+    h0 = np.broadcast_to(h0, (count,))[:, None]
+    steps = np.hstack([h0, -h0, h0 / 2.0, -h0 / 2.0])
+    # row 4 i + k of a point shifts its coordinate i by steps[k]
+    shifts = (np.eye(n)[:, None, :] * steps[:, None, :, None]).reshape(count, 4 * n, n)
+    q, p = q[:, None], p[:, None]
+    qs = np.concatenate([q + shifts, np.broadcast_to(q, shifts.shape)], axis=1)
+    ps = np.concatenate([np.broadcast_to(p, shifts.shape), p + shifts], axis=1)
 
     def checked(q, p):
         require_points(q, p)
         return func(q, p, params)
 
-    vals = map_chunks(checked, chunk_rows(2 * n), qs, ps)
-    f = vals.reshape(2 * n, 4, *vals.shape[1:])
-    d1 = (f[:, 0] - f[:, 1]) / (2.0 * h0)
-    d2 = (f[:, 2] - f[:, 3]) / (2.0 * (h0 / 2.0))
+    vals = map_chunks(checked, chunk_rows(2 * n), qs.reshape(-1, n), ps.reshape(-1, n))
+    f = vals.reshape(count, 2 * n, 4, *vals.shape[1:])
+    h0 = h0.reshape(count, *[1] * (f.ndim - 2))
+    d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h0)
+    d2 = (f[:, :, 2] - f[:, :, 3]) / (2.0 * (h0 / 2.0))
     grad = (4.0 * d2 - d1) / 3.0
-    return grad[:n], grad[n:]
+    return grad[:, :n], grad[:, n:]
 
 
-#: finite-difference step of `involution_report` (with one Richardson
-#: step at h/2)
+#: finite-difference step of `involution_report`, with one Richardson step at
+#: h/2: it balances the rapid growth of the higher traces near the separation
+#: walls (truncation) against rounding in the trace evaluation
 BRACKET_STEP = 2.5e-4
 
 #: sampler arguments of the points of `bcn involution`: bounded positions keep
@@ -293,21 +291,19 @@ class InvolutionReport:
     max_abs: float
 
 
-def involution_report(params: ModelParams, point_samples,
-                      max_order: int = 3) -> InvolutionReport:
-    """Estimate |{Phi_mu, Phi_nu}| for mu, nu <= max_order on given points.
+def involution_report(params: ModelParams, q, p, max_order: int = 3) -> InvolutionReport:
+    """Estimate |{Phi_mu, Phi_nu}| for mu, nu <= max_order at the rows of
+    (P, n) arrays q and p, chunk_rows(2n) // 8n (at least 1) at a time.
 
     The matrix entry [mu-1, nu-1] is the worst absolute bracket over the
-    samples.  The step BRACKET_STEP balances the rapid growth of the higher
-    traces near the separation walls (truncation) against rounding in
-    the trace evaluation; the steps used are recorded in the report.
+    points, at the steps BRACKET_STEP and BRACKET_STEP / 2 (in the report).
     Raises InvalidInput for max_order outside 1..4 or no points.
     """
     if max_order > 4:
         raise InvalidInput("max_order > 4 is outside the conditioned regime")
     if max_order < 1:
         raise InvalidInput(f"max_order must be at least 1, got {max_order}")
-    if not point_samples:
+    if not len(q):
         raise InvalidInput("involution_report needs at least one point")
     orders = tuple(range(1, max_order + 1))
 
@@ -316,15 +312,16 @@ def involution_report(params: ModelParams, point_samples,
         m = g @ inn(pr.n) @ dagger(g)
         return np.stack([phi_from_moment(m, nu) for nu in orders], axis=-1)
 
+    size = max(1, chunk_rows(2 * params.n) // (8 * params.n))
     mat = np.zeros((max_order, max_order))
-    for pt in point_samples:
-        # row nu - 1: the gradient of Phi_nu; contiguous rows keep each
-        # dot product that of a lone gradient
-        dq, dp = (np.ascontiguousarray(d.T)
-                  for d in fd_gradient(phis, pt, params, BRACKET_STEP))
-        for i, j in combinations(range(max_order), 2):
-            val = abs(0.5 * (dq[i] @ dp[j] - dp[i] @ dq[j]))
-            mat[i, j] = mat[j, i] = max(mat[i, j], val)
+    for start in range(0, len(q), size):
+        # [c, nu - 1]: the gradient of Phi_nu at point c, contiguous: a BLAS
+        # dot of strided vectors sums in another order than a lone one
+        dq, dp = (np.ascontiguousarray(d.swapaxes(1, 2)) for d in fd_gradient(
+            phis, q[start:start + size], p[start:start + size], params, BRACKET_STEP))
+        dot = _dot(dq[:, :, None], dp[:, None])     # [c, i, j] = dq_i . dp_j
+        # fmax, a running max from 0 as in a loop, skips a NaN
+        mat = np.fmax.reduce([mat, *np.abs(0.5 * (dot - dot.swapaxes(1, 2)))])
     idx = np.unravel_index(np.argmax(mat), mat.shape)
     return InvolutionReport(orders=orders, bracket_matrix=mat,
                             fd_steps=(BRACKET_STEP, BRACKET_STEP / 2.0),
@@ -350,15 +347,13 @@ def weyl_check(Sigma, p, params: ModelParams, tol: float = 1e-12) -> WeylReport:
     n = sigma.size
     base = hamiltonian_sigma(sigma, p, params)
     scale = max(1.0, abs(base))
-    worst = 0.0
-    count = 0
-    for perm in permutations(range(n)):
-        sp, pp = sigma[list(perm)], p[list(perm)]
-        for signs in product((1.0, -1.0), repeat=n):
-            val = hamiltonian_sigma(np.array(signs) * sp, pp, params)
-            worst = max(worst, abs(val - base) / scale)
-            count += 1
-    return WeylReport(ok=worst <= tol, max_deviation=worst, orbit_size=count)
+    # each permutation with every sign pattern, in the order of a double loop
+    perms = np.array(list(permutations(range(n))))
+    signs = np.array(list(product((1.0, -1.0), repeat=n)))
+    orbit = (signs * sigma[perms][:, None]).reshape(-1, n)
+    vals = hamiltonian_sigma(orbit, np.repeat(p[perms], len(signs), axis=0), params)
+    worst = float(np.fmax.reduce(np.abs(vals - base) / scale, initial=0.0))
+    return WeylReport(ok=worst <= tol, max_deviation=worst, orbit_size=len(orbit))
 
 
 def spectral_invariants(g) -> np.ndarray:

@@ -180,14 +180,17 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
 
     Passes when the fitted order of e(t) = |(Phi(t) - H0)/t^2 - H2| is at
     least 0.9 and the error at the smallest grid point is below
-    1e-4 * max(1, |H2|).
+    1e-4 * max(1, |H2|).  Raises InvalidInput naming a bad q, pi or t_grid.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     pi_vec = np.atleast_1d(np.asarray(pi_vec, dtype=float))
+    for name, values in (("q", q), ("pi", pi_vec)):
+        if not np.isfinite(values).all():
+            raise InvalidInput(f"{name} must be finite, got {values}")
     ts = np.sort(np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID,
                             dtype=float))
-    # 4 distinct points of the sorted grid make 3 rises
-    if np.count_nonzero(np.diff(ts) > 0.0) < 3 or ts[0] <= 0.0 or ts[-1] > 0.05:
+    # 4 distinct points of the sorted grid make 3 rises; a NaN sorts last
+    if np.count_nonzero(np.diff(ts) > 0.0) < 3 or ts[0] <= 0.0 or not ts[-1] <= 0.05:
         raise InvalidInput("t_grid needs >= 4 distinct points inside (0, 0.05]")
     n = q.size
     hq, hp = hat_coords(q, pi_vec)

@@ -44,7 +44,7 @@ from bcn_ruijsenaars.matops import (
 )
 from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import assemble, solve_v, verify_constraints
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.sampling import random_admissible_point, random_admissible_points
 
 SAMPLES = 100
 LIMIT_GRID = np.geomspace(5e-5, 5e-3, 8)
@@ -139,9 +139,8 @@ def test_criterion_05_involution():
     for n in (1, 2, 3):
         rng = np.random.default_rng(5000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
-               for _ in range(20)]
-        rep = involution_report(params, pts, max_order=3)
+        q, p = random_admissible_points(rng, params, 20, **BRACKET_DRAW)
+        rep = involution_report(params, q, p, max_order=3)
         worst = max(worst, rep.max_abs)
     assert worst < 1e-5
     print(f"ACCEPTANCE 5 (involution): PASS - max |bracket| {worst:.3e} < 1e-5 "

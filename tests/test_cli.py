@@ -242,7 +242,8 @@ class TestConfigFile:
         (("verify",), {"samples": [3]}),
         (("verify",), {"samples": True}),
         (("verify",), {"tol": "nan"}),
-    ], ids=["float-for-int", "bad-choice", "list", "bool", "nan-tol"])
+        (("involution",), {"seed": -1}),
+    ], ids=["float-for-int", "bad-choice", "list", "bool", "nan-tol", "negative-seed"])
     def test_values_checked_like_flags(self, capsys, tmp_path, argv, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -292,6 +293,27 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.endswith("\nerror: argument --sample-count: must be positive and finite, "
                             f"got {count}\n")
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--q=1,nan", "error: q must be finite, got ["),
+        ("--pi=1,inf", "error: pi must be finite, got ["),
+        ("--t-grid=1e-3,2e-3,3e-3,4e-3,nan", "error: t_grid needs >= 4 distinct points"),
+    ], ids=["q", "pi", "t_grid"])
+    def test_limit_non_finite_input_exits_1(self, capsys, flag, message):
+        # not a report of NaNs (no valid JSON), a warning or an internal t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "limit", flag)
+        assert code == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub", ["verify", "simulate", "involution", "limit"])
+    def test_negative_seed_is_a_usage_error(self, capsys, sub):
+        # numpy's generators take no negative seed: a usage line, not a traceback
+        code, out, err = run_cli(capsys, sub, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage: bcn {sub}")
+        assert err.endswith("\nerror: argument --seed: must be non-negative, got -1\n")
 
     def test_limit_grid_of_one_repeated_point_exits_1(self, capsys):
         # four copies of one scale leave no decay order to fit

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from bcn_ruijsenaars.hamiltonians import (
 from bcn_ruijsenaars.matops import chunk_rows
 from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params
 from bcn_ruijsenaars.reconstruction import assemble
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 
 def rowwise(func):
@@ -201,7 +202,7 @@ class TestGradient:
         for _ in range(5):
             pt = draw_point(rng, params, q_range=(-half, half))
             aq, ap = grad_hamiltonian(pt.q, pt.p, params)
-            fq, fp = fd_gradient(f, pt, params)
+            fq, fp = (d[0] for d in fd_gradient(f, pt.q[None], pt.p[None], params))
             scale = max(1.0, float(np.max(np.abs(aq))), float(np.max(np.abs(ap))))
             assert np.max(np.abs(aq - fq)) <= 1e-6 * scale
             assert np.max(np.abs(ap - fp)) <= 1e-6 * scale
@@ -212,14 +213,15 @@ class TestGradient:
         pt = draw_point(rng, params, q_range=(-1.0, 1.0))
         funcs = [rowwise(lambda z, pr, nu=nu: phi_reduced(z, pr, nu))
                  for nu in (1, 2, 3)]
+        q, p = pt.q[None], pt.p[None]
         dq, dp = fd_gradient(lambda q, p, pr: np.stack([f(q, p, pr) for f in funcs],
                                                       axis=-1),
-                             pt, params, 2.5e-4)
-        assert dq.shape == dp.shape == (3, 3)
+                             q, p, params, 2.5e-4)
+        assert dq.shape == dp.shape == (1, 3, 3)
         for j, f in enumerate(funcs):
-            fq, fp = fd_gradient(f, pt, params, 2.5e-4)
-            assert dq[:, j].tolist() == fq.tolist()
-            assert dp[:, j].tolist() == fp.tolist()
+            fq, fp = fd_gradient(f, q, p, params, 2.5e-4)
+            assert dq[..., j].tolist() == fq.tolist()
+            assert dp[..., j].tolist() == fp.tolist()
 
     def test_one_call_on_the_stencil_stack(self):
         rng = np.random.default_rng(59)
@@ -231,7 +233,7 @@ class TestGradient:
             calls.append((q.copy(), p.copy()))
             return hamiltonian_sigma(np.exp(q), p, pr)
 
-        dq, dp = fd_gradient(f, pt, params, 2.5e-4)
+        dq, dp = fd_gradient(f, pt.q[None], pt.p[None], params, 2.5e-4)
         assert len(calls) == 1 and calls[0][0].shape == (24, 3)
         # q_1 .. q_n, then p_1 .. p_n, each at +h, -h, +h/2, -h/2
         h = np.array([2.5e-4, -2.5e-4, 1.25e-4, -1.25e-4])
@@ -239,20 +241,34 @@ class TestGradient:
         assert calls[0][1][12:16, 0].tolist() == (pt.p[0] + h).tolist()
         lq, lp = _loop_fd_gradient(lambda z, pr: hamiltonian_sigma(np.exp(z.q), z.p, pr),
                                    pt, params, 2.5e-4)
-        assert dq.tolist() == lq.tolist() and dp.tolist() == lp.tolist()
+        assert dq.tolist() == [lq.tolist()] and dp.tolist() == [lp.tolist()]
+
+    def test_points_equal_lone_points(self):
+        # the stencils of P points are one stack, point after point; each
+        # point keeps its own default step and the bits it gets alone
+        rng = np.random.default_rng(60)
+        params = make_params(0.6, 1.2, 0.8, 3)
+        q, p = random_admissible_points(rng, params, 5)
+        f = lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr)
+        dq, dp = fd_gradient(f, q, p, params)
+        assert dq.shape == dp.shape == (5, 3)
+        for i in range(5):
+            lq, lp = _loop_fd_gradient(lambda z, pr: hamiltonian_sigma(np.exp(z.q), z.p, pr),
+                                       ReducedPoint(q[i], p[i]), params)
+            assert dq[i].tolist() == lq.tolist() and dp[i].tolist() == lp.tolist()
 
     def test_canonical_pairs(self):
         # the coordinate functions q_i and p_i have unit gradients
         params = make_params(0.5, 1, 1, 2)
-        pt = ReducedPoint(np.array([0.9, -0.4]), np.array([0.3, 1.0]))
+        q, p = np.array([[0.9, -0.4]]), np.array([[0.3, 1.0]])
         eye, zero = np.eye(2), np.zeros(2)
         for i in range(2):
-            dq, dp = fd_gradient(lambda q, p, _pr: q[:, i], pt, params)
-            assert dq == pytest.approx(eye[i], abs=1e-8)
-            assert dp == pytest.approx(zero, abs=1e-8)
-            dq, dp = fd_gradient(lambda q, p, _pr: p[:, i], pt, params)
-            assert dq == pytest.approx(zero, abs=1e-8)
-            assert dp == pytest.approx(eye[i], abs=1e-8)
+            dq, dp = fd_gradient(lambda q, p, _pr: q[:, i], q, p, params)
+            assert dq[0] == pytest.approx(eye[i], abs=1e-8)
+            assert dp[0] == pytest.approx(zero, abs=1e-8)
+            dq, dp = fd_gradient(lambda q, p, _pr: p[:, i], q, p, params)
+            assert dq[0] == pytest.approx(zero, abs=1e-8)
+            assert dp[0] == pytest.approx(eye[i], abs=1e-8)
 
 
 def _numpy_q_chart(q, p, a2, b2, c2):
@@ -351,12 +367,17 @@ def _loop_report(params, points, max_order, h0=2.5e-4):
     return mat, (int(idx[0]) + 1, int(idx[1]) + 1), float(mat[idx])
 
 
+def _rows(q, p):
+    """The rows of (P, n) arrays as ReducedPoints, for `_loop_report`."""
+    return [ReducedPoint(a, b) for a, b in zip(q, p)]
+
+
 class TestInvolution:
     def test_report_structure_and_magnitude(self):
         rng = np.random.default_rng(57)
         params = make_params(0.5, 1.0, 1.0, 2)
-        pts = [draw_point(rng, params, q_range=(-1.0, 1.0)) for _ in range(5)]
-        rep = involution_report(params, pts, max_order=3)
+        q, p = random_admissible_points(rng, params, 5, q_range=(-1.0, 1.0))
+        rep = involution_report(params, q, p, max_order=3)
         assert rep.orders == (1, 2, 3)
         assert np.allclose(np.diagonal(rep.bracket_matrix), 0.0)
         assert np.allclose(rep.bracket_matrix, rep.bracket_matrix.T)
@@ -370,10 +391,30 @@ class TestInvolution:
         # alpha 0.9 leaves room for six separated positions in the range
         rng = np.random.default_rng(59 + n)
         params = make_params(0.6 if n < 5 else 0.9, 1.2, 0.8, n)
-        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
-               for _ in range(3)]
-        rep = involution_report(params, pts, max_order=max_order)
-        mat, worst, max_abs = _loop_report(params, pts, max_order)
+        q, p = random_admissible_points(rng, params, 3, **BRACKET_DRAW)
+        rep = involution_report(params, q, p, max_order=max_order)
+        mat, worst, max_abs = _loop_report(params, _rows(q, p), max_order)
+        assert rep.bracket_matrix.tolist() == mat.tolist()
+        assert rep.worst_pair == worst
+        assert rep.max_abs == max_abs
+
+    @pytest.mark.parametrize("max_order", [3, 4])
+    def test_point_chunks_match_the_loop(self, monkeypatch, max_order):
+        # n = 3: chunk_rows(6) // 24 = 4 points per fd_gradient call
+        sizes = []
+        fd = hamiltonians.fd_gradient
+
+        def spy(func, q, p, params, h0=None):
+            sizes.append(len(q))
+            return fd(func, q, p, params, h0)
+
+        monkeypatch.setattr(hamiltonians, "fd_gradient", spy)
+        rng = np.random.default_rng(62)
+        params = make_params(0.6, 1.2, 0.8, 3)
+        q, p = random_admissible_points(rng, params, 9, **BRACKET_DRAW)
+        rep = involution_report(params, q, p, max_order=max_order)
+        assert sizes == [4, 4, 1]
+        mat, worst, max_abs = _loop_report(params, _rows(q, p), max_order)
         assert rep.bracket_matrix.tolist() == mat.tolist()
         assert rep.worst_pair == worst
         assert rep.max_abs == max_abs
@@ -394,9 +435,8 @@ class TestInvolution:
         monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
         rng = np.random.default_rng(61)
         params = make_params(0.9, 1.2, 0.8, 6)
-        pts = [random_admissible_point(rng, params, **BRACKET_DRAW)
-               for _ in range(2)]
-        involution_report(params, pts, max_order=3)
+        q, p = random_admissible_points(rng, params, 2, **BRACKET_DRAW)
+        involution_report(params, q, p, max_order=3)
         assert sizes == [28, 20, 28, 20]
         assert max(sizes) <= chunk_rows(12)
 
@@ -409,25 +449,40 @@ class TestInvolution:
         # closer to the separation wall than the step: a stack of the
         # stencil fails at another row than the loop unless it is replayed
         params = make_params(0.6, 1.2, 0.8, len(q))
-        pt = ReducedPoint(np.array(q), np.full(len(q), 0.2))
+        q, p = np.array([q]), np.full((1, len(q)), 0.2)
         with pytest.raises(BCNError) as loop:
-            _loop_report(params, [pt], 3)
+            _loop_report(params, _rows(q, p), 3)
         with pytest.raises(BCNError) as stacked:
-            involution_report(params, [pt], 3)
+            involution_report(params, q, p, 3)
+        assert type(stacked.value) is type(loop.value)
+        assert str(stacked.value) == str(loop.value)
+
+    @pytest.mark.parametrize("wall", [[0.30005, 0.3, -0.5], [0.9, 0.5109, 0.0]])
+    def test_wall_point_among_points_raises_the_loop_error(self, wall):
+        # the 2nd of 3 points, in one chunk of points: the 1st point's
+        # rows pass, and the wall point's first failing row raises
+        params = make_params(0.6, 1.2, 0.8, 3)
+        q, p = random_admissible_points(np.random.default_rng(63), params, 3,
+                                        **BRACKET_DRAW)
+        q[1] = wall
+        with pytest.raises(BCNError) as loop:
+            _loop_report(params, _rows(q, p), 3)
+        with pytest.raises(BCNError) as stacked:
+            involution_report(params, q, p, 3)
         assert type(stacked.value) is type(loop.value)
         assert str(stacked.value) == str(loop.value)
 
     def test_max_order_guard(self):
         params = make_params(0.5, 1, 1, 2)
         with pytest.raises(InvalidInput):
-            involution_report(params, [], max_order=5)
+            involution_report(params, np.empty((0, 2)), np.empty((0, 2)), max_order=5)
 
     @pytest.mark.parametrize("max_order,count", [(0, 1), (-1, 1), (3, 0)])
     def test_needs_an_order_and_a_point(self, max_order, count):
         params = make_params(0.5, 1, 1, 2)
-        pts = [draw_point(np.random.default_rng(5), params)] * count
+        q, p = random_admissible_points(np.random.default_rng(5), params, count)
         with pytest.raises(InvalidInput):
-            involution_report(params, pts, max_order=max_order)
+            involution_report(params, q, p, max_order=max_order)
 
 
 class TestWeyl:
@@ -454,6 +509,29 @@ class TestWeyl:
         rep = weyl_check(np.exp(pt.q), pt.p, params)
         assert rep.ok
         assert rep.orbit_size == 2 ** 3 * 6
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_orbit_stack_equals_the_double_loop(self, n):
+        rng = np.random.default_rng(64 + n)
+        for alpha in (0.3, 0.6, 0.9):
+            params = make_params(alpha, 1.2, 0.8, n)
+            for _ in range(5):
+                pt = draw_point(rng, params)
+                sigma = np.exp(pt.q)
+                rep = weyl_check(sigma, pt.p, params)
+                # one hamiltonian_sigma call per signed permutation
+                base = hamiltonian_sigma(sigma, pt.p, params)
+                scale = max(1.0, abs(base))
+                worst, count = 0.0, 0
+                for perm in itertools.permutations(range(n)):
+                    sp, pp = sigma[list(perm)], pt.p[list(perm)]
+                    for signs in itertools.product((1.0, -1.0), repeat=n):
+                        val = hamiltonian_sigma(np.array(signs) * sp, pp, params)
+                        worst = max(worst, abs(val - base) / scale)
+                        count += 1
+                assert rep.max_deviation == worst
+                assert rep.orbit_size == count
+                assert rep.ok == (worst <= 1e-12)
 
 
 class TestSpectralInvariants:

@@ -147,6 +147,16 @@ class TestConvergence:
             limit_convergence(np.array([0.5]), np.array([0.0]), LP,
                               t_grid=[1e-3, 2e-3])
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"q": [0.5, np.nan]}, r"^q must be finite, got \["),
+        ({"pi_vec": [0.1, np.inf]}, r"^pi must be finite, got \["),
+        ({"t_grid": [1e-3, 2e-3, 3e-3, 4e-3, np.nan]}, "^t_grid needs >= 4 distinct points"),
+    ], ids=["q", "pi", "t_grid"])
+    def test_non_finite_input_is_named(self, kwargs, message):
+        args = {"q": [0.5, -0.4], "pi_vec": [0.1, 0.2], **kwargs}
+        with pytest.raises(InvalidInput, match=message):
+            limit_convergence(args.pop("q"), args.pop("pi_vec"), LP, **args)
+
 
 def test_fit_oracle_confirms_coefficients():
     rng = np.random.default_rng(73)
