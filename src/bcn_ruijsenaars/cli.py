@@ -4,7 +4,7 @@ Subcommands:
 
 * ``verify``     draw random admissible points, rebuild the constrained
                  elements (stacked, in chunks), and report the worst
-                 constraint residual;
+                 constraint residual (a NaN residual is the worst);
 * ``simulate``   integrate the reduced ODE and/or project the exact flow,
                  writing ``t,q1..qn,p1..pn,energy,residual`` CSV rows;
 * ``involution`` estimate the pairwise Poisson brackets of the commuting
@@ -44,9 +44,8 @@ from .dynamics import (
 from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
 from .hamiltonians import BRACKET_DRAW, involution_report
 from .limits import LimitParams, limit_convergence
-from .matops import chunk_rows
 from .model import ReducedPoint, make_params
-from .reconstruction import assemble, constraint_residuals
+from .reconstruction import assemble, constraint_report, constraint_residuals
 from .sampling import random_admissible_point, random_admissible_points
 
 _VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation)
@@ -99,28 +98,17 @@ def _report_text(payload: dict, fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
-    rng = np.random.default_rng(args.seed)
-    size = chunk_rows(2 * params.n)
-    per_constraint: dict = {}
-    # one chunk of points drawn and checked at a time, so the memory does
-    # not grow with --samples; fmax from 0, as a running max, skips a NaN
-    for start in range(0, args.samples, size):
-        q, p = random_admissible_points(rng, params, min(size, args.samples - start))
-        res = constraint_residuals(q, p, params)
-        for name, r in res.items():
-            per_constraint[name] = float(np.fmax.reduce(
-                r, initial=per_constraint.get(name, 0.0)))
-    max_residual = max(per_constraint.values())
-    worst = max(per_constraint, key=per_constraint.get)
+    q, p = random_admissible_points(np.random.default_rng(args.seed), params, args.samples)
+    rep = constraint_report({name: np.max(r) for name, r in
+                             constraint_residuals(q, p, params).items()}, args.tol)
     payload = {
         "alpha": params.alpha, "x": params.x, "y": params.y, "n": params.n,
         "samples": args.samples, "seed": args.seed, "tol": args.tol,
-        "max_residual": max_residual, "worst_constraint": worst,
-        "per_constraint_max": per_constraint,
-        "pass": max_residual < args.tol,
+        "max_residual": rep.max_residual, "worst_constraint": rep.worst()[0],
+        "per_constraint_max": rep.residuals, "pass": rep.ok,
     }
     _emit(_report_text(payload, args.format), args.output)
-    print(f"max residual {_fmt(max_residual)} over {args.samples} samples "
+    print(f"max residual {_fmt(rep.max_residual)} over {args.samples} samples "
           f"({'PASS' if payload['pass'] else 'FAIL'} at tol {args.tol:g})",
           file=sys.stderr)
     return 0 if payload["pass"] else 2

@@ -287,8 +287,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     q, p = rows[:, :n], rows[:, n:]
     require_points(q, p)
     energy = hamiltonian_sigma(np.exp(q), p, params)
-    # the worst residual of each sample; fmax, as Python's max, skips a NaN
-    residual = np.fmax.reduce(list(constraint_residuals(q, p, params).values()))
+    residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
     return Trajectory(times=np.array(times), q=q, p=p, energy=energy,
                       residual=residual, chamber_approach=approached)
 

@@ -50,6 +50,7 @@ __all__ = [
     "assemble_stack",
     "assemble",
     "constraint_residuals",
+    "constraint_report",
     "verify_constraints",
 ]
 
@@ -257,8 +258,18 @@ class ConstraintReport:
     violated: tuple
 
     def worst(self):
-        name = max(self.residuals, key=self.residuals.get)
+        name = list(self.residuals)[int(np.argmax(list(self.residuals.values())))]
         return name, self.residuals[name]
+
+
+def constraint_report(residuals: dict, tol: float) -> ConstraintReport:
+    """The report at `tol` of a mapping from name to worst residual.  The
+    largest is taken by `np.max`, so a NaN is the largest: it fails, and
+    `worst` names the first NaN, else the first largest residual."""
+    res = {name: float(r) for name, r in residuals.items()}
+    max_res = float(np.max(list(res.values())))
+    return ConstraintReport(residuals=res, max_residual=max_res, tol=tol, ok=max_res < tol,
+                            violated=tuple(k for k, r in res.items() if not r < tol))
 
 
 def _residuals(fact: LeafFactorization, cdata: ConstraintData,
@@ -339,8 +350,4 @@ def verify_constraints(fact: LeafFactorization, cdata: ConstraintData,
                        params: ModelParams, tol: float = 1e-10) -> ConstraintReport:
     """Residual report for every invariant at one point, by the residual
     routine of `constraint_residuals`; a pure report, never raises."""
-    res = {name: float(r) for name, r in _residuals(fact, cdata, params).items()}
-    max_res = max(res.values())
-    violated = tuple(k for k, r in res.items() if r >= tol)
-    return ConstraintReport(residuals=res, max_residual=max_res, tol=tol,
-                            ok=max_res < tol, violated=violated)
+    return constraint_report(_residuals(fact, cdata, params), tol)

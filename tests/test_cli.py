@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import pytest
@@ -40,6 +41,15 @@ class TestVerify:
         _, js, _ = run_cli(capsys, "verify", "--samples", "5", "--seed", "1")
         for name, value in json.loads(js)["per_constraint_max"].items():
             assert float(per[f"per_constraint_max.{name}"]) == value
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_fails(self, capsys):
+        # at y = 1e-160 leaf_right and kR_pseudounitary are NaN at every sample
+        code, out, err = run_cli(capsys, "verify", "--samples", "5", "--y", "1e-160")
+        payload = json.loads(out)
+        assert code == 2 and payload["pass"] is False
+        assert math.isnan(payload["per_constraint_max"][payload["worst_constraint"]])
+        assert math.isnan(payload["max_residual"]) and "FAIL" in err
 
     def test_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "7")
@@ -190,6 +200,15 @@ class TestInvolution:
         assert payload["pass"] is True
         assert payload["max_abs"] < 1e-5
         assert len(payload["bracket_matrix"]) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_bracket_fails(self, capsys):
+        # at x = 1e150 the finite-difference gradients overflow to NaN
+        code, out, _ = run_cli(capsys, "involution", "--n", "2", "--points", "3",
+                               "--x", "1e150")
+        payload = json.loads(out)
+        assert code == 2 and payload["pass"] is False
+        assert math.isnan(payload["max_abs"])
 
 
 class TestLimit:

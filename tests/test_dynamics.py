@@ -120,6 +120,12 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidInput):
             dynamics.step_count(1.0, 1e-300)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_shows_in_the_column(self):
+        # at y = 1e-160 two constraint residuals are NaN at every sample
+        traj = integrate_reduced(POINT2, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
+        assert np.all(np.isnan(traj.residual)) and np.all(np.isfinite(traj.energy))
+
     def test_zero_horizon(self):
         traj = integrate_reduced(POINT2, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)

@@ -510,6 +510,16 @@ class TestWeyl:
         assert rep.ok
         assert rep.orbit_size == 2 ** 3 * 6
 
+    @pytest.mark.parametrize("sigma, p, name", [
+        (np.exp([0.5, -0.5]), [np.inf, 0.2], "p"),
+        (np.exp([0.5, -0.5]), [0.1, np.nan], "p"),
+        ([np.nan, 0.6], [0.1, 0.2], "Sigma"),
+        ([1.6, -np.inf], [0.1, 0.2], "Sigma"),
+    ])
+    def test_non_finite_input_is_named(self, sigma, p, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite"):
+            weyl_check(sigma, p, make_params(0.5, 1, 1, 2))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_orbit_stack_equals_the_double_loop(self, n):
         rng = np.random.default_rng(64 + n)

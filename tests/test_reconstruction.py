@@ -230,6 +230,24 @@ class TestVerifyReport:
         rep = verify_constraints(bad, cdata, params)
         assert not rep.ok and len(rep.violated) > 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_fails_and_is_the_worst(self):
+        # at y = 1e-160 the norms of the b_L k_R checks overflow to NaN
+        params = make_params(0.5, 1, 1e-160, 2)
+        point = ReducedPoint(np.array([1.0, -1.0]), np.array([0.2, 0.15]))
+        rep = verify_constraints(*assemble(point, params), params)
+        assert not rep.ok and math.isnan(rep.max_residual)
+        assert {"leaf_right", "kR_pseudounitary"} <= set(rep.violated)
+        assert rep.worst()[0] == "leaf_right"
+
+    def test_report_takes_the_first_worst_name(self):
+        rep = reconstruction.constraint_report(
+            {"a": 1.0, "b": 3.0, "c": math.nan, "d": 3.0, "e": math.nan}, tol=2.0)
+        assert rep.worst()[0] == "c" and math.isnan(rep.max_residual)
+        assert not rep.ok and rep.violated == ("b", "c", "d", "e")
+        rep = reconstruction.constraint_report({"a": 1.0, "b": 3.0, "d": 3.0}, tol=4.0)
+        assert rep.ok and rep.violated == () and rep.worst() == ("b", 3.0)
+
 
 def _loop_verify(points, params):
     """Reference: the per-point `assemble` and `verify_constraints` of one
@@ -361,14 +379,13 @@ class TestStackedCore:
         assert np.array_equal(traj.residual, loop)
 
     def test_verify_assembles_at_most_one_chunk_per_call(self, monkeypatch, capsys):
-        # the `verify --n 8` run of 200 points, in chunks of 4096 // 16^2
-        # rows, each drawn just before it is checked
+        # the `verify --n 8` run of 200 points: one draw of the whole sample,
+        # assembled in chunks of 4096 // 16^2 rows
         rows, drawn = [], []
         core, draw = reconstruction.assemble_stack, cli.random_admissible_points
 
         def spy(q, p, params):
             rows.append(len(q))
-            assert drawn == rows
             return core(q, p, params)
 
         def spy_draw(rng, params, count):
@@ -380,4 +397,5 @@ class TestStackedCore:
         main(["verify", "--n", "8", "--alpha", "0.6", "--x", "1.2", "--y", "0.8",
               "--samples", "200", "--seed", "1"])
         capsys.readouterr()
-        assert sum(rows) == 200 and max(rows) == 16
+        assert drawn == [200]
+        assert rows == [16] * 12 + [8]
