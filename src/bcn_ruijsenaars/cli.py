@@ -12,7 +12,9 @@ Subcommands:
 * ``limit``      convergence report of the cotangent-bundle limit (JSON).
 
 Exit codes: 0 success, 1 validation error (bad flags or inadmissible
-input), 2 numerical failure or tolerance breach.  Vector values may
+input), 2 numerical failure or tolerance breach; a numpy warning raised
+as an error (``python -W error::RuntimeWarning``) is a numerical
+failure too.  Vector values may
 start with ``-`` (``--p -0.2,0.15``).  All random draws are
 fixed by ``--seed``; identical configuration and seed give byte-identical
 output.  A JSON file with the same field names as the long flags
@@ -333,7 +335,9 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BCNError as exc:
+    except (BCNError, RuntimeWarning, FloatingPointError) as exc:
+        # a numpy warning reaches here only when it is raised as an error
+        # (python -W error::RuntimeWarning, or np.errstate(...="raise"))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,12 @@ makes one KB split of the stack, reads (q, p) off it and then computes
 the surface residuals, each stage as stacked numpy/LAPACK calls.  A
 check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
-element.  `extract_reduced` and `surface_residuals` are the
-stack-of-one calls; `project_flow` runs `reduce_stack` through
-`matops.map_chunks`.  Each element gets the arithmetic it gets alone,
-so q, p, the residuals and the moment value do not depend on the stack
-it is in.
+element.  The signature J acts as `matops.signs`, a scaling of rows or
+columns (see `matops`); the outputs are those of the dense products.
+`extract_reduced` and `surface_residuals` are the stack-of-one calls;
+`project_flow` runs `reduce_stack` through `matops.map_chunks`.  Each
+element gets the arithmetic it gets alone, so q, p, the residuals and
+the moment value do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .matops import (
     indefinite_cholesky_upper_dual,
     inn,
     is_pseudo_unitary,
+    j_gram,
+    j_moment,
     rel_err,
 )
 from .model import ModelParams, ReducedPoint, require_points
@@ -100,8 +103,7 @@ def decompose_KB(g):
     Raises NotOnLeaf (from the factorization) when g is not on the leaf.
     """
     g = np.asarray(g, dtype=complex)
-    h = dagger(g) @ inn(g.shape[-1] // 2) @ g
-    b = indefinite_cholesky_upper(h)
+    b = indefinite_cholesky_upper(j_gram(g))
     k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
 
@@ -112,8 +114,7 @@ def decompose_BK(g):
     Uses m = g J g^dag = b J b^dag and the dual signature factorization.
     """
     g = np.asarray(g, dtype=complex)
-    m = g @ inn(g.shape[-1] // 2) @ dagger(g)
-    b = indefinite_cholesky_upper_dual(m)
+    b = indefinite_cholesky_upper_dual(j_moment(g))
     k = np.linalg.solve(b, g)
     return b, k
 
@@ -224,12 +225,11 @@ def _residual_stack(g, k_L, blocks, params: ModelParams):
     moment value m = g J g^dag = b_L J b_L^dag they were read from."""
     n = params.n
     y, alpha = params.y, params.alpha
-    J = inn(n)
     eye = np.eye(n)
     res = dict(blocks)
-    res["kL_pseudounitary"] = rel_err(dagger(k_L) @ J @ k_L, J)
+    res["kL_pseudounitary"] = rel_err(j_gram(k_L), inn(n))
 
-    m = g @ J @ dagger(g)
+    m = j_moment(g)
     b_L = indefinite_cholesky_upper_dual(m)
     res["bL_block_22"] = rel_err(b_L[:, n:, n:], y * eye)
     sig = y * b_L[:, :n, :n]

@@ -48,7 +48,10 @@ runs as one stacked pipeline through `matops.map_chunks`: each chunk of
 `chunk_rows(2n)` samples makes one `exact_flow` call (an `expm` of the
 stacked generators, grouped by squaring count) and one `reduce_stack`
 pass: one KB split, the extraction and the residuals, with the energy
-read from the same m = g J g^dag that gives b_L.  `compare_trajectories`
+read from the same m = g J g^dag that gives b_L.  The generator, the KB
+split, the moment value and the residuals apply J as a scaling of rows
+or columns by its signs (see `matops`), with the bits of the dense
+products, so the samples are those of a dense J.  `compare_trajectories`
 measures the deviation between the two routes.
 """
 
@@ -62,9 +65,9 @@ import numpy as np
 from .decomposition import reduce_stack, require_element
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .hamiltonians import (_q_chart, grad_hamiltonian, hamiltonian_sigma,
-                           phi_from_moment)
-from .matops import chunk_rows, expm, inn, map_chunks
+from .hamiltonians import (_one_element, _q_chart, grad_hamiltonian,
+                           hamiltonian_sigma, phi_from_moment)
+from .matops import chunk_rows, dagger, expm, map_chunks, signs
 from .model import (ModelParams, ReducedPoint, abc_from_params, require_points,
                     require_size, separation_margin, wrap_angle)
 from .reconstruction import constraint_residuals
@@ -124,12 +127,15 @@ class Trajectory:
 def exact_flow(g0, t) -> np.ndarray:
     """Propagate g0 for time t along the first Hamiltonian's flow.
 
-    A 1-d array of times gives the (T, 2n, 2n) stack of g(t).
+    A 1-d array of times gives the (T, 2n, 2n) stack of g(t).  The
+    generator J g0^dag J g0 scales the rows and columns of g0^dag by the
+    signs of J.  Raises InvalidInput unless g0 is one finite 2n x 2n
+    matrix.
     """
-    g0 = np.asarray(g0, dtype=complex)
-    j = inn(g0.shape[0] // 2)
+    g0 = _one_element(g0, "g0")
+    s = signs(g0.shape[0] // 2)
     gen = (-2.0j * np.asarray(t, dtype=float))[..., None, None] \
-        * (j @ g0.conj().T @ j @ g0)
+        * ((s[:, None] * dagger(g0) * s) @ g0)
     return g0 @ expm(gen)
 
 
@@ -340,11 +346,11 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> DeviationReport:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    """CSV rows `t,q1..qn,p1..pn,energy,residual`, 17 significant digits."""
+    """CSV rows `t,q1..qn,p1..pn,energy,residual`, 17 significant digits:
+    one %-format per row over the table as Python floats."""
     n = traj.q.shape[1]
-    lines = [",".join(["t"] + [f"q{i+1}" for i in range(n)]
-                      + [f"p{i+1}" for i in range(n)] + ["energy", "residual"])]
-    for t, q, p, en, res in zip(traj.times, traj.q, traj.p, traj.energy,
-                                traj.residual):
-        lines.append(",".join(f"{v:.17g}" for v in [t, *q, *p, en, res]))
-    return "\n".join(lines) + "\n"
+    header = ["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)] \
+        + ["energy", "residual"]
+    row = ",".join(["%.17g"] * len(header))
+    table = np.column_stack([traj.times, traj.q, traj.p, traj.energy, traj.residual])
+    return "\n".join([",".join(header)] + [row % tuple(r) for r in table.tolist()]) + "\n"

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
 from .model import ModelParams, ReducedPoint, abc_from_params, require_points
-from .matops import chunk_rows, dagger, inn, map_chunks
+from .matops import as_signature_input, chunk_rows, j_moment, map_chunks, signs
 from .reconstruction import _dot, assemble, assemble_stack
 
 __all__ = [
@@ -66,26 +66,35 @@ __all__ = [
 ]
 
 
+def _one_element(g, name: str = "g") -> np.ndarray:
+    """g as one finite complex 2n x 2n matrix, else InvalidInput naming
+    `name`."""
+    g = as_signature_input(g, name)
+    if g.ndim > 2:
+        raise InvalidInput(f"{name} must be one matrix, got shape {g.shape}")
+    return g
+
+
 def phi_trace(g, nu: int) -> float:
     """Phi_nu(g) = -(1/(2 nu)) tr (g J g^dag J)^nu.
 
     The trace is provably real; an imaginary residue above 1e-8 raises
-    NumericalFailure, smaller residues are discarded.
+    NumericalFailure, smaller residues are discarded.  Raises InvalidInput
+    unless g is one finite 2n x 2n matrix.
     """
-    g = np.asarray(g, dtype=complex)
-    if not np.all(np.isfinite(g)):
-        raise InvalidInput("phi_trace: non-finite input")
-    return float(phi_from_moment(g @ inn(g.shape[0] // 2) @ dagger(g), nu))
+    g = _one_element(g)
+    return float(phi_from_moment(j_moment(g), nu))
 
 
 def phi_from_moment(m, nu: int):
     """Phi_nu from the moment value m = g J g^dag; a stack (T, 2n, 2n) of
     moment values gives T values, and the reality check names the first
-    failing one."""
+    failing one.  m J scales the columns of m by the signs of J.  Raises
+    InvalidInput unless m is a finite 2n x 2n matrix or a stack of them."""
     if nu < 1:
         raise InvalidInput("nu must be a positive integer")
-    m = np.asarray(m, dtype=complex)
-    mj = m @ inn(m.shape[-1] // 2)
+    m = as_signature_input(m, "m")
+    mj = m * signs(m.shape[-1] // 2)
     val = -np.trace(np.linalg.matrix_power(mj, nu), axis1=-2, axis2=-1) / (2.0 * nu)
     failed = np.abs(val.imag) > 1e-8 * np.maximum(1.0, np.abs(val.real))
     if failed.any():
@@ -311,7 +320,7 @@ def involution_report(params: ModelParams, q, p, max_order: int = 3) -> Involuti
 
     def phis(q, p, pr):
         g = assemble_stack(q, p, pr)[0].g
-        m = g @ inn(pr.n) @ dagger(g)
+        m = j_moment(g)
         return np.stack([phi_from_moment(m, nu) for nu in orders], axis=-1)
 
     size = max(1, chunk_rows(2 * params.n) // (8 * params.n))
@@ -367,11 +376,12 @@ def spectral_invariants(g) -> np.ndarray:
     These are conserved along the exact flow, and
     -(1/(2 nu)) sum_k lambda_k^nu = Phi_nu(g).  Real parts are quantized
     at 1e-9 relative before sorting so that conjugate pairs (whose real
-    parts tie exactly) order stably across evaluations.
+    parts tie exactly) order stably across evaluations.  g J g^dag J is
+    the moment value with its columns scaled by the signs of J.  Raises
+    InvalidInput unless g is one finite 2n x 2n matrix.
     """
-    g = np.asarray(g, dtype=complex)
-    j = inn(g.shape[0] // 2)
-    vals = np.linalg.eigvals(g @ j @ g.conj().T @ j)
+    g = _one_element(g)
+    vals = np.linalg.eigvals(j_moment(g) * signs(g.shape[0] // 2))
     scale = max(1.0, float(np.max(np.abs(vals))))
     key = np.round(vals.real / (1e-9 * scale))
     return vals[np.lexsort((vals.imag, key))]

@@ -7,20 +7,27 @@ needs at sizes up to a few dozen:
 
 * structural predicates (Hermitian, pseudo-unitary with respect to an
   indefinite signature),
+* the signature J = diag(I, -I) applied as its diagonal `signs`: a
+  product X J Y is formed as (X * signs(n)) @ Y, one scaling of the
+  columns of X instead of a dense 2n x 2n product (`j_gram`,
+  `j_moment`),
 * the matrix exponential by scaling-and-squaring with the (13, 13)
   diagonal Pade approximant (Higham 2005),
 * the signature ("indefinite") Cholesky factorizations H = b^dag J b and
   M = b J b^dag with J = diag(I, -I) and b upper triangular with positive
   diagonal, each from two LAPACK Cholesky factorizations of n x n blocks.
 
-Every function except `inn` also takes a stack (..., N, N) of
-matrices.  Each matrix of a stack gets the arithmetic it gets alone
-(numpy's stacked `matmul`, `solve` and `cholesky` run the same
-BLAS/LAPACK call on every matrix), so a stack only saves the Python
-overhead of a loop; a predicate holds, and a factorization succeeds,
-only when it does for every matrix.  The package's chunked passes
-(reconstruction, extraction, finite-difference stencils) run through
-`map_chunks`, whose docstring states the chunk-and-replay rule.
+For finite input a scaling gives exactly the bits of the dense product
+with J (or with any diagonal matrix): each entry of X J is one entry of
+X times +-1 plus exact zeros, so the outputs are those of the dense
+products.  Every function except `inn` and `signs` also takes a stack
+(..., N, N) of matrices.  Each matrix of a stack gets the arithmetic it
+gets alone (numpy's stacked `matmul`, `solve` and `cholesky` run the
+same BLAS/LAPACK call on every matrix), so a stack only saves the
+Python overhead of a loop; a predicate holds, and a factorization
+succeeds, only when it does for every matrix.  The package's chunked
+passes (reconstruction, extraction, finite-difference stencils) run
+through `map_chunks`, whose docstring states the chunk-and-replay rule.
 
 All functions are pure; inputs are never modified.
 """
@@ -35,12 +42,16 @@ from .errors import BCNError, InvalidInput, NotOnLeaf, NumericalFailure
 
 __all__ = [
     "inn",
+    "signs",
+    "j_gram",
+    "j_moment",
     "frob",
     "rel_err",
     "dagger",
     "CHUNK_ENTRIES",
     "chunk_rows",
     "map_chunks",
+    "as_signature_input",
     "is_hermitian",
     "is_pseudo_unitary",
     "expm",
@@ -52,9 +63,30 @@ __all__ = [
 STRUCT_TOL = 1e-10
 
 
+def signs(n: int) -> np.ndarray:
+    """The diagonal (+1 x n, -1 x n) of the signature J = inn(n)."""
+    return np.concatenate([np.ones(n), -np.ones(n)])
+
+
 def inn(n: int) -> np.ndarray:
-    """Signature matrix diag(+1 x n, -1 x n) of size 2n x 2n."""
-    return np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
+    """Signature matrix diag(+1 x n, -1 x n) of size 2n x 2n, for
+    comparisons; products with J scale by `signs(n)` instead."""
+    return np.diag(signs(n)).astype(complex)
+
+
+def j_gram(a) -> np.ndarray:
+    """a^dag J a of a 2n x 2n matrix, or of each matrix of a stack, with J
+    applied as the signs of the columns of a^dag: for finite a, the bits
+    of the dense product with inn(n).  The input is not validated."""
+    return (dagger(a) * signs(a.shape[-1] // 2)) @ a
+
+
+def j_moment(g) -> np.ndarray:
+    """The moment value g J g^dag of a 2n x 2n matrix, or of each matrix of
+    a stack, with J applied as the signs of the columns of g: for finite
+    g, the bits of the dense product with inn(n).  The input is not
+    validated."""
+    return (g * signs(g.shape[-1] // 2)) @ dagger(g)
 
 
 def frob(a: np.ndarray):
@@ -138,18 +170,30 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_hermitian(m) -> bool:
-    """m = m^dag within STRUCT_TOL (for a stack: every matrix)."""
-    a = _as_square(m)
+def as_signature_input(m, name: str = "matrix") -> np.ndarray:
+    """A finite complex 2n x 2n matrix, or stack (..., 2n, 2n) of them: the
+    shape J = diag(I, -I) acts on.  InvalidInput names `name` otherwise."""
+    a = _as_square(m, name)
+    if a.shape[-1] % 2:
+        raise InvalidInput(f"{name} must have even dimension for the signature "
+                           "diag(I, -I)")
+    return a
+
+
+def _hermitian(a: np.ndarray) -> bool:
     return bool(np.all(frob(a - dagger(a))
                        <= STRUCT_TOL * np.maximum(1.0, frob(a))))
+
+
+def is_hermitian(m) -> bool:
+    """m = m^dag within STRUCT_TOL (for a stack: every matrix)."""
+    return _hermitian(_as_square(m))
 
 
 def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
     """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix."""
     a = _as_square(m)
-    j = inn(a.shape[-1] // 2)
-    return bool(np.all(frob(dagger(a) @ j @ a - j)
+    return bool(np.all(frob(j_gram(a) - inn(a.shape[-1] // 2))
                        <= tol * np.maximum(1.0, frob(a) ** 2)))
 
 
@@ -221,10 +265,8 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
 def _signature_input(h, name: str):
     """A zero matrix for the factor and the n x n blocks of a validated
     2n x 2n Hermitian input (or stack of inputs)."""
-    a = _as_square(h)
-    if a.shape[-1] % 2:
-        raise InvalidInput(f"{name}: the signature diag(I, -I) needs even dimension")
-    if not is_hermitian(a):
+    a = as_signature_input(h)
+    if not _hermitian(a):
         raise InvalidInput(f"{name}: input is not Hermitian")
     n = a.shape[-1] // 2
     return np.zeros_like(a), a[..., :n, :n], a[..., :n, n:], a[..., n:, n:]

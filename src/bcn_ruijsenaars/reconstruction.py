@@ -36,7 +36,8 @@ from .errors import (
     NumericalFailure,
     SeparationViolation,
 )
-from .matops import chunk_rows, dagger, frob, inn, map_chunks, rel_err
+from .matops import (chunk_rows, dagger, frob, inn, j_gram, j_moment, map_chunks,
+                     rel_err)
 from .model import (CartanData, ModelParams, ReducedPoint, cartan_from_q,
                     require_size)
 
@@ -277,18 +278,22 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
     """Named residual of every invariant, one value per point of a stack.
 
     |det - 1| is taken by hypot, the complex abs of one number: numpy's
-    vectorized complex abs rounds differently.
+    vectorized complex abs rounds differently.  The products with J and
+    with the diagonal matrices Sigma^2 and sigma sigma^dag scale rows or
+    columns instead.
     """
     n = params.n
     x, y, alpha = params.x, params.y, params.alpha
     J = inn(n)
     eye = np.eye(n)
     Sigma, Lambda = cdata.cartan.Sigma, cdata.cartan.Lambda
-    s2 = (Sigma ** 2)[..., None] * eye
+    sq = Sigma ** 2
+    s2 = sq[..., None] * eye
     T, Ttilde, v, vhat = cdata.T, cdata.Ttilde, cdata.v, cdata.vhat
     rho, sig = cdata.rho, cdata.sigma
     ssdag = sig @ dagger(sig)
-    TsT = dagger(T) @ s2 @ T
+    ss = np.diagonal(ssdag, axis1=-2, axis2=-1)     # sigma is diagonal, so is ssdag
+    TsT = (dagger(T) * sq[..., None, :]) @ T
 
     res = {}
     res["v_nonnegative"] = np.maximum(0.0, -np.min(v, axis=-1))
@@ -310,14 +315,14 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
     res["rho_maps_vtilde"] = frob(rho @ cdata.vtilde[..., None] - vhat[..., None]) \
         / np.maximum(1.0, frob(vhat[..., None]))
     res["momentum_constraint"] = rel_err(
-        TsT, Sigma[..., :, None] * (rho.swapaxes(-1, -2) @ ssdag @ rho)
+        TsT, Sigma[..., :, None] * ((rho.swapaxes(-1, -2) * ss[..., None, :]) @ rho)
         * Sigma[..., None, :])
 
     g, k_L, k_R, b_L, b_R = fact.g, fact.k_L, fact.k_R, fact.b_L, fact.b_R
     res["leaf_left"] = rel_err(k_L @ b_R, g)
     res["leaf_right"] = rel_err(b_L @ k_R, g)
-    res["kL_pseudounitary"] = rel_err(dagger(k_L) @ J @ k_L, J)
-    res["kR_pseudounitary"] = rel_err(dagger(k_R) @ J @ k_R, J)
+    res["kL_pseudounitary"] = rel_err(j_gram(k_L), J)
+    res["kR_pseudounitary"] = rel_err(j_gram(k_R), J)
 
     bR_target = b_R.copy()
     bR_target[..., :n, :n] = x * eye
@@ -332,7 +337,7 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
 
     det = np.linalg.det(g) - 1.0
     res["g_det"] = np.hypot(det.real, det.imag)
-    gJg = g @ J @ dagger(g)
+    gJg = j_moment(g)
     res["momentum_block_22"] = rel_err(gJg[..., n:, n:], -y ** 2 * eye)
     res["momentum_block_12"] = rel_err(gJg[..., :n, n:], -cdata.nu)
     return res

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from bcn_ruijsenaars import cli
@@ -209,6 +210,31 @@ class TestInvolution:
         payload = json.loads(out)
         assert code == 2 and payload["pass"] is False
         assert math.isnan(payload["max_abs"])
+
+
+class TestNumericalWarnings:
+    """A numpy warning raised as an error (here, as under
+    `python -W error::RuntimeWarning`, by the test configuration) or a
+    FloatingPointError is a numerical failure: exit 2 and one message
+    line, not a traceback."""
+
+    CASES = [("verify", "--samples", "5", "--y", "1e-160"),
+             ("involution", "--n", "2", "--points", "3", "--x", "1e150")]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
+    def test_warning_as_error_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: overflow encountered")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
+    def test_floating_point_error_exits_2(self, capsys, argv):
+        with np.errstate(over="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: overflow encountered")
 
 
 class TestLimit:

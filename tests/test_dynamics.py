@@ -63,6 +63,12 @@ class TestExactFlow:
         j = inn(1)
         assert rel_err(g_t @ j @ g_t.conj().T, fact.g @ j @ fact.g.conj().T) < 1e-10
 
+    @pytest.mark.parametrize("g0", [np.eye(3), np.ones((4, 2)), np.ones((2, 4, 4))],
+                             ids=["odd", "non-square", "stack"])
+    def test_bad_shape_is_invalid_input(self, g0):
+        with pytest.raises(InvalidInput, match="^g0 "):
+            exact_flow(g0, 0.5)
+
     def test_spectral_invariants_conserved(self):
         fact, _ = assemble(POINT2, PARAMS2)
         s0 = spectral_invariants(fact.g)
@@ -484,9 +490,16 @@ class TestCsv:
 
     def test_rows_match_per_row_reference(self):
         traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)
-        lines = ["t,q1,q2,p1,p2,energy,residual"]
-        for i, t in enumerate(traj.times):
-            pt = ReducedPoint(traj.q[i], traj.p[i])
-            row = [t, *pt.q, *pt.p, traj.energy[i], traj.residual[i]]
-            lines.append(",".join(format(float(v), ".17g") for v in row))
-        assert trajectory_csv_text(traj) == "\n".join(lines) + "\n"
+        # rows of special values: NaN, +-inf, -0.0 and the extremes of the range
+        rows = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308],
+                         [-0.0, -np.nan, 1e-310, np.inf, 0.1, 1e16, -1.0 / 3.0]])
+        special = Trajectory(times=rows[:, 0], q=rows[:, 1:3], p=rows[:, 3:5],
+                             energy=rows[:, 5], residual=rows[:, 6])
+        for tr in (traj, special):
+            lines = ["t,q1,q2,p1,p2,energy,residual"]
+            for i, t in enumerate(tr.times):
+                row = [t, *tr.q[i], *tr.p[i], tr.energy[i], tr.residual[i]]
+                lines.append(",".join(format(float(v), ".17g") for v in row))
+            assert trajectory_csv_text(tr) == "\n".join(lines) + "\n"
+        assert trajectory_csv_text(special).split("\n")[1] == \
+            "nan,inf,-inf,-0,0,4.9406564584124654e-324,-1.7976931348623157e+308"

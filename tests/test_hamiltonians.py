@@ -17,6 +17,7 @@ from bcn_ruijsenaars.hamiltonians import (
     hamiltonian_sigma,
     involution_report,
     phi_reduced,
+    phi_from_moment,
     phi_trace,
     spectral_invariants,
     weyl_check,
@@ -75,6 +76,21 @@ class TestPhiTrace:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             phi_trace(np.full((2, 2), np.nan), 1)
+
+    @pytest.mark.parametrize("m", [np.eye(3), np.ones((4, 2)), np.ones(4),
+                                   np.full((2, 2), np.nan)],
+                             ids=["odd", "non-square", "vector", "non-finite"])
+    def test_bad_moment_is_invalid_input(self, m):
+        with pytest.raises(InvalidInput, match="^m "):
+            phi_from_moment(m, 1)
+
+    @pytest.mark.parametrize("g", [np.ones((4, 2)), np.ones((2, 4)), np.ones(4),
+                                   np.ones((2, 4, 4))],
+                             ids=["tall", "wide", "vector", "stack"])
+    def test_element_of_bad_shape_is_invalid_input(self, g):
+        # J applied as signs would broadcast over a 4 x 2 g and return a number
+        with pytest.raises(InvalidInput, match="^g "):
+            phi_trace(g, 1)
 
 
 class TestClosedForms:
@@ -548,6 +564,13 @@ class TestSpectralInvariants:
     def test_identity(self):
         vals = spectral_invariants(np.eye(4))
         assert np.allclose(vals, 1.0)
+
+    @pytest.mark.parametrize("g", [np.eye(3), np.ones((4, 2)), np.ones((2, 4, 4)),
+                                   np.full((4, 4), np.nan)],
+                             ids=["odd", "non-square", "stack", "non-finite"])
+    def test_bad_input_is_invalid_input(self, g):
+        with pytest.raises(InvalidInput, match="^g "):
+            spectral_invariants(g)
 
     def test_trace_power_identity(self):
         rng = np.random.default_rng(59)

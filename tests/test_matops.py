@@ -16,7 +16,10 @@ from bcn_ruijsenaars.matops import (
     inn,
     is_hermitian,
     is_pseudo_unitary,
+    j_gram,
+    j_moment,
     map_chunks,
+    signs,
 )
 from bcn_ruijsenaars.model import make_params
 from bcn_ruijsenaars.reconstruction import assemble
@@ -262,6 +265,46 @@ class TestPredicates:
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInput):
             expm(bad)
+
+
+class TestStructuredProducts:
+    """The premise of the structured products: a product with J or with a
+    real diagonal matrix, formed as a scaling of rows or columns, has
+    exactly the bits of the dense product, for finite complex and real
+    matrices and stacks (entries spread over 16 decades)."""
+
+    @staticmethod
+    def draw(rng, shape, complex_=True):
+        spread = 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        x = rng.standard_normal(shape) * spread
+        return x + 1j * rng.standard_normal(shape) * spread if complex_ else x
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 2)], ids=str)
+    def test_signature_scalings_equal_dense_products(self, n, lead):
+        rng = np.random.default_rng(1000 * n + len(lead))
+        j, s = inn(n), signs(n)
+        for _ in range(5):
+            x, y = (self.draw(rng, lead + (2 * n, 2 * n)) for _ in range(2))
+            xd = x.conj().swapaxes(-1, -2)
+            assert np.array_equal(j_gram(x), xd @ j @ x)
+            assert np.array_equal(j_moment(x), x @ j @ xd)
+            assert np.array_equal((x * s) @ y, x @ j @ y)
+            assert np.array_equal(x * s, x @ j)
+            assert np.array_equal((s[:, None] * xd * s) @ y, j @ xd @ j @ y)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 2)], ids=str)
+    @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+    def test_diagonal_scalings_equal_dense_products(self, n, lead, complex_):
+        rng = np.random.default_rng(2000 * n + len(lead) + complex_)
+        for _ in range(5):
+            x, y = (self.draw(rng, lead + (n, n), complex_) for _ in range(2))
+            d = self.draw(rng, lead + (n,), complex_=False)
+            dense = d[..., None] * np.eye(n)
+            xt = x.conj().swapaxes(-1, -2)          # a transposed view, as dagger gives
+            assert np.array_equal((xt * d[..., None, :]) @ y, xt @ dense @ y)
+            assert np.array_equal((x * d[..., None, :]) @ y, x @ dense @ y)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
