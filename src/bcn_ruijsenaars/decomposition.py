@@ -96,13 +96,24 @@ class KAKData:
         return left @ c @ right
 
 
+def _split_input(g) -> np.ndarray:
+    """g as a complex 2n x 2n matrix or stack of them, else InvalidInput
+    naming g.  Finiteness is left to the factorization's own check."""
+    g = np.asarray(g, dtype=complex)
+    if g.ndim < 2 or g.shape[-2] != g.shape[-1] or g.shape[-1] % 2:
+        raise InvalidInput(f"g must be square of even dimension, got shape {g.shape}")
+    return g
+
+
 def decompose_KB(g):
     """Split g = k b with k pseudo-unitary and b triangular-positive.
 
     Computes h = g^dag J g, factors h = b^dag J b, and sets k = g b^{-1}.
-    Raises NotOnLeaf (from the factorization) when g is not on the leaf.
+    Raises NotOnLeaf (from the factorization) when g is not on the leaf,
+    and InvalidInput unless g is a 2n x 2n matrix or a stack of them, or
+    when it has a non-finite entry.
     """
-    g = np.asarray(g, dtype=complex)
+    g = _split_input(g)
     b = indefinite_cholesky_upper(j_gram(g))
     k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
@@ -111,9 +122,10 @@ def decompose_KB(g):
 def decompose_BK(g):
     """Split g = b k, the mirror of :func:`decompose_KB`.
 
-    Uses m = g J g^dag = b J b^dag and the dual signature factorization.
+    Uses m = g J g^dag = b J b^dag and the dual signature factorization;
+    raises as `decompose_KB` does.
     """
-    g = np.asarray(g, dtype=complex)
+    g = _split_input(g)
     b = indefinite_cholesky_upper_dual(j_moment(g))
     k = np.linalg.solve(b, g)
     return b, k

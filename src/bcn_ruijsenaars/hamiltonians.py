@@ -31,7 +31,8 @@ sinh^2(q_i - q_k)) once.  Up to n = 8 that is faster than numpy's calls
 on arrays of 1 to 64 entries; being O(n^2) in the interpreter, it is
 slower from about n = 10.  The rest runs on stacks: `hamiltonian_sigma`,
 the independent Sigma-chart form, on (T, n) points (`weyl_check`'s
-orbit is one stack), and `fd_gradient` and `involution_report` on (P, n)
+orbit is one stack, and the limit's scales are one stack with each row's
+own parameters), and `fd_gradient` and `involution_report` on (P, n)
 points: the 8n stencil rows of each point of a chunk form one stack.
 """
 
@@ -108,32 +109,51 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams):
 
     The formula depends on Sigma only through Sigma^2, so it is even in
     each Sigma_i and symmetric under simultaneous permutations of the
-    (Sigma_i, p_i) pairs; Sigma need not be ordered here.  (T, n) arrays
-    give T values with the bits of each row alone; one point, a float.
-    Raises SeparationViolation when a pair radicand is non-positive.
+    (Sigma_i, p_i) pairs; Sigma need not be ordered here.  Sigma and p
+    broadcast together: (T, n) stacks (or one point against a stack of
+    the other) give T values with the bits of each row alone; one point,
+    a float.
+    This is the one-parameter case of `_sigma_rows`, which gives each row
+    its own parameters.  Raises SeparationViolation when a pair radicand
+    is non-positive.
     """
-    sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
+    sigma, p = np.broadcast_arrays(np.atleast_1d(np.asarray(Sigma, dtype=float)),
+                                   np.asarray(p, dtype=float))
+    n = sigma.shape[-1]
+    val = _sigma_rows(sigma.reshape(-1, n), p.reshape(-1, n), [params])
+    return float(val[0]) if sigma.ndim == 1 else val.reshape(sigma.shape[:-1])
+
+
+def _sigma_rows(sigma, p, params):
+    """The Sigma-chart closed form at the rows of (T, n) arrays Sigma and
+    p, row r at the ModelParams `params[r]`, or every row at `params[0]`
+    when only one is given.
+
+    The constants x^2, y^2 and (x^-2 + y^2)/2 of each row are computed in
+    Python floats, as for one parameter set (numpy's `power` may round
+    x^-2 differently), so a row has the bits it has alone.  Raises as
+    `hamiltonian_sigma` does.
+    """
     if np.any(sigma == 0.0):
         raise InvalidInput("Sigma entries must be non-zero")
-    x, y, alpha = params.x, params.y, params.alpha
+    consts = [(m.x, m.x ** 2, m.y ** 2, 0.5 * (m.x ** -2 + m.y ** 2), m.alpha)
+              for m in params]
+    x, x2, y2, a2, alpha = np.array(consts).reshape(-1, 5).T[:, :, None]
     s = sigma ** 2
     # the pair factors (s_k/alpha - alpha s_i)(alpha s_k - s_i/alpha) / (s_k - s_i)^2
     # of s = Sigma^2 over k != i, 1 on the diagonal
-    sk, si = s[..., None, :], s[..., :, None]
+    sk, si = s[:, None, :], s[:, :, None]
     diff = sk - si
     mask = ~np.eye(s.shape[-1], dtype=bool)
-    if np.any(diff[..., mask] == 0.0):
+    if np.any(diff[:, mask] == 0.0):
         raise SeparationViolation("coinciding Sigma_i^2: particle collision")
+    al = alpha[:, :, None]
     fac = np.ones(diff.shape)
-    fac[..., mask] = ((sk / alpha - alpha * si) * (alpha * sk - si / alpha))[..., mask] \
-        / diff[..., mask] ** 2
+    fac[:, mask] = ((sk / al - al * si) * (al * sk - si / al))[:, mask] / diff[:, mask] ** 2
     if np.any(fac <= 0.0):
         raise SeparationViolation("non-positive interaction radicand")
-    w = (np.sqrt((1.0 + 1.0 / s) * (x ** 2 + y ** 2 / s)) / x
-         * np.prod(np.sqrt(fac), axis=-1))
-    val = (0.5 * (x ** -2 + y ** 2) * np.sum(1.0 / s, axis=-1)
-           - np.sum(np.cos(p) * w, axis=-1))
-    return float(val) if val.ndim == 0 else val
+    w = np.sqrt((1.0 + 1.0 / s) * (x2 + y2 / s)) / x * np.prod(np.sqrt(fac), axis=-1)
+    return a2[:, 0] * np.sum(1.0 / s, axis=-1) - np.sum(np.cos(p) * w, axis=-1)
 
 
 def _q_chart(q, p, a2: float, b2: float, c2: float):

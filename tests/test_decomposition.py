@@ -179,3 +179,21 @@ def test_element_of_the_wrong_size_rejected(func):
     # a 6 x 6 identity is on the leaf, so only the size check can stop it
     with pytest.raises(InvalidInput, match="expected shape"):
         func(np.eye(6), make_params(0.5, 1.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("split", [decompose_KB, decompose_BK])
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (2, 4, 2), (3,)])
+def test_split_of_a_non_square_or_odd_element_names_g(split, shape):
+    with pytest.raises(InvalidInput, match=r"^g must"):
+        split(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("split", [decompose_KB, decompose_BK])
+def test_split_keeps_the_error_class_of_square_even_elements(split):
+    # swapping e_1 and e_3 scrambles the signature: off the leaf
+    with pytest.raises(NotOnLeaf):
+        split(np.eye(4, dtype=complex)[[2, 1, 0, 3]])
+    g = np.eye(4, dtype=complex)
+    g[0, 1] = np.nan
+    with pytest.raises(InvalidInput):
+        split(g)

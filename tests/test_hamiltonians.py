@@ -171,6 +171,18 @@ class TestClosedForms:
             assert stacked.tolist() == [hamiltonian_sigma(np.exp(pt.q), pt.p, params)
                                         for pt in pts]
 
+    def test_one_point_against_a_stack_of_the_other(self):
+        # Sigma and p broadcast together, either way round
+        rng = np.random.default_rng(3)
+        params = make_params(0.6, 1.2, 0.8, 3)
+        sigma = np.exp(np.array([1.1, 0.2, -0.9]))
+        sigmas = sigma * rng.uniform(0.9, 1.1, size=(5, 3))
+        ps = rng.uniform(-0.5, 0.5, size=(5, 3))
+        assert hamiltonian_sigma(sigma, ps, params).tolist() == \
+            [hamiltonian_sigma(sigma, p, params) for p in ps]
+        assert hamiltonian_sigma(sigmas, ps[0], params).tolist() == \
+            [hamiltonian_sigma(s, ps[0], params) for s in sigmas]
+
     def test_q_chart_needs_ordered_separated_q(self):
         # the Sigma chart is permutation invariant; the q chart is not.  A
         # non-finite q (an overflowed RK stage) is a numerical failure.

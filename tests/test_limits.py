@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars.errors import InvalidInput
+from bcn_ruijsenaars.errors import InvalidInput, SeparationViolation
 from bcn_ruijsenaars.limits import (
+    DEFAULT_T_GRID,
     LimitParams,
     fit_expansion,
     fit_potential_coefficients,
@@ -44,6 +45,58 @@ class TestSubstitution:
     def test_out_of_range_rate_is_named(self, lp, t, message):
         with pytest.raises(InvalidInput, match=message):
             lp.params_at(t, 2)
+
+
+class TestStackedScales:
+    @pytest.mark.parametrize("grid", [DEFAULT_T_GRID, (1e-4, 5e-4, 1e-3, 2e-3)],
+                             ids=["default-grid", "custom-grid"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_has_the_bits_of_each_scale(self, n, grid):
+        rng = np.random.default_rng(n)
+        q = rng.uniform(-0.4, 1.2) - np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.55, 1.0, size=n - 1))])
+        piv = rng.uniform(-0.7, 0.7, size=n)
+        ts = np.array(grid)
+        stacked = phi_linearized(q, piv, LP, ts)
+        assert np.array_equal(stacked, [phi_linearized(q, piv, LP, t) for t in ts])
+        assert isinstance(phi_linearized(q, piv, LP, ts[0]), float)
+
+    def test_array_of_scales_keeps_its_shape(self):
+        q, piv = np.array([0.8, -0.3]), np.array([0.4, -0.1])
+        ts = np.array([[1e-3, 2e-3], [4e-3, 8e-3]])
+        vals = phi_linearized(q, piv, LP, ts)
+        assert vals.shape == (2, 2)
+        assert np.array_equal(vals.ravel(), phi_linearized(q, piv, LP, ts.ravel()))
+
+    @staticmethod
+    def _loop_error(q, piv, lp, ts):
+        with pytest.raises(Exception) as exc:
+            for t in ts:
+                phi_linearized(q, piv, lp, t)
+        return exc
+
+    def test_first_failing_scale_raises_its_own_error(self):
+        # x = exp(t xi) squares to inf from t = 1e-3 on, so b^2 = y^2 / x^2 = 0
+        lp = LimitParams(xi=5e5, eta=-0.2, zeta=0.4)
+        q, piv, ts = np.array([0.5, -0.5]), np.array([0.1, 0.2]), np.array(
+            [1e-4, 5e-4, 1e-3, 2e-3])
+        loop = self._loop_error(q, piv, lp, ts)
+        with pytest.raises(InvalidInput, match=r"at t = 0\.001: .* b\^2 = 0") as stacked:
+            phi_linearized(q, piv, lp, ts)
+        assert loop.type is InvalidInput and str(stacked.value) == str(loop.value)
+
+    def test_failures_are_met_in_the_order_of_the_scales(self):
+        # the gap 0.5 leaves the chamber's separation at t = 1e-3 (alpha =
+        # exp(-1)); only at t = 2e-3 does x^2 = exp(2 t xi) overflow
+        lp = LimitParams(xi=3e5, eta=-0.2, zeta=1e3)
+        q, piv, ts = np.array([0.5, 0.0]), np.array([0.1, 0.2]), np.array(
+            [1e-4, 2e-4, 1e-3, 2e-3])
+        loop = self._loop_error(q, piv, lp, ts)
+        with pytest.raises(SeparationViolation) as stacked:
+            phi_linearized(q, piv, lp, ts)
+        assert loop.type is SeparationViolation and str(stacked.value) == str(loop.value)
+        with pytest.raises(InvalidInput, match=r"at t = 0\.002"):
+            phi_linearized(q, piv, lp, ts[3:])
 
 
 class TestExpansionHead:
