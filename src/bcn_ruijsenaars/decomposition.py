@@ -96,12 +96,14 @@ class KAKData:
         return left @ c @ right
 
 
-def _split_input(g) -> np.ndarray:
+def _split_input(g, name: str = "g") -> np.ndarray:
     """g as a complex 2n x 2n matrix or stack of them, else InvalidInput
-    naming g.  Finiteness is left to the factorization's own check."""
+    naming `name` and its shape.  Finiteness is left to the checks that
+    follow: the signature Cholesky's, or `cartan_KAK`'s pseudo-unitarity
+    test."""
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or g.shape[-2] != g.shape[-1] or g.shape[-1] % 2:
-        raise InvalidInput(f"g must be square of even dimension, got shape {g.shape}")
+        raise InvalidInput(f"{name} must be square of even dimension, got shape {g.shape}")
     return g
 
 
@@ -138,10 +140,10 @@ def cartan_KAK(k) -> KAKData:
     The (1,1) block A = rho_hat Gamma khat is an SVD with descending
     singular values Gamma_i; regularity requires them distinct and > 1.
     The remaining frames follow from the other blocks.  Raises
-    DegenerateElement at collisions, InvalidInput if k is not
-    pseudo-unitary.
+    DegenerateElement at collisions, InvalidInput if k is not a 2n x 2n
+    matrix or a stack of them, or not pseudo-unitary.
     """
-    k = np.asarray(k, dtype=complex)
+    k = _split_input(k, "k")
     n = k.shape[-1] // 2
     if not is_pseudo_unitary(k, tol=1e-8):
         raise InvalidInput("cartan_KAK: input is not pseudo-unitary")

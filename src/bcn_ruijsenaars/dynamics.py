@@ -23,9 +23,12 @@ grid of `sample_times`, so `project_flow` on its times and both
 integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
 adaptive Cash-Karp steps.  It steps the state z = q + p as a list of 2n
-Python floats, and its stages call the one-point q-chart kernel
-`hamiltonians._q_chart` with a^2, b^2, c^2 computed once per run: up to
-n = 8, numpy's per-call cost outweighs the arithmetic.  Its start point
+Python floats, and each stage is one call of the q-chart kernel
+`hamiltonians._q_chart`, which returns the vector field
+(s k dPhi_1/dp, -s k dPhi_1/dq) in z's order, with a^2, b^2, c^2
+computed once per run: up to n = 8, numpy's per-call cost outweighs the
+arithmetic.  A Cash-Karp weighted sum adds its stages one by one, in
+order, from 0.0, as `sum` does.  Its start point
 is a ReducedPoint, and its samples become (T, n) arrays once, after the
 stepping, checked by `require_points`.  Each RK stage is checked once,
 by the kernel: NumericalFailure for non-finite q, ChamberViolation for
@@ -40,8 +43,8 @@ overflows to inf silently, and the kernel maps the math functions'
 OverflowError and ValueError to the IEEE value, so the steps need no
 `np.errstate`: an overflowed stage ends at the next stage's check,
 without a warning.  The samples are evaluated after the stepping: the
-energy column by one `hamiltonian_sigma` call on the (T, n) arrays, the
-residuals by one `constraint_residuals`.
+energy column by one Sigma-chart evaluation (`hamiltonians._sigma_rows`)
+on the (T, n) arrays, the residuals by one `constraint_residuals`.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline through `matops.map_chunks`: each chunk of
@@ -65,8 +68,8 @@ import numpy as np
 from .decomposition import reduce_stack, require_element
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .hamiltonians import (_one_element, _q_chart, grad_hamiltonian,
-                           hamiltonian_sigma, phi_from_moment)
+from .hamiltonians import (_one_element, _q_chart, _sigma_rows, grad_hamiltonian,
+                           phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, signs
 from .model import (ModelParams, ReducedPoint, abc_from_params, require_points,
                     require_size, separation_margin, wrap_angle)
@@ -174,9 +177,13 @@ def _rk4_step(f, z, h):
 
 
 def _combine(z, h, weights, ks):
-    """z + h * sum_s weights[s] * ks[s], the stages summed in order."""
-    return [a + h * sum(w * k for w, k in zip(weights, col))
-            for a, col in zip(z, zip(*ks))]
+    """z + h * sum_s weights[s] * ks[s], summed stage by stage in order
+    from 0.0, as `sum` adds floats.  A zero weight still multiplies its
+    stage: 0 * inf is NaN, so an overflowed stage fails the trial step."""
+    acc = [0.0 + weights[0] * k for k in ks[0]]
+    for w, stage in zip(weights[1:], ks[1:]):
+        acc = [s + w * k for s, k in zip(acc, stage)]
+    return [a + h * s for a, s in zip(z, acc)]
 
 
 def _ck_step(f, z, h):
@@ -246,8 +253,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     sk = FLOW_SIGN * FLOW_TIME_SCALE
 
     def f(z):
-        _, dh_dq, dh_dp = _q_chart(z[:n], z[n:], a2, b2, c2)
-        return [sk * v for v in dh_dp] + [-sk * v for v in dh_dq]
+        return _q_chart(z, n, a2, b2, c2, sk)[1]
 
     def rk4_steps(t, z, k0, k):
         for j in range(k0 + 1, k + 1):
@@ -292,7 +298,9 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     rows = np.array(zs)
     q, p = rows[:, :n], rows[:, n:]
     require_points(q, p)
-    energy = hamiltonian_sigma(np.exp(q), p, params)
+    # the rows passed require_points; an e^q that overflows to inf is
+    # left to the residual pass, which names v^2
+    energy = _sigma_rows(np.exp(q), p, [params])
     residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
     return Trajectory(times=np.array(times), q=q, p=p, energy=energy,
                       residual=residual, chamber_approach=approached)

@@ -27,9 +27,13 @@ form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 `hamiltonian_q`, `grad_hamiltonian` and the reduced ODE's stages share
 one kernel, `_q_chart`, which checks the chart and runs in Python
 floats: one loop over the pairs builds each factor 1 - c^2 / (4
-sinh^2(q_i - q_k)) once.  Up to n = 8 that is faster than numpy's calls
-on arrays of 1 to 64 entries; being O(n^2) in the interpreter, it is
-slower from about n = 10.  The rest runs on stacks: `hamiltonian_sigma`,
+sinh^2(q_i - q_k)) once.  It takes the state z = q + p as one list and
+returns H with the vector field (scale dH/dp, -scale dH/dq) in z's
+order, each entry scaled where it is computed: at the flow's scale an
+RK stage is one kernel call, and at scale 1 the gradient is read off
+exactly.  Up to n = 8 that is faster than numpy's calls on arrays of 1
+to 64 entries; being O(n^2) in the interpreter, it is slower from about
+n = 10.  The rest runs on stacks: `hamiltonian_sigma`,
 the independent Sigma-chart form, on (T, n) points (`weyl_check`'s
 orbit is one stack, and the limit's scales are one stack with each row's
 own parameters), and `fd_gradient` and `involution_report` on (P, n)
@@ -47,7 +51,8 @@ import numpy as np
 
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .model import ModelParams, ReducedPoint, abc_from_params, require_points
+from .model import (ModelParams, ReducedPoint, abc_from_params, require_finite,
+                    require_points)
 from .matops import as_signature_input, chunk_rows, j_moment, map_chunks, signs
 from .reconstruction import _dot, assemble, assemble_stack
 
@@ -114,11 +119,11 @@ def hamiltonian_sigma(Sigma, p, params: ModelParams):
     the other) give T values with the bits of each row alone; one point,
     a float.
     This is the one-parameter case of `_sigma_rows`, which gives each row
-    its own parameters.  Raises SeparationViolation when a pair radicand
-    is non-positive.
+    its own parameters.  Raises InvalidInput naming Sigma or p when it has
+    a non-finite entry, and SeparationViolation when a pair radicand is
+    non-positive.
     """
-    sigma, p = np.broadcast_arrays(np.atleast_1d(np.asarray(Sigma, dtype=float)),
-                                   np.asarray(p, dtype=float))
+    sigma, p = np.broadcast_arrays(*require_finite(Sigma=Sigma, p=p))
     n = sigma.shape[-1]
     val = _sigma_rows(sigma.reshape(-1, n), p.reshape(-1, n), [params])
     return float(val[0]) if sigma.ndim == 1 else val.reshape(sigma.shape[:-1])
@@ -156,9 +161,15 @@ def _sigma_rows(sigma, p, params):
     return a2[:, 0] * np.sum(1.0 / s, axis=-1) - np.sum(np.cos(p) * w, axis=-1)
 
 
-def _q_chart(q, p, a2: float, b2: float, c2: float):
-    """(H, dH/dq, dH/dp) of the three-constant form at one point: q and p
-    are lists of n floats, the gradients lists.
+def _q_chart(z, n: int, a2: float, b2: float, c2: float, scale: float = 1.0):
+    """(H, field) of the three-constant form at one point.  z is the list
+    q + p of 2n floats, and field the list
+
+        [scale dH/dp_1 ... scale dH/dp_n, -scale dH/dq_1 ... -scale dH/dq_n]
+
+    in z's order: at scale FLOW_SIGN * FLOW_TIME_SCALE, the reduced ODE's
+    vector field, and at scale 1.0, the gradient with dH/dq negated (both
+    exactly, as scale 2.0 and negation round nothing).
 
     Each pair i < k gives its factor f = 1 - c2 / (4 sinh^2(q_i - q_k))
     and dl = d log sqrt(f) / d q_i once; the (k, i) entry is -dl.  A pair
@@ -168,7 +179,7 @@ def _q_chart(q, p, a2: float, b2: float, c2: float):
     the next stage's q.  Raises NumericalFailure (non-finite q),
     ChamberViolation (unordered q) or SeparationViolation (f <= 0).
     """
-    n = len(q)
+    q = z[:n]
     # ordered q is finite when its ends are: a NaN fails the order test
     if not (all(map(operator.gt, q, q[1:])) and math.isfinite(q[0])
             and math.isfinite(q[-1])):
@@ -202,8 +213,8 @@ def _q_chart(q, p, a2: float, b2: float, c2: float):
             rowsum[k] -= dl
             pairs.append((i, k, dl))
     h_u = h_cw = 0.0
-    dh_dq, dh_dp, cw, cross = [], [], [], [0.0] * n
-    for qi, pi, pr, rs in zip(q, p, prod, rowsum):
+    field, dh_dq, cw, cross = [], [], [], [0.0] * n
+    for qi, pi, pr, rs in zip(q, z[n:], prod, rowsum):
         try:
             u = math.exp(-2.0 * qi)
         except OverflowError:
@@ -217,7 +228,7 @@ def _q_chart(q, p, a2: float, b2: float, c2: float):
         cwi = cos_p * bracket * pr
         dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
         dh_dq.append(-2.0 * a2 * u - cwi * (dlog_bracket + rs))
-        dh_dp.append(sin_p * bracket * pr)
+        field.append(scale * (sin_p * bracket * pr))
         cw.append(cwi)
         h_u += u
         h_cw += cwi
@@ -225,19 +236,21 @@ def _q_chart(q, p, a2: float, b2: float, c2: float):
     for i, k, dl in pairs:
         cross[k] += cw[i] * dl
         cross[i] -= cw[k] * dl
-    return (a2 * h_u - h_cw, [g + c for g, c in zip(dh_dq, cross)], dh_dp)
+    field.extend([-scale * (g + c) for g, c in zip(dh_dq, cross)])
+    return a2 * h_u - h_cw, field
 
 
 def _closed_form(q, p, a2: float, b2: float, c2: float):
-    """`_q_chart` at 1-d array-likes, refusing a non-finite result."""
+    """`_q_chart` at 1-d array-likes at scale 1.0, refusing a non-finite
+    result: (H, field), field = dH/dp then -dH/dq."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != p.shape or q.ndim != 1:
         raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
-    h, dh_dq, dh_dp = _q_chart(q.tolist(), p.tolist(), a2, b2, c2)
-    if not all(map(math.isfinite, [h, *dh_dq, *dh_dp])):
+    h, field = _q_chart(q.tolist() + p.tolist(), q.size, a2, b2, c2)
+    if not all(map(math.isfinite, [h, *field])):
         raise NumericalFailure(f"non-finite closed form at q = {q}, p = {p}")
-    return h, dh_dq, dh_dp
+    return h, field
 
 
 def hamiltonian_q(q, p, a2: float, b2: float, c2: float) -> float:
@@ -257,8 +270,9 @@ def grad_hamiltonian(q, p, params: ModelParams):
     arrays.  Raises NumericalFailure for non-finite q or a non-finite
     result (e^{-2q} overflows), ChamberViolation for unordered q and
     SeparationViolation past the wall."""
-    _, dh_dq, dh_dp = _closed_form(q, p, *abc_from_params(params))
-    return np.array(dh_dq), np.array(dh_dp)
+    _, field = _closed_form(q, p, *abc_from_params(params))
+    n = len(field) // 2
+    return -np.array(field[n:]), np.array(field[:n])
 
 
 def fd_gradient(func, q, p, params: ModelParams, h0=None):
@@ -373,11 +387,7 @@ def weyl_check(Sigma, p, params: ModelParams, tol: float = 1e-12) -> WeylReport:
     """Check invariance under all sign flips of Sigma_i and simultaneous
     permutations of the (Sigma_i, p_i) pairs; a non-finite Sigma or p is
     InvalidInput."""
-    sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    for name, v in (("Sigma", sigma), ("p", p)):
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput(f"{name} must be finite, got {v}")
+    sigma, p = require_finite(Sigma=Sigma, p=p)
     n = sigma.size
     base = hamiltonian_sigma(sigma, p, params)
     scale = max(1.0, abs(base))

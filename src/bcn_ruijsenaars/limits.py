@@ -47,7 +47,7 @@ import numpy as np
 from .errors import InvalidInput
 from .hamiltonians import _sigma_rows
 from .matops import chunk_rows, map_chunks
-from .model import ModelParams, make_params
+from .model import ModelParams, make_params, require_finite
 
 __all__ = [
     "LimitParams",
@@ -101,9 +101,9 @@ class LimitParams:
 
 
 def hat_coords(q, pi_vec):
-    """Limit coordinates (qhat, phat) from (q, pi)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    pi_vec = np.atleast_1d(np.asarray(pi_vec, dtype=float))
+    """Limit coordinates (qhat, phat) from (q, pi); raises InvalidInput
+    naming q or pi when it has a non-finite entry."""
+    q, pi_vec = require_finite(q=q, pi=pi_vec)
     sigma = np.exp(q)
     gamma = np.sqrt(1.0 + sigma ** 2)
     return np.arcsinh(sigma), gamma * pi_vec / sigma
@@ -148,9 +148,10 @@ def _potential_basis(hq: np.ndarray):
 
 
 def sutherland_H2(hat_q, hat_p, xi: float, eta: float, zeta: float) -> float:
-    """The limiting three-parameter hyperbolic Hamiltonian."""
-    hq = np.atleast_1d(np.asarray(hat_q, dtype=float))
-    hp = np.atleast_1d(np.asarray(hat_p, dtype=float))
+    """The limiting three-parameter hyperbolic Hamiltonian; raises
+    InvalidInput naming hat_q or hat_p when it has a non-finite entry,
+    and for zero, coinciding or opposite hat_q entries."""
+    hq, hp = require_finite(hat_q=hat_q, hat_p=hat_p)
     if np.any(hq == 0.0):
         raise InvalidInput("hat_q entries must be non-zero")
     single, double, pairs = _potential_basis(hq)
@@ -204,11 +205,7 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
     least 0.9 and the error at the smallest grid point is below
     1e-4 * max(1, |H2|).  Raises InvalidInput naming a bad q, pi or t_grid.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    pi_vec = np.atleast_1d(np.asarray(pi_vec, dtype=float))
-    for name, values in (("q", q), ("pi", pi_vec)):
-        if not np.isfinite(values).all():
-            raise InvalidInput(f"{name} must be finite, got {values}")
+    q, pi_vec = require_finite(q=q, pi=pi_vec)
     ts = np.sort(np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID,
                             dtype=float))
     # 4 distinct points of the sorted grid make 3 rises; a NaN sorts last

@@ -35,6 +35,7 @@ __all__ = [
     "CartanData",
     "require_points",
     "require_size",
+    "require_finite",
     "make_params",
     "cartan_from_q",
     "separation_margin",
@@ -150,6 +151,18 @@ def require_size(n: int, params: ModelParams) -> None:
     the model of `params`."""
     if n != params.n:
         raise InternalInconsistency(f"point has n={n}, params n={params.n}")
+
+
+def require_finite(**named):
+    """Each named array-like as a float array of at least one dimension;
+    raises InvalidInput naming the first that has a non-finite entry."""
+    arrays = []
+    for name, values in named.items():
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if not np.isfinite(values).all():
+            raise InvalidInput(f"{name} must be finite, got {values}")
+        arrays.append(values)
+    return arrays
 
 
 @dataclass(frozen=True)

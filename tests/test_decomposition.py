@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,15 @@ def test_element_of_the_wrong_size_rejected(func):
 def test_split_of_a_non_square_or_odd_element_names_g(split, shape):
     with pytest.raises(InvalidInput, match=r"^g must"):
         split(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("k", [np.eye(3), np.ones((4, 2)), np.ones(3)])
+def test_kak_of_a_non_square_or_odd_element_names_k(k):
+    # the shape check stops k before the pseudo-unitarity test, whose
+    # broadcast would fail with a raw ValueError
+    message = "^k must be square of even dimension, got shape " + re.escape(str(k.shape))
+    with pytest.raises(InvalidInput, match=message):
+        cartan_KAK(k)
 
 
 @pytest.mark.parametrize("split", [decompose_KB, decompose_BK])

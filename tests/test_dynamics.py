@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -118,7 +119,85 @@ class TestReducedRhs:
             assert abs(gq @ qdot + gp @ pdot) < 1e-10 * max(1.0, np.max(np.abs(gq)))
 
 
+# the Cash-Karp 4(5) tableau: stage rows, fifth- and fourth-order weights
+CK_A = [[1 / 5], [3 / 40, 9 / 40], [3 / 10, -9 / 10, 6 / 5],
+        [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+        [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096]]
+CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
+CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
+
+
+def _textbook_run(point, params, t_max, dt, method):
+    """The samples of a reduced run by a plain RK4 or Cash-Karp loop over
+    the public `grad_hamiltonian`: the field (sk dH/dp, -sk dH/dq), the
+    stages of each weighted sum added one by one from 0.0, and rk45's
+    step control as documented in `integrate_reduced`."""
+    n = point.n
+    sk = FLOW_SIGN * FLOW_TIME_SCALE
+
+    def field(z):
+        dq, dp = grad_hamiltonian(np.array(z[:n]), np.array(z[n:]), params)
+        return [sk * v for v in dp.tolist()] + [-sk * v for v in dq.tolist()]
+
+    def combine(z, h, weights, ks):
+        out = []
+        for i, a in enumerate(z):
+            total = 0.0
+            for w, k in zip(weights, ks):
+                total += w * k[i]
+            out.append(a + h * total)
+        return out
+
+    step, counts = dynamics.sample_times(t_max, dt)
+    t, h, z = 0.0, dt, point.q.tolist() + point.p.tolist()
+    samples = [(t, z)]
+    for k in counts.tolist()[1:]:
+        if method == "rk4":
+            k1 = field(z)
+            k2 = field([a + 0.5 * step * b for a, b in zip(z, k1)])
+            k3 = field([a + 0.5 * step * b for a, b in zip(z, k2)])
+            k4 = field([a + step * b for a, b in zip(z, k3)])
+            z = [a + step / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+            t = k * step
+        else:
+            while t < k * step:
+                h = min(h, k * step - t)
+                try:
+                    ks = [field(z)]
+                    for row in CK_A:
+                        ks.append(field(combine(z, h, row, ks)))
+                    z5, z4 = combine(z, h, CK_B5, ks), combine(z, h, CK_B4, ks)
+                    err = max(abs(a - b) for a, b in zip(z5, z4))
+                except (ChamberViolation, SeparationViolation, NumericalFailure):
+                    err = math.inf
+                tol = dynamics.RK45_ATOL + dynamics.RK45_RTOL * max(map(abs, z))
+                if err <= tol:
+                    t, z = t + h, z5
+                elif h < dynamics.RK45_MIN_STEP:
+                    raise NumericalFailure(f"rk45: step {h:.3g} rejected at t = {t:.10g}")
+                h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+        samples.append((t, z))
+    return samples
+
+
 class TestIntegrateReduced:
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_equals_a_textbook_loop_bit_for_bit(self, n, method):
+        # gaps in [0.7, 0.9] above a lowest position in [-0.3, 0.3]
+        rng = np.random.default_rng(120 + n)
+        gaps = rng.uniform(0.7, 0.9, size=n - 1)
+        q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
+        pt = ReducedPoint(q, rng.uniform(-0.5, 0.5, size=n))
+        params = make_params(0.6, 1.2, 0.8, n)
+        traj = integrate_reduced(pt, params, 0.5, 0.05, method=method)
+        samples = _textbook_run(pt, params, 0.5, 0.05, method)
+        assert not traj.chamber_approach
+        assert traj.times.tolist() == [t for t, _ in samples]
+        assert traj.q.tolist() == [z[:n] for _, z in samples]
+        assert traj.p.tolist() == [z[n:] for _, z in samples]
+
     def test_step_count_needs_no_grid(self):
         assert dynamics.step_count(1.0, 1e-7) == 10 ** 7
         assert dynamics.step_count(0.0, 1e-3) == 0
@@ -230,11 +309,11 @@ class TestIntegrateReduced:
         expected = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
         calls = []
 
-        def failing_once(*args):
+        def failing_once(z, n, a2, b2, c2, scale):
             calls.append(None)
             if len(calls) == 2:
                 raise NumericalFailure("non-finite positions")
-            return _q_chart(*args)
+            return _q_chart(z, n, a2, b2, c2, scale)
 
         monkeypatch.setattr(dynamics, "_q_chart", failing_once)
         run = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
@@ -245,8 +324,8 @@ class TestIntegrateReduced:
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_non_finite_state_raises(self, method, monkeypatch):
-        nan = [np.nan] * 2
-        monkeypatch.setattr(dynamics, "_q_chart", lambda *a: (np.nan, nan, nan))
+        monkeypatch.setattr(dynamics, "_q_chart",
+                            lambda z, n, *constants: (np.nan, [np.nan] * (2 * n)))
         with pytest.raises(NumericalFailure):
             integrate_reduced(POINT2, PARAMS2, 0.1, 1e-2, method=method)
 
@@ -271,7 +350,7 @@ class TestIntegrateReduced:
             integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, method="euler")
 
     def test_size_mismatch_raises_before_stepping(self, monkeypatch):
-        def no_stage(*args):
+        def no_stage(z, n, a2, b2, c2, scale):
             raise AssertionError("_q_chart called")
 
         monkeypatch.setattr(dynamics, "_q_chart", no_stage)

@@ -183,6 +183,17 @@ class TestClosedForms:
         assert hamiltonian_sigma(sigmas, ps[0], params).tolist() == \
             [hamiltonian_sigma(s, ps[0], params) for s in sigmas]
 
+    @pytest.mark.parametrize("sigma, p, name", [
+        ([np.nan, 1.0], [0.0, 0.0], "Sigma"),
+        ([1.6, np.inf], [0.0, 0.0], "Sigma"),
+        ([1.6, 0.6], [np.nan, 0.0], "p"),
+        ([[1.6, 0.6], [1.5, np.nan]], [0.0, 0.0], "Sigma"),
+    ])
+    def test_non_finite_input_is_named(self, sigma, p, name):
+        # past the check, a NaN Sigma would give a NaN value and no error
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite, got \\["):
+            hamiltonian_sigma(sigma, p, make_params(0.5, 1, 1, 2))
+
     def test_q_chart_needs_ordered_separated_q(self):
         # the Sigma chart is permutation invariant; the q chart is not.  A
         # non-finite q (an overflowed RK stage) is a numerical failure.
@@ -330,13 +341,30 @@ class TestQChartKernel:
             abc = abc_from_params(params)
             for _ in range(10):
                 pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                h, dq, dp = hamiltonians._q_chart(pt.q.tolist(), pt.p.tolist(), *abc)
+                h, field = hamiltonians._q_chart(pt.q.tolist() + pt.p.tolist(), n, *abc)
+                dq, dp = [-v for v in field[n:]], field[:n]
                 ref_h, ref_dq, ref_dp = _numpy_q_chart(pt.q, pt.p, *abc)
                 scale = max(1.0, abc[0] * float(np.exp(-2.0 * pt.q).sum()),
                             float(np.max(np.abs(ref_dq))), float(np.max(np.abs(ref_dp))))
                 assert abs(h - ref_h) <= 1e-13 * scale
                 assert np.max(np.abs(np.array(dq) - ref_dq)) <= 1e-13 * scale
                 assert np.max(np.abs(np.array(dp) - ref_dp)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_scale_multiplies_the_field_exactly(self, n):
+        # the field is (scale dH/dp, -scale dH/dq); a power-of-two scale
+        # rounds nothing, and H does not depend on it
+        rng = np.random.default_rng(80 + n)
+        params = make_params(0.6, 1.2, 0.8, n)
+        pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+        z = pt.q.tolist() + pt.p.tolist()
+        h, field = hamiltonians._q_chart(z, n, *abc_from_params(params))
+        dq, dp = grad_hamiltonian(pt.q, pt.p, params)
+        assert field == dp.tolist() + (-dq).tolist()
+        for scale in (2.0, -0.5):
+            h_s, field_s = hamiltonians._q_chart(z, n, *abc_from_params(params), scale)
+            assert h_s == h
+            assert field_s == [scale * v for v in field]
 
     def test_pair_past_the_sinh_range_has_its_limit(self):
         # sinh(800) overflows: the pair's factor is 1 and its log-derivative

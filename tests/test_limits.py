@@ -150,6 +150,28 @@ class TestSutherlandForm:
         with pytest.raises(InvalidInput):
             sutherland_H2(np.array([0.0]), np.array([0.0]), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("hq, hp, name", [
+        ([1.0, np.nan], [0.0, 0.0], "hat_q"),
+        ([1.0, -np.inf], [0.0, 0.0], "hat_q"),
+        ([1.0, 0.5], [np.inf, 0.0], "hat_p"),
+    ])
+    def test_non_finite_input_is_named(self, hq, hp, name):
+        # past the check, a NaN hat_q would come back as the value
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite, got \\["):
+            sutherland_H2(hq, hp, 0.3, -0.2, 0.4)
+
+
+class TestHatCoords:
+    @pytest.mark.parametrize("q, pi, name", [
+        ([np.nan], [0.0], "q"),
+        ([0.5, np.inf], [0.0, 0.1], "q"),
+        ([0.5], [-np.inf], "pi"),
+    ])
+    def test_non_finite_input_is_named(self, q, pi, name):
+        # past the check, a NaN q would give NaN coordinates
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite, got \\["):
+            hat_coords(q, pi)
+
 
 class TestHyperbolicIdentities:
     def test_identity_chain(self):
