@@ -26,7 +26,7 @@ params = make_params(alpha=0.5, x=1.0, y=1.0, n=2)
 point = ReducedPoint(q=np.array([1.0, -1.0]), p=np.array([0.2, 0.15]))
 fact, _ = assemble(point, params)
 
-traj = integrate_reduced(point, params, t_max=1.0, dt=1e-4, sample_every=1000)
+traj = integrate_reduced(point.q, point.p, params, t_max=1.0, dt=1e-4, sample_every=1000)
 proj = project_flow(fact.g, params, traj.times)
 
 print("t, q (reduced ODE) vs q (projected exact flow):")

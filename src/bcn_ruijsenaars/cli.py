@@ -46,9 +46,9 @@ from .dynamics import (
 from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
 from .hamiltonians import BRACKET_DRAW, involution_report
 from .limits import LimitParams, limit_convergence
-from .model import ReducedPoint, make_params
-from .reconstruction import assemble, constraint_report, constraint_residuals
-from .sampling import random_admissible_point, random_admissible_points
+from .model import make_params
+from .reconstruction import assemble_stack, constraint_report, constraint_residuals
+from .sampling import random_admissible_points
 
 _VALIDATION_ERRORS = (InvalidInput, ChamberViolation, SeparationViolation)
 
@@ -117,35 +117,35 @@ def cmd_verify(args) -> int:
 
 
 def _initial_point(args, params):
-    """The start point, with its group element g when --q/--p give it
-    (the reconstruction of g validates the point), else None."""
+    """The start point (q, p), with its group element g when --q/--p give
+    it (the reconstruction of g validates the point), else None."""
     if args.q is not None or args.p is not None:
         if args.q is None or args.p is None:
             raise InvalidInput("--q and --p must be given together")
         q, p = _parse_vector(args.q), _parse_vector(args.p)
         if q.size != params.n or p.size != params.n:
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
-        point = ReducedPoint(q=q, p=p)
-        return point, assemble(point, params)[0].g
-    return random_admissible_point(np.random.default_rng(args.seed), params), None
+        return q, p, assemble_stack(q, p, params)[0].g
+    q, p = random_admissible_points(np.random.default_rng(args.seed), params, 1)
+    return q[0], p[0], None
 
 
 def cmd_simulate(args) -> int:
     params = make_params(args.alpha, args.x, args.y, args.n)
-    point, g0 = _initial_point(args, params)
+    q, p, g0 = _initial_point(args, params)
     n_steps = step_count(args.t_max, args.dt)
     stride = max(1, n_steps // args.sample_count)
 
     reduced = exact = None
     if args.method in ("reduced", "both"):
-        reduced = integrate_reduced(point, params, args.t_max, args.dt,
+        reduced = integrate_reduced(q, p, params, args.t_max, args.dt,
                                     method=args.integrator, sample_every=stride)
         if reduced.chamber_approach:
             print("warning: chamber-wall approach, trajectory truncated",
                   file=sys.stderr)
     if args.method in ("exact", "both"):
         if g0 is None:
-            g0 = assemble(point, params)[0].g
+            g0 = assemble_stack(q, p, params)[0].g
         if reduced is not None:
             times = reduced.times
         else:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface
 from .matops import (
+    as_signature_input,
     dagger,
     frob,
     indefinite_cholesky_upper,
@@ -96,17 +97,6 @@ class KAKData:
         return left @ c @ right
 
 
-def _split_input(g, name: str = "g") -> np.ndarray:
-    """g as a complex 2n x 2n matrix or stack of them, else InvalidInput
-    naming `name` and its shape.  Finiteness is left to the checks that
-    follow: the signature Cholesky's, or `cartan_KAK`'s pseudo-unitarity
-    test."""
-    g = np.asarray(g, dtype=complex)
-    if g.ndim < 2 or g.shape[-2] != g.shape[-1] or g.shape[-1] % 2:
-        raise InvalidInput(f"{name} must be square of even dimension, got shape {g.shape}")
-    return g
-
-
 def decompose_KB(g):
     """Split g = k b with k pseudo-unitary and b triangular-positive.
 
@@ -115,7 +105,7 @@ def decompose_KB(g):
     and InvalidInput unless g is a 2n x 2n matrix or a stack of them, or
     when it has a non-finite entry.
     """
-    g = _split_input(g)
+    g = as_signature_input(g, "g")
     b = indefinite_cholesky_upper(j_gram(g))
     k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
@@ -127,7 +117,7 @@ def decompose_BK(g):
     Uses m = g J g^dag = b J b^dag and the dual signature factorization;
     raises as `decompose_KB` does.
     """
-    g = _split_input(g)
+    g = as_signature_input(g, "g")
     b = indefinite_cholesky_upper_dual(j_moment(g))
     k = np.linalg.solve(b, g)
     return b, k
@@ -140,10 +130,10 @@ def cartan_KAK(k) -> KAKData:
     The (1,1) block A = rho_hat Gamma khat is an SVD with descending
     singular values Gamma_i; regularity requires them distinct and > 1.
     The remaining frames follow from the other blocks.  Raises
-    DegenerateElement at collisions, InvalidInput if k is not a 2n x 2n
-    matrix or a stack of them, or not pseudo-unitary.
+    DegenerateElement at collisions, InvalidInput if k is not a finite
+    2n x 2n matrix or a stack of them, or not pseudo-unitary.
     """
-    k = _split_input(k, "k")
+    k = as_signature_input(k, "k")
     n = k.shape[-1] // 2
     if not is_pseudo_unitary(k, tol=1e-8):
         raise InvalidInput("cartan_KAK: input is not pseudo-unitary")
@@ -188,8 +178,8 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
     block T = tau_hat^dag g_22 lhat^dag / Lambda (the only block of the
     normalized element that is read), residual torus fixing against the
     non-negative gauge of vtilde, and phase read-off from T Ttilde^T.
-    Each row is checked as a ReducedPoint; the first failing row raises
-    ReducedPoint's error.
+    The rows are checked by `require_points`; the first failing row
+    raises its error.
     """
     n = params.n
     eye = np.eye(n)

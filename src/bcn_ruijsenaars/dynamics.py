@@ -29,8 +29,8 @@ Python floats, and each stage is one call of the q-chart kernel
 computed once per run: up to n = 8, numpy's per-call cost outweighs the
 arithmetic.  A Cash-Karp weighted sum adds its stages one by one, in
 order, from 0.0, as `sum` does.  Its start point
-is a ReducedPoint, and its samples become (T, n) arrays once, after the
-stepping, checked by `require_points`.  Each RK stage is checked once,
+(q0, p0) is checked by `require_points`, and its samples become (T, n)
+arrays once, after the stepping.  Each RK stage is checked once,
 by the kernel: NumericalFailure for non-finite q, ChamberViolation for
 unordered q, SeparationViolation past the wall.  Under rk4 that error
 ends the run.  Under rk45 it rejects the trial step, as a non-finite
@@ -71,8 +71,8 @@ from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
 from .hamiltonians import (_one_element, _q_chart, _sigma_rows, grad_hamiltonian,
                            phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, signs
-from .model import (ModelParams, ReducedPoint, abc_from_params, require_points,
-                    require_size, separation_margin, wrap_angle)
+from .model import (ModelParams, abc_from_params, require_points, require_size,
+                    separation_margin, wrap_angle)
 from .reconstruction import constraint_residuals
 
 __all__ = [
@@ -230,10 +230,9 @@ def sample_times(t_max: float, dt: float, sample_every: int = 1):
     return (t_max / n_steps if n_steps else dt), counts
 
 
-def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
-                      dt: float, method: str = "rk4",
-                      sample_every: int = 1) -> Trajectory:
-    """Integrate the reduced ODE and sample the trajectory.
+def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
+                      method: str = "rk4", sample_every: int = 1) -> Trajectory:
+    """Integrate the reduced ODE from the point (q0, p0) and sample it.
 
     The samples are those of `sample_times(t_max, dt, sample_every)`.
     `method` is "rk4" (classical, fixed steps of that grid's step,
@@ -246,9 +245,12 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     """
     if method not in ("rk4", "rk45"):
         raise InvalidInput(f"unknown method {method!r}")
-    require_size(point0.n, params)
+    q0, p0 = require_points(q0, p0)
+    if q0.ndim != 1:
+        raise InvalidInput(f"the start must be one point, got shape {q0.shape}")
+    n = q0.size
+    require_size(n, params)
     step, counts = sample_times(t_max, dt, sample_every)
-    n = point0.n
     a2, b2, c2 = abc_from_params(params)
     sk = FLOW_SIGN * FLOW_TIME_SCALE
 
@@ -282,7 +284,7 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
             h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
 
     steps = rk4_steps if method == "rk4" else rk45_steps
-    t, z = 0.0, point0.q.tolist() + point0.p.tolist()
+    t, z = 0.0, q0.tolist() + p0.tolist()
     kept = [(t, z)]         # (t, z) of each sample, evaluated after the stepping
     approached = False
     for k0, k in zip(counts.tolist(), counts[1:].tolist()):
@@ -297,9 +299,8 @@ def integrate_reduced(point0: ReducedPoint, params: ModelParams, t_max: float,
     times, zs = zip(*kept)
     rows = np.array(zs)
     q, p = rows[:, :n], rows[:, n:]
-    require_points(q, p)
-    # the rows passed require_points; an e^q that overflows to inf is
-    # left to the residual pass, which names v^2
+    # the rows are finite (`_finite`) and ordered (else a margin < 0 ended
+    # the run); an e^q that overflows is left to the residual pass (v^2)
     energy = _sigma_rows(np.exp(q), p, [params])
     residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
     return Trajectory(times=np.array(times), q=q, p=p, energy=energy,

@@ -277,16 +277,17 @@ def grad_hamiltonian(q, p, params: ModelParams):
 
 def fd_gradient(func, q, p, params: ModelParams, h0=None):
     """Central-difference gradient with one Richardson step (h0, h0/2) at
-    each row of (P, n) arrays q and p: (df_dq, df_dp), each (P, n) or
-    (P, n, m).  h0 is by default 1e-4 max(1, |q|, |p|) of each point.
+    each row of (P, n) arrays q and p (or at a point): (df_dq, df_dp), each
+    (P, n) or (P, n, m).  h0 is by default 1e-4 max(1, |q|, |p|) per point.
 
     `func(q, p, params)` takes the stencil rows as two (R, n) arrays and
     returns (R,) or (R, m) values; a point has 8n rows, q_1 ... q_n, then
-    p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2.  The rows are checked as
-    ReducedPoints and passed to `func` by `matops.map_chunks` at
-    `chunk_rows(2n)`, so the first failing row raises its own error, as in
-    a loop.
+    p_1 ... p_n, each at +h0, -h0, +h0/2, -h0/2.  The points and the rows
+    of each chunk are checked by `require_points`; `matops.map_chunks`
+    passes the rows to `func` at `chunk_rows(2n)`, so the first failing row
+    raises its own error, as in a loop.
     """
+    q, p = np.atleast_2d(*require_points(q, p))
     count, n = q.shape
     if h0 is None:
         h0 = 1e-4 * np.maximum(1.0, np.abs(np.hstack([q, p])).max(axis=1))
@@ -298,11 +299,8 @@ def fd_gradient(func, q, p, params: ModelParams, h0=None):
     qs = np.concatenate([q + shifts, np.broadcast_to(q, shifts.shape)], axis=1)
     ps = np.concatenate([np.broadcast_to(p, shifts.shape), p + shifts], axis=1)
 
-    def checked(q, p):
-        require_points(q, p)
-        return func(q, p, params)
-
-    vals = map_chunks(checked, chunk_rows(2 * n), qs.reshape(-1, n), ps.reshape(-1, n))
+    vals = map_chunks(lambda q, p: func(*require_points(q, p), params),
+                      chunk_rows(2 * n), qs.reshape(-1, n), ps.reshape(-1, n))
     f = vals.reshape(count, 2 * n, 4, *vals.shape[1:])
     h0 = h0.reshape(count, *[1] * (f.ndim - 2))
     d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h0)
@@ -336,7 +334,8 @@ class InvolutionReport:
 
 def involution_report(params: ModelParams, q, p, max_order: int = 3) -> InvolutionReport:
     """Estimate |{Phi_mu, Phi_nu}| for mu, nu <= max_order at the rows of
-    (P, n) arrays q and p, chunk_rows(2n) // 8n (at least 1) at a time.
+    (P, n) arrays q and p (or at a point), chunk_rows(2n) // 8n (at least 1)
+    at a time.
 
     The matrix entry [mu-1, nu-1] is the worst absolute bracket over the
     points, at the steps BRACKET_STEP and BRACKET_STEP / 2 (in the report);
@@ -348,6 +347,7 @@ def involution_report(params: ModelParams, q, p, max_order: int = 3) -> Involuti
         raise InvalidInput("max_order > 4 is outside the conditioned regime")
     if max_order < 1:
         raise InvalidInput(f"max_order must be at least 1, got {max_order}")
+    q, p = np.atleast_2d(*require_points(q, p))
     if not len(q):
         raise InvalidInput("involution_report needs at least one point")
     orders = tuple(range(1, max_order + 1))

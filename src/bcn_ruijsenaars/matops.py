@@ -173,11 +173,10 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 def as_signature_input(m, name: str = "matrix") -> np.ndarray:
     """A finite complex 2n x 2n matrix, or stack (..., 2n, 2n) of them: the
     shape J = diag(I, -I) acts on.  InvalidInput names `name` otherwise."""
-    a = _as_square(m, name)
-    if a.shape[-1] % 2:
-        raise InvalidInput(f"{name} must have even dimension for the signature "
-                           "diag(I, -I)")
-    return a
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] % 2:
+        raise InvalidInput(f"{name} must be square of even dimension, got shape {a.shape}")
+    return _as_square(a, name)
 
 
 def _hermitian(a: np.ndarray) -> bool:

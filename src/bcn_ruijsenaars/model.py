@@ -110,9 +110,31 @@ def _require_chamber(q: np.ndarray) -> None:
         raise ChamberViolation(f"q must be strictly decreasing, got {q}")
 
 
+def _point_arrays(q, p):
+    """q and p as float arrays of one shape, a point (n,) or a stack (T, n)."""
+    q, p = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, p))
+    if q.shape != p.shape or q.ndim > 2:
+        raise InvalidInput(f"q and p must have one shape, (n,) or (T, n), got {q.shape}, {p.shape}")
+    return q, p
+
+
+def require_points(q, p):
+    """The package's one rule for (q, p): `_point_arrays`, with finite
+    entries and strictly decreasing q in each row.  Only when a stacked test
+    fails are the rows checked in order, so the first failing row raises
+    InvalidInput "q and p must be finite", else ChamberViolation."""
+    q, p = _point_arrays(q, p)
+    if not (np.isfinite(q).all() and np.isfinite(p).all() and (np.diff(q) < 0.0).all()):
+        for q_t, p_t in zip(*np.atleast_2d(q, p)):
+            if not (np.isfinite(q_t).all() and np.isfinite(p_t).all()):
+                raise InvalidInput("q and p must be finite")
+            _require_chamber(q_t)
+    return q, p
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
-    """Canonical coordinates (q, p) with q strictly decreasing.
+    """Canonical coordinates (q, p) of one point, checked by `require_points`.
 
     p is stored as given (unwrapped); comparisons are made modulo 2*pi.
     """
@@ -121,29 +143,15 @@ class ReducedPoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1:
+        q, p = require_points(self.q, self.p)
+        if q.ndim != 1:
             raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise InvalidInput("q and p must be finite")
-        _require_chamber(q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
         return self.q.size
-
-
-def require_points(q: np.ndarray, p: np.ndarray) -> None:
-    """Check each row of two (T, n) arrays as a ReducedPoint (q[i], p[i]):
-    one stacked test, and only when it fails, a ReducedPoint per row, so the
-    first failing row raises exactly ReducedPoint's error."""
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))
-            and np.all(np.diff(q, axis=-1) < 0.0)):
-        for q_t, p_t in zip(q, p):
-            ReducedPoint(q_t, p_t)
 
 
 def require_size(n: int, params: ModelParams) -> None:

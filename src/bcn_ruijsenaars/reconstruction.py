@@ -38,8 +38,8 @@ from .errors import (
 )
 from .matops import (chunk_rows, dagger, frob, inn, j_gram, j_moment, map_chunks,
                      rel_err)
-from .model import (CartanData, ModelParams, ReducedPoint, cartan_from_q,
-                    require_size)
+from .model import (CartanData, ModelParams, ReducedPoint, _point_arrays,
+                    cartan_from_q, require_points, require_size)
 
 __all__ = [
     "ConstraintData",
@@ -194,11 +194,12 @@ def assemble_stack(q, p, params: ModelParams):
     """Build the constrained elements at each row of (T, n) arrays q and p
     (or at one point, from vectors q and p).
 
-    Returns (LeafFactorization, ConstraintData).  Raises
-    SeparationViolation / ChamberViolation for inadmissible rows.
+    Returns (LeafFactorization, ConstraintData).  Raises as
+    `require_points` does, and SeparationViolation past the wall.
     """
+    q, p = require_points(q, p)
     x, y, n = params.x, params.y, params.n
-    require_size(np.shape(q)[-1], params)
+    require_size(q.shape[-1], params)
     cdata = cartan_from_q(q, params)
     Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
 
@@ -345,8 +346,9 @@ def _residuals(fact: LeafFactorization, cdata: ConstraintData,
 
 def constraint_residuals(q, p, params: ModelParams) -> dict:
     """The residuals of `verify_constraints` at each row of (T, n) arrays
-    q and p, as (T,) arrays, by `matops.map_chunks` at `chunk_rows(2n)`;
-    raises the error `assemble_stack` raises at the first failing row."""
+    q and p (a point is one row), as (T,) arrays, by `matops.map_chunks` at
+    `chunk_rows(2n)`: the first failing row raises its `assemble_stack` error."""
+    q, p = np.atleast_2d(*_point_arrays(q, p))
     return map_chunks(lambda q, p: _residuals(*assemble_stack(q, p, params), params),
                       chunk_rows(2 * params.n), q, p)
 

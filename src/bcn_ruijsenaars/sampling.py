@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .matops import CHUNK_ENTRIES
-from .model import ModelParams, ReducedPoint, require_points, separation_margin
+from .model import ModelParams, ReducedPoint, separation_margin
 
 __all__ = ["MAX_REDRAW", "random_admissible_point", "random_admissible_points"]
 
@@ -68,9 +68,7 @@ def random_admissible_points(rng: np.random.Generator, params: ModelParams, coun
             rng.bit_generator.state = state
             rng.random((rows[-1] + 1) * 2 * n)
         k *= 4
-    q, p = np.concatenate(qs), np.concatenate(ps)
-    require_points(q, p)
-    return q, p
+    return np.concatenate(qs), np.concatenate(ps)
 
 
 def random_admissible_point(rng: np.random.Generator, params: ModelParams,

@@ -151,7 +151,7 @@ def test_criterion_06_dynamics_equivalence():
     params = make_params(0.5, 1.0, 1.0, 2)
     point = ReducedPoint(np.array([1.0, -1.0]), np.array([0.2, 0.15]))
     fact, _ = assemble(point, params)
-    traj = integrate_reduced(point, params, t_max=1.0, dt=1e-4,
+    traj = integrate_reduced(point.q, point.p, params, t_max=1.0, dt=1e-4,
                              sample_every=100)
     proj = project_flow(fact.g, params, traj.times)
     dev = compare_trajectories(traj, proj)

@@ -8,7 +8,8 @@ import pytest
 
 from bcn_ruijsenaars import cli
 from bcn_ruijsenaars.cli import main
-from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.model import ReducedPoint
+from bcn_ruijsenaars.reconstruction import assemble_stack
 
 
 def run_cli(capsys, *argv):
@@ -84,8 +85,8 @@ class TestSimulate:
     def test_given_start_is_assembled_once(self, capsys, monkeypatch, method):
         # the reconstruction that validates --q/--p also gives g(0)
         calls = []
-        monkeypatch.setattr(cli, "assemble",
-                            lambda *a: calls.append(a) or assemble(*a))
+        monkeypatch.setattr(cli, "assemble_stack",
+                            lambda *a: calls.append(a) or assemble_stack(*a))
         code, _, _ = run_cli(capsys, "simulate", "--n", "2", "--q", "1.0,-1.0",
                              "--p", "0.2,0.15", "--t-max", "0.01",
                              "--method", method)
@@ -190,6 +191,45 @@ class TestSimulate:
                                  "--p", "0.2,0.15", *grid)
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+
+class TestWithoutReducedPoint:
+    """The workflows pass (q, p) arrays checked by `require_points`: none
+    builds a ReducedPoint, on success or on a refused start."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_points(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ReducedPoint built")
+
+        monkeypatch.setattr(ReducedPoint, "__post_init__", refuse)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rk45"])
+    @pytest.mark.parametrize("start", [(), ("--q", "1.0,-1.0", "--p", "0.2,0.15")])
+    @pytest.mark.parametrize("method", ["reduced", "exact", "both"])
+    def test_simulate(self, capsys, method, start, integrator):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", *start, "--t-max", "0.01",
+                                 "--method", method, "--integrator", integrator)
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("q, message", [
+        ("--q=1,nan", "error: q and p must be finite\n"),
+        ("--q=0,1", "error: q must be strictly decreasing, got [0. 1.]\n"),
+    ])
+    @pytest.mark.parametrize("method", ["reduced", "exact"])
+    def test_refused_start(self, capsys, method, q, message):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", q, "--p=0,0",
+                                 "--method", method)
+        assert (code, out, err) == (1, "", message)
+
+    def test_verify(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "5", "--seed", "3")
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_involution(self, capsys):
+        code, out, _ = run_cli(capsys, "involution", "--points", "3", "--seed", "3")
+        assert code == 0 and json.loads(out)["pass"] is True
 
 
 class TestInvolution:

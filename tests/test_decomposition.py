@@ -199,6 +199,18 @@ def test_kak_of_a_non_square_or_odd_element_names_k(k):
         cartan_KAK(k)
 
 
+@pytest.mark.parametrize("call, name", [(decompose_KB, "g"), (decompose_BK, "g"),
+                                        (cartan_KAK, "k")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_element_is_named(call, name, bad):
+    # was "matrix contains ...", from the factorization's or the
+    # pseudo-unitarity test's own check (an inf: a warning first)
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(InvalidInput, match=f"^{name} contains non-finite entries$"):
+        call(a)
+
+
 @pytest.mark.parametrize("split", [decompose_KB, decompose_BK])
 def test_split_keeps_the_error_class_of_square_even_elements(split):
     # swapping e_1 and e_3 scrambles the signature: off the leaf

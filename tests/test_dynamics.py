@@ -191,7 +191,7 @@ class TestIntegrateReduced:
         q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
         pt = ReducedPoint(q, rng.uniform(-0.5, 0.5, size=n))
         params = make_params(0.6, 1.2, 0.8, n)
-        traj = integrate_reduced(pt, params, 0.5, 0.05, method=method)
+        traj = integrate_reduced(pt.q, pt.p, params, 0.5, 0.05, method=method)
         samples = _textbook_run(pt, params, 0.5, 0.05, method)
         assert not traj.chamber_approach
         assert traj.times.tolist() == [t for t, _ in samples]
@@ -208,19 +208,19 @@ class TestIntegrateReduced:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_residual_shows_in_the_column(self):
         # at y = 1e-160 two constraint residuals are NaN at every sample
-        traj = integrate_reduced(POINT2, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
+        traj = integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
         assert np.all(np.isnan(traj.residual)) and np.all(np.isfinite(traj.energy))
 
     def test_zero_horizon(self):
-        traj = integrate_reduced(POINT2, PARAMS2, t_max=0.0, dt=1e-3)
+        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)
         assert np.allclose(traj.q[0], POINT2.q)
 
     def test_orientation_calibration(self, monkeypatch):
         fact, _ = assemble(POINT2, PARAMS2)
-        good = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50)
+        good = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.5, 1e-3, sample_every=50)
         monkeypatch.setattr(dynamics, "FLOW_SIGN", -1)
-        bad = integrate_reduced(POINT2, PARAMS2, 0.5, 1e-3, sample_every=50)
+        bad = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.5, 1e-3, sample_every=50)
         proj = project_flow(fact.g, PARAMS2, good.times)
         assert compare_trajectories(good, proj).q_dev < 1e-9
         assert compare_trajectories(bad, proj).q_dev > 1e-2
@@ -228,7 +228,7 @@ class TestIntegrateReduced:
     def test_energy_drift_fourth_order(self):
         d = {}
         for dt in (2e-3, 1e-3):
-            tr = integrate_reduced(POINT2, PARAMS2, 2.0, dt,
+            tr = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 2.0, dt,
                                    sample_every=int(0.1 / dt))
             d[dt] = np.max(np.abs(tr.energy - tr.energy[0]))
         ratio = d[2e-3] / d[1e-3]
@@ -237,28 +237,28 @@ class TestIntegrateReduced:
     def test_chamber_wall_abort(self):
         # head-on low-momentum pair collapses toward the separation wall
         pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
-        traj = integrate_reduced(pt, PARAMS2, 2.0, 1e-3, sample_every=10)
+        traj = integrate_reduced(pt.q, pt.p, PARAMS2, 2.0, 1e-3, sample_every=10)
         assert traj.chamber_approach
         assert traj.times[-1] < 2.0
 
     def test_bounded_oscillation_long_run(self):
-        traj = integrate_reduced(POINT1, PARAMS1, 100.0, 1e-2, sample_every=100)
+        traj = integrate_reduced(POINT1.q, POINT1.p, PARAMS1, 100.0, 1e-2, sample_every=100)
         assert not traj.chamber_approach
         qs = traj.q[:, 0]
         assert np.max(np.abs(qs)) < 2.0
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-6
 
     def test_time_reversal(self, monkeypatch):
-        fwd = integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, sample_every=1000)
+        fwd = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-3, sample_every=1000)
         end = ReducedPoint(fwd.q[-1], fwd.p[-1])
         monkeypatch.setattr(dynamics, "FLOW_SIGN", -FLOW_SIGN)
-        back = integrate_reduced(end, PARAMS2, 1.0, 1e-3, sample_every=1000)
+        back = integrate_reduced(end.q, end.p, PARAMS2, 1.0, 1e-3, sample_every=1000)
         assert np.max(np.abs(back.q[-1] - POINT2.q)) < 1e-10
         assert np.max(np.abs(back.p[-1] - POINT2.p)) < 1e-10
 
     def test_adaptive_pair_matches_exact(self):
         fact, _ = assemble(POINT2, PARAMS2)
-        tr = integrate_reduced(POINT2, PARAMS2, 1.0, 1e-2, sample_every=10,
+        tr = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-2, sample_every=10,
                                method="rk45")
         proj = project_flow(fact.g, PARAMS2, tr.times)
         dev = compare_trajectories(tr, proj)
@@ -270,15 +270,15 @@ class TestIntegrateReduced:
         # far past the wall, and the whole call fails
         pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
         with pytest.raises((ChamberViolation, SeparationViolation)):
-            integrate_reduced(pt, PARAMS2, 10.0, 10.0, method=method)
+            integrate_reduced(pt.q, pt.p, PARAMS2, 10.0, 10.0, method=method)
 
     def test_rk45_rejects_a_stage_leaving_the_chamber(self):
         # the first trial step (h = dt = 1) has a stage past the wall: it
         # is rejected like any other, and the run matches a finer cadence
         params = make_params(0.6, 1.2, 0.8, 2)
         pt = random_admissible_point(np.random.default_rng(2), params)
-        coarse = integrate_reduced(pt, params, 4.0, 1.0, method="rk45")
-        fine = integrate_reduced(pt, params, 4.0, 0.5, method="rk45")
+        coarse = integrate_reduced(pt.q, pt.p, params, 4.0, 1.0, method="rk45")
+        fine = integrate_reduced(pt.q, pt.p, params, 4.0, 0.5, method="rk45")
         assert not coarse.chamber_approach
         assert np.array_equal(coarse.times, [0.0, 1.0, 2.0, 3.0, 4.0])
         assert np.max(np.abs(coarse.q[-1] - fine.q[-1])) < 1e-8
@@ -300,13 +300,13 @@ class TestIntegrateReduced:
         monkeypatch.setattr(dynamics, "_ck_step", counted)
         pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
         with pytest.raises(NumericalFailure, match="rk45: step"):
-            integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, dt, method="rk45")
+            integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, dt, method="rk45")
 
     def test_rk45_rejects_a_stage_that_fails_numerically(self, monkeypatch):
         # the second stage of the first trial step raises NumericalFailure,
         # as an overflowing stage does: the step is rejected and retried
         # shorter, and the run ends where an undisturbed run ends
-        expected = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
+        expected = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
         calls = []
 
         def failing_once(z, n, a2, b2, c2, scale):
@@ -316,7 +316,7 @@ class TestIntegrateReduced:
             return _q_chart(z, n, a2, b2, c2, scale)
 
         monkeypatch.setattr(dynamics, "_q_chart", failing_once)
-        run = integrate_reduced(POINT2, PARAMS2, 1.0, 0.5, method="rk45")
+        run = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
         assert len(calls) > 2
         assert np.array_equal(run.times, expected.times)
         assert np.max(np.abs(run.q - expected.q)) < 1e-8
@@ -327,13 +327,13 @@ class TestIntegrateReduced:
         monkeypatch.setattr(dynamics, "_q_chart",
                             lambda z, n, *constants: (np.nan, [np.nan] * (2 * n)))
         with pytest.raises(NumericalFailure):
-            integrate_reduced(POINT2, PARAMS2, 0.1, 1e-2, method=method)
+            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-2, method=method)
 
     def test_overflowed_stage_raises(self):
         # a stage's gradient overflows and a position comes back infinite
         pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
         with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
-            integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, 10.0)
+            integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, 10.0)
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_overflowed_stage_raises_without_warnings(self, method):
@@ -341,13 +341,32 @@ class TestIntegrateReduced:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure):
-                integrate_reduced(pt, make_params(0.5, 1, 1, 2), 10.0, 10.0, method=method)
+                integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, 10.0, method=method)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):
-            integrate_reduced(POINT2, PARAMS2, 1.0, -1e-3)
+            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, -1e-3)
         with pytest.raises(InvalidInput):
-            integrate_reduced(POINT2, PARAMS2, 1.0, 1e-3, method="euler")
+            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-3, method="euler")
+
+    @pytest.mark.parametrize("q0, p0, error, message", [
+        ([-1.0, 1.0], [0.2, 0.15], ChamberViolation, r"^q must be strictly decreasing"),
+        ([1.0, np.nan], [0.2, 0.15], InvalidInput, "^q and p must be finite$"),
+        ([1.0, -1.0], [0.2], InvalidInput, "^q and p must have one shape"),
+        ([[1.0, -1.0]], [[0.2, 0.15]], InvalidInput, "^the start must be one point"),
+    ])
+    def test_start_is_checked_before_stepping(self, q0, p0, error, message, monkeypatch):
+        def no_stage(z, n, a2, b2, c2, scale):
+            raise AssertionError("_q_chart called")
+
+        monkeypatch.setattr(dynamics, "_q_chart", no_stage)
+        with pytest.raises(error, match=message):
+            integrate_reduced(q0, p0, PARAMS2, 1.0, 1e-3)
+
+    def test_start_may_be_array_likes(self):
+        a = integrate_reduced([1, -1], [0.2, 0.15], PARAMS2, 0.01, 1e-3)
+        b = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3)
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
     def test_size_mismatch_raises_before_stepping(self, monkeypatch):
         def no_stage(z, n, a2, b2, c2, scale):
@@ -355,7 +374,7 @@ class TestIntegrateReduced:
 
         monkeypatch.setattr(dynamics, "_q_chart", no_stage)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
-            integrate_reduced(POINT2, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
+            integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
 
 
 class TestProjectFlow:
@@ -518,19 +537,19 @@ class TestStackedProjection:
 
 class TestCompare:
     def test_self_comparison_is_zero(self):
-        traj = integrate_reduced(POINT2, PARAMS2, 0.1, 1e-3, sample_every=10)
+        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-3, sample_every=10)
         dev = compare_trajectories(traj, traj)
         assert dev.q_dev == 0.0 and dev.p_dev == 0.0
 
     def test_grid_mismatch(self):
-        a = integrate_reduced(POINT2, PARAMS2, 0.1, 1e-3, sample_every=10)
-        b = integrate_reduced(POINT2, PARAMS2, 0.2, 1e-3, sample_every=10)
+        a = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-3, sample_every=10)
+        b = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.2, 1e-3, sample_every=10)
         with pytest.raises(InvalidInput):
             compare_trajectories(a, b)
 
     @pytest.mark.parametrize("point,params", [(POINT1, PARAMS1), (POINT2, PARAMS2)])
     def test_routes_give_T_by_n_arrays(self, point, params):
-        traj = integrate_reduced(point, params, 0.1, 1e-2)
+        traj = integrate_reduced(point.q, point.p, params, 0.1, 1e-2)
         proj = project_flow(assemble(point, params)[0].g, params, traj.times)
         for tr in (traj, proj):
             assert tr.q.shape == tr.p.shape == (traj.times.size, point.n)
@@ -557,7 +576,7 @@ class TestCompare:
 
 class TestCsv:
     def test_header_and_roundtrip(self):
-        traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)
+        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3, sample_every=5)
         text = trajectory_csv_text(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,q1,q2,p1,p2,energy,residual"
@@ -568,7 +587,7 @@ class TestCsv:
         assert float(row[-2]) == traj.energy[0]
 
     def test_rows_match_per_row_reference(self):
-        traj = integrate_reduced(POINT2, PARAMS2, 0.01, 1e-3, sample_every=5)
+        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3, sample_every=5)
         # rows of special values: NaN, +-inf, -0.0 and the extremes of the range
         rows = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308],
                          [-0.0, -np.nan, 1e-310, np.inf, 0.1, 1e16, -1.0 / 3.0]])

@@ -528,6 +528,33 @@ class TestInvolution:
         assert type(stacked.value) is type(loop.value)
         assert str(stacked.value) == str(loop.value)
 
+    @pytest.mark.parametrize("p_shape", [(1, 2), (2, 3), (2,)])
+    def test_shapes_must_agree(self, p_shape):
+        # a raw broadcasting ValueError before the one point rule
+        params = make_params(0.5, 1, 1, 2)
+        q, _ = random_admissible_points(np.random.default_rng(64), params, 2,
+                                        **BRACKET_DRAW)
+        with pytest.raises(InvalidInput, match="q and p must have one shape"):
+            involution_report(params, q, np.zeros(p_shape), 3)
+        with pytest.raises(InvalidInput, match="q and p must have one shape"):
+            fd_gradient(lambda q, p, pr: q[:, 0], q, np.zeros(p_shape), params)
+
+    def test_non_finite_point_is_invalid_input(self):
+        params = make_params(0.5, 1, 1, 2)
+        q, p = random_admissible_points(np.random.default_rng(65), params, 2,
+                                        **BRACKET_DRAW)
+        p[1, 0] = np.inf
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
+            involution_report(params, q, p, 3)
+
+    def test_a_point_is_one_row(self):
+        params = make_params(0.5, 1, 1, 2)
+        q, p = random_admissible_points(np.random.default_rng(66), params, 1,
+                                        **BRACKET_DRAW)
+        one = involution_report(params, q[0], p[0], 2)
+        stack = involution_report(params, q, p, 2)
+        assert np.array_equal(one.bracket_matrix, stack.bracket_matrix)
+
     def test_max_order_guard(self):
         params = make_params(0.5, 1, 1, 2)
         with pytest.raises(InvalidInput):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from bcn_ruijsenaars import model
 from bcn_ruijsenaars.errors import (
+    BCNError,
     ChamberViolation,
     InvalidInput,
     NumericalFailure,
@@ -226,8 +228,84 @@ class TestReducedPoint:
         with pytest.raises(InvalidInput, match="must be finite"):
             require_points(q[::2], p[::2])
 
+    def test_one_point_only(self):
+        with pytest.raises(InvalidInput, match="1-d of equal length"):
+            ReducedPoint(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
+
+    def test_checks_through_require_points(self, monkeypatch):
+        seen = []
+
+        def spy(q, p):
+            seen.append((q, p))
+            return require_points(q, p)
+
+        monkeypatch.setattr(model, "require_points", spy)
+        point = ReducedPoint([1, 0], [0.5, 0.25])
+        assert len(seen) == 1
+        assert point.q.dtype == point.p.dtype == float
+        assert point.q.tolist() == [1.0, 0.0] and point.p.tolist() == [0.5, 0.25]
+
     def test_wrap_angle_range(self):
         x = np.array([0.0, np.pi, -np.pi, 3 * np.pi, -2.5 * np.pi, 7.0])
         w = wrap_angle(x)
         assert np.all(w > -np.pi) and np.all(w <= np.pi)
         assert np.allclose(np.exp(1j * w), np.exp(1j * x), atol=1e-12)
+
+
+def _ordered(shape):
+    """Strictly decreasing positions of the given shape."""
+    return np.zeros(shape) - np.arange(shape[-1])
+
+
+class TestRequirePoints:
+    @pytest.mark.parametrize("q_shape,p_shape", [
+        ((1, 2), (1, 3)),       # rows of different lengths
+        ((2, 2), (1, 2)),       # 2 rows against 1
+        ((2,), (1, 2)),         # a point against a stack of one
+        ((1, 1, 2), (1, 1, 2)),
+    ])
+    def test_shapes_must_agree(self, q_shape, p_shape):
+        with pytest.raises(InvalidInput, match="q and p must have one shape"):
+            require_points(_ordered(q_shape), np.zeros(p_shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (0, 3)])
+    def test_returns_float_arrays(self, shape):
+        q, p = require_points(_ordered(shape).astype(int), np.zeros(shape, dtype=int))
+        assert q.dtype == p.dtype == float
+        assert q.shape == p.shape == shape
+        assert np.array_equal(q, _ordered(shape))
+
+    def test_a_scalar_is_one_particle(self):
+        q, p = require_points(0.5, 0.25)
+        assert q.tolist() == [0.5] and p.tolist() == [0.25]
+
+    @pytest.mark.parametrize("q_row,p_row", [
+        ([0.0, 1.0], [0.0, 0.0]),
+        ([1.0, 1.0], [0.0, 0.0]),
+        ([1.0, np.nan], [0.0, 0.0]),
+        ([1.0, 0.0], [np.inf, 0.0]),
+        ([np.inf, np.inf], [0.0, 0.0]),
+        ([np.nan, 1.0], [0.0, 0.0]),
+    ])
+    def test_a_failing_row_raises_what_the_point_raises(self, q_row, p_row):
+        # between two good rows, with warnings as errors (the test
+        # configuration): an infinite row must not reach a subtraction
+        q = np.array([[1.0, 0.0], q_row, [2.0, 1.0]])
+        p = np.array([[0.0, 0.0], p_row, [0.0, 0.0]])
+        with pytest.raises(BCNError) as point:
+            ReducedPoint(q[1], p[1])
+        with pytest.raises(BCNError) as stack:
+            require_points(q, p)
+        assert type(stack.value) is type(point.value)
+        assert str(stack.value) == str(point.value)
+
+    def test_builds_no_reduced_point(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ReducedPoint built")
+
+        monkeypatch.setattr(ReducedPoint, "__post_init__", refuse)
+        q = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ChamberViolation, match=r"got \[0. 1.\]"):
+            require_points(q, np.zeros_like(q))
+        with pytest.raises(InvalidInput, match="must be finite"):
+            require_points(q[:1], np.full((1, 2), np.nan))

@@ -8,8 +8,8 @@ from conftest import draw_point, vhat_stabilizer
 from bcn_ruijsenaars import cli, reconstruction
 from bcn_ruijsenaars.cli import main
 from bcn_ruijsenaars.dynamics import integrate_reduced
-from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, NumericalFailure,
-                                    SeparationViolation)
+from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
+                                    NumericalFailure, SeparationViolation)
 from bcn_ruijsenaars.matops import frob, inn, rel_err
 from bcn_ruijsenaars.model import ReducedPoint, cartan_from_q, make_params
 from bcn_ruijsenaars.reconstruction import (
@@ -371,9 +371,36 @@ class TestStackedCore:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
+    def test_non_finite_rows_are_invalid_input(self):
+        # a NaN angle gave NaN residuals and a det warning; now the row is
+        # refused as a point is
+        params, points = _points(2, 3, 312)
+        q = np.array([pt.q for pt in points])
+        p = np.array([pt.p for pt in points])
+        p[1, 1] = np.nan
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
+            constraint_residuals(q, p, params)
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
+            assemble_stack(q, p, params)
+
+    @pytest.mark.parametrize("q_rows,p_shape", [(2, (1, 2)), (1, (1, 3)), (2, (2,))])
+    def test_shapes_must_agree(self, q_rows, p_shape):
+        params, points = _points(2, q_rows, 313)
+        q = np.array([pt.q for pt in points])
+        with pytest.raises(InvalidInput, match="q and p must have one shape"):
+            constraint_residuals(q, np.zeros(p_shape), params)
+
+    def test_a_point_is_one_row(self):
+        params, (point,) = _points(3, 1, 314)
+        one = constraint_residuals(point.q, point.p, params)
+        stack = constraint_residuals(point.q[None], point.p[None], params)
+        assert {name: r.shape for name, r in one.items()} == {name: (1,) for name in stack}
+        assert {name: r.tolist() for name, r in one.items()} == \
+            {name: r.tolist() for name, r in stack.items()}
+
     def test_residual_column_equals_the_loop(self):
         params, (point,) = _points(3, 1, 311)
-        traj = integrate_reduced(point, params, 0.2, 1e-3, sample_every=20)
+        traj = integrate_reduced(point.q, point.p, params, 0.2, 1e-3, sample_every=20)
         points = [ReducedPoint(q, p) for q, p in zip(traj.q, traj.p)]
         loop = [max(res.values()) for _, res in _loop_verify(points, params)]
         assert np.array_equal(traj.residual, loop)
