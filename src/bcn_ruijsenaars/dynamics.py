@@ -23,28 +23,32 @@ grid of `sample_times`, so `project_flow` on its times and both
 integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
 adaptive Cash-Karp steps.  It steps the state z = q + p as a list of 2n
-Python floats, and each stage is one call of the q-chart kernel
-`hamiltonians._q_chart`, which returns the vector field
-(s k dPhi_1/dp, -s k dPhi_1/dq) in z's order, with a^2, b^2, c^2
-computed once per run: up to n = 8, numpy's per-call cost outweighs the
-arithmetic.  A Cash-Karp weighted sum adds its stages one by one, in
-order, from 0.0, as `sum` does.  Its start point
-(q0, p0) is checked by `require_points`, and its samples become (T, n)
-arrays once, after the stepping.  Each RK stage is checked once,
-by the kernel: NumericalFailure for non-finite q, ChamberViolation for
-unordered q, SeparationViolation past the wall.  Under rk4 that error
-ends the run.  Under rk45 it rejects the trial step, as a non-finite
-result does, and the step is retried at a fifth of its length; a
-rejected trial step shorter than RK45_MIN_STEP raises NumericalFailure
-naming the step and the time reached.  Each step is checked once: a
-non-finite state raises NumericalFailure, and a separation margin below
-WALL_MARGIN ends the run with `chamber_approach` set.  Float arithmetic
-overflows to inf silently, and the kernel maps the math functions'
-OverflowError and ValueError to the IEEE value, so the steps need no
-`np.errstate`: an overflowed stage ends at the next stage's check,
-without a warning.  The samples are evaluated after the stepping: the
-energy column by one Sigma-chart evaluation (`hamiltonians._sigma_rows`)
-on the (T, n) arrays, the residuals by one `constraint_residuals`.
+Python floats.  `_rk_step` generates the RK4 step and the Cash-Karp
+trial step once per n, at first use, as straight lines of float
+operations: each stage is one call of the q-chart kernel
+`hamiltonians._q_kernel(n)` on the stage's expressions z_j + c h k_j,
+and the kernel returns the vector field (s k dPhi_1/dp, -s k dPhi_1/dq)
+in z's order, with a^2, b^2, c^2 bound once per run.  A Cash-Karp
+weighted sum adds its stages one by one, in order, from 0.0, as `sum`
+does.  Its start point (q0, p0) is checked by `require_points`, and its
+samples become (T, n) arrays once, after the stepping.  Each RK stage is
+checked once, by the kernel: NumericalFailure for non-finite q,
+ChamberViolation for unordered q, SeparationViolation past the wall.
+Under rk4 that error ends the run.  Under rk45 it rejects the trial
+step, as a non-finite result does, and the step is retried at a fifth of
+its length; a rejected trial step shorter than RK45_MIN_STEP raises
+NumericalFailure naming the step and the time reached.  Each step is
+checked once: a non-finite state raises NumericalFailure, and a
+separation margin below WALL_MARGIN ends the run with `chamber_approach`
+set.  Float arithmetic overflows to inf silently, and the kernel maps
+the math functions' OverflowError and ValueError to the IEEE value, so
+the steps need no `np.errstate`: an overflowed stage ends at the next
+stage's check, without a warning.  The samples are evaluated after the
+stepping: the energy column by one Sigma-chart evaluation
+(`hamiltonians._sigma_rows`) on the (T, n) arrays, the residuals by one
+`constraint_residuals`.  A non-finite entry in either column (far out,
+e^q or a product overflows) raises NumericalFailure naming the column
+and its first sample time.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline through `matops.map_chunks`: each chunk of
@@ -60,7 +64,9 @@ measures the deviation between the two routes.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +74,8 @@ import numpy as np
 from .decomposition import reduce_stack, require_element
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .hamiltonians import (_one_element, _q_chart, _sigma_rows, grad_hamiltonian,
-                           phi_from_moment)
+from .hamiltonians import (_generated, _one_element, _q_kernel, _sigma_rows,
+                           grad_hamiltonian, phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, signs
 from .model import (ModelParams, abc_from_params, require_points, require_size,
                     separation_margin, wrap_angle)
@@ -164,35 +170,58 @@ _CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
 _CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 
 
-def _rk4_step(f, z, h):
-    """One classical RK4 step on the float list z."""
-    k1 = f(z)
-    h2 = 0.5 * h
-    k2 = f([a + h2 * b for a, b in zip(z, k1)])
-    k3 = f([a + h2 * b for a, b in zip(z, k2)])
-    k4 = f([a + h * b for a, b in zip(z, k3)])
-    h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+def _step_source(method: str, n: int) -> str:
+    """Source of `steps(chart)`, which returns the step of `method` ("rk4"
+    or "rk45") for n particles on the kernel `chart`; see `_rk_step`.
+    It is built from the int n, the fixed templates below and the
+    Cash-Karp table's floats only, so no caller's text reaches `exec`."""
+    dim = 2 * operator.index(n)
+    zs = [f"z{j}" for j in range(dim)]
+
+    def stage(s, args):
+        return f"        _, {', '.join(f'k{s}_{j}' for j in range(dim))} = chart({', '.join(args)})"
+
+    def combine(weights):
+        # z + h (0.0 + w_0 k_0 + w_1 k_1 + ...), a zero weight still
+        # multiplying its stage: 0 * inf is NaN, so an overflowed stage
+        # fails the trial step
+        return [f"z{j} + h * (0.0" + "".join(f" + {float(w)!r} * k{s}_{j}"
+                                             for s, w in enumerate(weights)) + ")"
+                for j in range(dim)]
+
+    lines = ["def steps(chart):", "", "    def step(z, h):", f"        {', '.join(zs)}, = z"]
+    if method == "rk4":
+        lines += [stage(1, zs), "        h2 = 0.5 * h",
+                  stage(2, [f"z{j} + h2 * k1_{j}" for j in range(dim)]),
+                  stage(3, [f"z{j} + h2 * k2_{j}" for j in range(dim)]),
+                  stage(4, [f"z{j} + h * k3_{j}" for j in range(dim)]),
+                  "        h6 = h / 6.0",
+                  "        return [" + ", ".join(
+                      f"z{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+                      for j in range(dim)) + "]"]
+    else:
+        lines += [stage(0, zs)]
+        lines += [stage(s, combine(row)) for s, row in enumerate(_CK_A) if s]
+        lines += [f"        return [{', '.join(combine(_CK_B5))}], "
+                  f"[{', '.join(combine(_CK_B4))}]"]
+    lines += ["", "    return step", ""]
+    return "\n".join(lines)
 
 
-def _combine(z, h, weights, ks):
-    """z + h * sum_s weights[s] * ks[s], summed stage by stage in order
-    from 0.0, as `sum` adds floats.  A zero weight still multiplies its
-    stage: 0 * inf is NaN, so an overflowed stage fails the trial step."""
-    acc = [0.0 + weights[0] * k for k in ks[0]]
-    for w, stage in zip(weights[1:], ks[1:]):
-        acc = [s + w * k for s, k in zip(acc, stage)]
-    return [a + h * s for a, s in zip(z, acc)]
+@functools.cache
+def _rk_step(method: str, n: int):
+    """The step of `method` ("rk4" or "rk45") for n particles, generated
+    and compiled at its first use, once per (method, n) (as `<rk4-step
+    n=...>` or `<rk45-step n=...>`, see `hamiltonians._generated`).
 
-
-def _ck_step(f, z, h):
-    """One Cash-Karp trial step on the float list z: the fifth-order
-    result and the fourth-order one."""
-    ks = [f(z)]
-    for row in _CK_A[1:]:
-        ks.append(f(_combine(z, h, row, ks)))
-    return _combine(z, h, _CK_B5, ks), _combine(z, h, _CK_B4, ks)
+    `_rk_step(method, n)(chart)` steps the float list z = q + p by h on
+    the q-chart kernel `chart` (`hamiltonians._q_kernel`), each stage one
+    kernel call on the stage's expressions z_j + c h k_j.  rk4 returns
+    the classical RK4 step; rk45 returns the Cash-Karp trial step's
+    fifth-order result and its fourth-order one, each weighted sum added
+    stage by stage in order from 0.0.
+    """
+    return _generated(_step_source(method, n), f"<{method}-step n={n}>", {})["steps"]
 
 
 def _finite(z):
@@ -252,14 +281,12 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     require_size(n, params)
     step, counts = sample_times(t_max, dt, sample_every)
     a2, b2, c2 = abc_from_params(params)
-    sk = FLOW_SIGN * FLOW_TIME_SCALE
-
-    def f(z):
-        return _q_chart(z, n, a2, b2, c2, sk)[1]
+    chart = _q_kernel(n)(a2, b2, c2, FLOW_SIGN * FLOW_TIME_SCALE)
+    rk_step = _rk_step(method, n)(chart)
 
     def rk4_steps(t, z, k0, k):
         for j in range(k0 + 1, k + 1):
-            z = _finite(_rk4_step(f, z, step))
+            z = _finite(rk_step(z, step))
             yield j * step, z
 
     h = dt
@@ -270,7 +297,7 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
         while t < t_target:
             h = min(h, t_target - t)
             try:
-                z5, z4 = _ck_step(f, z, h)
+                z5, z4 = rk_step(z, h)
                 err = max(abs(a - b) for a, b in zip(_finite(z5), _finite(z4)))
             except (ChamberViolation, SeparationViolation, NumericalFailure):
                 err = math.inf      # a stage left the chamber or overflowed
@@ -303,6 +330,11 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     # the run); an e^q that overflows is left to the residual pass (v^2)
     energy = _sigma_rows(np.exp(q), p, [params])
     residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
+    for name, column in (("energy", energy), ("residual", residual)):
+        failed = ~np.isfinite(column)
+        if failed.any():
+            raise NumericalFailure(f"reduced flow: non-finite {name} at t = "
+                                   f"{times[np.argmax(failed)]:.10g}")
     return Trajectory(times=np.array(times), q=q, p=p, energy=energy,
                       residual=residual, chamber_approach=approached)
 

@@ -25,23 +25,23 @@ The reduced Poisson bracket carries a factor 1/2 (the reduced symplectic
 form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 
 `hamiltonian_q`, `grad_hamiltonian` and the reduced ODE's stages share
-one kernel, `_q_chart`, which checks the chart and runs in Python
-floats: one loop over the pairs builds each factor 1 - c^2 / (4
-sinh^2(q_i - q_k)) once.  It takes the state z = q + p as one list and
-returns H with the vector field (scale dH/dp, -scale dH/dq) in z's
-order, each entry scaled where it is computed: at the flow's scale an
-RK stage is one kernel call, and at scale 1 the gradient is read off
-exactly.  Up to n = 8 that is faster than numpy's calls on arrays of 1
-to 64 entries; being O(n^2) in the interpreter, it is slower from about
-n = 10.  The rest runs on stacks: `hamiltonian_sigma`,
-the independent Sigma-chart form, on (T, n) points (`weyl_check`'s
-orbit is one stack, and the limit's scales are one stack with each row's
-own parameters), and `fd_gradient` and `involution_report` on (P, n)
-points: the 8n stencil rows of each point of a chunk form one stack.
+one q-chart kernel per particle count n, generated by `_q_kernel(n)` at
+first use: a loop's float operations over the pairs, written as one
+straight line on locals, so each pair factor is built once and no list
+is indexed.  It checks the chart and returns H with the vector field
+(scale dH/dp, -scale dH/dq) in the order of z = q + p: at the flow's
+scale an RK stage is one kernel call, and at scale 1 the gradient is
+read off exactly.  An RK4 step on it beats numpy's calls up to about
+n = 12, and is slower at n = 16 (O(n^2) in the interpreter).  The rest
+runs on stacks: the Sigma-chart form on (T, n) points (`weyl_check`'s
+orbit, the limit's scales), and `fd_gradient` and `involution_report`
+on (P, n) points, the 8n stencil rows of a point's chunk as one stack.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -161,93 +161,93 @@ def _sigma_rows(sigma, p, params):
     return a2[:, 0] * np.sum(1.0 / s, axis=-1) - np.sum(np.cos(p) * w, axis=-1)
 
 
-def _q_chart(z, n: int, a2: float, b2: float, c2: float, scale: float = 1.0):
-    """(H, field) of the three-constant form at one point.  z is the list
-    q + p of 2n floats, and field the list
+def _chamber_error(q):
+    """Raise the chart's error for positions q that fail its order test:
+    NumericalFailure for a non-finite entry, else ChamberViolation."""
+    q = np.array(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise NumericalFailure(f"non-finite positions q = {q}")
+    raise ChamberViolation(f"q must be strictly decreasing, got {q}")
 
-        [scale dH/dp_1 ... scale dH/dp_n, -scale dH/dq_1 ... -scale dH/dq_n]
 
-    in z's order: at scale FLOW_SIGN * FLOW_TIME_SCALE, the reduced ODE's
-    vector field, and at scale 1.0, the gradient with dH/dq negated (both
-    exactly, as scale 2.0 and negation round nothing).
+def _pair_limit(d, c2):
+    """(c2 / (4 sinh^2 d), cosh d / sinh d) of one pair, as the kernel
+    computes them, where the kernel's own arithmetic raises: (0.0, 1.0),
+    factor 1 and dl 0, when sinh or cosh overflows, and an infinite ratio
+    (a factor of -inf) when sinh^2 underflows to 0."""
+    try:
+        sh, ch = math.sinh(d), math.cosh(d)
+    except OverflowError:
+        return 0.0, 1.0
+    try:
+        return c2 / (4.0 * (sh * sh)), ch / sh
+    except ZeroDivisionError:
+        return math.inf, ch / sh
 
-    Each pair i < k gives its factor f = 1 - c2 / (4 sinh^2(q_i - q_k))
-    and dl = d log sqrt(f) / d q_i once; the (k, i) entry is -dl.  A pair
-    whose sinh overflows has its float64 limit: factor 1, dl = 0.  Other
-    overflows give the IEEE value (an overflowing e^{-2 q_i} is inf, cos
-    and sin of an infinite p are NaN), so an overflowed RK stage fails at
-    the next stage's q.  Raises NumericalFailure (non-finite q),
-    ChamberViolation (unordered q) or SeparationViolation (f <= 0).
+
+def _exp(x):
+    """e^x, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _cos_sin(p):
+    """(cos p, sin p), or NaN for both at p = +-inf."""
+    try:
+        return math.cos(p), math.sin(p)
+    except ValueError:              # p = +-inf
+        return math.nan, math.nan
+
+
+def _generated(source: str, filename: str, namespace: dict):
+    """Execute `source` in `namespace`, registered with `linecache` under
+    `filename` so that tracebacks show its lines; returns the namespace."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _q_kernel(n: int):
+    """The q-chart kernel of n particles, generated and compiled at its
+    first use, once per n (as `<q-chart n=...>`, see `_generated`).
+
+    `_q_kernel(n)(a2, b2, c2, scale)` is the kernel at those constants:
+    `chart(q_1, ..., q_n, p_1, ..., p_n)` returns the tuple
+
+        (H, scale dH/dp_1 ... scale dH/dp_n, -scale dH/dq_1 ... -scale dH/dq_n)
+
+    of the three-constant form: at scale FLOW_SIGN * FLOW_TIME_SCALE, H
+    and the reduced ODE's vector field in the order of z = q + p, and at
+    scale 1.0, H and the gradient with dH/dq negated (both exactly, as
+    scale 2.0 and negation round nothing).
+
+    It is one straight line of float operations on locals, in the order
+    of a loop over the pairs i < k: each pair gives its factor f = 1 -
+    c2 / (4 sinh^2(q_i - q_k)) and dl = d log sqrt(f) / d q_i once, and
+    each product and sum is a chain in pair order from 1.0 or 0.0.  Where
+    the math functions raise, `_pair_limit`, `_exp` and `_cos_sin` give
+    the float64 limits: a pair whose sinh overflows has factor 1 and dl =
+    0, an overflowing e^{-2 q_i} is inf, and cos and sin of an infinite p
+    are NaN, so an overflowed RK stage fails at the next stage's q.
+    Raises NumericalFailure (non-finite q), ChamberViolation (unordered
+    q) or SeparationViolation (f <= 0, or a sinh^2 that underflows).  The
+    source comes from the int n and fixed templates only, so no caller's
+    text reaches `exec`.
     """
-    q = z[:n]
-    # ordered q is finite when its ends are: a NaN fails the order test
-    if not (all(map(operator.gt, q, q[1:])) and math.isfinite(q[0])
-            and math.isfinite(q[-1])):
-        q = np.array(q, dtype=float)
-        if not np.isfinite(q).all():
-            raise NumericalFailure(f"non-finite positions q = {q}")
-        raise ChamberViolation(f"q must be strictly decreasing, got {q}")
-    prod = [1.0] * n
-    rowsum = [0.0] * n
-    pairs = []
-    for i in range(n - 1):
-        qi = q[i]
-        for k in range(i + 1, n):
-            d = qi - q[k]
-            try:
-                sh, ch = math.sinh(d), math.cosh(d)
-            except OverflowError:
-                continue
-            try:
-                ratio = c2 / (4.0 * (sh * sh))
-            except ZeroDivisionError:   # sinh^2 underflows: ratio inf
-                ratio = math.inf
-            fac = 1.0 - ratio
-            if not fac > 0.0:
-                raise SeparationViolation("non-positive interaction radicand")
-            root = math.sqrt(fac)
-            prod[i] *= root
-            prod[k] *= root
-            dl = ratio * (ch / sh) / fac
-            rowsum[i] += dl
-            rowsum[k] -= dl
-            pairs.append((i, k, dl))
-    h_u = h_cw = 0.0
-    field, dh_dq, cw, cross = [], [], [], [0.0] * n
-    for qi, pi, pr, rs in zip(q, z[n:], prod, rowsum):
-        try:
-            u = math.exp(-2.0 * qi)
-        except OverflowError:
-            u = math.inf
-        radicand = 1.0 + (1.0 + b2) * u + b2 * (u * u)
-        bracket = math.sqrt(radicand)
-        try:
-            cos_p, sin_p = math.cos(pi), math.sin(pi)
-        except ValueError:          # p = +-inf
-            cos_p = sin_p = math.nan
-        cwi = cos_p * bracket * pr
-        dlog_bracket = u * (-1.0 - b2 - 2.0 * b2 * u) / radicand
-        dh_dq.append(-2.0 * a2 * u - cwi * (dlog_bracket + rs))
-        field.append(scale * (sin_p * bracket * pr))
-        cw.append(cwi)
-        h_u += u
-        h_cw += cwi
-    # the cross term sum_i cw_i dlog[i, k], in the order of i
-    for i, k, dl in pairs:
-        cross[k] += cw[i] * dl
-        cross[i] -= cw[k] * dl
-    field.extend([-scale * (g + c) for g, c in zip(dh_dq, cross)])
-    return a2 * h_u - h_cw, field
+    return _generated(_chart_source(n), f"<q-chart n={n}>", dict(_CHART_NAMES))["q_chart"]
 
 
 def _closed_form(q, p, a2: float, b2: float, c2: float):
-    """`_q_chart` at 1-d array-likes at scale 1.0, refusing a non-finite
-    result: (H, field), field = dH/dp then -dH/dq."""
+    """The q-chart kernel at scale 1.0 at 1-d array-likes, refusing a
+    non-finite result: (H, field), field = dH/dp then -dH/dq."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if q.shape != p.shape or q.ndim != 1:
+    if q.shape != p.shape or q.ndim != 1 or not q.size:
         raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
-    h, field = _q_chart(q.tolist() + p.tolist(), q.size, a2, b2, c2)
+    h, *field = _q_kernel(q.size)(a2, b2, c2, 1.0)(*q.tolist(), *p.tolist())
     if not all(map(math.isfinite, [h, *field])):
         raise NumericalFailure(f"non-finite closed form at q = {q}, p = {p}")
     return h, field
@@ -415,3 +415,63 @@ def spectral_invariants(g) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(vals))))
     key = np.round(vals.real / (1e-9 * scale))
     return vals[np.lexsort((vals.imag, key))]
+
+
+def _chart_source(n: int) -> str:
+    """Source of `q_chart(a2, b2, c2, scale)`, which returns the q-chart
+    kernel `chart(q_1, ..., q_n, p_1, ..., p_n)` of n particles; see
+    `_q_kernel`.  It is built from the int n and the fixed templates
+    below only, so no caller's text reaches `exec`."""
+    ps = range(operator.index(n))
+    pairs = [(i, k, f"{i}_{k}") for i in ps for k in ps[i + 1:]]
+    # particle j's sums over its pairs, in the pairs' order (i, k), i < k,
+    # from 0.0: the row sum adds dl of a pair (j, k) and subtracts it for
+    # (i, j); the cross sum adds cw_i dl of (i, j), subtracts cw_k dl of (j, k)
+    rowsum = ["0.0" + "".join(f" + l{t}" if i == j else f" - l{t}"
+                              for i, k, t in pairs if j in (i, k)) for j in ps]
+    cross = ["0.0" + "".join(f" - w{k} * l{t}" if i == j else f" + w{i} * l{t}"
+                             for i, k, t in pairs if j in (i, k)) for j in ps]
+    prod = [" * ".join(f"r{t}" for i, k, t in pairs if j in (i, k)) or "1.0" for j in ps]
+    q, p = (", ".join(f"{x}{i}" for i in ps) for x in "qp")
+
+    def attempt(body, error, fallback):
+        return ["        try:", *body, f"        except {error}:", *fallback]
+
+    lines = ["def q_chart(a2, b2, c2, scale):",
+             "    b1, nb, b2x2, na2, ns = 1.0 + b2, -1.0 - b2, 2.0 * b2, -2.0 * a2, -scale",
+             "",
+             f"    def chart({q}, {p}):",
+             f"        if not inf > {q.replace(',', ' >')} > -inf:",
+             f"            _chamber_error([{q}])"]
+    if pairs:
+        lines += attempt(
+            [f"            d = q{i} - q{k}; sh = sinh(d); t{t} = c2 / (4.0 * (sh * sh)); "
+             f"k{t} = cosh(d) / sh" for i, k, t in pairs],
+            "(OverflowError, ZeroDivisionError)",
+            [f"            t{t}, k{t} = _pair_limit(q{i} - q{k}, c2)" for i, k, t in pairs])
+        lines += [f"        f{t} = 1.0 - t{t}" for *_, t in pairs]
+        lines += ["        if not (" + "\n                and ".join(
+            " and ".join(f"f{t} > 0.0" for i, _, t in pairs if i == row) for row in ps[:-1])
+            + "):", '            raise SeparationViolation("non-positive interaction radicand")']
+        lines += [f"        r{t} = sqrt(f{t}); l{t} = t{t} * k{t} / f{t}" for *_, t in pairs]
+    lines += attempt([f"            u{i} = exp(-2.0 * q{i})" for i in ps], "OverflowError",
+                     [f"            u{i} = _exp(-2.0 * q{i})" for i in ps])
+    lines += attempt([f"            cp{i} = cos(p{i}); sp{i} = sin(p{i})" for i in ps],
+                     "ValueError", [f"            cp{i}, sp{i} = _cos_sin(p{i})" for i in ps])
+    lines += [f"        v{i} = 1.0 + b1 * u{i} + b2 * (u{i} * u{i}); e{i} = sqrt(v{i}); "
+              f"m{i} = {prod[i]}; w{i} = cp{i} * e{i} * m{i}" for i in ps]
+    lines += ["        return (a2 * (0.0" + "".join(f" + u{i}" for i in ps) + ") - (0.0"
+              + "".join(f" + w{i}" for i in ps) + "),"]
+    lines += [f"                scale * (sp{i} * e{i} * m{i})," for i in ps]
+    lines += [f"                ns * (na2 * u{i} - w{i} * (u{i} * (nb - b2x2 * u{i}) / v{i} + "
+              f"({rowsum[i]})) + ({cross[i]}))," for i in ps]
+    lines += ["                )", "", "    return chart", ""]
+    return "\n".join(lines)
+
+
+#: what the generated kernels see besides their arguments
+_CHART_NAMES = {"inf": math.inf, "sinh": math.sinh, "cosh": math.cosh, "exp": math.exp,
+                "cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
+                "_chamber_error": _chamber_error, "_pair_limit": _pair_limit,
+                "_exp": _exp, "_cos_sin": _cos_sin,
+                "SeparationViolation": SeparationViolation}

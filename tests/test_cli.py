@@ -134,6 +134,19 @@ class TestSimulate:
         assert caught == []
         assert err == "numerical failure: non-finite positions q = [6.51311025        inf]\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n, q, p, column", [
+        ("1", "--q=300", "--p=0.1", "residual"),
+        ("2", "--q=300,-1", "--p=0.1,0", "energy"),
+    ])
+    def test_non_finite_column_is_a_numerical_failure(self, capsys, n, q, p, column):
+        # a finite, ordered start far out: the samples are finite, but a
+        # column evaluated from them is not, which fails the run (exit 2)
+        code, out, err = run_cli(capsys, "simulate", "--n", n, q, p,
+                                 "--t-max", "0.003", "--dt", "1e-3")
+        assert (code, out) == (2, "")
+        assert err == f"numerical failure: reduced flow: non-finite {column} at t = 0\n"
+
     def test_rk45_step_floor_is_a_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "2", "--q=1.0,-1.0",
                                  "--p=-1,1", "--alpha", "0.5", "--t-max", "20",

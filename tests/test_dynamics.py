@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import draw_point
+from loop_reference import (loop_ck_step, loop_integrate, loop_q_chart,
+                            loop_rk4_step)
 
 from bcn_ruijsenaars.dynamics import (
     FLOW_SIGN,
@@ -27,10 +29,10 @@ from bcn_ruijsenaars.errors import (
     NumericalFailure,
     SeparationViolation,
 )
-from bcn_ruijsenaars.hamiltonians import (_q_chart, grad_hamiltonian, phi_trace,
+from bcn_ruijsenaars.hamiltonians import (_q_kernel, grad_hamiltonian, phi_trace,
                                           spectral_invariants)
 from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
-from bcn_ruijsenaars.model import ReducedPoint, make_params, wrap_angle
+from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
 from bcn_ruijsenaars.sampling import random_admissible_point
 
@@ -206,10 +208,21 @@ class TestIntegrateReduced:
             dynamics.step_count(1.0, 1e-300)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_nan_residual_shows_in_the_column(self):
+    def test_nan_residual_fails_naming_the_column(self):
         # at y = 1e-160 two constraint residuals are NaN at every sample
-        traj = integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
-        assert np.all(np.isnan(traj.residual)) and np.all(np.isfinite(traj.energy))
+        with pytest.raises(NumericalFailure, match="^reduced flow: non-finite residual at t = 0$"):
+            integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q0, p0, t_max, dt, message", [
+        # the residuals fail from q ~ 200 on, the energy's pair factor at q ~ 300
+        ([300.0], [0.1], 0.003, 1e-3, "non-finite residual at t = 0"),
+        ([195.0], [1.5], 4.0, 0.25, "non-finite residual at t = 0.5"),
+        ([300.0, -1.0], [0.1, 0.0], 0.003, 1e-3, "non-finite energy at t = 0"),
+    ])
+    def test_non_finite_column_names_its_first_time(self, q0, p0, t_max, dt, message):
+        with pytest.raises(NumericalFailure, match=f"^reduced flow: {message}$"):
+            integrate_reduced(q0, p0, make_params(0.5, 1, 1, len(q0)), t_max, dt)
 
     def test_zero_horizon(self):
         traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, t_max=0.0, dt=1e-3)
@@ -289,15 +302,21 @@ class TestIntegrateReduced:
         # on the head-on pair the step falls below RK45_MIN_STEP near
         # t = 0.48, where a run without a floor makes no visible progress;
         # the counter fails such a run instead of letting it go on
-        ck_step, calls = dynamics._ck_step, []
+        rk_step, calls = dynamics._rk_step, []
 
-        def counted(*args):
-            calls.append(None)
-            if len(calls) > 5000:
-                pytest.fail("rk45 made more than 5000 trial steps")
-            return ck_step(*args)
+        def counted(method, n):
+            def steps(chart):
+                trial = rk_step(method, n)(chart)
 
-        monkeypatch.setattr(dynamics, "_ck_step", counted)
+                def counted_trial(z, h):
+                    calls.append(None)
+                    if len(calls) > 5000:
+                        pytest.fail("rk45 made more than 5000 trial steps")
+                    return trial(z, h)
+                return counted_trial
+            return steps
+
+        monkeypatch.setattr(dynamics, "_rk_step", counted)
         pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
         with pytest.raises(NumericalFailure, match="rk45: step"):
             integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, dt, method="rk45")
@@ -309,13 +328,19 @@ class TestIntegrateReduced:
         expected = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
         calls = []
 
-        def failing_once(z, n, a2, b2, c2, scale):
-            calls.append(None)
-            if len(calls) == 2:
-                raise NumericalFailure("non-finite positions")
-            return _q_chart(z, n, a2, b2, c2, scale)
+        def failing_once(n):
+            def at(*constants):
+                chart = _q_kernel(n)(*constants)
 
-        monkeypatch.setattr(dynamics, "_q_chart", failing_once)
+                def failing(*z):
+                    calls.append(None)
+                    if len(calls) == 2:
+                        raise NumericalFailure("non-finite positions")
+                    return chart(*z)
+                return failing
+            return at
+
+        monkeypatch.setattr(dynamics, "_q_kernel", failing_once)
         run = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
         assert len(calls) > 2
         assert np.array_equal(run.times, expected.times)
@@ -324,8 +349,8 @@ class TestIntegrateReduced:
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_non_finite_state_raises(self, method, monkeypatch):
-        monkeypatch.setattr(dynamics, "_q_chart",
-                            lambda z, n, *constants: (np.nan, [np.nan] * (2 * n)))
+        monkeypatch.setattr(dynamics, "_q_kernel",
+                            lambda n: lambda *constants: lambda *z: (np.nan,) * (2 * n + 1))
         with pytest.raises(NumericalFailure):
             integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-2, method=method)
 
@@ -356,10 +381,10 @@ class TestIntegrateReduced:
         ([[1.0, -1.0]], [[0.2, 0.15]], InvalidInput, "^the start must be one point"),
     ])
     def test_start_is_checked_before_stepping(self, q0, p0, error, message, monkeypatch):
-        def no_stage(z, n, a2, b2, c2, scale):
-            raise AssertionError("_q_chart called")
+        def no_kernel(n):
+            raise AssertionError("_q_kernel called")
 
-        monkeypatch.setattr(dynamics, "_q_chart", no_stage)
+        monkeypatch.setattr(dynamics, "_q_kernel", no_kernel)
         with pytest.raises(error, match=message):
             integrate_reduced(q0, p0, PARAMS2, 1.0, 1e-3)
 
@@ -369,12 +394,94 @@ class TestIntegrateReduced:
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
     def test_size_mismatch_raises_before_stepping(self, monkeypatch):
-        def no_stage(z, n, a2, b2, c2, scale):
-            raise AssertionError("_q_chart called")
+        def no_kernel(n):
+            raise AssertionError("_q_kernel called")
 
-        monkeypatch.setattr(dynamics, "_q_chart", no_stage)
+        monkeypatch.setattr(dynamics, "_q_kernel", no_kernel)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
             integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
+
+
+def _outcome(call):
+    """call() or the exception it raises, for comparison by repr."""
+    try:
+        return call()
+    except Exception as exc:        # compared by class and message
+        return exc
+
+
+class TestGeneratedSteps:
+    """The straight-line RK steps against the loop steps they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_steps_equal_the_loop_steps(self, n):
+        rng = np.random.default_rng(700 + n)
+        params = make_params(0.6, 1.2, 0.8, n)
+        abc = abc_from_params(params)
+        chart = _q_kernel(n)(*abc, 2.0)
+        rk4 = dynamics._rk_step("rk4", n)(chart)
+        ck = dynamics._rk_step("rk45", n)(chart)
+
+        def f(z):
+            return loop_q_chart(z, n, *abc, 2.0)[1]
+
+        for _ in range(4):
+            z = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+            z = z.q.tolist() + z.p.tolist()
+            # the largest steps leave the chamber or overflow at some stage
+            for h in (1e-3, 0.05, 0.7, 10.0):
+                assert repr(_outcome(lambda: rk4(z, h))) == \
+                    repr(_outcome(lambda: loop_rk4_step(f, z, h)))
+                assert repr(_outcome(lambda: ck(z, h))) == \
+                    repr(_outcome(lambda: loop_ck_step(f, z, h)))
+
+    def test_an_overflowed_stage_gives_the_loop_steps_values(self):
+        # the stage after an overflow: the same NaN and inf entries
+        abc = abc_from_params(PARAMS2)
+        chart = _q_kernel(2)(*abc, 2.0)
+        z = [0.8, -0.8, 0.1, -0.05]
+        f = lambda z: loop_q_chart(z, 2, *abc, 2.0)[1]
+        rk4 = _outcome(lambda: dynamics._rk_step("rk4", 2)(chart)(z, 10.0))
+        ck = _outcome(lambda: dynamics._rk_step("rk45", 2)(chart)(z, 10.0))
+        assert isinstance(rk4, NumericalFailure)
+        assert repr(rk4) == repr(_outcome(lambda: loop_rk4_step(f, z, 10.0)))
+        assert repr(ck) == repr(_outcome(lambda: loop_ck_step(f, z, 10.0)))
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_integrate_equals_the_loop_integrator(self, n, method):
+        rng = np.random.default_rng(720 + n)
+        gaps = rng.uniform(0.7, 0.9, size=n - 1)
+        q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
+        p = rng.uniform(-0.5, 0.5, size=n)
+        params = make_params(0.6, 1.2, 0.8, n)
+        traj = integrate_reduced(q, p, params, 1.0, 0.02, method=method)
+        times, rows, approached = loop_integrate(q.tolist(), p.tolist(), params, 1.0, 0.02,
+                                                 method)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.q, rows[:, :n]) and np.array_equal(traj.p, rows[:, n:])
+        assert traj.chamber_approach == approached
+
+    @pytest.mark.parametrize("q, p, t_max, dt, method", [
+        ([0.8, -0.8], [0.1, -0.05], 2.0, 1e-3, "rk4"),      # stops at the wall
+        ([1.0, -1.0], [-1.0, 1.0], 0.3, 0.1, "rk45"),       # rejected trial steps
+        # an overflowing stage where the generated kernel's cross sums hold
+        # a NaN that the loop kernel's do not: the same error all the same
+        ([400.0, -400.0], [0.1, 0.2], 0.01, 1e-3, "rk4"),
+        ([400.0, -400.0], [0.1, 0.2], 0.01, 1e-3, "rk45"),
+    ])
+    def test_hard_runs_equal_the_loop_integrator(self, q, p, t_max, dt, method):
+        ref = _outcome(lambda: loop_integrate(q, p, PARAMS2, t_max, dt, method))
+        if isinstance(ref, Exception):
+            with pytest.raises(type(ref)) as info:
+                integrate_reduced(q, p, PARAMS2, t_max, dt, method=method)
+            assert repr(info.value) == repr(ref)
+            return
+        traj = integrate_reduced(q, p, PARAMS2, t_max, dt, method=method)
+        times, rows, approached = ref
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.q, rows[:, :2]) and np.array_equal(traj.p, rows[:, 2:])
+        assert traj.chamber_approach == approached
 
 
 class TestProjectFlow:

@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import draw_point
+from loop_reference import loop_q_chart
 
 import bcn_ruijsenaars.hamiltonians as hamiltonians
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
@@ -330,6 +336,24 @@ def _numpy_q_chart(q, p, a2, b2, c2):
     return a2 * u.sum() - cw.sum(), dh_dq, np.sin(p) * bracket * prod
 
 
+def kernel(n, abc, scale=1.0):
+    """The generated q-chart kernel of n particles at the constants abc."""
+    return hamiltonians._q_kernel(n)(*abc, scale)
+
+
+def loop_and_generated(z, n, abc, scale):
+    """(H, *field) of the loop kernel and of the generated one at the
+    float list z, each an exception instead where it raises one."""
+    out = []
+    for call in (lambda: (lambda h, f: (h, *f))(*loop_q_chart(z, n, *abc, scale)),
+                 lambda: kernel(n, abc, scale)(*z)):
+        try:
+            out.append(call())
+        except Exception as exc:    # compared by class and message
+            out.append(exc)
+    return out
+
+
 class TestQChartKernel:
     @pytest.mark.parametrize("n", [*range(1, 9), 16])
     def test_matches_the_broadcasting_formula(self, n):
@@ -341,7 +365,7 @@ class TestQChartKernel:
             abc = abc_from_params(params)
             for _ in range(10):
                 pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                h, field = hamiltonians._q_chart(pt.q.tolist() + pt.p.tolist(), n, *abc)
+                h, *field = kernel(n, abc)(*pt.q, *pt.p)
                 dq, dp = [-v for v in field[n:]], field[:n]
                 ref_h, ref_dq, ref_dp = _numpy_q_chart(pt.q, pt.p, *abc)
                 scale = max(1.0, abc[0] * float(np.exp(-2.0 * pt.q).sum()),
@@ -358,11 +382,11 @@ class TestQChartKernel:
         params = make_params(0.6, 1.2, 0.8, n)
         pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
         z = pt.q.tolist() + pt.p.tolist()
-        h, field = hamiltonians._q_chart(z, n, *abc_from_params(params))
+        h, *field = kernel(n, abc_from_params(params))(*z)
         dq, dp = grad_hamiltonian(pt.q, pt.p, params)
         assert field == dp.tolist() + (-dq).tolist()
         for scale in (2.0, -0.5):
-            h_s, field_s = hamiltonians._q_chart(z, n, *abc_from_params(params), scale)
+            h_s, *field_s = kernel(n, abc_from_params(params), scale)(*z)
             assert h_s == h
             assert field_s == [scale * v for v in field]
 
@@ -647,3 +671,89 @@ class TestSpectralInvariants:
         for nu in (1, 2, 3):
             lhs = -np.sum(vals ** nu).real / (2.0 * nu)
             assert lhs == pytest.approx(phi_trace(fact.g, nu), abs=1e-10)
+
+
+class TestGeneratedKernel:
+    """The straight-line kernel against the loop kernel it replaces."""
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
+    def test_equals_the_loop_kernel(self, n):
+        rng = np.random.default_rng(400 + n)
+        for alpha in (0.3, 0.6, 0.9):
+            params = make_params(alpha, 1.2, 0.8, n)
+            abc = abc_from_params(params)
+            for _ in range(8):
+                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
+                z = pt.q.tolist() + pt.p.tolist()
+                for scale in (1.0, 2.0, -0.5):
+                    loop, generated = loop_and_generated(z, n, abc, scale)
+                    assert all(map(math.isfinite, loop))
+                    assert repr(generated) == repr(loop)
+
+    @pytest.mark.parametrize("q, p", [
+        ([-1.0, 1.0], [0.2, 0.1]),                  # unordered
+        ([0.5, 0.5, -1.0], [0.0, 0.0, 0.0]),        # coinciding
+        ([np.nan], [0.1]), ([1.0, np.nan], [0.1, 0.2]), ([np.nan, 1.0], [0.1, 0.2]),
+        ([np.inf], [0.1]), ([-np.inf], [0.1]),
+        ([np.inf, 0.0], [0.1, 0.2]), ([0.0, -np.inf], [0.1, 0.2]),
+        ([800.0, 0.0], [0.3, 0.2]),                 # a gap past sinh's range
+        ([1000.0, 0.5, 0.0], [0.3, 0.2, 0.1]),      # past the range, then the wall
+        ([720.0, 3.0, 0.0], [0.3, 0.2, 0.1]),
+        ([1e-160, 0.0], [0.0, 0.0]),                # sinh^2 underflows
+        ([0.1, 0.0], [0.0, 0.0]),                   # past the wall
+        ([0.0, -360.0], [0.1, 0.2]), ([-356.0], [0.1]),     # e^{-2q} overflows
+        ([400.0, -400.0], [0.1, 0.2]),              # both
+        ([720.0, 3.0, -360.0], [0.3, 0.2, 0.1]),
+        ([1.0, -1.0], [np.inf, 0.2]), ([1.0, -1.0], [0.2, -np.inf]), ([0.4], [np.inf]),
+        ([1.0, -1.0], [np.nan, 0.2]),
+    ])
+    def test_edges_match_the_loop_kernel(self, q, p):
+        # the same error, class and message; a finite result bit for bit.
+        # Where the loop's result is not finite, the generated kernel's is
+        # not either, and an entry may differ only by being NaN: a pair past
+        # sinh's range adds cw_k * 0.0 to the cross sums, which the loop skips
+        n = len(q)
+        abc = abc_from_params(make_params(0.5, 1.0, 1.0, n))
+        for scale in (1.0, 2.0):
+            loop, generated = loop_and_generated([*q, *p], n, abc, scale)
+            if isinstance(loop, Exception) or all(map(math.isfinite, loop)):
+                assert repr(generated) == repr(loop)
+                continue
+            assert not all(map(math.isfinite, generated))
+            for a, b in zip(generated, loop):
+                assert repr(a) == repr(b) or math.isnan(a)
+
+    @pytest.mark.parametrize("q, p", [
+        ([400.0, -400.0], [0.1, 0.2]), ([720.0, 3.0, -360.0], [0.3, 0.2, 0.1]),
+    ])
+    def test_where_the_results_differ_the_public_errors_agree(self, q, p):
+        abc = abc_from_params(make_params(0.5, 1.0, 1.0, len(q)))
+        loop, generated = loop_and_generated([*q, *p], len(q), abc, 1.0)
+        assert repr(loop) != repr(generated)
+        with pytest.raises(NumericalFailure, match="^non-finite closed form at q = "):
+            hamiltonian_q(q, p, *abc)
+
+    def test_a_traceback_shows_the_generated_line(self):
+        abc = abc_from_params(make_params(0.5, 1.0, 1.0, 2))
+        with pytest.raises(SeparationViolation) as info:
+            hamiltonian_q([0.1, 0.0], [0.0, 0.0], *abc)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<q-chart n=2>"' in text
+        assert 'raise SeparationViolation("non-positive interaction radicand")' in text
+
+    def test_compiled_once_per_n_at_first_use(self):
+        assert hamiltonians._q_kernel(3) is hamiltonians._q_kernel(3)
+        # importing the package compiles no kernel
+        code = ("import bcn_ruijsenaars.dynamics as d, bcn_ruijsenaars.hamiltonians as h; "
+                "print(h._q_kernel.cache_info().currsize, d._rk_step.cache_info().currsize)")
+        src = str(Path(hamiltonians.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["0", "0"]
+
+    def test_source_is_built_from_an_int(self):
+        with pytest.raises(TypeError):
+            hamiltonians._chart_source("2")
+        # no kernel of zero particles: the public calls refuse empty input
+        with pytest.raises(InvalidInput, match="^q and p must be 1-d of equal length"):
+            hamiltonian_q([], [], 1.0, 1.0, 2.25)
