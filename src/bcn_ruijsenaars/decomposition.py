@@ -19,12 +19,15 @@ makes one KB split of the stack, reads (q, p) off it and then computes
 the surface residuals, each stage as stacked numpy/LAPACK calls.  A
 check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
-element.  The signature J acts as `matops.signs`, a scaling of rows or
-columns (see `matops`); the outputs are those of the dense products.
-`extract_reduced` and `surface_residuals` are the stack-of-one calls;
-`project_flow` runs `reduce_stack` through `matops.map_chunks`.  Each
-element gets the arithmetic it gets alone, so q, p, the residuals and
-the moment value do not depend on the stack it is in.
+element.  The splits' own products (g^dag J g, g J g^dag, the factor k)
+fail an input test only by rounding, which grows with cond(g), so that
+is NotOnLeaf.  The signature J acts as `matops.signs`, a scaling of rows
+or columns (see `matops`); the outputs are those of the dense products.
+`extract_reduced` and `surface_residuals` are the stack-of-one calls,
+checking g by `matops.require_element`; `project_flow` runs
+`reduce_stack` through `matops.map_chunks`.  Each element gets the
+arithmetic it gets alone, so q, p, the residuals and the moment value
+do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface
+from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface, NotOnLeaf
 from .matops import (
     as_signature_input,
     dagger,
@@ -45,6 +48,7 @@ from .matops import (
     j_gram,
     j_moment,
     rel_err,
+    require_element,
 )
 from .model import ModelParams, ReducedPoint, require_points
 from .reconstruction import build_Ttilde, solve_v
@@ -55,7 +59,6 @@ __all__ = [
     "decompose_BK",
     "cartan_KAK",
     "reduce_stack",
-    "require_element",
     "extract_reduced",
     "surface_residuals",
 ]
@@ -97,16 +100,24 @@ class KAKData:
         return left @ c @ right
 
 
+def _own(split: str, decompose, product):
+    """`decompose` of the split's own product, whose failed input test is rounding: NotOnLeaf."""
+    try:
+        return decompose(product)
+    except InvalidInput as exc:
+        raise NotOnLeaf(f"{split}: {exc}") from None
+
+
 def decompose_KB(g):
     """Split g = k b with k pseudo-unitary and b triangular-positive.
 
     Computes h = g^dag J g, factors h = b^dag J b, and sets k = g b^{-1}.
-    Raises NotOnLeaf (from the factorization) when g is not on the leaf,
-    and InvalidInput unless g is a 2n x 2n matrix or a stack of them, or
-    when it has a non-finite entry.
+    Raises NotOnLeaf when g is not on the leaf (see `_own`), and
+    InvalidInput unless g is a 2n x 2n matrix or a stack of them, or when
+    it has a non-finite entry.
     """
     g = as_signature_input(g, "g")
-    b = indefinite_cholesky_upper(j_gram(g))
+    b = _own("KB split", indefinite_cholesky_upper, j_gram(g))
     k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
 
@@ -118,7 +129,7 @@ def decompose_BK(g):
     raises as `decompose_KB` does.
     """
     g = as_signature_input(g, "g")
-    b = indefinite_cholesky_upper_dual(j_moment(g))
+    b = _own("BK split", indefinite_cholesky_upper_dual, j_moment(g))
     k = np.linalg.solve(b, g)
     return b, k
 
@@ -189,7 +200,7 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
         raise NotOnConstraintSurface(
             f"right factor diagonal blocks off by {bad[np.argmax(failed)]:.2e}")
 
-    kak = cartan_KAK(k_L)
+    kak = _own("KB split", cartan_KAK, k_L)
     Sigma = kak.Sigma
     q = np.log(Sigma)
 
@@ -234,7 +245,7 @@ def _residual_stack(g, k_L, blocks, params: ModelParams):
     res["kL_pseudounitary"] = rel_err(j_gram(k_L), inn(n))
 
     m = j_moment(g)
-    b_L = indefinite_cholesky_upper_dual(m)
+    b_L = _own("BK split", indefinite_cholesky_upper_dual, m)
     res["bL_block_22"] = rel_err(b_L[:, n:, n:], y * eye)
     sig = y * b_L[:, :n, :n]
     spec = np.sort(np.linalg.eigvalsh(sig @ dagger(sig)), axis=-1)
@@ -265,16 +276,6 @@ def reduce_stack(g, params: ModelParams):
     return q, p, np.max(list(res.values()), axis=0), m
 
 
-def require_element(g, params: ModelParams) -> np.ndarray:
-    """g as one complex 2n x 2n element; raises InvalidInput for any other
-    shape."""
-    g = np.asarray(g, dtype=complex)
-    n = params.n
-    if g.shape != (2 * n, 2 * n):
-        raise InvalidInput(f"expected shape {(2*n, 2*n)}, got {g.shape}")
-    return g
-
-
 def extract_reduced(g, params: ModelParams) -> ReducedPoint:
     """Recover (q, p) from an element on the constraint surface modulo gauge.
 
@@ -284,7 +285,7 @@ def extract_reduced(g, params: ModelParams) -> ReducedPoint:
     NotOnConstraintSurface when a step residual exceeds SURFACE_TOL,
     DegenerateElement at collisions.
     """
-    g = require_element(g, params)[None]
+    g = require_element(g, n=params.n)[None]
     q, p = _read_stack(g, *_split(g, params), params)
     return ReducedPoint(q=q[0], p=p[0])
 
@@ -296,6 +297,6 @@ def surface_residuals(g, params: ModelParams) -> dict:
     unitarity of the left factor, the spectrum of the reference momentum
     value, and the determinant.  Factorization errors propagate.
     """
-    g = require_element(g, params)[None]
+    g = require_element(g, n=params.n)[None]
     res, _ = _residual_stack(g, *_split(g, params), params)
     return {name: float(r[0]) for name, r in res.items()}

@@ -23,15 +23,10 @@ grid of `sample_times`, so `project_flow` on its times and both
 integrators give one `t` column.  `integrate_reduced` makes one loop
 over the samples; rk4 reaches the next one by fixed steps, rk45 by
 adaptive Cash-Karp steps.  It steps the state z = q + p as a list of 2n
-Python floats.  `_rk_step` generates the RK4 step and the Cash-Karp
-trial step once per n, at first use, as straight lines of float
-operations: each stage is one call of the q-chart kernel
-`hamiltonians._q_kernel(n)` on the stage's expressions z_j + c h k_j,
-and the kernel returns the vector field (s k dPhi_1/dp, -s k dPhi_1/dq)
-in z's order, with a^2, b^2, c^2 bound once per run.  A Cash-Karp
-weighted sum adds its stages one by one, in order, from 0.0, as `sum`
-does.  Its start point (q0, p0) is checked by `require_points`, and its
-samples become (T, n) arrays once, after the stepping.  Each RK stage is
+Python floats by the steps of `_rk_step`, each stage one call of the
+q-chart kernel `hamiltonians._q_kernel(n)` with a^2, b^2, c^2 bound once
+per run.  Its start point (q0, p0) is checked by `require_point`, and
+its samples become (T, n) arrays once, after the stepping.  Each RK stage is
 checked once, by the kernel: NumericalFailure for non-finite q,
 ChamberViolation for unordered q, SeparationViolation past the wall.
 Under rk4 that error ends the run.  Under rk45 it rejects the trial
@@ -46,9 +41,9 @@ the steps need no `np.errstate`: an overflowed stage ends at the next
 stage's check, without a warning.  The samples are evaluated after the
 stepping: the energy column by one Sigma-chart evaluation
 (`hamiltonians._sigma_rows`) on the (T, n) arrays, the residuals by one
-`constraint_residuals`.  A non-finite entry in either column (far out,
-e^q or a product overflows) raises NumericalFailure naming the column
-and its first sample time.
+`constraint_residuals`, without numpy warnings: a non-finite entry in
+either column (far out, e^q or a product overflows) raises
+NumericalFailure naming the column and its first sample time.
 
 `project_flow` composes the exact flow with coordinate extraction and
 runs as one stacked pipeline through `matops.map_chunks`: each chunk of
@@ -71,14 +66,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import reduce_stack, require_element
+from .decomposition import reduce_stack
 from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
                      SeparationViolation)
-from .hamiltonians import (_generated, _one_element, _q_kernel, _sigma_rows,
-                           grad_hamiltonian, phi_from_moment)
-from .matops import chunk_rows, dagger, expm, map_chunks, signs
-from .model import (ModelParams, abc_from_params, require_points, require_size,
-                    separation_margin, wrap_angle)
+from .hamiltonians import (_generated, _q_kernel, _sigma_rows, grad_hamiltonian,
+                           phi_from_moment)
+from .matops import chunk_rows, dagger, expm, map_chunks, require_element, signs
+from .model import (ModelParams, abc_from_params, require_point, separation_margin,
+                    wrap_angle)
 from .reconstruction import constraint_residuals
 
 __all__ = [
@@ -138,10 +133,9 @@ def exact_flow(g0, t) -> np.ndarray:
 
     A 1-d array of times gives the (T, 2n, 2n) stack of g(t).  The
     generator J g0^dag J g0 scales the rows and columns of g0^dag by the
-    signs of J.  Raises InvalidInput unless g0 is one finite 2n x 2n
-    matrix.
+    signs of J.  g0 is checked by `matops.require_element`.
     """
-    g0 = _one_element(g0, "g0")
+    g0 = require_element(g0, "g0")
     s = signs(g0.shape[0] // 2)
     gen = (-2.0j * np.asarray(t, dtype=float))[..., None, None] \
         * ((s[:, None] * dagger(g0) * s) @ g0)
@@ -274,11 +268,8 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     """
     if method not in ("rk4", "rk45"):
         raise InvalidInput(f"unknown method {method!r}")
-    q0, p0 = require_points(q0, p0)
-    if q0.ndim != 1:
-        raise InvalidInput(f"the start must be one point, got shape {q0.shape}")
+    q0, p0 = require_point(q0, p0, params.n)
     n = q0.size
-    require_size(n, params)
     step, counts = sample_times(t_max, dt, sample_every)
     a2, b2, c2 = abc_from_params(params)
     chart = _q_kernel(n)(a2, b2, c2, FLOW_SIGN * FLOW_TIME_SCALE)
@@ -327,9 +318,10 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     rows = np.array(zs)
     q, p = rows[:, :n], rows[:, n:]
     # the rows are finite (`_finite`) and ordered (else a margin < 0 ended
-    # the run); an e^q that overflows is left to the residual pass (v^2)
-    energy = _sigma_rows(np.exp(q), p, [params])
-    residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
+    # the run); an overflow shows only in the column check below
+    with np.errstate(all="ignore"):
+        energy = _sigma_rows(np.exp(q), p, [params])
+        residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
     for name, column in (("energy", energy), ("residual", residual)):
         failed = ~np.isfinite(column)
         if failed.any():
@@ -348,7 +340,7 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
-    g0 = require_element(g0, params)
+    g0 = require_element(g0, "g0", params.n)
     q, p, energy, residual = map_chunks(lambda t: _project_stack(g0, params, t),
                                         chunk_rows(g0.shape[-1]), times)
     return Trajectory(times=times.copy(), q=q, p=p, energy=energy,

@@ -49,11 +49,11 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
-                     SeparationViolation)
-from .model import (ModelParams, ReducedPoint, abc_from_params, require_finite,
-                    require_points)
-from .matops import as_signature_input, chunk_rows, j_moment, map_chunks, signs
+from .errors import InvalidInput, NumericalFailure, SeparationViolation
+from .model import (ModelParams, ReducedPoint, abc_from_params, require_decreasing,
+                    require_finite, require_point, require_points)
+from .matops import (as_signature_input, chunk_rows, j_moment, map_chunks,
+                     require_element, signs)
 from .reconstruction import _dot, assemble, assemble_stack
 
 __all__ = [
@@ -72,23 +72,14 @@ __all__ = [
 ]
 
 
-def _one_element(g, name: str = "g") -> np.ndarray:
-    """g as one finite complex 2n x 2n matrix, else InvalidInput naming
-    `name`."""
-    g = as_signature_input(g, name)
-    if g.ndim > 2:
-        raise InvalidInput(f"{name} must be one matrix, got shape {g.shape}")
-    return g
-
-
 def phi_trace(g, nu: int) -> float:
     """Phi_nu(g) = -(1/(2 nu)) tr (g J g^dag J)^nu.
 
     The trace is provably real; an imaginary residue above 1e-8 raises
-    NumericalFailure, smaller residues are discarded.  Raises InvalidInput
-    unless g is one finite 2n x 2n matrix.
+    NumericalFailure, smaller residues are discarded.  g is checked by
+    `matops.require_element`.
     """
-    g = _one_element(g)
+    g = require_element(g)
     return float(phi_from_moment(j_moment(g), nu))
 
 
@@ -162,12 +153,12 @@ def _sigma_rows(sigma, p, params):
 
 
 def _chamber_error(q):
-    """Raise the chart's error for positions q that fail its order test:
-    NumericalFailure for a non-finite entry, else ChamberViolation."""
+    """Raise the chart's error for positions q that fail its order test: a
+    non-finite entry is NumericalFailure, else `require_decreasing` raises."""
     q = np.array(q, dtype=float)
     if not np.isfinite(q).all():
         raise NumericalFailure(f"non-finite positions q = {q}")
-    raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+    require_decreasing(q=q)
 
 
 def _pair_limit(d, c2):
@@ -241,12 +232,10 @@ def _q_kernel(n: int):
 
 
 def _closed_form(q, p, a2: float, b2: float, c2: float):
-    """The q-chart kernel at scale 1.0 at 1-d array-likes, refusing a
-    non-finite result: (H, field), field = dH/dp then -dH/dq."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if q.shape != p.shape or q.ndim != 1 or not q.size:
-        raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
+    """The q-chart kernel at scale 1.0 at a point checked by
+    `require_point`, refusing a non-finite result: (H, field), field =
+    dH/dp then -dH/dq."""
+    q, p = require_point(q, p)
     h, *field = _q_kernel(q.size)(a2, b2, c2, 1.0)(*q.tolist(), *p.tolist())
     if not all(map(math.isfinite, [h, *field])):
         raise NumericalFailure(f"non-finite closed form at q = {q}, p = {p}")
@@ -266,10 +255,9 @@ def phi_reduced(point: ReducedPoint, params: ModelParams, nu: int) -> float:
 
 
 def grad_hamiltonian(q, p, params: ModelParams):
-    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at 1-d
-    arrays.  Raises NumericalFailure for non-finite q or a non-finite
-    result (e^{-2q} overflows), ChamberViolation for unordered q and
-    SeparationViolation past the wall."""
+    """Analytic partials (dPhi1/dq, dPhi1/dp) of the closed form at a point.
+    Raises as `require_point` does, NumericalFailure for a non-finite
+    result (e^{-2q} overflows) and SeparationViolation past the wall."""
     _, field = _closed_form(q, p, *abc_from_params(params))
     n = len(field) // 2
     return -np.array(field[n:]), np.array(field[:n])
@@ -407,10 +395,10 @@ def spectral_invariants(g) -> np.ndarray:
     -(1/(2 nu)) sum_k lambda_k^nu = Phi_nu(g).  Real parts are quantized
     at 1e-9 relative before sorting so that conjugate pairs (whose real
     parts tie exactly) order stably across evaluations.  g J g^dag J is
-    the moment value with its columns scaled by the signs of J.  Raises
-    InvalidInput unless g is one finite 2n x 2n matrix.
+    the moment value with its columns scaled by the signs of J.  g is
+    checked by `matops.require_element`.
     """
-    g = _one_element(g)
+    g = require_element(g)
     vals = np.linalg.eigvals(j_moment(g) * signs(g.shape[0] // 2))
     scale = max(1.0, float(np.max(np.abs(vals))))
     key = np.round(vals.real / (1e-9 * scale))

@@ -117,10 +117,10 @@ def phi_linearized(q, pi_vec, lp: LimitParams, t):
     gives a float.  Each scale gets its own `params_at`, and the stack
     runs through `matops.map_chunks`, so the first failing scale (in the
     order of t.ravel()) raises the error it raises alone: InvalidInput
-    from `params_at`, or SeparationViolation.
+    from `params_at`, or SeparationViolation.  A non-finite q or pi is
+    InvalidInput naming it.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    pi_vec = np.atleast_1d(np.asarray(pi_vec, dtype=float))
+    q, pi_vec = require_finite(q=q, pi=pi_vec)
     t = np.asarray(t, dtype=float)
     sigma = np.exp(q)
 
@@ -205,14 +205,13 @@ def limit_convergence(q, pi_vec, lp: LimitParams, t_grid=None) -> LimitReport:
     least 0.9 and the error at the smallest grid point is below
     1e-4 * max(1, |H2|).  Raises InvalidInput naming a bad q, pi or t_grid.
     """
-    q, pi_vec = require_finite(q=q, pi=pi_vec)
+    hq, hp = hat_coords(q, pi_vec)
     ts = np.sort(np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID,
                             dtype=float))
     # 4 distinct points of the sorted grid make 3 rises; a NaN sorts last
     if np.count_nonzero(np.diff(ts) > 0.0) < 3 or ts[0] <= 0.0 or not ts[-1] <= 0.05:
         raise InvalidInput("t_grid needs >= 4 distinct points inside (0, 0.05]")
-    n = q.size
-    hq, hp = hat_coords(q, pi_vec)
+    n = hq.size
     h2 = sutherland_H2(hq, hp, lp.xi, lp.eta, lp.zeta)
     errs = np.abs((phi_linearized(q, pi_vec, lp, ts) + n) / ts ** 2 - h2)
     # fit the decay order only where e(t) sits above the rounding floor

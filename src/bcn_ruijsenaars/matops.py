@@ -5,6 +5,8 @@ Everything downstream works with plain ``numpy`` arrays of ``complex128``
 factorizations and transcendental operations the rest of the package
 needs at sizes up to a few dozen:
 
+* the rule for a group element, `require_element` (`as_signature_input`
+  for a stack),
 * structural predicates (Hermitian, pseudo-unitary with respect to an
   indefinite signature),
 * the signature J = diag(I, -I) applied as its diagonal `signs`: a
@@ -20,12 +22,12 @@ needs at sizes up to a few dozen:
 For finite input a scaling gives exactly the bits of the dense product
 with J (or with any diagonal matrix): each entry of X J is one entry of
 X times +-1 plus exact zeros, so the outputs are those of the dense
-products.  Every function except `inn` and `signs` also takes a stack
-(..., N, N) of matrices.  Each matrix of a stack gets the arithmetic it
-gets alone (numpy's stacked `matmul`, `solve` and `cholesky` run the
-same BLAS/LAPACK call on every matrix), so a stack only saves the
-Python overhead of a loop; a predicate holds, and a factorization
-succeeds, only when it does for every matrix.  The package's chunked
+products.  Every function but `inn`, `signs` and `require_element` also
+takes a stack (..., N, N) of matrices.  Each matrix of a stack gets the
+arithmetic it gets alone (numpy's stacked `matmul`, `solve` and
+`cholesky` run the same BLAS/LAPACK call on every matrix), so a stack
+only saves the Python overhead of a loop; a predicate holds, and a
+factorization succeeds, only when it does for every matrix.  The package's chunked
 passes (reconstruction, extraction, finite-difference stencils) run
 through `map_chunks`, whose docstring states the chunk-and-replay rule.
 
@@ -52,6 +54,7 @@ __all__ = [
     "chunk_rows",
     "map_chunks",
     "as_signature_input",
+    "require_element",
     "is_hermitian",
     "is_pseudo_unitary",
     "expm",
@@ -171,12 +174,22 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def as_signature_input(m, name: str = "matrix") -> np.ndarray:
-    """A finite complex 2n x 2n matrix, or stack (..., 2n, 2n) of them: the
-    shape J = diag(I, -I) acts on.  InvalidInput names `name` otherwise."""
+    """A finite complex 2n x 2n matrix (n >= 1), or stack (..., 2n, 2n) of
+    them, the shape J = diag(I, -I) acts on; else InvalidInput naming `name`."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] % 2:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] % 2 or not a.shape[-1]:
         raise InvalidInput(f"{name} must be square of even dimension, got shape {a.shape}")
     return _as_square(a, name)
+
+
+def require_element(g, name: str = "g", n: int | None = None) -> np.ndarray:
+    """The rule for a group element: one `as_signature_input` matrix, 2n x 2n if n is given."""
+    g = as_signature_input(g, name)
+    if g.ndim > 2:
+        raise InvalidInput(f"{name} must be one matrix, got shape {g.shape}")
+    if n is not None and g.shape != (2 * n, 2 * n):
+        raise InvalidInput(f"expected shape {(2 * n, 2 * n)}, got {g.shape}")
+    return g
 
 
 def _hermitian(a: np.ndarray) -> bool:

@@ -3,8 +3,10 @@
 The model is specified by a deformation parameter ``alpha`` in (0, 1),
 two scale parameters ``x, y > 0`` and a particle count ``n``.  Reduced
 phase-space points carry strictly decreasing positions ``q`` and angles
-``p`` (compared modulo 2*pi).  The radial chart consists of the diagonal
-vectors
+``p`` (compared modulo 2*pi), checked by `require_points` (`require_point`
+for one) on `require_decreasing`, the rule for each finite decreasing row
+(q, Sigma); `matops.require_element` checks a group element.  The radial
+chart consists of the diagonal vectors
 
     Sigma_i = exp(q_i),   Delta_i = asinh(Sigma_i),
     Gamma_i = cosh(Delta_i) = sqrt(1 + Sigma_i^2),
@@ -33,8 +35,9 @@ __all__ = [
     "ModelParams",
     "ReducedPoint",
     "CartanData",
+    "require_decreasing",
     "require_points",
-    "require_size",
+    "require_point",
     "require_finite",
     "make_params",
     "cartan_from_q",
@@ -105,36 +108,55 @@ def make_params(alpha: float, x: float, y: float, n: int) -> ModelParams:
     return params
 
 
-def _require_chamber(q: np.ndarray) -> None:
-    if q.size > 1 and not np.all(np.diff(q) < 0.0):
-        raise ChamberViolation(f"q must be strictly decreasing, got {q}")
+def _one_shape(**named):
+    """The named array-likes as float arrays of one shape, (n,) or (T, n)
+    with n >= 1; else InvalidInput naming them."""
+    arrays = [np.atleast_1d(np.asarray(a, dtype=float)) for a in named.values()]
+    first = arrays[0]
+    if any(a.shape != first.shape for a in arrays) or first.ndim > 2 or not first.shape[-1]:
+        raise InvalidInput(f"{' and '.join(named)} must have one shape, (n,) or (T, n) with "
+                           f"n >= 1, got {', '.join(str(a.shape) for a in arrays)}")
+    return arrays
 
 
-def _point_arrays(q, p):
-    """q and p as float arrays of one shape, a point (n,) or a stack (T, n)."""
-    q, p = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, p))
-    if q.shape != p.shape or q.ndim > 2:
-        raise InvalidInput(f"q and p must have one shape, (n,) or (T, n), got {q.shape}, {p.shape}")
+def require_decreasing(**named):
+    """The package's one rule for a decreasing row: `_one_shape` arrays, all
+    finite, the first strictly decreasing in each row by a comparison (no
+    gap is subtracted).  The first failing row raises InvalidInput "<names>
+    must be finite", else ChamberViolation "<first name> must be strictly
+    decreasing, got <row>"."""
+    arrays = _one_shape(**named)
+    first = arrays[0]
+    finite = np.isfinite(arrays).all(axis=0)
+    if not (finite.all() and (first[..., :-1] > first[..., 1:]).all()):
+        for ok, row in zip(np.atleast_2d(finite), np.atleast_2d(first)):
+            if not ok.all():
+                raise InvalidInput(f"{' and '.join(named)} must be finite")
+            if not (row[:-1] > row[1:]).all():
+                raise ChamberViolation(f"{[*named][0]} must be strictly decreasing, got {row}")
+    return arrays
+
+
+def require_points(q, p, n: int | None = None):
+    """The package's one rule for (q, p): `require_decreasing(q=q, p=p)`,
+    of n particles where n is given (else InternalInconsistency)."""
+    q, p = require_decreasing(q=q, p=p)
+    if n is not None and q.shape[-1] != n:
+        raise InternalInconsistency(f"point has n={q.shape[-1]}, params n={n}")
     return q, p
 
 
-def require_points(q, p):
-    """The package's one rule for (q, p): `_point_arrays`, with finite
-    entries and strictly decreasing q in each row.  Only when a stacked test
-    fails are the rows checked in order, so the first failing row raises
-    InvalidInput "q and p must be finite", else ChamberViolation."""
-    q, p = _point_arrays(q, p)
-    if not (np.isfinite(q).all() and np.isfinite(p).all() and (np.diff(q) < 0.0).all()):
-        for q_t, p_t in zip(*np.atleast_2d(q, p)):
-            if not (np.isfinite(q_t).all() and np.isfinite(p_t).all()):
-                raise InvalidInput("q and p must be finite")
-            _require_chamber(q_t)
+def require_point(q, p, n: int | None = None):
+    """`require_points` for one point (n,); a stack is InvalidInput."""
+    q, p = require_points(q, p, n)
+    if q.ndim != 1:
+        raise InvalidInput(f"q and p must be one point (n,), got shape {q.shape}")
     return q, p
 
 
 @dataclass(frozen=True)
 class ReducedPoint:
-    """Canonical coordinates (q, p) of one point, checked by `require_points`.
+    """Canonical coordinates (q, p) of one point, checked by `require_point`.
 
     p is stored as given (unwrapped); comparisons are made modulo 2*pi.
     """
@@ -143,22 +165,13 @@ class ReducedPoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q, p = require_points(self.q, self.p)
-        if q.ndim != 1:
-            raise InvalidInput(f"q and p must be 1-d of equal length, got {q.shape}, {p.shape}")
+        q, p = require_point(self.q, self.p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
         return self.q.size
-
-
-def require_size(n: int, params: ModelParams) -> None:
-    """Raise InternalInconsistency unless points of n particles belong to
-    the model of `params`."""
-    if n != params.n:
-        raise InternalInconsistency(f"point has n={n}, params n={params.n}")
 
 
 def require_finite(**named):
@@ -185,12 +198,9 @@ class CartanData:
 
 
 def cartan_from_q(q, params: ModelParams) -> CartanData:
-    """Radial chart at positions q, or at each row of a (T, n) stack;
-    raises ChamberViolation for the first unordered row."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all(np.diff(q, axis=-1) < 0.0):
-        for row in np.atleast_2d(q):
-            _require_chamber(row)
+    """Radial chart at positions q, or at each row of a (T, n) stack,
+    checked by `require_decreasing`."""
+    q, = require_decreasing(q=q)
     sigma = np.exp(q)
     return CartanData(
         Delta=np.arcsinh(sigma),

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .matops import (chunk_rows, dagger, frob, inn, j_gram, j_moment, map_chunks,
                      rel_err)
-from .model import (CartanData, ModelParams, ReducedPoint, _point_arrays,
-                    cartan_from_q, require_points, require_size)
+from .model import (CartanData, ModelParams, ReducedPoint, _one_shape, cartan_from_q,
+                    require_decreasing, require_points)
 
 __all__ = [
     "ConstraintData",
@@ -98,14 +98,13 @@ def solve_v(Sigma, alpha: float) -> np.ndarray:
             prod_{j != k} alpha^2 (Sigma_j^2 - Sigma_k^2)
 
     Sigma may also be a (T, n) stack of rows, giving one v per row; an
-    error names the first failing row.  Raises NumericalFailure on a
+    error names the first failing row.  Sigma must pass `require_decreasing`
+    and be positive (ChamberViolation).  Raises NumericalFailure on a
     non-finite v_k^2, SeparationViolation when any v_k^2 is not strictly
-    positive, which happens exactly when the pairwise separation
-    condition fails.
+    positive, which happens exactly when the pairwise separation condition
+    fails.
     """
-    sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    if not np.all(np.diff(sigma, axis=-1) < 0.0):
-        raise ChamberViolation("Sigma must be strictly decreasing and positive")
+    sigma, = require_decreasing(Sigma=Sigma)
     if not np.all(sigma > 0.0):
         raise ChamberViolation("Sigma must be positive")
     s = sigma ** 2
@@ -135,12 +134,10 @@ def build_Ttilde(Sigma, alpha: float, v) -> np.ndarray:
     The rows are normalized with a positive factor, so the diagonal of
     Ttilde is positive and the matrix is uniquely determined.  It
     satisfies Ttilde^T Sigma^2 Ttilde = alpha^2 Sigma^2 + v v^T.  A (T, n)
-    stack of Sigma and v rows gives a (T, n, n) stack.
+    stack of Sigma and v rows gives a (T, n, n) stack.  Sigma and v are
+    checked by `require_decreasing`.
     """
-    sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all(np.diff(sigma, axis=-1) < 0.0):
-        raise ChamberViolation("Sigma must be strictly decreasing")
+    sigma, v = require_decreasing(Sigma=Sigma, v=v)
     s = sigma ** 2
     denom = s[..., :, None] - alpha ** 2 * s[..., None, :]
     if np.any(denom == 0.0):
@@ -197,9 +194,8 @@ def assemble_stack(q, p, params: ModelParams):
     Returns (LeafFactorization, ConstraintData).  Raises as
     `require_points` does, and SeparationViolation past the wall.
     """
-    q, p = require_points(q, p)
+    q, p = require_points(q, p, params.n)
     x, y, n = params.x, params.y, params.n
-    require_size(q.shape[-1], params)
     cdata = cartan_from_q(q, params)
     Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
 
@@ -348,7 +344,7 @@ def constraint_residuals(q, p, params: ModelParams) -> dict:
     """The residuals of `verify_constraints` at each row of (T, n) arrays
     q and p (a point is one row), as (T,) arrays, by `matops.map_chunks` at
     `chunk_rows(2n)`: the first failing row raises its `assemble_stack` error."""
-    q, p = np.atleast_2d(*_point_arrays(q, p))
+    q, p = np.atleast_2d(*_one_shape(q=q, p=p))
     return map_chunks(lambda q, p: _residuals(*assemble_stack(q, p, params), params),
                       chunk_rows(2 * params.n), q, p)
 

@@ -134,18 +134,53 @@ class TestSimulate:
         assert caught == []
         assert err == "numerical failure: non-finite positions q = [6.51311025        inf]\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("n, q, p, column", [
-        ("1", "--q=300", "--p=0.1", "residual"),
-        ("2", "--q=300,-1", "--p=0.1,0", "energy"),
+    @pytest.mark.parametrize("n, q, p, column, action", [
+        ("1", "--q=300", "--p=0.1", "residual", "always"),
+        ("1", "--q=300", "--p=0.1", "residual", "error"),
+        ("2", "--q=300,-1", "--p=0.1,0", "energy", "always"),
     ])
-    def test_non_finite_column_is_a_numerical_failure(self, capsys, n, q, p, column):
+    def test_non_finite_column_is_a_numerical_failure(self, capsys, n, q, p, column,
+                                                      action):
         # a finite, ordered start far out: the samples are finite, but a
-        # column evaluated from them is not, which fails the run (exit 2)
-        code, out, err = run_cli(capsys, "simulate", "--n", n, q, p,
-                                 "--t-max", "0.003", "--dt", "1e-3")
-        assert (code, out) == (2, "")
+        # column evaluated from them is not, which fails the run (exit 2);
+        # that message is the only report, with warnings shown or raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, out, err = run_cli(capsys, "simulate", "--n", n, q, p,
+                                     "--t-max", "0.003", "--dt", "1e-3")
+        assert (code, out, caught) == (2, "", [])
         assert err == f"numerical failure: reduced flow: non-finite {column} at t = 0\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_far_start_fails_the_exact_route_before_its_columns(self, capsys):
+        # the reduced route's NaN-column start: the first sample's split
+        # fails, so no column is evaluated
+        code, out, err = run_cli(capsys, "simulate", "--n", "1", "--q=300", "--p=0.1",
+                                 "--t-max", "0.003", "--dt", "1e-3", "--method", "exact")
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: Schur complement is not positive definite\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "1", "--q=8", "--p=0.1", "--method", "exact"),
+         "BK split: indefinite_cholesky_upper_dual: input is not Hermitian"),
+        (("--n", "1", "--q=8", "--p=0.1", "--method", "both"),
+         "BK split: indefinite_cholesky_upper_dual: input is not Hermitian"),
+        (("--n", "1", "--q=9", "--p=0.1", "--method", "exact"),
+         "KB split: indefinite_cholesky_upper: input is not Hermitian"),
+        (("--n", "3", "--q=9,8,7", "--p=0.1,0.1,0.1", "--method", "exact"),
+         "KB split: indefinite_cholesky_upper: input is not Hermitian"),
+        (("--n", "1", "--q=-10", "--p=0.5", "--method", "exact"),
+         "KB split: cartan_KAK: input is not pseudo-unitary"),
+    ])
+    def test_far_start_off_the_leaf_is_a_numerical_failure(self, capsys, argv, message):
+        # a valid start far from q = 0: the splits' own products g^dag J g
+        # and g J g^dag miss the Hermitian test, and the KB factor k the
+        # pseudo-unitarity test, by rounding that grows with cond(k_L): a
+        # numerical failure (exit 2) naming the split, not invalid input
+        # (exit 1)
+        code, out, err = run_cli(capsys, "simulate", *argv, "--t-max", "0.002",
+                                 "--dt", "1e-3")
+        assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
 
     def test_rk45_step_floor_is_a_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "2", "--q=1.0,-1.0",

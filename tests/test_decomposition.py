@@ -220,3 +220,28 @@ def test_split_keeps_the_error_class_of_square_even_elements(split):
     g[0, 1] = np.nan
     with pytest.raises(InvalidInput):
         split(g)
+
+
+@pytest.mark.parametrize("q, p, call, message", [
+    (9.0, 0.1, decompose_KB, "KB split: indefinite_cholesky_upper: input is not Hermitian"),
+    (9.0, 0.1, decompose_BK,
+     "BK split: indefinite_cholesky_upper_dual: input is not Hermitian"),
+    (9.0, 0.1, lambda g: extract_reduced(g, make_params(0.5, 1, 1, 1)),
+     "KB split: indefinite_cholesky_upper: input is not Hermitian"),
+    (-10.0, 0.5, lambda g: extract_reduced(g, make_params(0.5, 1, 1, 1)),
+     "KB split: cartan_KAK: input is not pseudo-unitary"),
+], ids=["decompose_KB", "decompose_BK", "extract_reduced-far-out", "extract_reduced-far-in"])
+def test_rounding_in_the_split_s_own_product_is_not_invalid_input(q, p, call, message):
+    # far from q = 0 (n = 1), g^dag J g and g J g^dag of an assembled
+    # element miss the factorizations' Hermitian test, and the KB factor
+    # k the pseudo-unitarity test of `cartan_KAK`, by rounding that grows
+    # with cond(k_L): NotOnLeaf naming the split
+    fact, _ = assemble(ReducedPoint([q], [p]), make_params(0.5, 1, 1, 1))
+    with pytest.raises(NotOnLeaf, match=f"^{message}$"):
+        call(fact.g)
+
+
+def test_a_caller_s_matrix_that_fails_an_input_test_is_invalid_input():
+    # the factorizations: tests/test_matops.py::test_rejects_non_hermitian
+    with pytest.raises(InvalidInput, match="^cartan_KAK: input is not pseudo-unitary$"):
+        cartan_KAK(2.0 * np.eye(4, dtype=complex))

@@ -378,7 +378,7 @@ class TestIntegrateReduced:
         ([-1.0, 1.0], [0.2, 0.15], ChamberViolation, r"^q must be strictly decreasing"),
         ([1.0, np.nan], [0.2, 0.15], InvalidInput, "^q and p must be finite$"),
         ([1.0, -1.0], [0.2], InvalidInput, "^q and p must have one shape"),
-        ([[1.0, -1.0]], [[0.2, 0.15]], InvalidInput, "^the start must be one point"),
+        ([[1.0, -1.0]], [[0.2, 0.15]], InvalidInput, r"^q and p must be one point \(n,\)"),
     ])
     def test_start_is_checked_before_stepping(self, q0, p0, error, message, monkeypatch):
         def no_kernel(n):
@@ -400,6 +400,11 @@ class TestIntegrateReduced:
         monkeypatch.setattr(dynamics, "_q_kernel", no_kernel)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
             integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
+        # the size is part of the point rule, so a stack of the wrong size
+        # meets it before the one-point test (was the one-point InvalidInput)
+        with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
+            integrate_reduced(POINT2.q[None], POINT2.p[None], make_params(0.5, 1, 1, 3),
+                              1.0, 1e-3)
 
 
 def _outcome(call):

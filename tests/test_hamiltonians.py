@@ -202,18 +202,21 @@ class TestClosedForms:
 
     def test_q_chart_needs_ordered_separated_q(self):
         # the Sigma chart is permutation invariant; the q chart is not.  A
-        # non-finite q (an overflowed RK stage) is a numerical failure.
+        # caller's non-finite q is invalid input; in the kernel (an
+        # overflowed RK stage) it is a numerical failure.
         params = make_params(0.5, 1, 1, 2)
         for q, error, message in (
                 ([-1.0, 1.0], ChamberViolation, r"q must be strictly decreasing, got \["),
                 ([0.1, 0.0], SeparationViolation, "non-positive interaction radicand"),
                 # sinh^2(1e-160) underflows to 0: the factor is -inf
                 ([1e-160, 0.0], SeparationViolation, "non-positive interaction radicand"),
-                ([0.3, np.inf], NumericalFailure, r"non-finite positions q = \[")):
+                ([0.3, np.inf], InvalidInput, "^q and p must be finite$")):
             with pytest.raises(error, match=message):
                 hamiltonian_q(q, [0.0, 0.0], *abc_from_params(params))
             with pytest.raises(error, match=message):
                 grad_hamiltonian(np.array(q), np.zeros(2), params)
+        with pytest.raises(NumericalFailure, match=r"non-finite positions q = \["):
+            kernel(2, abc_from_params(params))(0.3, np.inf, 0.0, 0.0)
 
     @pytest.mark.parametrize("q", [
         [np.nan], [np.inf], [-np.inf],
@@ -221,12 +224,15 @@ class TestClosedForms:
         [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf],
     ])
     def test_q_chart_rejects_non_finite_q(self, q):
+        # invalid input at the public calls, a numerical failure (an
+        # overflowed RK stage) in the kernel
         params = make_params(0.5, 1, 1, len(q))
-        message = r"non-finite positions q = \["
-        with pytest.raises(NumericalFailure, match=message):
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
             hamiltonian_q(q, [0.1] * len(q), 1.0, 1.0, 2.25)
-        with pytest.raises(NumericalFailure, match=message):
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
             grad_hamiltonian(np.array(q), np.full(len(q), 0.1), params)
+        with pytest.raises(NumericalFailure, match=r"non-finite positions q = \["):
+            kernel(len(q), (1.0, 1.0, 2.25))(*q, *[0.1] * len(q))
 
     def test_phase_periodicity(self):
         rng = np.random.default_rng(54)
@@ -413,17 +419,20 @@ class TestQChartKernel:
         with pytest.raises(NumericalFailure, match=message):
             hamiltonian_q(q, p, *abc_from_params(params))
 
-    def test_infinite_p_is_a_numerical_failure(self):
-        # cos(inf) is NaN, as in numpy: an error, not a NaN result
+    def test_infinite_p_is_invalid_input(self):
+        # a caller's infinite p is refused at entry; in the kernel cos(inf)
+        # is NaN, as in numpy, which fails the RK step's finite check
         params = make_params(0.5, 1, 1, 2)
-        with pytest.raises(NumericalFailure, match="non-finite closed form"):
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
             grad_hamiltonian(np.array([1.0, -1.0]), np.array([np.inf, 0.2]), params)
+        out = kernel(2, abc_from_params(params))(1.0, -1.0, np.inf, 0.2)
+        assert math.isnan(out[0]) and math.isnan(out[1])
 
     def test_q_and_p_of_different_lengths_are_invalid(self):
         params = make_params(0.5, 1, 1, 2)
-        with pytest.raises(InvalidInput, match="1-d of equal length"):
+        with pytest.raises(InvalidInput, match="^q and p must have one shape"):
             hamiltonian_q([1.0, -1.0], [0.1], *abc_from_params(params))
-        with pytest.raises(InvalidInput, match="1-d of equal length"):
+        with pytest.raises(InvalidInput, match="^q and p must have one shape"):
             grad_hamiltonian(np.array([1.0, -1.0]), np.zeros(3), params)
 
 
@@ -755,5 +764,5 @@ class TestGeneratedKernel:
         with pytest.raises(TypeError):
             hamiltonians._chart_source("2")
         # no kernel of zero particles: the public calls refuse empty input
-        with pytest.raises(InvalidInput, match="^q and p must be 1-d of equal length"):
+        with pytest.raises(InvalidInput, match=r"^q and p must have one shape, .* n >= 1"):
             hamiltonian_q([], [], 1.0, 1.0, 2.25)

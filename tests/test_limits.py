@@ -98,6 +98,20 @@ class TestStackedScales:
         with pytest.raises(InvalidInput, match=r"at t = 0\.002"):
             phi_linearized(q, piv, lp, ts[3:])
 
+    @pytest.mark.parametrize("call", [
+        lambda q, pi: phi_linearized(q, pi, LP, 1e-3),
+        lambda q, pi: richardson_H2(q, pi, LP),
+        lambda q, pi: fit_expansion(q, pi, LP),
+    ], ids=["phi_linearized", "richardson_H2", "fit_expansion"])
+    @pytest.mark.parametrize("q, pi, name", [
+        ([np.nan, 0.0], [0.0, 0.0], "q"),
+        ([0.5, -0.5], [np.inf, 0.0], "pi"),
+    ])
+    def test_non_finite_input_is_named(self, call, q, pi, name):
+        # was a silent NaN (an invalid-value warning for pi = inf)
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite, got \\["):
+            call(q, pi)
+
 
 class TestExpansionHead:
     def test_h0_is_minus_n(self):

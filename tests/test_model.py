@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars import model
+from bcn_ruijsenaars import hamiltonians, model
 from bcn_ruijsenaars.errors import (
     BCNError,
     ChamberViolation,
@@ -188,8 +188,11 @@ class TestSeparationKernels:
             hamiltonian_q(np.array([0.1, 0.0]), np.zeros(2), 1.0, 1.0, 2.25)
 
     def test_pair_factors_non_finite(self):
-        # unordered only because a stage overflowed: a numerical failure
+        # unordered only because a stage overflowed: in the kernel, a
+        # numerical failure; a caller's non-finite q is invalid input
         with pytest.raises(NumericalFailure, match="non-finite"):
+            hamiltonians._q_kernel(2)(1.0, 1.0, 2.25, 1.0)(0.3, np.inf, 0.0, 0.0)
+        with pytest.raises(InvalidInput, match="^q and p must be finite$"):
             hamiltonian_q(np.array([0.3, np.inf]), np.zeros(2), 1.0, 1.0, 2.25)
 
 
@@ -229,15 +232,15 @@ class TestReducedPoint:
             require_points(q[::2], p[::2])
 
     def test_one_point_only(self):
-        with pytest.raises(InvalidInput, match="1-d of equal length"):
+        with pytest.raises(InvalidInput, match=r"^q and p must be one point \(n,\), got shape"):
             ReducedPoint(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
 
     def test_checks_through_require_points(self, monkeypatch):
         seen = []
 
-        def spy(q, p):
+        def spy(q, p, n=None):
             seen.append((q, p))
-            return require_points(q, p)
+            return require_points(q, p, n)
 
         monkeypatch.setattr(model, "require_points", spy)
         point = ReducedPoint([1, 0], [0.5, 0.25])
