@@ -21,7 +21,8 @@ check fails when it fails for any element; its error names the first
 such element, so on a stack of one it is exactly the error of that
 element.  The splits' own products (g^dag J g, g J g^dag, the factor k)
 fail an input test only by rounding, which grows with cond(g), so that
-is NotOnLeaf.  The signature J acts as `matops.signs`, a scaling of rows
+is NotOnLeaf, as is a failed signature Cholesky of them; both name the
+split.  The signature J acts as `matops.signs`, a scaling of rows
 or columns (see `matops`); the outputs are those of the dense products.
 `extract_reduced` and `surface_residuals` are the stack-of-one calls,
 checking g by `matops.require_element`; `project_flow` runs
@@ -101,10 +102,12 @@ class KAKData:
 
 
 def _own(split: str, decompose, product):
-    """`decompose` of the split's own product, whose failed input test is rounding: NotOnLeaf."""
+    """`decompose` of the split's own product, whose failed input test is
+    rounding: that InvalidInput and a failed signature Cholesky are both
+    NotOnLeaf, prefixed with the split's name ("KB split: ...")."""
     try:
         return decompose(product)
-    except InvalidInput as exc:
+    except (InvalidInput, NotOnLeaf) as exc:
         raise NotOnLeaf(f"{split}: {exc}") from None
 
 

@@ -39,10 +39,10 @@ set.  Float arithmetic overflows to inf silently, and the kernel maps
 the math functions' OverflowError and ValueError to the IEEE value, so
 the steps need no `np.errstate`: an overflowed stage ends at the next
 stage's check, without a warning.  The samples are evaluated after the
-stepping: the energy column by one Sigma-chart evaluation
-(`hamiltonians._sigma_rows`) on the (T, n) arrays, the residuals by one
-`constraint_residuals`, without numpy warnings: a non-finite entry in
-either column (far out, e^q or a product overflows) raises
+stepping, each column through `matops.map_chunks`: the energy by the
+Sigma-chart form (`hamiltonians._sigma_rows`, chunk_rows(n) rows), the
+residuals by `constraint_residuals`, without numpy warnings: a non-finite
+entry in either column (far out, e^q or a product overflows) raises
 NumericalFailure naming the column and its first sample time.
 
 `project_flow` composes the exact flow with coordinate extraction and
@@ -50,7 +50,10 @@ runs as one stacked pipeline through `matops.map_chunks`: each chunk of
 `chunk_rows(2n)` samples makes one `exact_flow` call (an `expm` of the
 stacked generators, grouped by squaring count) and one `reduce_stack`
 pass: one KB split, the extraction and the residuals, with the energy
-read from the same m = g J g^dag that gives b_L.  The generator, the KB
+read from the same m = g J g^dag that gives b_L.  A sample whose worst
+surface residual is not at most SURFACE_TOL (a NaN too) raises
+NotOnConstraintSurface, and a non-finite energy NumericalFailure, each
+naming its time.  The generator, the KB
 split, the moment value and the residuals apply J as a scaling of rows
 or columns by its signs (see `matops`), with the bits of the dense
 products, so the samples are those of a dense J.  `compare_trajectories`
@@ -66,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import reduce_stack
-from .errors import (ChamberViolation, InvalidInput, NumericalFailure,
-                     SeparationViolation)
+from .decomposition import SURFACE_TOL, reduce_stack
+from .errors import (ChamberViolation, InvalidInput, NotOnConstraintSurface,
+                     NumericalFailure, SeparationViolation)
 from .hamiltonians import (_generated, _q_kernel, _sigma_rows, grad_hamiltonian,
                            phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, require_element, signs
@@ -320,7 +323,8 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     # the rows are finite (`_finite`) and ordered (else a margin < 0 ended
     # the run); an overflow shows only in the column check below
     with np.errstate(all="ignore"):
-        energy = _sigma_rows(np.exp(q), p, [params])
+        energy = map_chunks(lambda q, p: _sigma_rows(np.exp(q), p, [params]),
+                            chunk_rows(n), q, p)
         residual = np.max(list(constraint_residuals(q, p, params).values()), axis=0)
     for name, column in (("energy", energy), ("residual", residual)):
         failed = ~np.isfinite(column)
@@ -348,11 +352,22 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
 
 
 def _project_stack(g0, params: ModelParams, times):
-    """(q, p, energy, residual) at `times`, as one stack."""
+    """(q, p, energy, residual) at `times`, as one stack, gated as the
+    module docstring says."""
     g = exact_flow(g0, times)
     g[times == 0.0] = g0      # the t = 0 sample is g0 itself, unrounded
     q, p, residual, m = reduce_stack(g, params)
-    return q, p, phi_from_moment(m, 1), residual
+    energy = phi_from_moment(m, 1)
+    failed = ~(residual <= SURFACE_TOL)     # a NaN fails too
+    if failed.any():
+        i = np.argmax(failed)
+        raise NotOnConstraintSurface(f"exact flow: surface residual {residual[i]:.3g} "
+                                     f"above {SURFACE_TOL:g} at t = {times[i]:.10g}")
+    failed = ~np.isfinite(energy)
+    if failed.any():
+        raise NumericalFailure(f"exact flow: non-finite energy at t = "
+                               f"{times[np.argmax(failed)]:.10g}")
+    return q, p, energy, residual
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ form is 2 sum dp_i ^ dq_i), so {q_i, p_j} = delta_ij / 2 here.
 one q-chart kernel per particle count n, generated by `_q_kernel(n)` at
 first use: a loop's float operations over the pairs, written as one
 straight line on locals, so each pair factor is built once and no list
-is indexed.  It checks the chart and returns H with the vector field
+is indexed; its math calls share one `try`, with one fallback to their
+float64 limits.  It checks the chart and returns H with the vector field
 (scale dH/dp, -scale dH/dq) in the order of z = q + p: at the flow's
 scale an RK stage is one kernel call, and at scale 1 the gradient is
 read off exactly.  An RK4 step on it beats numpy's calls up to about
@@ -161,35 +162,33 @@ def _chamber_error(q):
     require_decreasing(q=q)
 
 
-def _pair_limit(d, c2):
-    """(c2 / (4 sinh^2 d), cosh d / sinh d) of one pair, as the kernel
-    computes them, where the kernel's own arithmetic raises: (0.0, 1.0),
-    factor 1 and dl 0, when sinh or cosh overflows, and an infinite ratio
-    (a factor of -inf) when sinh^2 underflows to 0."""
-    try:
-        sh, ch = math.sinh(d), math.cosh(d)
-    except OverflowError:
-        return 0.0, 1.0
-    try:
-        return c2 / (4.0 * (sh * sh)), ch / sh
-    except ZeroDivisionError:
-        return math.inf, ch / sh
-
-
-def _exp(x):
-    """e^x, or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _cos_sin(p):
-    """(cos p, sin p), or NaN for both at p = +-inf."""
-    try:
-        return math.cos(p), math.sin(p)
-    except ValueError:              # p = +-inf
-        return math.nan, math.nan
+def _chart_limits(c2, q, p):
+    """The values of the q-chart kernel's `try` block in its order: (c2 /
+    (4 sinh^2 d), cosh d / sinh d) of each pair, d = q_i - q_k, then each
+    e^{-2 q_i}, then each (cos p_i, sin p_i), by the kernel's operations, or
+    their float64 limits (see `_q_kernel`) where a math call raises."""
+    out = []
+    for i, qi in enumerate(q):
+        for qk in q[i + 1:]:
+            d = qi - qk
+            try:
+                sh, ch = math.sinh(d), math.cosh(d)
+            except OverflowError:
+                out += [0.0, 1.0]
+                continue
+            sh2 = 4.0 * (sh * sh)
+            out += [c2 / sh2 if sh2 else math.inf, ch / sh]
+    for x in q:
+        try:
+            out.append(math.exp(-2.0 * x))
+        except OverflowError:
+            out.append(math.inf)
+    for x in p:
+        try:
+            out += [math.cos(x), math.sin(x)]
+        except ValueError:              # p = +-inf
+            out += [math.nan, math.nan]
+    return out
 
 
 def _generated(source: str, filename: str, namespace: dict):
@@ -218,11 +217,12 @@ def _q_kernel(n: int):
     It is one straight line of float operations on locals, in the order
     of a loop over the pairs i < k: each pair gives its factor f = 1 -
     c2 / (4 sinh^2(q_i - q_k)) and dl = d log sqrt(f) / d q_i once, and
-    each product and sum is a chain in pair order from 1.0 or 0.0.  Where
-    the math functions raise, `_pair_limit`, `_exp` and `_cos_sin` give
-    the float64 limits: a pair whose sinh overflows has factor 1 and dl =
-    0, an overflowing e^{-2 q_i} is inf, and cos and sin of an infinite p
-    are NaN, so an overflowed RK stage fails at the next stage's q.
+    each product and sum is a chain in pair order from 1.0 or 0.0.  Its
+    math calls stand in one `try`; where one raises, `_chart_limits` gives
+    them all, with float64 limits: a pair whose sinh overflows has factor 1
+    and dl = 0, a sinh^2 that underflows factor -inf, an overflowing
+    e^{-2 q_i} is inf, and cos and sin of an infinite p are NaN, so an
+    overflowed RK stage fails at the next stage's q.
     Raises NumericalFailure (non-finite q), ChamberViolation (unordered
     q) or SeparationViolation (f <= 0, or a sinh^2 that underflows).  The
     source comes from the int n and fixed templates only, so no caller's
@@ -422,30 +422,27 @@ def _chart_source(n: int) -> str:
     prod = [" * ".join(f"r{t}" for i, k, t in pairs if j in (i, k)) or "1.0" for j in ps]
     q, p = (", ".join(f"{x}{i}" for i in ps) for x in "qp")
 
-    def attempt(body, error, fallback):
-        return ["        try:", *body, f"        except {error}:", *fallback]
-
     lines = ["def q_chart(a2, b2, c2, scale):",
              "    b1, nb, b2x2, na2, ns = 1.0 + b2, -1.0 - b2, 2.0 * b2, -2.0 * a2, -scale",
              "",
              f"    def chart({q}, {p}):",
              f"        if not inf > {q.replace(',', ' >')} > -inf:",
-             f"            _chamber_error([{q}])"]
+             f"            _chamber_error([{q}])",
+             "        try:"]
+    lines += [f"            d = q{i} - q{k}; sh = sinh(d); t{t} = c2 / (4.0 * (sh * sh)); "
+              f"k{t} = cosh(d) / sh" for i, k, t in pairs]
+    lines += [f"            u{i} = exp(-2.0 * q{i})" for i in ps]
+    lines += [f"            cp{i} = cos(p{i}); sp{i} = sin(p{i})" for i in ps]
+    guarded = [f"t{t}, k{t}" for *_, t in pairs] + [f"u{i}" for i in ps] \
+        + [f"cp{i}, sp{i}" for i in ps]
+    lines += ["        except (OverflowError, ZeroDivisionError, ValueError):",
+              f"            {', '.join(guarded)} = _chart_limits(c2, [{q}], [{p}])"]
     if pairs:
-        lines += attempt(
-            [f"            d = q{i} - q{k}; sh = sinh(d); t{t} = c2 / (4.0 * (sh * sh)); "
-             f"k{t} = cosh(d) / sh" for i, k, t in pairs],
-            "(OverflowError, ZeroDivisionError)",
-            [f"            t{t}, k{t} = _pair_limit(q{i} - q{k}, c2)" for i, k, t in pairs])
         lines += [f"        f{t} = 1.0 - t{t}" for *_, t in pairs]
         lines += ["        if not (" + "\n                and ".join(
             " and ".join(f"f{t} > 0.0" for i, _, t in pairs if i == row) for row in ps[:-1])
             + "):", '            raise SeparationViolation("non-positive interaction radicand")']
         lines += [f"        r{t} = sqrt(f{t}); l{t} = t{t} * k{t} / f{t}" for *_, t in pairs]
-    lines += attempt([f"            u{i} = exp(-2.0 * q{i})" for i in ps], "OverflowError",
-                     [f"            u{i} = _exp(-2.0 * q{i})" for i in ps])
-    lines += attempt([f"            cp{i} = cos(p{i}); sp{i} = sin(p{i})" for i in ps],
-                     "ValueError", [f"            cp{i}, sp{i} = _cos_sin(p{i})" for i in ps])
     lines += [f"        v{i} = 1.0 + b1 * u{i} + b2 * (u{i} * u{i}); e{i} = sqrt(v{i}); "
               f"m{i} = {prod[i]}; w{i} = cp{i} * e{i} * m{i}" for i in ps]
     lines += ["        return (a2 * (0.0" + "".join(f" + u{i}" for i in ps) + ") - (0.0"
@@ -460,6 +457,5 @@ def _chart_source(n: int) -> str:
 #: what the generated kernels see besides their arguments
 _CHART_NAMES = {"inf": math.inf, "sinh": math.sinh, "cosh": math.cosh, "exp": math.exp,
                 "cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
-                "_chamber_error": _chamber_error, "_pair_limit": _pair_limit,
-                "_exp": _exp, "_cos_sin": _cos_sin,
+                "_chamber_error": _chamber_error, "_chart_limits": _chart_limits,
                 "SeparationViolation": SeparationViolation}

@@ -164,10 +164,10 @@ def map_chunks(fn, size: int, *stacks):
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
-    """A finite complex square matrix, or stack (..., N, N) of them."""
+    """A finite complex square matrix (N >= 1), or stack (..., N, N) of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or not a.shape[-1]:
+        raise InvalidInput(f"{name} must be square with N >= 1, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidInput(f"{name} contains non-finite entries")
     return a
@@ -203,8 +203,9 @@ def is_hermitian(m) -> bool:
 
 
 def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
-    """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix."""
-    a = _as_square(m)
+    """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix.
+    m is checked by `as_signature_input`."""
+    a = as_signature_input(m)
     return bool(np.all(frob(j_gram(a) - inn(a.shape[-1] // 2))
                        <= tol * np.maximum(1.0, frob(a) ** 2)))
 

@@ -158,7 +158,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--n", "1", "--q=300", "--p=0.1",
                                  "--t-max", "0.003", "--dt", "1e-3", "--method", "exact")
         assert (code, out) == (2, "")
-        assert err == "numerical failure: Schur complement is not positive definite\n"
+        assert err == "numerical failure: KB split: Schur complement is not positive definite\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("--n", "1", "--q=8", "--p=0.1", "--method", "exact"),
@@ -208,13 +208,57 @@ class TestSimulate:
 
     def test_element_off_the_leaf_is_a_numerical_failure(self, capsys):
         # at t = 10 the flowed element has left the leaf: the signature
-        # factorization of the extraction fails, which is no input error
+        # factorization of the extraction fails, which is no input error,
+        # and the message names the split
         code, out, err = run_cli(capsys, "simulate", "--n", "2", "--seed", "2",
                                  "--alpha", "0.6", "--x", "1.2", "--y", "0.8",
                                  "--method", "exact", "--t-max", "10", "--dt", "10")
         assert code == 2
         assert out == ""
-        assert err == "numerical failure: upper-left block is not positive definite\n"
+        assert err == "numerical failure: KB split: upper-left block is not positive definite\n"
+
+    @pytest.mark.parametrize("seed, block", [("1", "upper-left block"),
+                                             ("5", "Schur complement")])
+    def test_failed_cholesky_of_the_split_names_the_split(self, capsys, seed, block):
+        # the KB split of the flowed element fails its signature Cholesky:
+        # the message names the split, as its failed input tests do (the
+        # suite runs with warnings as errors)
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--alpha", "0.5",
+                                 "--x", "1.2", "--y", "0.8", "--seed", seed,
+                                 "--method", "exact", "--t-max", "12", "--dt", "12")
+        assert (code, out) == (2, "")
+        assert err == f"numerical failure: KB split: {block} is not positive definite\n"
+
+    @pytest.mark.parametrize("argv, residual, t", [
+        (("--n", "2", "--y", "1e-160", "--t-max", "0.002", "--dt", "1e-3"), "1", "0"),
+        (("--n", "2", "--alpha", "0.9", "--x", "1.2", "--y", "0.8", "--seed", "5",
+          "--t-max", "6", "--dt", "6"), "2.42e-06", "6"),
+        (("--n", "3", "--alpha", "0.5", "--x", "1.2", "--y", "0.8", "--seed", "11",
+          "--t-max", "4", "--dt", "4"), "1.94e-06", "4"),
+    ], ids=["y1e-160", "n2-seed5", "n3-seed11"])
+    def test_exact_sample_off_the_surface_is_a_numerical_failure(self, capsys, argv,
+                                                                 residual, t):
+        # a sample whose worst surface residual exceeds SURFACE_TOL fails the
+        # run (exit 2) at its time, instead of a CSV that reports it
+        code, out, err = run_cli(capsys, "simulate", *argv, "--method", "exact")
+        assert (code, out) == (2, "")
+        assert err == (f"numerical failure: exact flow: surface residual {residual} "
+                       f"above 1e-06 at t = {t}\n")
+
+    def test_flowed_element_off_the_surface_names_its_block(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--alpha", "0.5",
+                                 "--x", "1.2", "--y", "0.8", "--seed", "11",
+                                 "--method", "exact", "--t-max", "8", "--dt", "8")
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: lower-right block is not Lambda-unitary\n"
+
+    def test_chamber_approach_truncates_with_a_warning(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--seed", "0",
+                                 "--t-max", "1", "--dt", "1e-3")
+        assert code == 0
+        assert err == "warning: chamber-wall approach, trajectory truncated\n"
+        times = [row.split(",")[0] for row in out.splitlines()[1:]]
+        assert [float(t) for t in times] == pytest.approx([0.01 * k for k in range(7)])
 
     @pytest.mark.parametrize("grid", [("--dt", "3e-3"),
                                       ("--dt", "1e-3", "--sample-count", "300")],
@@ -334,6 +378,23 @@ class TestLimit:
         assert payload["passes"] is True
         assert payload["fitted_order"] >= 0.9
 
+    def test_exact_limit_passes(self, capsys):
+        # Phi(t) = -1 at every scale and H2 = 0: every error is 0.0, so no
+        # decay order can be measured, and the error criterion decides
+        code, out, _ = run_cli(capsys, "limit", "--n", "1", "--xi", "0", "--eta", "0",
+                               "--zeta", "0.4", "--q", "0.3", "--pi", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["passes"] is True
+        assert payload["error"] == [0.0] * 8 and payload["fitted_order"] < 0.9
+
+    def test_csv_joins_list_values(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "--n", "2", "--seed", "3", "--format", "csv")
+        _, js, _ = run_cli(capsys, "limit", "--n", "2", "--seed", "3")
+        rows = dict(csv.reader(out.splitlines()))
+        assert code == 0
+        for key in ("q", "pi", "t", "error"):
+            assert rows[key] == ";".join(f"{v:.17g}" for v in json.loads(js)[key])
+
 
 class TestConfigFile:
     def test_config_defaults_and_override(self, capsys, tmp_path):
@@ -368,6 +429,12 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read config file")
+
+    def test_config_must_hold_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "error: config file must hold a JSON object\n")
 
     @pytest.mark.parametrize("argv,cfg", [
         (("verify",), {"samples": 2.5}),
@@ -406,6 +473,20 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--q=1,a", "--p=0,0"), "could not parse vector '1,a'"),
+        (("limit", "--pi=0.1,x"), "could not parse vector '0.1,x'"),
+        (("simulate", "--q=1,-1"), "--q and --p must be given together"),
+        (("simulate", "--p=0,0"), "--q and --p must be given together"),
+        (("simulate", "--n", "2", "--q=1", "--p=0,0"), "--q/--p must have n=2 entries"),
+        (("simulate", "--n", "2", "--q=1,-1", "--p=0"), "--q/--p must have n=2 entries"),
+        (("limit", "--n", "2", "--q=1"), "--q/--pi must have n=2 entries"),
+        (("limit", "--n", "2", "--pi=0.1,0.2,0.3"), "--q/--pi must have n=2 entries"),
+    ])
+    def test_bad_vectors_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("argv", [

@@ -222,6 +222,17 @@ def test_split_keeps_the_error_class_of_square_even_elements(split):
         split(g)
 
 
+@pytest.mark.parametrize("split, message", [
+    (decompose_KB, "KB split: upper-left block is not positive definite"),
+    (decompose_BK, "BK split: lower-right block is not positive definite"),
+])
+def test_a_failed_cholesky_of_the_split_s_own_product_names_the_split(split, message):
+    # the signature Cholesky of g^dag J g (g J g^dag) fails: NotOnLeaf, as
+    # before, and the message names the split
+    with pytest.raises(NotOnLeaf, match=f"^{message}$"):
+        split(np.eye(4, dtype=complex)[[2, 1, 0, 3]])
+
+
 @pytest.mark.parametrize("q, p, call, message", [
     (9.0, 0.1, decompose_KB, "KB split: indefinite_cholesky_upper: input is not Hermitian"),
     (9.0, 0.1, decompose_BK,

@@ -224,6 +224,20 @@ class TestIntegrateReduced:
         with pytest.raises(NumericalFailure, match=f"^reduced flow: {message}$"):
             integrate_reduced(q0, p0, make_params(0.5, 1, 1, len(q0)), t_max, dt)
 
+    def test_energy_column_runs_in_chunks(self, monkeypatch):
+        # chunk_rows(2) = 1024 samples per Sigma-chart call, with the bits
+        # of one call on all the samples
+        sizes, sigma_rows = [], dynamics._sigma_rows
+
+        def spy(sigma, p, params):
+            sizes.append(len(sigma))
+            return sigma_rows(sigma, p, params)
+
+        monkeypatch.setattr(dynamics, "_sigma_rows", spy)
+        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 2.5, 1e-3)
+        assert sizes == [1024, 1024, 453]
+        assert traj.energy.tolist() == sigma_rows(np.exp(traj.q), traj.p, [PARAMS2]).tolist()
+
     def test_zero_horizon(self):
         traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)
@@ -495,6 +509,12 @@ class TestProjectFlow:
         with pytest.raises(InvalidInput, match=r"expected shape \(2, 2\), got \(4, 4\)"):
             project_flow(g0, make_params(0.5, 1, 1, 1), [0.0, 0.1])
 
+    def test_no_times_give_an_empty_trajectory(self):
+        # the surface gate and the energy check pass an empty stack
+        traj = project_flow(assemble(POINT2, PARAMS2)[0].g, PARAMS2, [])
+        assert traj.q.shape == traj.p.shape == (0, 2)
+        assert traj.energy.shape == traj.residual.shape == (0,)
+
     def test_time_zero_sample(self):
         from bcn_ruijsenaars.decomposition import extract_reduced
 
@@ -634,6 +654,41 @@ class TestStackedProjection:
         rng = np.random.default_rng(395 + n)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.5, 300))])
         self._assert_matches_loop(_bounded_start(rng, params), params, times)
+
+    def test_sample_off_the_surface_fails_at_its_first_time(self):
+        # n = 2, alpha 0.9, seed 5: the worst surface residual reaches
+        # 2.4e-6 > SURFACE_TOL at t = 6 (the extraction fails from t ~ 6.25
+        # on); the 500 samples before it, two chunks, pass
+        params = make_params(0.9, 1.2, 0.8, 2)
+        g0 = assemble(random_admissible_point(np.random.default_rng(5), params),
+                      params)[0].g
+        times = np.append(np.linspace(0.0, 5.0, 500), 6.0)
+        with pytest.raises(NotOnConstraintSurface,
+                           match="^exact flow: surface residual 2.42e-06 above 1e-06 at t = 6$"):
+            project_flow(g0, params, times)
+        assert np.max(project_flow(g0, params, times[:-1]).residual) <= SURFACE_TOL
+
+    @pytest.mark.parametrize("column", ["residual", "energy"])
+    def test_nan_column_fails(self, monkeypatch, column):
+        # a NaN residual fails the surface gate, a NaN energy its finite check
+        params = make_params(0.6, 1.2, 0.8, 2)
+        g0 = _bounded_start(np.random.default_rng(9), params)
+        if column == "residual":
+            reduce_stack = dynamics.reduce_stack
+
+            def nan_residual(g, params):
+                q, p, residual, m = reduce_stack(g, params)
+                return q, p, np.full_like(residual, np.nan), m
+
+            monkeypatch.setattr(dynamics, "reduce_stack", nan_residual)
+            error, message = (NotOnConstraintSurface,
+                              "exact flow: surface residual nan above 1e-06 at t = 0.5")
+        else:
+            monkeypatch.setattr(dynamics, "phi_from_moment",
+                                lambda m, nu: np.full(len(m), np.nan))
+            error, message = NumericalFailure, "exact flow: non-finite energy at t = 0.5"
+        with pytest.raises(error, match=f"^{message}$"):
+            project_flow(g0, params, [0.5, 1.0])
 
     def test_first_failing_sample_in_time_raises(self):
         # near t = 4.5 the phase check fails; from t = 10 on the samples

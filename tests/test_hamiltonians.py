@@ -360,6 +360,21 @@ def loop_and_generated(z, n, abc, scale):
     return out
 
 
+def assert_matches_the_loop(z, n, abc, scale):
+    """The loop kernel and the generated one at z give the same error, class
+    and message, or a finite result bit for bit.  Where the loop's result
+    is not finite, the generated kernel's is not either, and an entry may
+    differ only by being NaN: a pair past sinh's range adds cw_k * 0.0 to
+    the cross sums, which the loop skips."""
+    loop, generated = loop_and_generated(z, n, abc, scale)
+    if isinstance(loop, Exception) or all(map(math.isfinite, loop)):
+        assert repr(generated) == repr(loop)
+        return
+    assert not all(map(math.isfinite, generated))
+    for a, b in zip(generated, loop):
+        assert repr(a) == repr(b) or math.isnan(a)
+
+
 class TestQChartKernel:
     @pytest.mark.parametrize("n", [*range(1, 9), 16])
     def test_matches_the_broadcasting_formula(self, n):
@@ -708,29 +723,51 @@ class TestGeneratedKernel:
         ([800.0, 0.0], [0.3, 0.2]),                 # a gap past sinh's range
         ([1000.0, 0.5, 0.0], [0.3, 0.2, 0.1]),      # past the range, then the wall
         ([720.0, 3.0, 0.0], [0.3, 0.2, 0.1]),
-        ([1e-160, 0.0], [0.0, 0.0]),                # sinh^2 underflows
+        ([1e-160, 0.0], [0.0, 0.0]),                # sinh^2 is subnormal: ratio inf
+        ([1e-170, 0.0], [0.0, 0.0]),                # sinh^2 underflows to 0
         ([0.1, 0.0], [0.0, 0.0]),                   # past the wall
         ([0.0, -360.0], [0.1, 0.2]), ([-356.0], [0.1]),     # e^{-2q} overflows
         ([400.0, -400.0], [0.1, 0.2]),              # both
         ([720.0, 3.0, -360.0], [0.3, 0.2, 0.1]),
         ([1.0, -1.0], [np.inf, 0.2]), ([1.0, -1.0], [0.2, -np.inf]), ([0.4], [np.inf]),
         ([1.0, -1.0], [np.nan, 0.2]),
+        # two or three fallbacks in one call
+        ([800.0, 0.0], [np.inf, 0.2]),              # sinh's range and p
+        ([0.0, -360.0], [0.1, -np.inf]),            # e^{-2q} and p
+        ([400.0, -400.0], [np.inf, 0.2]),           # all three
+        ([720.0, 3.0, -360.0], [0.3, -np.inf, 0.1]),
+        ([1e-170, 0.0, -360.0], [0.1, 0.2, 0.3]),   # underflow and e^{-2q}
+        ([800.0, 1e-170, 0.0, -360.0], [np.inf, 0.0, 0.0, 0.0]),
     ])
     def test_edges_match_the_loop_kernel(self, q, p):
-        # the same error, class and message; a finite result bit for bit.
-        # Where the loop's result is not finite, the generated kernel's is
-        # not either, and an entry may differ only by being NaN: a pair past
-        # sinh's range adds cw_k * 0.0 to the cross sums, which the loop skips
         n = len(q)
         abc = abc_from_params(make_params(0.5, 1.0, 1.0, n))
         for scale in (1.0, 2.0):
-            loop, generated = loop_and_generated([*q, *p], n, abc, scale)
-            if isinstance(loop, Exception) or all(map(math.isfinite, loop)):
-                assert repr(generated) == repr(loop)
-                continue
-            assert not all(map(math.isfinite, generated))
-            for a, b in zip(generated, loop):
-                assert repr(a) == repr(b) or math.isnan(a)
+            assert_matches_the_loop([*q, *p], n, abc, scale)
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
+    def test_fallbacks_match_the_loop_kernel(self, n):
+        # a drawn point moved past sinh's range (q_1 + 800), past exp's range
+        # (q_n - 400), to p_1 = inf and to a gap of 1e-170 at the wall, one
+        # at a time and together (all four from n = 4, where each moves its
+        # own particle)
+        params = make_params(0.6, 1.2, 0.8, n)
+        abc = abc_from_params(params)
+        pt = draw_point(np.random.default_rng(500 + n), params, q_range=(-1.0 - n, 1.0 + n))
+        k = min(2, n - 1)               # q_k moves to 0 and q_{k-1} to 1e-170
+        q, p = pt.q - pt.q[k], pt.p
+        far, low, wall, inf = q.copy(), q.copy(), q.copy(), p.copy()
+        far[0] += 800.0
+        low[-1] -= 400.0
+        if k:
+            wall[k - 1] = 1e-170
+        inf[0] = np.inf
+        every = wall.copy()
+        every[0] += 800.0
+        every[-1] -= 400.0
+        for qs, ps in [(far, p), (low, p), (q, inf), (wall, p), (every, inf)]:
+            for scale in (1.0, -0.5):
+                assert_matches_the_loop(qs.tolist() + ps.tolist(), n, abc, scale)
 
     @pytest.mark.parametrize("q, p", [
         ([400.0, -400.0], [0.1, 0.2]), ([720.0, 3.0, -360.0], [0.3, 0.2, 0.1]),

@@ -231,6 +231,15 @@ class TestConvergence:
         assert abs(rep.H2_limit - rep.H2_closed) < 1e-6 * max(1.0, abs(rep.H2_closed))
         assert set(vars(rep)) >= {"t", "error", "fitted_order", "H2_closed", "H2_limit"}
 
+    def test_exact_limit_passes_on_its_error(self):
+        # Phi(t) = -1 at every scale and H2 = 0 (n = 1, xi = eta = 0): no
+        # error sits above the rounding floor, so no decay order can be
+        # measured; the fit of the two largest scales is still reported
+        rep = limit_convergence(np.array([0.3]), np.array([0.0]), LimitParams(0.0, 0.0, 0.4))
+        assert rep.passes
+        assert rep.H2_closed == 0.0 and not np.any(rep.error)
+        assert abs(rep.fitted_order) < 1e-12
+
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
             limit_convergence(np.array([0.5]), np.array([0.0]), LP,
