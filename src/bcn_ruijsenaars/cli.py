@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -232,13 +231,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _attach_vector_values(argv):
-    """`--p -0.2,0.15` -> `--p=-0.2,0.15`; argparse reads such a value as a flag."""
+    """`--p -0.2,0.15` -> `--p=-0.2,0.15`; argparse reads such a value as a flag.
+    A token is a value when its first comma field is a float (`-inf,0` is,
+    `-h` is not)."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--q", "--p", "--pi", "--t-grid") and re.match(r"-\.?\d", tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
+        if out and out[-1] in ("--q", "--p", "--pi", "--t-grid"):
+            try:
+                float(tok.split(",")[0])
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
     return out
 
 
