@@ -11,16 +11,16 @@ Subcommands:
                  family on random points (JSON report);
 * ``limit``      convergence report of the cotangent-bundle limit (JSON).
 
-Exit codes: 0 success, 1 validation error (bad flags or inadmissible
-input), 2 numerical failure or tolerance breach; a numpy warning raised
-as an error (``python -W error::RuntimeWarning``) is a numerical
-failure too.  Vector values may
-start with ``-`` (``--p -0.2,0.15``).  All random draws are
-fixed by ``--seed``; identical configuration and seed give byte-identical
-output.  A JSON file with the same field names as the long flags
-(underscores for dashes) can be supplied via ``--config PATH`` or
-``--config=PATH``; its values (JSON strings or numbers) are checked as
-flag values are, explicit flags override them, and keys that name no
+Exit codes: 0 success, 1 validation error (bad flags, or inadmissible
+input such as a start that breaks the separation condition), 2 numerical
+failure or tolerance breach; a numpy warning raised as an error
+(``python -W error::RuntimeWarning``) is a numerical failure too.
+Vector values may start with ``-`` (``--p -0.2,0.15``).  All random
+draws are fixed by ``--seed``; identical configuration and seed give
+byte-identical output.  A JSON file with the same field names as the
+long flags (underscores for dashes) can be given as ``--config PATH``
+or ``--config=PATH``; its values (JSON strings or numbers) are checked
+as flag values are, explicit flags override them, and keys that name no
 flag of the subcommand are ignored.  ``--format json|csv`` selects the
 report format of ``verify``, ``involution`` and ``limit``.
 """
@@ -45,7 +45,7 @@ from .dynamics import (
 from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
 from .hamiltonians import BRACKET_DRAW, involution_report
 from .limits import LimitParams, limit_convergence
-from .model import make_params
+from .model import make_params, require_point
 from .reconstruction import assemble_stack, constraint_report, constraint_residuals
 from .sampling import random_admissible_points
 
@@ -117,13 +117,19 @@ def cmd_verify(args) -> int:
 
 def _initial_point(args, params):
     """The start point (q, p), with its group element g when --q/--p give
-    it (the reconstruction of g validates the point), else None."""
+    it (by the point rule, then gaps q_i - q_{i+1} > ln(1/alpha)), else None."""
     if args.q is not None or args.p is not None:
         if args.q is None or args.p is None:
             raise InvalidInput("--q and --p must be given together")
         q, p = _parse_vector(args.q), _parse_vector(args.p)
         if q.size != params.n or p.size != params.n:
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
+        q, p = require_point(q, p)
+        gaps, bound = q[:-1] - q[1:], -np.log(params.alpha)
+        if (gaps <= bound).any():
+            i = int(np.argmin(gaps))
+            raise SeparationViolation(f"separation condition: q_{i + 1} - q_{i + 2} = "
+                                      f"{gaps[i]:.3g} must exceed ln(1/alpha) = {bound:.3g}")
         return q, p, assemble_stack(q, p, params)[0].g
     q, p = random_admissible_points(np.random.default_rng(args.seed), params, 1)
     return q[0], p[0], None
@@ -140,8 +146,7 @@ def cmd_simulate(args) -> int:
         reduced = integrate_reduced(q, p, params, args.t_max, args.dt,
                                     method=args.integrator, sample_every=stride)
         if reduced.chamber_approach:
-            print("warning: chamber-wall approach, trajectory truncated",
-                  file=sys.stderr)
+            print("warning: chamber-wall approach, trajectory truncated", file=sys.stderr)
     if args.method in ("exact", "both"):
         if g0 is None:
             g0 = assemble_stack(q, p, params)[0].g
@@ -223,11 +228,18 @@ def _add_model_flags(sp):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as InvalidInput (exit 1) instead of exiting 2."""
+    """Reports usage errors as InvalidInput (exit 1) instead of exiting 2,
+    a subcommand's unknown arguments with that subcommand's usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InvalidInput(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
 
 
 def _attach_vector_values(argv):

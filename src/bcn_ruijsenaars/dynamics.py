@@ -20,29 +20,28 @@ symplectic form.  The calibration is re-asserted by the test suite.
 
 A `Trajectory` holds (T, n) arrays of q and p.  Every route samples the
 grid of `sample_times`, so `project_flow` on its times and both
-integrators give one `t` column.  `integrate_reduced` makes one loop
-over the samples; rk4 reaches the next one by fixed steps, rk45 by
-adaptive Cash-Karp steps.  It steps the state z = q + p as a list of 2n
-Python floats by the steps of `_rk_step`, each stage one call of the
-q-chart kernel `hamiltonians._q_kernel(n)` with a^2, b^2, c^2 bound once
-per run.  Its start point (q0, p0) is checked by `require_point`, and
-its samples become (T, n) arrays once, after the stepping.  Each RK stage is
-checked once, by the kernel: NumericalFailure for non-finite q,
-ChamberViolation for unordered q, SeparationViolation past the wall.
-Under rk4 that error ends the run.  Under rk45 it rejects the trial
-step, as a non-finite result does, and the step is retried at a fifth of
-its length; a rejected trial step shorter than RK45_MIN_STEP raises
-NumericalFailure naming the step and the time reached.  Each step is
-checked once: a non-finite state raises NumericalFailure, and a
-separation margin below WALL_MARGIN ends the run with `chamber_approach`
-set.  Float arithmetic overflows to inf silently, and the kernel maps
-the math functions' OverflowError and ValueError to the IEEE value, so
-the steps need no `np.errstate`: an overflowed stage ends at the next
-stage's check, without a warning.  The samples are evaluated after the
-stepping, each column through `matops.map_chunks`: the energy by the
-Sigma-chart form (`hamiltonians._sigma_rows`, chunk_rows(n) rows), the
-residuals by `constraint_residuals`, without numpy warnings: a non-finite
-entry in either column (far out, e^q or a product overflows) raises
+integrators give one `t` column.  `integrate_reduced` checks its start
+by `require_point` and makes one pass over its steps, rk4's fixed ones
+or rk45's adaptive Cash-Karp ones, which end on each sample time.  It
+steps z = q + p as a list of 2n Python floats by `_rk_step`, each stage
+one call of the q-chart kernel `hamiltonians._q_kernel(n)`, which raises
+NumericalFailure for non-finite q, ChamberViolation for unordered q and
+SeparationViolation past the wall.  Under rk4 that error ends the run;
+under rk45 it rejects the trial step, as a non-finite result does, and
+the step is retried at a fifth of its length, down to RK45_MIN_STEP
+(then NumericalFailure names the step and the time reached).  One loop
+judges each step once, after `_finite`, by its closest gap d = min(q_i -
+q_{i+1}): d < 0 raises NumericalFailure (particles never pass, so the
+step blew up), d below the wall gap asinh(sqrt(c^2 + WALL_MARGIN) / 2)
+ends the run with `chamber_approach` set, and any other step goes on, a
+sampled one kept.  Float arithmetic overflows to inf silently, and the
+kernel maps the math functions' OverflowError and ValueError to the IEEE
+value, so the steps need no `np.errstate`.  After the stepping the
+samples become (T, n) arrays and their columns are evaluated through
+`matops.map_chunks`: the energy by the Sigma-chart form
+(`hamiltonians._sigma_rows`, chunk_rows(n) rows), the residuals by
+`constraint_residuals`, without numpy warnings; a non-finite entry in
+either column (far out, e^q or a product overflows) raises
 NumericalFailure naming the column and its first sample time.
 
 `project_flow` composes the exact flow with coordinate extraction and
@@ -75,8 +74,7 @@ from .errors import (ChamberViolation, InvalidInput, NotOnConstraintSurface,
 from .hamiltonians import (_generated, _q_kernel, _sigma_rows, grad_hamiltonian,
                            phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, require_element, signs
-from .model import (ModelParams, abc_from_params, require_point, separation_margin,
-                    wrap_angle)
+from .model import ModelParams, abc_from_params, require_point, wrap_angle
 from .reconstruction import constraint_residuals
 
 __all__ = [
@@ -264,10 +262,10 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     `method` is "rk4" (classical, fixed steps of that grid's step,
     default) or "rk45" (embedded Cash-Karp pair with adaptive sub-steps
     between samples; `dt` then sets the sampling cadence and the first
-    trial step).  If the separation margin drops below WALL_MARGIN the
-    integration stops and the partial trajectory is returned with
-    `chamber_approach` set (see the module docstring for the errors a
-    stage or a step raises).
+    trial step).  A step whose closest gap falls below the wall gap ends
+    the run, which returns the samples before it with `chamber_approach`
+    set; a step that reorders q raises NumericalFailure (see the module
+    docstring for the errors a stage or a step raises).
     """
     if method not in ("rk4", "rk45"):
         raise InvalidInput(f"unknown method {method!r}")
@@ -277,51 +275,52 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     a2, b2, c2 = abc_from_params(params)
     chart = _q_kernel(n)(a2, b2, c2, FLOW_SIGN * FLOW_TIME_SCALE)
     rk_step = _rk_step(method, n)(chart)
+    # a gap d >= 0 is below `wall` exactly when 4 sinh^2(d) - c2 < WALL_MARGIN
+    wall = math.asinh(math.sqrt(c2 + WALL_MARGIN) / 2.0)
+    last = int(counts[-1])
 
-    def rk4_steps(t, z, k0, k):
-        for j in range(k0 + 1, k + 1):
-            z = _finite(rk_step(z, step))
-            yield j * step, z
+    def rk4_steps(z):
+        for j in range(1, last + 1):
+            z = rk_step(z, step)
+            yield j * step, z, j % sample_every == 0 or j == last
 
-    h = dt
+    def rk45_steps(z):
+        t, h = 0.0, dt
+        for t_target in (counts[1:] * step).tolist():
+            while t < t_target:
+                h = min(h, t_target - t)
+                try:
+                    z5, z4 = rk_step(z, h)
+                    err = max(abs(a - b) for a, b in zip(_finite(z5), _finite(z4)))
+                except (ChamberViolation, SeparationViolation, NumericalFailure):
+                    err = math.inf      # a stage left the chamber or overflowed
+                scale = RK45_ATOL + RK45_RTOL * max(map(abs, z))
+                if err <= scale:
+                    t, z = t + h, z5
+                    yield t, z, not t < t_target
+                elif h < RK45_MIN_STEP:
+                    raise NumericalFailure(f"rk45: step {h:.3g} rejected at t = {t:.10g}")
+                h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
 
-    def rk45_steps(t, z, k0, k):
-        nonlocal h
-        t_target = k * step
-        while t < t_target:
-            h = min(h, t_target - t)
-            try:
-                z5, z4 = rk_step(z, h)
-                err = max(abs(a - b) for a, b in zip(_finite(z5), _finite(z4)))
-            except (ChamberViolation, SeparationViolation, NumericalFailure):
-                err = math.inf      # a stage left the chamber or overflowed
-            scale = RK45_ATOL + RK45_RTOL * max(map(abs, z))
-            if err <= scale:
-                t += h
-                z = z5
-                yield t, z
-            elif h < RK45_MIN_STEP:
-                raise NumericalFailure(f"rk45: step {h:.3g} rejected at t = {t:.10g}")
-            h *= min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-
-    steps = rk4_steps if method == "rk4" else rk45_steps
-    t, z = 0.0, q0.tolist() + p0.tolist()
-    kept = [(t, z)]         # (t, z) of each sample, evaluated after the stepping
-    approached = False
-    for k0, k in zip(counts.tolist(), counts[1:].tolist()):
-        for t, z in steps(t, z, k0, k):
-            approached = separation_margin(z[:n], c2) < WALL_MARGIN
-            if approached:
-                break
-        if approached:
+    z = q0.tolist() + p0.tolist()
+    kept = [(0.0, z)]       # (t, z) of each sample, evaluated after the stepping
+    gap = math.inf          # the closest gap of the last step judged
+    for t, z, sampled in (rk4_steps if method == "rk4" else rk45_steps)(z):
+        q = _finite(z)[:n]
+        gap = min(map(operator.sub, q, q[1:]), default=math.inf)
+        if gap < 0.0:       # particles never pass: the step has blown up
+            i = next(i for i in range(n - 1) if q[i] < q[i + 1])
+            raise NumericalFailure(f"reduced flow: the step to t = {t:.10g} reorders "
+                                   f"q_{i + 1} = {q[i]:.10g} and q_{i + 2} = {q[i + 1]:.10g}")
+        if gap < wall:
             break
-        kept.append((t, z))
+        if sampled:
+            kept.append((t, z))
 
     times, zs = zip(*kept)
-    rows = np.array(zs)
-    q, p = rows[:, :n], rows[:, n:]
-    # the rows are finite (`_finite`) and ordered (else a margin < 0 ended
-    # the run); an overflow shows only in the column check below
+    q, p = np.split(np.array(zs), [n], axis=1)
+    # the rows are finite and ordered (each step is checked); an overflow
+    # shows only in the column check below
     with np.errstate(all="ignore"):
         energy = map_chunks(lambda q, p: _sigma_rows(np.exp(q), p, [params]),
                             chunk_rows(n), q, p)
@@ -332,7 +331,7 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
             raise NumericalFailure(f"reduced flow: non-finite {name} at t = "
                                    f"{times[np.argmax(failed)]:.10g}")
     return Trajectory(times=np.array(times), q=q, p=p, energy=energy,
-                      residual=residual, chamber_approach=approached)
+                      residual=residual, chamber_approach=gap < wall)
 
 
 def project_flow(g0, params: ModelParams, times) -> Trajectory:

@@ -15,16 +15,15 @@ chart consists of the diagonal vectors
 The standard three-constant form of the Hamiltonian corresponds to
 
     a^2 = (x^-2 + y^2)/2,   b^2 = y^2/x^2,   c^2 = (alpha - 1/alpha)^2.
-The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair.  c^2
-and the separation margin are defined here; the pair factors
-1 - c^2 / (4 sinh^2(q_i - q_k)) belong to the closed form of the
-Hamiltonian and are built in `hamiltonians` only.
+The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair, for
+ordered q the gap bound q_i - q_{i+1} > ln(1/alpha).  c^2 and the
+separation margin are defined here; the pair factors 1 - c^2 /
+(4 sinh^2(q_i - q_k)) of the Hamiltonian are built in `hamiltonians` only.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,19 +212,8 @@ def cartan_from_q(q, params: ModelParams) -> CartanData:
 def separation_margin(q, c2: float):
     """min_i 4 sinh^2(q_i - q_{i+1}) - c2: the smallest pairwise margin
     4 sinh^2(q_i - q_k) - c2 for ordered q (the closest pair is adjacent),
-    negative for unordered q, inf for one particle.  A (k, n) stack of
-    positions gives the k margins.  A list of floats (one point, as
-    `dynamics.integrate_reduced` steps it) is evaluated in Python floats,
-    a gap past sinh's range counting as +-inf as in numpy."""
-    if isinstance(q, list):
-        margin = math.inf
-        for d in map(operator.sub, q, q[1:]):
-            try:
-                s = math.sinh(d)
-            except OverflowError:
-                s = math.copysign(math.inf, d)
-            margin = min(margin, 4.0 * s * abs(s))
-        return margin - c2
+    negative for unordered q, inf for one particle.  q is an array of
+    positions, (n,) or a (k, n) stack, which gives the k margins."""
     s = np.sinh(q[..., :-1] - q[..., 1:])
     margin = (4.0 * s * np.abs(s)).min(axis=-1, initial=math.inf) - c2
     return float(margin) if margin.ndim == 0 else margin

@@ -143,7 +143,9 @@ def loop_ck_step(f, z, h):
 
 def loop_integrate(q0, p0, params, t_max, dt, method="rk4", sample_every=1):
     """The stepping loop of `integrate_reduced` on the loop steps: the
-    sample times, the (T, 2n) sampled states and the approach flag."""
+    sample times, the (T, 2n) sampled states and the approach flag.  A
+    step is judged by the order of q and the sinh margin of the
+    separation condition, where the package tests the closest gap."""
     n = len(q0)
     step, counts = sample_times(t_max, dt, sample_every)
     a2, b2, c2 = abc_from_params(params)
@@ -188,7 +190,13 @@ def loop_integrate(q0, p0, params, t_max, dt, method="rk4", sample_every=1):
     approached = False
     for k0, k in zip(counts.tolist(), counts[1:].tolist()):
         for t, z in steps(t, z, k0, k):
-            approached = separation_margin(z[:n], c2) < WALL_MARGIN
+            for i in range(n - 1):
+                if z[i] < z[i + 1]:     # particles never pass: a blown-up step
+                    raise NumericalFailure(
+                        f"reduced flow: the step to t = {t:.10g} reorders "
+                        f"q_{i + 1} = {z[i]:.10g} and q_{i + 2} = {z[i + 1]:.10g}")
+            with np.errstate(over="ignore"):    # a gap past sinh's range: inf
+                approached = separation_margin(np.array(z[:n]), c2) < WALL_MARGIN
             if approached:
                 break
         if approached:

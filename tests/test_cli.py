@@ -119,9 +119,16 @@ ROWS = [
         f"simulate {START} --t-max 0.1 --dt 1e-3 --sample-count 5 --method both --output out.csv",
         0, "", report(lambda r: r["pass"] is True and Path("out.csv").exists()
                       and Path("out.exact.csv").exists())),
-    # separation violated for the default alpha = 0.5
+    # separation violated for the default alpha = 0.5: the gap form of the
+    # condition names the pair, before the reconstruction
     Row("TestSimulate::test_validation_exit_code", "simulate --q 0.1,0 --p 0,0", 1,
-        "error: non-positive radicand in v^2 = [-11.49642296  13.16247502]\n"),
+        "error: separation condition: q_1 - q_2 = 0.1 must exceed ln(1/alpha) = 0.693\n"),
+    Row("TestCommands::test_row[separation-gap-q2-q3]",
+        "simulate --n 3 --q 1.5,0.8,0.15 --p 0,0,0", 1,
+        "error: separation condition: q_2 - q_3 = 0.65 must exceed ln(1/alpha) = 0.693\n"),
+    Row("TestCommands::test_row[separation-gap-past-ln2]",
+        "simulate --q 0.7,0 --p 0,0 --t-max 0.01", 0, "",
+        lambda out: out.startswith("t,q1,q2,p1,p2,energy,residual\n0,0.69999999999999996,0,")),
     Row("TestSimulate::test_overflowed_stage_prints_one_line",
         "simulate --n 2 --q=0.8,-0.8 --p=0.1,-0.05 --alpha 0.5 --t-max 10 --dt 10", 2,
         "numerical failure: non-finite positions q = [6.51311025        inf]\n"),
@@ -186,11 +193,12 @@ ROWS = [
     Row("TestSimulate::test_flowed_element_off_the_surface_names_its_block",
         "simulate --n 2 --alpha 0.5 --x 1.2 --y 0.8 --seed 11 --method exact --t-max 8 --dt 8", 2,
         "numerical failure: lower-right block is not Lambda-unitary\n"),
+    # the step to t = 0.062 throws q_2 from -4.83 past q_1: a blown-up rk4
+    # step, not an approach to the wall (the exact route bounces q_2 back)
     Row("TestSimulate::test_chamber_approach_truncates_with_a_warning",
-        "simulate --n 2 --seed 0 --t-max 1 --dt 1e-3", 0,
-        "warning: chamber-wall approach, trajectory truncated\n",
-        lambda out: [float(row.split(",")[0]) for row in out.splitlines()[1:]]
-        == pytest.approx([0.01 * k for k in range(7)])),
+        "simulate --n 2 --seed 0 --t-max 1 --dt 1e-3", 2,
+        "numerical failure: reduced flow: the step to t = 0.062 reorders q_1 = 0.5825092855 "
+        "and q_2 = 20027.54924\n"),
     *[Row(f"TestSimulate::test_bad_grid_exits_1[{name}]", f"simulate {START} {grid}", 1,
           f"error: {message}\n") for name, grid, message in [
               ("dt0", "--dt 0", "dt must be positive"),
@@ -254,11 +262,11 @@ ROWS = [
           ("nosuch", usage("[-h]", "argument subcommand: invalid choice: 'nosuch' (choose from "
                                    "'verify', 'simulate', 'involution', 'limit')")),
           ("simulate --n two", usage("simulate", "argument --n: invalid int value: 'two'")),
-          ("verify --bogus", usage("[-h]", "unrecognized arguments: --bogus")),
+          ("verify --bogus", usage("verify", "unrecognized arguments: --bogus")),
           ("simulate --method euler", usage("simulate", "argument --method: invalid choice: "
                                             "'euler' (choose from 'reduced', 'exact', 'both')")),
           ("simulate --format json --t-max 0.01",
-           usage("[-h]", "unrecognized arguments: --format json")),
+           usage("simulate", "unrecognized arguments: --format json")),
           ("verify --samples 0",
            usage("verify", "argument --samples: must be positive and finite, got 0")),
           ("verify --samples -3",
@@ -561,6 +569,13 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "verify", "--config", str(cfg),
                                "--samples", "3")
         assert json.loads(out)["samples"] == 3
+
+    def test_unknown_flag_gets_the_subcommand_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 3}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--bogus")
+        assert (code, out) == (1, "")
+        assert usage("verify", "unrecognized arguments: --bogus").fullmatch(err)
 
     def test_wrong_subcommand_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -32,7 +32,8 @@ from bcn_ruijsenaars.errors import (
 from bcn_ruijsenaars.hamiltonians import (_q_kernel, grad_hamiltonian, phi_trace,
                                           spectral_invariants)
 from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
-from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, wrap_angle
+from bcn_ruijsenaars.model import (ReducedPoint, abc_from_params, make_params,
+                                   separation_margin, wrap_angle)
 from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
 from bcn_ruijsenaars.sampling import random_admissible_point
 
@@ -183,6 +184,28 @@ def _textbook_run(point, params, t_max, dt, method):
     return samples
 
 
+def _stubbed_steps(monkeypatch):
+    """`run(alpha, q)`: the approach flag of a one-step `integrate_reduced`
+    run at alpha (x = y = 1) whose step lands on the positions q, with the
+    RK step and the sample columns stubbed, so that only the loop's
+    judgement of the step is left."""
+    landing = []
+    monkeypatch.setattr(dynamics, "_rk_step",
+                        lambda method, n: lambda chart: lambda z, h: landing[-1])
+    monkeypatch.setattr(dynamics, "map_chunks", lambda f, rows, q, p: np.zeros(len(q)))
+    monkeypatch.setattr(dynamics, "constraint_residuals",
+                        lambda q, p, params: {"residual": np.zeros(len(q))})
+
+    def run(alpha, q):
+        n = len(q)
+        landing.append(list(q) + [0.0] * n)
+        start = np.arange(n, 0.0, -1.0)
+        traj = integrate_reduced(start, np.zeros(n), make_params(alpha, 1, 1, n), 1.0, 1.0)
+        return traj.chamber_approach
+
+    return run
+
+
 class TestIntegrateReduced:
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -262,11 +285,54 @@ class TestIntegrateReduced:
         assert 10.0 < ratio < 24.0
 
     def test_chamber_wall_abort(self):
-        # head-on low-momentum pair collapses toward the separation wall
+        # the pair separates, then the step to t = 0.608 throws q_2 from
+        # -7.64 to +195.4, past q_1: particles never pass, so the step has
+        # blown up, and that is a numerical failure
         pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
-        traj = integrate_reduced(pt.q, pt.p, PARAMS2, 2.0, 1e-3, sample_every=10)
+        with pytest.raises(NumericalFailure, match=r"^reduced flow: the step to t = 0\.608 "
+                           r"reorders q_1 = 1\.361907271 and q_2 = 195\.379601$"):
+            integrate_reduced(pt.q, pt.p, PARAMS2, 2.0, 1e-3, sample_every=10)
+
+    def test_chamber_approach_ends_the_run(self):
+        # the step to t = 0.316 throws q_2 from -7.07 to 0.755 (the exact
+        # route has -4.72 there): the closest gap falls from 7.97 to 0.146,
+        # ordered but below the wall gap (past ln 2), so the run ends with
+        # the flag set after the samples 0 ... 0.3 (gap 4.04 at 0.3)
+        traj = integrate_reduced([0.4, -0.4], [-1.0, 1.0], PARAMS2, 1.0, 1e-3,
+                                 sample_every=100)
         assert traj.chamber_approach
-        assert traj.times[-1] < 2.0
+        assert traj.times.tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3])
+        assert traj.q[-1, 0] - traj.q[-1, 1] == pytest.approx(4.04, abs=5e-3)
+
+    def test_far_gap_sets_no_flag_and_a_reordered_step_fails(self, monkeypatch):
+        # a gap past sinh's range is far from the wall, a gap of 0 is at it;
+        # a reordered step names its time, the first reordered pair and
+        # both positions
+        run = _stubbed_steps(monkeypatch)
+        assert run(0.5, [800.0, 0.0]) is False
+        assert run(0.5, [0.3]) is False
+        assert run(0.5, [1.0, 0.0, 0.0]) is True
+        with pytest.raises(NumericalFailure, match=r"^reduced flow: the step to t = 1 "
+                           r"reorders q_1 = 0 and q_2 = 800$"):
+            run(0.5, [0.0, 800.0, 799.0])
+
+    def test_wall_gap_agrees_with_the_margin(self, monkeypatch):
+        # the loop's gap test against the margin 4 sinh^2(d) - c2 <
+        # WALL_MARGIN, at the bound asinh(sqrt(c2 + WALL_MARGIN) / 2) +- 40
+        # ulp and at random gaps: they may differ only within 1 ulp of it
+        run = _stubbed_steps(monkeypatch)
+        rng = np.random.default_rng(0)
+        for alpha in rng.uniform(0.05, 0.99, size=100):
+            c2 = make_params(alpha, 1, 1, 2).coupling_sq
+            wall = math.asinh(math.sqrt(c2 + dynamics.WALL_MARGIN) / 2.0)
+            below, above = [wall], [wall]
+            for _ in range(40):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            gaps = below[:1:-1] + above[2:] + rng.uniform(0.0, 3.0 * wall, size=10).tolist()
+            margin = separation_margin(np.column_stack([gaps, np.zeros(len(gaps))]), c2)
+            assert [run(alpha, [d, 0.0]) for d in gaps] == \
+                (margin < dynamics.WALL_MARGIN).tolist()
 
     def test_bounded_oscillation_long_run(self):
         traj = integrate_reduced(POINT1.q, POINT1.p, PARAMS1, 100.0, 1e-2, sample_every=100)
@@ -482,7 +548,7 @@ class TestGeneratedSteps:
         assert traj.chamber_approach == approached
 
     @pytest.mark.parametrize("q, p, t_max, dt, method", [
-        ([0.8, -0.8], [0.1, -0.05], 2.0, 1e-3, "rk4"),      # stops at the wall
+        ([0.8, -0.8], [0.1, -0.05], 2.0, 1e-3, "rk4"),      # a step reorders q
         ([1.0, -1.0], [-1.0, 1.0], 0.3, 0.1, "rk45"),       # rejected trial steps
         # an overflowing stage where the generated kernel's cross sums hold
         # a NaN that the loop kernel's do not: the same error all the same

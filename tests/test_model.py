@@ -160,17 +160,6 @@ class TestSeparationKernels:
         assert separation_margin(np.array([3.0, 1.0, 2.0]), 0.01) < 0.0
         assert separation_margin(np.array([1.0, 1.0]), 0.01) < 0.0
 
-    def test_margin_of_a_float_list(self):
-        # the float path of one point, as the reduced ODE steps it
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 5, 9):
-            q = np.sort(rng.uniform(-2.0, 2.0, size=n))[::-1]
-            assert separation_margin(q.tolist(), 2.25) == pytest.approx(
-                separation_margin(q, 2.25), rel=1e-14, abs=1e-14)
-        # a gap past sinh's range counts as +-inf
-        assert separation_margin([800.0, 0.0], 2.25) == math.inf
-        assert separation_margin([0.0, 800.0, 799.0], 2.25) == -math.inf
-
     def test_margin_of_a_stack_is_per_row(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 5, 9):

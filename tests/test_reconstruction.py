@@ -399,8 +399,10 @@ class TestStackedCore:
             {name: r.tolist() for name, r in stack.items()}
 
     def test_residual_column_equals_the_loop(self):
-        params, (point,) = _points(3, 1, 311)
+        # a run that reaches t_max: eleven samples
+        params, (point,) = _points(3, 1, 312)
         traj = integrate_reduced(point.q, point.p, params, 0.2, 1e-3, sample_every=20)
+        assert traj.times.size == 11 and not traj.chamber_approach
         points = [ReducedPoint(q, p) for q, p in zip(traj.q, traj.p)]
         loop = [max(res.values()) for _, res in _loop_verify(points, params)]
         assert np.array_equal(traj.residual, loop)
