@@ -45,7 +45,7 @@ from .dynamics import (
 from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
 from .hamiltonians import BRACKET_DRAW, involution_report
 from .limits import LimitParams, limit_convergence
-from .model import make_params, require_point
+from .model import make_params, require_point, separation_gap
 from .reconstruction import assemble_stack, constraint_report, constraint_residuals
 from .sampling import random_admissible_points
 
@@ -58,7 +58,7 @@ def _fmt(x: float) -> str:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise InvalidInput(f"could not parse vector {text!r}") from exc
 
@@ -117,7 +117,8 @@ def cmd_verify(args) -> int:
 
 def _initial_point(args, params):
     """The start point (q, p), with its group element g when --q/--p give
-    it (by the point rule, then gaps q_i - q_{i+1} > ln(1/alpha)), else None."""
+    it (by the point rule, then q_i > q_{i+1} + separation_gap(c^2) for each
+    adjacent pair, the gap ln(1/alpha)), else None."""
     if args.q is not None or args.p is not None:
         if args.q is None or args.p is None:
             raise InvalidInput("--q and --p must be given together")
@@ -125,11 +126,13 @@ def _initial_point(args, params):
         if q.size != params.n or p.size != params.n:
             raise InvalidInput(f"--q/--p must have n={params.n} entries")
         q, p = require_point(q, p)
-        gaps, bound = q[:-1] - q[1:], -np.log(params.alpha)
-        if (gaps <= bound).any():
-            i = int(np.argmin(gaps))
+        bound = separation_gap(params.coupling_sq)
+        failing = np.flatnonzero(q[:-1] <= q[1:] + bound)
+        if failing.size:        # each failing gap is below the bound: no overflow
+            gaps = q[failing] - q[failing + 1]
+            i = failing[np.argmin(gaps)]
             raise SeparationViolation(f"separation condition: q_{i + 1} - q_{i + 2} = "
-                                      f"{gaps[i]:.3g} must exceed ln(1/alpha) = {bound:.3g}")
+                                      f"{gaps.min():.3g} must exceed ln(1/alpha) = {bound:.3g}")
         return q, p, assemble_stack(q, p, params)[0].g
     q, p = random_admissible_points(np.random.default_rng(args.seed), params, 1)
     return q[0], p[0], None

@@ -32,14 +32,15 @@ the step is retried at a fifth of its length, down to RK45_MIN_STEP
 (then NumericalFailure names the step and the time reached).  One loop
 judges each step once, after `_finite`, by its closest gap d = min(q_i -
 q_{i+1}): d < 0 raises NumericalFailure (particles never pass, so the
-step blew up), d below the wall gap asinh(sqrt(c^2 + WALL_MARGIN) / 2)
-ends the run with `chamber_approach` set, and any other step goes on, a
-sampled one kept.  Float arithmetic overflows to inf silently, and the
-kernel maps the math functions' OverflowError and ValueError to the IEEE
-value, so the steps need no `np.errstate`.  After the stepping the
-samples become (T, n) arrays and their columns are evaluated through
-`matops.map_chunks`: the energy by the Sigma-chart form
-(`hamiltonians._sigma_rows`, chunk_rows(n) rows), the residuals by
+step blew up), d below the wall gap `model.separation_gap(c^2 +
+WALL_MARGIN)`, the package's one gap bound on adjacent pairs (ln(1/alpha)
+at a zero margin), ends the run with `chamber_approach` set, and any
+other step goes on, a sampled one kept.  Float arithmetic overflows to
+inf silently, and the kernel maps the math functions' OverflowError and
+ValueError to the IEEE value, so the steps need no `np.errstate`.  After
+the stepping the samples become (T, n) arrays and their columns are
+evaluated through `matops.map_chunks`: the energy by the Sigma-chart
+form (`hamiltonians._sigma_rows`, chunk_rows(n) rows), the residuals by
 `constraint_residuals`, without numpy warnings; a non-finite entry in
 either column (far out, e^q or a product overflows) raises
 NumericalFailure naming the column and its first sample time.
@@ -74,7 +75,8 @@ from .errors import (ChamberViolation, InvalidInput, NotOnConstraintSurface,
 from .hamiltonians import (_generated, _q_kernel, _sigma_rows, grad_hamiltonian,
                            phi_from_moment)
 from .matops import chunk_rows, dagger, expm, map_chunks, require_element, signs
-from .model import ModelParams, abc_from_params, require_point, wrap_angle
+from .model import (ModelParams, abc_from_params, require_point, separation_gap,
+                    wrap_angle)
 from .reconstruction import constraint_residuals
 
 __all__ = [
@@ -227,10 +229,13 @@ def _finite(z):
 
 def step_count(t_max: float, dt: float) -> int:
     """Steps of a run to `t_max` on steps of about `dt`: round(t_max / dt),
-    at least one, none when t_max is 0.  Raises InvalidInput for a count
-    that numpy cannot index."""
+    at least one, none when t_max is 0.  Raises InvalidInput for a dt that
+    is not positive and finite, a negative t_max, and a count that numpy
+    cannot index (a NaN ratio too)."""
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
+    if dt == math.inf:
+        raise InvalidInput("dt must be finite")
     if t_max < 0.0:
         raise InvalidInput("t_max must be non-negative")
     ratio = t_max / dt
@@ -276,7 +281,7 @@ def integrate_reduced(q0, p0, params: ModelParams, t_max: float, dt: float,
     chart = _q_kernel(n)(a2, b2, c2, FLOW_SIGN * FLOW_TIME_SCALE)
     rk_step = _rk_step(method, n)(chart)
     # a gap d >= 0 is below `wall` exactly when 4 sinh^2(d) - c2 < WALL_MARGIN
-    wall = math.asinh(math.sqrt(c2 + WALL_MARGIN) / 2.0)
+    wall = separation_gap(c2 + WALL_MARGIN)
     last = int(counts[-1])
 
     def rk4_steps(z):

@@ -29,14 +29,16 @@ one q-chart kernel per particle count n, generated by `_q_kernel(n)` at
 first use: a loop's float operations over the pairs, written as one
 straight line on locals, so each pair factor is built once and no list
 is indexed; its math calls share one `try`, with one fallback to their
-float64 limits.  It checks the chart and returns H with the vector field
-(scale dH/dp, -scale dH/dq) in the order of z = q + p: at the flow's
-scale an RK stage is one kernel call, and at scale 1 the gradient is
-read off exactly.  An RK4 step on it beats numpy's calls up to about
-n = 12, and is slower at n = 16 (O(n^2) in the interpreter).  The rest
-runs on stacks: the Sigma-chart form on (T, n) points (`weyl_check`'s
-orbit, the limit's scales), and `fd_gradient` and `involution_report`
-on (P, n) points, the 8n stencil rows of a point's chunk as one stack.
+float64 limits.  It checks the chart (q in order, then the adjacent
+pairs' factors: the bound of `model.separation_gap` in sinh form) and
+returns H with the vector field (scale dH/dp, -scale dH/dq) in the order
+of z = q + p: at the flow's scale an RK stage is one kernel call, and at
+scale 1 the gradient is read off exactly.  An RK4 step on it beats
+numpy's calls up to about n = 12, and is slower at n = 16 (O(n^2) in the
+interpreter).  The rest runs on stacks: the Sigma-chart form on (T, n)
+points (`weyl_check`'s orbit, the limit's scales), and `fd_gradient` and
+`involution_report` on (P, n) points, the 8n stencil rows of a point's
+chunk as one stack.
 """
 
 from __future__ import annotations
@@ -222,11 +224,11 @@ def _q_kernel(n: int):
     them all, with float64 limits: a pair whose sinh overflows has factor 1
     and dl = 0, a sinh^2 that underflows factor -inf, an overflowing
     e^{-2 q_i} is inf, and cos and sin of an infinite p are NaN, so an
-    overflowed RK stage fails at the next stage's q.
-    Raises NumericalFailure (non-finite q), ChamberViolation (unordered
-    q) or SeparationViolation (f <= 0, or a sinh^2 that underflows).  The
-    source comes from the int n and fixed templates only, so no caller's
-    text reaches `exec`.
+    overflowed RK stage fails at the next stage's q.  Raises
+    NumericalFailure (non-finite q), ChamberViolation (unordered q) or
+    SeparationViolation (f <= 0 at an adjacent pair, the only pairs tested,
+    or a sinh^2 that underflows).  The source comes from the int n and
+    fixed templates only, so no caller's text reaches `exec`.
     """
     return _generated(_chart_source(n), f"<q-chart n={n}>", dict(_CHART_NAMES))["q_chart"]
 
@@ -439,9 +441,10 @@ def _chart_source(n: int) -> str:
               f"            {', '.join(guarded)} = _chart_limits(c2, [{q}], [{p}])"]
     if pairs:
         lines += [f"        f{t} = 1.0 - t{t}" for *_, t in pairs]
-        lines += ["        if not (" + "\n                and ".join(
-            " and ".join(f"f{t} > 0.0" for i, _, t in pairs if i == row) for row in ps[:-1])
-            + "):", '            raise SeparationViolation("non-positive interaction radicand")']
+        # after the order test a non-adjacent pair is wider than an adjacent
+        # one by a whole further gap, so only an adjacent radicand can fail first
+        lines += ["        if not (" + " and ".join(f"f{i}_{i + 1} > 0.0" for i in ps[:-1])
+                  + "):", '            raise SeparationViolation("non-positive interaction radicand")']
         lines += [f"        r{t} = sqrt(f{t}); l{t} = t{t} * k{t} / f{t}" for *_, t in pairs]
     lines += [f"        v{i} = 1.0 + b1 * u{i} + b2 * (u{i} * u{i}); e{i} = sqrt(v{i}); "
               f"m{i} = {prod[i]}; w{i} = cp{i} * e{i} * m{i}" for i in ps]

@@ -15,10 +15,16 @@ chart consists of the diagonal vectors
 The standard three-constant form of the Hamiltonian corresponds to
 
     a^2 = (x^-2 + y^2)/2,   b^2 = y^2/x^2,   c^2 = (alpha - 1/alpha)^2.
-The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair, for
-ordered q the gap bound q_i - q_{i+1} > ln(1/alpha).  c^2 and the
-separation margin are defined here; the pair factors 1 - c^2 /
-(4 sinh^2(q_i - q_k)) of the Hamiltonian are built in `hamiltonians` only.
+The (q, p) chart needs 4 sinh^2(q_i - q_k) > c^2 for every pair; for
+ordered q the closest pair is adjacent, so this is one bound on adjacent
+pairs, q_i > q_{i+1} + separation_gap(c^2), the gap asinh(sqrt(c^2) / 2).
+It is ln(1/alpha) in exact arithmetic; in floats c^2 inherits the
+cancellation in alpha - 1/alpha, and the two differ by at most 5 ulp for
+alpha < 0.9 and by up to 256 ulp near alpha = 0.999.  The sampler, the
+CLI's start gate and the reduced ODE's step judge take their gap from
+`separation_gap`; `separation_margin` is the sinh form of the same test.
+The pair factors 1 - c^2 / (4 sinh^2(q_i - q_k)) of the Hamiltonian are
+built in `hamiltonians` only.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "require_finite",
     "make_params",
     "cartan_from_q",
+    "separation_gap",
     "separation_margin",
     "abc_from_params",
     "wrap_angle",
@@ -207,6 +214,13 @@ def cartan_from_q(q, params: ModelParams) -> CartanData:
         Gamma=np.sqrt(1.0 + sigma ** 2),
         Lambda=np.sqrt(params.y ** 2 + params.x ** 2 * sigma ** 2),
     )
+
+
+def separation_gap(c2: float) -> float:
+    """asinh(sqrt(c2) / 2), the gap d >= 0 at which 4 sinh^2(d) = c2: ordered
+    q clears the threshold c2 when q_i > q_{i+1} + separation_gap(c2) for
+    every adjacent pair.  The package's one gap bound."""
+    return math.asinh(math.sqrt(c2) / 2.0)
 
 
 def separation_margin(q, c2: float):

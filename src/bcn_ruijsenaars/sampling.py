@@ -1,8 +1,10 @@
 """Reproducible random draws of admissible phase-space points.
 
 Positions are sorted uniforms on [-2, 2], stretched about their midpoint
-until the pairwise separation inequality holds with a small safety
-factor; momenta are uniform on (-pi, pi].  A caller-supplied generator
+until the separation condition holds with a small safety factor: every
+adjacent pair clears `model.separation_gap` of the scaled threshold,
+q_i > q_{i+1} + asinh(sqrt(margin_factor c^2) / 2), compared without a
+sinh; momenta are uniform on (-pi, pi].  A caller-supplied generator
 drives every draw, so a fixed seed fixes the sample.  One call draws a
 whole sample from one stream of candidates, tested in blocks of growing
 size; it equals as many draws of one candidate at a time, in the points
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .matops import CHUNK_ENTRIES
-from .model import ModelParams, ReducedPoint, separation_margin
+from .model import ModelParams, ReducedPoint, separation_gap
 
 __all__ = ["MAX_REDRAW", "random_admissible_point", "random_admissible_points"]
 
@@ -40,6 +42,7 @@ def random_admissible_points(rng: np.random.Generator, params: ModelParams, coun
         raise InvalidInput("max_stretch must be non-negative")
     n = params.n
     c2 = margin_factor * params.coupling_sq
+    gap = separation_gap(c2)
     lo, hi = q_range
     qs, ps = [np.empty((0, n))], [np.empty((0, n))]
     # blocks of 1, 4, 16, ... rows of at most CHUNK_ENTRIES draws; no block runs
@@ -54,7 +57,8 @@ def random_admissible_points(rng: np.random.Generator, params: ModelParams, coun
             mean = levels[-1].sum(axis=1, keepdims=True) / n
             levels.append(mean + 1.25 * (levels[-1] - mean))
         stretched = np.stack(levels)
-        passed = separation_margin(stretched, c2) > 0.0     # (stretches + 1, k)
+        # (stretches + 1, k): every adjacent pair clears the gap
+        passed = (stretched[..., :-1] > stretched[..., 1:] + gap).all(axis=-1)
         rows = np.flatnonzero(passed.any(axis=0))[:need]
         qs.append(stretched[passed[:, rows].argmax(axis=0), rows])
         ps.append(np.pi - 2.0 * np.pi * u[rows, n:])

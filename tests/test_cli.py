@@ -203,6 +203,9 @@ ROWS = [
           f"error: {message}\n") for name, grid, message in [
               ("dt0", "--dt 0", "dt must be positive"),
               ("exact-dt-1", "--dt -1 --method exact", "dt must be positive"),
+              # t_max / inf = 0 steps would round up to one step of t_max
+              ("dt-inf", "--t-max 0.01 --dt inf", "dt must be finite"),
+              ("exact-dt-inf", "--t-max 0.01 --dt inf --method exact", "dt must be finite"),
               ("exact-tmax-1", "--t-max -1 --method exact", "t_max must be non-negative")]],
 
     # involution
@@ -286,7 +289,15 @@ ROWS = [
               ("simulate --n 2 --q=1 --p=0,0", "--q/--p must have n=2 entries"),
               ("simulate --n 2 --q=1,-1 --p=0", "--q/--p must have n=2 entries"),
               ("limit --n 2 --q=1", "--q/--pi must have n=2 entries"),
-              ("limit --n 2 --pi=0.1,0.2,0.3", "--q/--pi must have n=2 entries")])],
+              ("limit --n 2 --pi=0.1,0.2,0.3", "--q/--pi must have n=2 entries"),
+              # an empty field is no number, at either end or between two
+              (("simulate --q 1,,-1 --p 0,0", "simulate --q=1,,-1 --p=0,0"),
+               "could not parse vector '1,,-1'"),
+              ("simulate --q=1,-1, --p=0,0", "could not parse vector '1,-1,'"),
+              ("simulate --q=1,-1 --p=,0", "could not parse vector ',0'"),
+              ("limit --pi=0.1,,0.2", "could not parse vector '0.1,,0.2'"),
+              ("limit --t-grid 0.001,,0.002,0.003,0.004",
+               "could not parse vector '0.001,,0.002,0.003,0.004'")])],
     # nan and a non-positive tol could never pass, inf always would
     *[Row(f"TestUsageErrors::test_tol_must_be_positive_and_finite[{argv.split()[0]}-{tol}]",
           f"{argv} --tol {tol}", 1,

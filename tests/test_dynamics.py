@@ -33,7 +33,7 @@ from bcn_ruijsenaars.hamiltonians import (_q_kernel, grad_hamiltonian, phi_trace
                                           spectral_invariants)
 from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
 from bcn_ruijsenaars.model import (ReducedPoint, abc_from_params, make_params,
-                                   separation_margin, wrap_angle)
+                                   separation_gap, separation_margin, wrap_angle)
 from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
 from bcn_ruijsenaars.sampling import random_admissible_point
 
@@ -230,6 +230,17 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidInput):
             dynamics.step_count(1.0, 1e-300)
 
+    def test_infinite_dt_is_refused(self):
+        # t_max / inf = 0 steps would round up to one step of t_max; a NaN dt
+        # fails on the ratio
+        for t_max in (0.0, 0.01):
+            with pytest.raises(InvalidInput, match="^dt must be finite$"):
+                dynamics.step_count(t_max, math.inf)
+        with pytest.raises(InvalidInput, match="^dt must be finite$"):
+            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, math.inf)
+        with pytest.raises(InvalidInput, match=r"^cannot run t_max / dt = nan steps$"):
+            dynamics.step_count(0.01, math.nan)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_residual_fails_naming_the_column(self):
         # at y = 1e-160 two constraint residuals are NaN at every sample
@@ -318,13 +329,13 @@ class TestIntegrateReduced:
 
     def test_wall_gap_agrees_with_the_margin(self, monkeypatch):
         # the loop's gap test against the margin 4 sinh^2(d) - c2 <
-        # WALL_MARGIN, at the bound asinh(sqrt(c2 + WALL_MARGIN) / 2) +- 40
+        # WALL_MARGIN, at the bound separation_gap(c2 + WALL_MARGIN) +- 40
         # ulp and at random gaps: they may differ only within 1 ulp of it
         run = _stubbed_steps(monkeypatch)
         rng = np.random.default_rng(0)
         for alpha in rng.uniform(0.05, 0.99, size=100):
             c2 = make_params(alpha, 1, 1, 2).coupling_sq
-            wall = math.asinh(math.sqrt(c2 + dynamics.WALL_MARGIN) / 2.0)
+            wall = separation_gap(c2 + dynamics.WALL_MARGIN)
             below, above = [wall], [wall]
             for _ in range(40):
                 below.append(math.nextafter(below[-1], -math.inf))

@@ -29,7 +29,7 @@ from bcn_ruijsenaars.hamiltonians import (
     weyl_check,
 )
 from bcn_ruijsenaars.matops import chunk_rows
-from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params
+from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, separation_gap
 from bcn_ruijsenaars.reconstruction import assemble
 from bcn_ruijsenaars.sampling import random_admissible_points
 
@@ -768,6 +768,28 @@ class TestGeneratedKernel:
         for qs, ps in [(far, p), (low, p), (q, inf), (wall, p), (every, inf)]:
             for scale in (1.0, -0.5):
                 assert_matches_the_loop(qs.tolist() + ps.tolist(), n, abc, scale)
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_gaps_at_the_wall_match_the_loop_kernel(self, n):
+        # the generated kernel tests the adjacent radicands only, the loop
+        # kernel every pair: starts whose adjacent gaps sit 1-4 ulp (of the
+        # positions, which are on one grid, so each gap is exact) above or
+        # below the bound separation_gap(c2), all above, one below or mixed
+        rng = np.random.default_rng(600 + n)
+        outcomes = set()
+        for alpha in (0.3, 0.6, 0.9):
+            abc = abc_from_params(make_params(alpha, 1.2, 0.8, n))
+            wall = separation_gap(abc[2])
+            ulp = math.ulp((n - 1) * wall)      # the grid: no |q_i| is larger
+            for signs in ([1] * (n - 1), [1] * (n - 2) + [-1], rng.choice([-1, 1], n - 1)):
+                steps = round(wall / ulp) + np.array(signs) * rng.integers(1, 5, n - 1)
+                q = ulp * (np.concatenate([np.cumsum(steps[::-1])[::-1], [0]]) - steps.sum() // 2)
+                assert (q[:-1] - q[1:] == ulp * steps).all()
+                z = q.tolist() + rng.uniform(-np.pi, np.pi, n).tolist()
+                for scale in (1.0, 2.0):
+                    assert_matches_the_loop(z, n, abc, scale)
+                outcomes.add(isinstance(loop_and_generated(z, n, abc, 1.0)[0], Exception))
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("q, p", [
         ([400.0, -400.0], [0.1, 0.2]), ([720.0, 3.0, -360.0], [0.3, 0.2, 0.1]),

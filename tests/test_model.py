@@ -19,6 +19,7 @@ from bcn_ruijsenaars.model import (
     cartan_from_q,
     make_params,
     require_points,
+    separation_gap,
     separation_margin,
     wrap_angle,
 )
@@ -167,6 +168,37 @@ class TestSeparationKernels:
             rows = separation_margin(q, 2.25)
             assert rows.shape == (6,)
             assert rows.tolist() == [separation_margin(row, 2.25) for row in q]
+
+    def test_gap_agrees_with_the_margin(self):
+        # d > separation_gap(c2) against the sinh form 4 sinh^2(d) - c2 > 0,
+        # at the bound +- 40 ulp and at random gaps: they may differ only
+        # within 1 ulp of the bound
+        rng = np.random.default_rng(3)
+        for alpha in rng.uniform(0.01, 0.999, size=100):
+            c2 = make_params(alpha, 1, 1, 2).coupling_sq
+            bound = separation_gap(c2)
+            below, above = [bound], [bound]
+            for _ in range(40):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            gaps = np.array(below[:1:-1] + above[2:]
+                            + rng.uniform(0.0, 3.0 * bound, size=10).tolist())
+            margin = separation_margin(np.column_stack([gaps, np.zeros(gaps.size)]), c2)
+            assert ((gaps > bound) == (margin > 0.0)).all()
+            assert abs(separation_margin(np.array([bound, 0.0]), c2)) < 1e-13 * c2
+
+    def test_gap_is_ln_one_over_alpha(self):
+        # equal in exact arithmetic; in floats c2 inherits the cancellation
+        # in alpha - 1/alpha, so the difference grows as alpha -> 1
+        rng = np.random.default_rng(4)
+        for alpha in rng.uniform(0.01, 0.999, size=2000):
+            params = make_params(alpha, 1, 1, 2)
+            gap, ln = separation_gap(params.coupling_sq), -math.log(params.alpha)
+            assert abs(gap - ln) <= 2.0 * 2.0 ** -52 * ln / (1.0 - params.alpha)
+            if params.alpha < 0.9:
+                assert abs(gap - ln) <= 8 * math.ulp(ln)
+        assert separation_gap(2.25) == math.log(2.0)    # alpha = 0.5
+        assert separation_gap(0.0) == 0.0
 
     # the pair factors 1 - c2 / (4 sinh^2(q_i - q_k)) are built by the
     # q-chart kernel of hamiltonians; its chart errors are checked here
