@@ -8,16 +8,9 @@ every admissible gauge transformation.
 
 import numpy as np
 
-from bcn_ruijsenaars import (
-    ReducedPoint,
-    assemble,
-    cartan_KAK,
-    decompose_BK,
-    decompose_KB,
-    extract_reduced,
-    make_params,
-    wrap_angle,
-)
+from bcn_ruijsenaars import cartan_KAK, decompose_BK, decompose_KB, make_params, wrap_angle
+from bcn_ruijsenaars.decomposition import reduce_stack
+from bcn_ruijsenaars.reconstruction import assemble_stack
 
 rng = np.random.default_rng(7)
 
@@ -29,9 +22,8 @@ def rand_unitary(n):
 
 
 params = make_params(alpha=0.5, x=1.0, y=1.0, n=2)
-point = ReducedPoint(q=np.array([0.9, -0.6]), p=np.array([0.4, -1.1]))
-fact, _ = assemble(point, params)
-g = fact.g
+q, p = np.array([0.9, -0.6]), np.array([0.4, -1.1])
+g = assemble_stack(q, p, params)[0].g
 
 # the two triangular/pseudo-unitary splittings
 k, b = decompose_KB(g)
@@ -42,11 +34,6 @@ print("g = b k: left factor (2,2) block = y I:\n", np.round(b2[2:, 2:].real, 6))
 # radial normal form of the pseudo-unitary factor
 kak = cartan_KAK(k)
 print("\nradial coordinates Delta =", kak.Delta, "-> q =", np.log(kak.Sigma))
-
-# plain extraction
-out = extract_reduced(g, params)
-print("\nround trip: q error", np.abs(out.q - point.q).max(),
-      ", p error", np.abs(wrap_angle(out.p - point.p)).max())
 
 # move g inside its gauge orbit: left multiplication by diag(u1, u2)
 # with u1 in the stabilizer of the reference direction e_1, right
@@ -59,7 +46,9 @@ u = np.block([[u1, z], [z, rand_unitary(2)]])
 h = np.block([[rand_unitary(2), z], [z, rand_unitary(2)]])
 g_moved = u @ g @ h
 
-out2 = extract_reduced(g_moved, params)
-print("after gauge transformation: q error",
-      np.abs(out2.q - point.q).max(),
-      ", p error", np.abs(wrap_angle(out2.p - point.p)).max())
+# extraction of g and of the moved element, as one stack
+out_q, out_p, _, _ = reduce_stack(np.stack([g, g_moved]), params)
+print("\nround trip: q error", np.abs(out_q[0] - q).max(),
+      ", p error", np.abs(wrap_angle(out_p[0] - p)).max())
+print("after gauge transformation: q error", np.abs(out_q[1] - q).max(),
+      ", p error", np.abs(wrap_angle(out_p[1] - p)).max())

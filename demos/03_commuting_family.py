@@ -17,26 +17,26 @@ from bcn_ruijsenaars import (
     hamiltonian_sigma,
     involution_report,
     make_params,
-    phi_reduced,
-    random_admissible_point,
     random_admissible_points,
     weyl_check,
 )
-from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW
+from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW, phi_from_moment
+from bcn_ruijsenaars.matops import j_moment
+from bcn_ruijsenaars.reconstruction import assemble_stack
 
 rng = np.random.default_rng(11)
 params = make_params(alpha=0.5, x=1.1, y=0.9, n=3)
 
 print("cross-validation of the closed form against the trace formula:")
+q, p = random_admissible_points(rng, params, 4)
+via_trace = phi_from_moment(j_moment(assemble_stack(q, p, params)[0].g), 1)
+closed = hamiltonian_sigma(np.exp(q), p, params)
+a2, b2, c2 = abc_from_params(params)
 for k in range(4):
-    point = random_admissible_point(rng, params)
-    via_trace = phi_reduced(point, params, nu=1)
-    closed = hamiltonian_sigma(np.exp(point.q), point.p, params)
-    a2, b2, c2 = abc_from_params(params)
-    three_const = hamiltonian_q(point.q, point.p, a2, b2, c2)
-    print(f"  point {k}: trace {via_trace:+.12f}   closed {closed:+.12f}   "
-          f"|diff| {abs(via_trace - closed):.2e}   three-constant form "
-          f"|diff| {abs(three_const - closed):.2e}")
+    three_const = hamiltonian_q(q[k], p[k], a2, b2, c2)
+    print(f"  point {k}: trace {via_trace[k]:+.12f}   closed {closed[k]:+.12f}   "
+          f"|diff| {abs(via_trace[k] - closed[k]):.2e}   three-constant form "
+          f"|diff| {abs(three_const - closed[k]):.2e}")
 
 print("\ninvolution |{Phi_mu, Phi_nu}| (finite-difference brackets):")
 q, p = random_admissible_points(rng, params, 8, **BRACKET_DRAW)
@@ -45,6 +45,6 @@ print(np.array2string(rep.bracket_matrix, formatter={"float": "{:9.2e}".format})
 print("worst pair:", rep.worst_pair, " max:", rep.max_abs)
 
 print("\nsigned-permutation invariance of the closed form:")
-point = random_admissible_point(rng, params)
-w = weyl_check(np.exp(point.q), point.p, params)
+(q,), (p,) = random_admissible_points(rng, params, 1)
+w = weyl_check(np.exp(q), p, params)
 print(f"  orbit of {w.orbit_size} actions, max deviation {w.max_deviation:.2e}")

@@ -11,10 +11,11 @@ Subcommands:
                  family on random points (JSON report);
 * ``limit``      convergence report of the cotangent-bundle limit (JSON).
 
-Exit codes: 0 success, 1 validation error (bad flags, or inadmissible
-input such as a start that breaks the separation condition), 2 numerical
-failure or tolerance breach; a numpy warning raised as an error
-(``python -W error::RuntimeWarning``) is a numerical failure too.
+Exit codes: 0 success, 1 validation error (bad flags, inadmissible input
+such as a start that breaks the separation condition, or an --output
+file that cannot be written), 2 numerical failure or tolerance breach;
+a numpy warning raised as an error (``python -W error::RuntimeWarning``)
+is a numerical failure too.
 Vector values may start with ``-`` (``--p -0.2,0.15``).  All random
 draws are fixed by ``--seed``; identical configuration and seed give
 byte-identical output.  A JSON file with the same field names as the
@@ -43,9 +44,9 @@ from .dynamics import (
     trajectory_csv_text,
 )
 from .errors import BCNError, ChamberViolation, InvalidInput, SeparationViolation
-from .hamiltonians import BRACKET_DRAW, involution_report
+from .hamiltonians import BRACKET_DRAW, _q_kernel, involution_report
 from .limits import LimitParams, limit_convergence
-from .model import make_params, require_point, separation_gap
+from .model import abc_from_params, make_params, require_point, separation_gap
 from .reconstruction import assemble_stack, constraint_report, constraint_residuals
 from .sampling import random_admissible_points
 
@@ -65,8 +66,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write output file {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -115,10 +119,28 @@ def cmd_verify(args) -> int:
     return 0 if payload["pass"] else 2
 
 
+#: how far above the bound a gap counts as on it: far above the 2 eps by which
+#: the assembly's and the kernel's float forms of the pair test can miss it
+#: (90 000 probed starts), far below any gap meant to clear it
+_ROUNDING = 2.0 ** -44
+
+
+def _separation_error(q, pairs, bound):
+    """The gate's error: the closest of the adjacent pairs `pairs` of q, its
+    gap and the bound."""
+    gaps = q[pairs] - q[pairs + 1]
+    i = pairs[np.argmin(gaps)]
+    return SeparationViolation(f"separation condition: q_{i + 1} - q_{i + 2} = {gaps.min():.3g} "
+                               f"must exceed ln(1/alpha) = {bound:.3g}")
+
+
 def _initial_point(args, params):
     """The start point (q, p), with its group element g when --q/--p give
     it (by the point rule, then q_i > q_{i+1} + separation_gap(c^2) for each
-    adjacent pair, the gap ln(1/alpha)), else None."""
+    adjacent pair, the gap ln(1/alpha)), else None.  A gap within
+    `_ROUNDING` above the bound can still fail the start's assembly or its
+    q-chart kernel evaluation, where 4 sinh^2 of it rounds to c^2 or below:
+    that SeparationViolation is the gate's error too."""
     if args.q is not None or args.p is not None:
         if args.q is None or args.p is None:
             raise InvalidInput("--q and --p must be given together")
@@ -129,11 +151,16 @@ def _initial_point(args, params):
         bound = separation_gap(params.coupling_sq)
         failing = np.flatnonzero(q[:-1] <= q[1:] + bound)
         if failing.size:        # each failing gap is below the bound: no overflow
-            gaps = q[failing] - q[failing + 1]
-            i = failing[np.argmin(gaps)]
-            raise SeparationViolation(f"separation condition: q_{i + 1} - q_{i + 2} = "
-                                      f"{gaps.min():.3g} must exceed ln(1/alpha) = {bound:.3g}")
-        return q, p, assemble_stack(q, p, params)[0].g
+            raise _separation_error(q, failing, bound)
+        try:
+            g = assemble_stack(q, p, params)[0].g
+            _q_kernel(params.n)(*abc_from_params(params), 1.0)(*q.tolist(), *p.tolist())
+        except SeparationViolation:
+            near = np.flatnonzero(q[:-1] - q[1:] <= bound + _ROUNDING)
+            if not near.size:       # another cause (an underflow far out): its error stands
+                raise
+            raise _separation_error(q, near, bound) from None
+        return q, p, g
     q, p = random_admissible_points(np.random.default_rng(args.seed), params, 1)
     return q[0], p[0], None
 

@@ -6,9 +6,9 @@ pseudo-unitary element into block-diagonal x hyperbolic-rotation x
 block-diagonal normal form, and recover the reduced coordinates (q, p)
 of an element lying on the constraint surface modulo gauge.
 
-The master contract is the round trip
+The master contract is the round trip, row by row of (T, n) arrays q, p,
 
-    extract_reduced(assemble(q, p), params) == (q, p mod 2pi)
+    reduce_stack(assemble_stack(q, p, params)[0].g, params)[:2] == (q, p mod 2pi)
 
 together with invariance under admissible gauge transformations: right
 multiplication by block-diagonal unitaries, and left multiplication by
@@ -24,9 +24,9 @@ fail an input test only by rounding, which grows with cond(g), so that
 is NotOnLeaf, as is a failed signature Cholesky of them; both name the
 split.  The signature J acts as `matops.signs`, a scaling of rows
 or columns (see `matops`); the outputs are those of the dense products.
-`extract_reduced` and `surface_residuals` are the stack-of-one calls,
-checking g by `matops.require_element`; `project_flow` runs
-`reduce_stack` through `matops.map_chunks`.  Each element gets the
+`extract_reduced` and `surface_residuals`, the stack-of-one calls, check
+g by `matops.require_element` (tests/test_one_point_layer.py); `project_flow`
+runs `reduce_stack` through `matops.map_chunks`.  Each element gets the
 arithmetic it gets alone, so q, p, the residuals and the moment value
 do not depend on the stack it is in.
 """

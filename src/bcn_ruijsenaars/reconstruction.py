@@ -19,9 +19,9 @@ Everything here also runs on stacks: `assemble_stack` takes (T, n)
 arrays q and p, and every field of its records then has the leading T
 axis.  `constraint_residuals` (every invariant, never raising on a bad
 residual) runs it with the residuals through `matops.map_chunks`.
-`assemble` and `verify_constraints` are the one-point calls of the same
-code, so a point gets the same bits alone and in a stack.  A failing
-check names the first failing row.
+`assemble` and `verify_constraints`, the one-point calls of the same code,
+give a point the bits of its row (tests/test_one_point_layer.py).  A
+failing check names the first failing row.
 """
 
 from __future__ import annotations

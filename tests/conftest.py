@@ -2,9 +2,6 @@
 
 import numpy as np
 
-from bcn_ruijsenaars.model import make_params
-from bcn_ruijsenaars.sampling import random_admissible_point
-
 
 def rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -53,10 +50,3 @@ def vhat_stabilizer(rng, n):
         u[1:, 1:] = rand_unitary(rng, n - 1)
     return u
 
-
-def default_params(n, alpha=0.5, x=1.0, y=1.0):
-    return make_params(alpha, x, y, n)
-
-
-def draw_point(rng, params, q_range=(-2.0, 2.0)):
-    return random_admissible_point(rng, params, q_range=q_range)

@@ -15,7 +15,7 @@ from conftest import (
     vhat_stabilizer,
 )
 
-from bcn_ruijsenaars.decomposition import extract_reduced
+from bcn_ruijsenaars.decomposition import reduce_stack
 from bcn_ruijsenaars.dynamics import (
     compare_trajectories,
     exact_flow,
@@ -27,6 +27,7 @@ from bcn_ruijsenaars.hamiltonians import (
     hamiltonian_q,
     hamiltonian_sigma,
     involution_report,
+    phi_from_moment,
     phi_trace,
     weyl_check,
 )
@@ -40,11 +41,13 @@ from bcn_ruijsenaars.matops import (
     frob,
     indefinite_cholesky_upper,
     inn,
+    j_moment,
     rel_err,
 )
-from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, wrap_angle
-from bcn_ruijsenaars.reconstruction import assemble, solve_v, verify_constraints
-from bcn_ruijsenaars.sampling import random_admissible_point, random_admissible_points
+from bcn_ruijsenaars.model import abc_from_params, make_params, wrap_angle
+from bcn_ruijsenaars.reconstruction import (assemble_stack, constraint_report,
+                                            constraint_residuals, solve_v)
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 SAMPLES = 100
 LIMIT_GRID = np.geomspace(5e-5, 5e-3, 8)
@@ -58,14 +61,12 @@ def _params_for(n, rng):
 def test_criterion_01_constraint_surface():
     worst = 0.0
     for n in (1, 2, 3, 4):
-        rng = np.random.default_rng(1000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        for _ in range(SAMPLES):
-            point = random_admissible_point(rng, params)
-            fact, cdata = assemble(point, params)
-            rep = verify_constraints(fact, cdata, params, tol=1e-10)
-            assert rep.ok, (n, point.q, rep.worst())
-            worst = max(worst, rep.max_residual)
+        q, p = random_admissible_points(np.random.default_rng(1000 + n), params, SAMPLES)
+        rep = constraint_report({name: np.max(r) for name, r in
+                                 constraint_residuals(q, p, params).items()}, tol=1e-10)
+        assert rep.ok, (n, rep.worst())
+        worst = max(worst, rep.max_residual)
     print(f"ACCEPTANCE 1 (constraint surface): PASS - max residual "
           f"{worst:.3e} < 1e-10 over {4 * SAMPLES} points")
 
@@ -73,16 +74,13 @@ def test_criterion_01_constraint_surface():
 def test_criterion_02_master_cross_validation():
     worst = 0.0
     for n in (1, 2, 3, 4):
-        rng = np.random.default_rng(2000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        for _ in range(SAMPLES):
-            point = random_admissible_point(rng, params)
-            fact, _ = assemble(point, params)
-            trace_val = phi_trace(fact.g, 1)
-            closed = hamiltonian_sigma(np.exp(point.q), point.p, params)
-            dev = abs(trace_val - closed) / max(1.0, abs(closed))
-            assert dev < 1e-9
-            worst = max(worst, dev)
+        q, p = random_admissible_points(np.random.default_rng(2000 + n), params, SAMPLES)
+        trace_val = phi_from_moment(j_moment(assemble_stack(q, p, params)[0].g), 1)
+        closed = hamiltonian_sigma(np.exp(q), p, params)
+        dev = np.abs(trace_val - closed) / np.maximum(1.0, np.abs(closed))
+        assert np.all(dev < 1e-9)
+        worst = max(worst, float(np.max(dev)))
     print(f"ACCEPTANCE 2 (master cross-validation): PASS - worst relative "
           f"deviation {worst:.3e} < 1e-9")
 
@@ -98,8 +96,8 @@ def test_criterion_03_determinant_identity():
             det = np.linalg.det(params.alpha ** 2 * np.eye(n)
                                 + np.outer(vhat, vhat))
             worst_det = max(worst_det, abs(det - 1.0))
-            point = random_admissible_point(rng, params)
-            sigma = np.exp(point.q)
+            (q,), _ = random_admissible_points(rng, params, 1)
+            sigma = np.exp(q)
             v = solve_v(sigma, params.alpha)
             worst_norm = max(worst_norm, abs(
                 float(np.sum((v / sigma) ** 2)) - params.vhat_norm_sq))
@@ -114,21 +112,17 @@ def test_criterion_04_round_trip_with_gauge():
         rng = np.random.default_rng(4000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
         z = np.zeros((n, n))
-        for _ in range(SAMPLES):
-            point = random_admissible_point(rng, params)
-            fact, _ = assemble(point, params)
-            out = extract_reduced(fact.g, params)
-            worst_q = max(worst_q, float(np.max(np.abs(out.q - point.q))))
-            worst_p = max(worst_p, float(np.max(np.abs(
-                wrap_angle(out.p - point.p)))))
+        q, p = random_admissible_points(rng, params, SAMPLES)
+        # each element, then 20 gauge moves of it
+        gauged = []
+        for g in assemble_stack(q, p, params)[0].g:
+            gauged.append(g)
             for _ in range(20):
-                u = np.block([[vhat_stabilizer(rng, n), z],
-                              [z, rand_unitary(rng, n)]])
-                h = block_unitary(rng, n)
-                out_g = extract_reduced(u @ fact.g @ h, params)
-                worst_q = max(worst_q, float(np.max(np.abs(out_g.q - point.q))))
-                worst_p = max(worst_p, float(np.max(np.abs(
-                    wrap_angle(out_g.p - point.p)))))
+                u = np.block([[vhat_stabilizer(rng, n), z], [z, rand_unitary(rng, n)]])
+                gauged.append(u @ g @ block_unitary(rng, n))
+        out_q, out_p, _, _ = reduce_stack(np.stack(gauged), params)
+        worst_q = max(worst_q, float(np.max(np.abs(out_q - np.repeat(q, 21, axis=0)))))
+        worst_p = max(worst_p, float(np.max(np.abs(wrap_angle(out_p - np.repeat(p, 21, axis=0))))))
     assert worst_q < 1e-9 and worst_p < 1e-9
     print(f"ACCEPTANCE 4 (round trip + gauge): PASS - worst q deviation "
           f"{worst_q:.3e}, worst p deviation {worst_p:.3e} < 1e-9")
@@ -149,10 +143,9 @@ def test_criterion_05_involution():
 
 def test_criterion_06_dynamics_equivalence():
     params = make_params(0.5, 1.0, 1.0, 2)
-    point = ReducedPoint(np.array([1.0, -1.0]), np.array([0.2, 0.15]))
-    fact, _ = assemble(point, params)
-    traj = integrate_reduced(point.q, point.p, params, t_max=1.0, dt=1e-4,
-                             sample_every=100)
+    q0, p0 = np.array([1.0, -1.0]), np.array([0.2, 0.15])
+    fact, _ = assemble_stack(q0, p0, params)
+    traj = integrate_reduced(q0, p0, params, t_max=1.0, dt=1e-4, sample_every=100)
     proj = project_flow(fact.g, params, traj.times)
     dev = compare_trajectories(traj, proj)
     assert dev.q_dev < 1e-6 and dev.p_dev < 1e-6
@@ -177,11 +170,9 @@ def test_criterion_07_weyl_invariance():
     worst = 0.0
     total = 0
     for n in (1, 2, 3):
-        rng = np.random.default_rng(7000 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        for _ in range(5):
-            point = random_admissible_point(rng, params)
-            rep = weyl_check(np.exp(point.q), point.p, params, tol=1e-12)
+        for q, p in zip(*random_admissible_points(np.random.default_rng(7000 + n), params, 5)):
+            rep = weyl_check(np.exp(q), p, params, tol=1e-12)
             assert rep.ok
             worst = max(worst, rep.max_deviation)
             total += rep.orbit_size
@@ -196,9 +187,9 @@ def test_criterion_08_parameter_correspondence():
         n = int(rng.integers(1, 4))
         params = _params_for(n, rng)
         a2, b2, c2 = abc_from_params(params)
-        point = random_admissible_point(rng, params)
-        h_abc = hamiltonian_q(point.q, point.p, a2, b2, c2)
-        h_sig = hamiltonian_sigma(np.exp(point.q), point.p, params)
+        (q,), (p,) = random_admissible_points(rng, params, 1)
+        h_abc = hamiltonian_q(q, p, a2, b2, c2)
+        h_sig = hamiltonian_sigma(np.exp(q), p, params)
         dev = abs(h_abc - h_sig) / max(1.0, abs(h_abc), abs(h_sig))
         assert dev < 1e-12
         worst = max(worst, dev)

@@ -126,9 +126,32 @@ ROWS = [
     Row("TestCommands::test_row[separation-gap-q2-q3]",
         "simulate --n 3 --q 1.5,0.8,0.15 --p 0,0,0", 1,
         "error: separation condition: q_2 - q_3 = 0.65 must exceed ln(1/alpha) = 0.693\n"),
+    # starts 1 ulp above the bound, where 4 sinh^2 of the gap rounds to c^2
+    # or below: the assembly or the kernel refuses them, and the gate names
+    # the pair, on every route
+    *[Row(f"TestCommands::test_row[separation-rounding-{alpha[2:5]}-{method}]",
+          f"simulate --n 2 --alpha={alpha} --q={q},0 --p=0,0 --t-max 0.001 --method {method}", 1,
+          f"error: separation condition: q_1 - q_2 = {gap} must exceed ln(1/alpha) = {gap}\n")
+      for alpha, q, gap in [("0.8067027483206574", "0.21480002017671204", "0.215"),
+                            ("0.4103667479383871", "0.8907040119501036", "0.891")]
+      for method in ("reduced", "exact", "both")],
+    # far from the bound the assembly's error stands: here e^{2 q_2} underflows
+    Row("TestCommands::test_row[separation-underflow]", "simulate --q=0,-400 --p=0,0", 1,
+        "error: non-positive radicand in v^2 = [0.75 0.  ]\n"),
     Row("TestCommands::test_row[separation-gap-past-ln2]",
         "simulate --q 0.7,0 --p 0,0 --t-max 0.01", 0, "",
         lambda out: out.startswith("t,q1,q2,p1,p2,energy,residual\n0,0.69999999999999996,0,")),
+    # an unwritable --output is one error line, not a traceback; the .exact
+    # name of a 250-byte --output is one byte too long for the file system
+    *[Row(f"TestCommands::test_row[unwritable-output-{name}]", argv, 1,
+          f"error: cannot write output file '{path}': [Errno {reason}: '{path}'\n")
+      for name, argv, path, reason in [
+          ("verify", "verify --samples 2 --output /nonexistent/v.json", "/nonexistent/v.json",
+           "2] No such file or directory"),
+          ("simulate", "simulate --n 2 --q 1,-1 --p 0,0 --t-max 0.01 --method both --output /tmp",
+           "/tmp", "21] Is a directory"),
+          ("exact-file", f"simulate {START} --t-max 0.01 --method both --output {'o' * 246}.csv",
+           f"{'o' * 246}.exact.csv", "36] File name too long")]],
     Row("TestSimulate::test_overflowed_stage_prints_one_line",
         "simulate --n 2 --q=0.8,-0.8 --p=0.1,-0.05 --alpha 0.5 --t-max 10 --dt 10", 2,
         "numerical failure: non-finite positions q = [6.51311025        inf]\n"),

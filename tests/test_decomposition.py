@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (
     block_unitary,
-    draw_point,
     rand_pseudo_unitary,
     rand_triangular_positive,
     rand_unitary,
@@ -17,6 +16,7 @@ from bcn_ruijsenaars.decomposition import (
     decompose_BK,
     decompose_KB,
     extract_reduced,
+    reduce_stack,
     surface_residuals,
 )
 from bcn_ruijsenaars.errors import (
@@ -26,8 +26,9 @@ from bcn_ruijsenaars.errors import (
     NotOnLeaf,
 )
 from bcn_ruijsenaars.matops import frob, inn, rel_err
-from bcn_ruijsenaars.model import ReducedPoint, make_params, wrap_angle
-from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.model import make_params, wrap_angle
+from bcn_ruijsenaars.reconstruction import assemble_stack
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 
 class TestKB:
@@ -46,10 +47,9 @@ class TestKB:
         assert rel_err(k, np.eye(6)) < 1e-10
 
     def test_assembled_element_structure(self):
-        rng = np.random.default_rng(33)
         params = make_params(0.5, 1.3, 0.8, 2)
-        fact, _ = assemble(draw_point(rng, params), params)
-        k, b = decompose_KB(fact.g)
+        q, p = random_admissible_points(np.random.default_rng(33), params, 1)
+        k, b = decompose_KB(assemble_stack(q, p, params)[0].g[0])
         assert rel_err(b[:2, :2], params.x * np.eye(2)) < 1e-10
         assert rel_err(b[2:, 2:], np.eye(2) / params.x) < 1e-10
 
@@ -65,12 +65,12 @@ class TestKB:
 
 class TestBK:
     def test_assembled_element_structure(self):
-        rng = np.random.default_rng(35)
         params = make_params(0.5, 1.0, 1.2, 2)
-        fact, _ = assemble(draw_point(rng, params), params)
-        b, k = decompose_BK(fact.g)
+        q, p = random_admissible_points(np.random.default_rng(35), params, 1)
+        g = assemble_stack(q, p, params)[0].g[0]
+        b, k = decompose_BK(g)
         assert rel_err(b[2:, 2:], params.y * np.eye(2)) < 1e-10
-        assert rel_err(b @ k, fact.g) < 1e-10
+        assert rel_err(b @ k, g) < 1e-10
         assert frob(k.conj().T @ inn(2) @ k - inn(2)) < 1e-9
 
     def test_triangular_input(self):
@@ -125,55 +125,47 @@ class TestCartanKAK:
 class TestExtractReduced:
     def test_scalar_phase(self):
         params = make_params(0.5, 1, 1, 1)
-        fact, _ = assemble(ReducedPoint(np.array([0.2]), np.array([0.3])), params)
-        out = extract_reduced(fact.g, params)
-        assert out.p[0] == pytest.approx(0.3, abs=1e-12)
+        _, p, _, _ = reduce_stack(assemble_stack([[0.2]], [[0.3]], params)[0].g, params)
+        assert p[0, 0] == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_roundtrip(self, n):
-        rng = np.random.default_rng(40 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        for _ in range(10):
-            point = draw_point(rng, params)
-            fact, _ = assemble(point, params)
-            out = extract_reduced(fact.g, params)
-            assert np.max(np.abs(out.q - point.q)) < 1e-9
-            assert np.max(np.abs(wrap_angle(out.p - point.p))) < 1e-9
+        q, p = random_admissible_points(np.random.default_rng(40 + n), params, 10)
+        out_q, out_p, _, _ = reduce_stack(assemble_stack(q, p, params)[0].g, params)
+        assert np.max(np.abs(out_q - q)) < 1e-9
+        assert np.max(np.abs(wrap_angle(out_p - p))) < 1e-9
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(44)
         params = make_params(0.6, 1.2, 0.9, 3)
-        point = draw_point(rng, params)
-        fact, _ = assemble(point, params)
+        (q,), (p,) = random_admissible_points(rng, params, 1)
+        g = assemble_stack(q, p, params)[0].g
         z = np.zeros((3, 3))
-        for _ in range(20):
-            u = np.block([[vhat_stabilizer(rng, 3), z],
-                          [z, rand_unitary(rng, 3)]])
-            h = block_unitary(rng, 3)
-            out = extract_reduced(u @ fact.g @ h, params)
-            assert np.max(np.abs(out.q - point.q)) < 1e-9
-            assert np.max(np.abs(wrap_angle(out.p - point.p))) < 1e-9
+        moved = [np.block([[vhat_stabilizer(rng, 3), z], [z, rand_unitary(rng, 3)]]) @ g
+                 @ block_unitary(rng, 3) for _ in range(20)]
+        out_q, out_p, _, _ = reduce_stack(np.stack(moved), params)
+        assert np.max(np.abs(out_q - q)) < 1e-9
+        assert np.max(np.abs(wrap_angle(out_p - p))) < 1e-9
 
     def test_far_negative_position_roundtrip(self):
         # Gamma = sqrt(1 + e^-16) ~ 1: Sigma must not come from sqrt(Gamma^2 - 1)
         params = make_params(0.5, 1.0, 1.0, 2)
-        point = ReducedPoint(np.array([0.0, -8.0]), np.array([0.3, -0.2]))
-        fact, _ = assemble(point, params)
-        out = extract_reduced(fact.g, params)
-        assert np.max(np.abs(out.q - point.q)) < 1e-13
+        q = np.array([[0.0, -8.0]])
+        out_q, _, _, _ = reduce_stack(assemble_stack(q, [[0.3, -0.2]], params)[0].g, params)
+        assert np.max(np.abs(out_q - q)) < 1e-13
 
     def test_off_surface_rejected(self):
         params = make_params(0.5, 1, 1, 2)
         with pytest.raises(NotOnConstraintSurface):
-            extract_reduced(2.0 * np.eye(4, dtype=complex), params)
+            reduce_stack(2.0 * np.eye(4, dtype=complex)[None], params)
 
 
 def test_surface_residuals_on_assembled_point():
-    rng = np.random.default_rng(45)
     params = make_params(0.5, 1.0, 1.0, 2)
-    fact, _ = assemble(draw_point(rng, params), params)
-    res = surface_residuals(fact.g, params)
-    assert max(res.values()) < 1e-10
+    q, p = random_admissible_points(np.random.default_rng(45), params, 1)
+    _, _, residual, _ = reduce_stack(assemble_stack(q, p, params)[0].g, params)
+    assert residual[0] < 1e-10
 
 
 @pytest.mark.parametrize("func", [extract_reduced, surface_residuals])
@@ -237,9 +229,9 @@ def test_a_failed_cholesky_of_the_split_s_own_product_names_the_split(split, mes
     (9.0, 0.1, decompose_KB, "KB split: indefinite_cholesky_upper: input is not Hermitian"),
     (9.0, 0.1, decompose_BK,
      "BK split: indefinite_cholesky_upper_dual: input is not Hermitian"),
-    (9.0, 0.1, lambda g: extract_reduced(g, make_params(0.5, 1, 1, 1)),
+    (9.0, 0.1, lambda g: reduce_stack(g[None], make_params(0.5, 1, 1, 1)),
      "KB split: indefinite_cholesky_upper: input is not Hermitian"),
-    (-10.0, 0.5, lambda g: extract_reduced(g, make_params(0.5, 1, 1, 1)),
+    (-10.0, 0.5, lambda g: reduce_stack(g[None], make_params(0.5, 1, 1, 1)),
      "KB split: cartan_KAK: input is not pseudo-unitary"),
 ], ids=["decompose_KB", "decompose_BK", "extract_reduced-far-out", "extract_reduced-far-in"])
 def test_rounding_in_the_split_s_own_product_is_not_invalid_input(q, p, call, message):
@@ -247,7 +239,7 @@ def test_rounding_in_the_split_s_own_product_is_not_invalid_input(q, p, call, me
     # element miss the factorizations' Hermitian test, and the KB factor
     # k the pseudo-unitarity test of `cartan_KAK`, by rounding that grows
     # with cond(k_L): NotOnLeaf naming the split
-    fact, _ = assemble(ReducedPoint([q], [p]), make_params(0.5, 1, 1, 1))
+    fact, _ = assemble_stack([q], [p], make_params(0.5, 1, 1, 1))
     with pytest.raises(NotOnLeaf, match=f"^{message}$"):
         call(fact.g)
 

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import draw_point
 from loop_reference import (loop_ck_step, loop_integrate, loop_q_chart,
                             loop_rk4_step)
 
@@ -20,7 +19,7 @@ from bcn_ruijsenaars.dynamics import (
     trajectory_csv_text,
 )
 from bcn_ruijsenaars import dynamics
-from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB
+from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB, reduce_stack
 from bcn_ruijsenaars.errors import (
     ChamberViolation,
     InternalInconsistency,
@@ -32,40 +31,37 @@ from bcn_ruijsenaars.errors import (
 from bcn_ruijsenaars.hamiltonians import (_q_kernel, grad_hamiltonian, phi_trace,
                                           spectral_invariants)
 from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
-from bcn_ruijsenaars.model import (ReducedPoint, abc_from_params, make_params,
-                                   separation_gap, separation_margin, wrap_angle)
-from bcn_ruijsenaars.reconstruction import assemble, build_Ttilde, solve_v
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.model import (abc_from_params, make_params, separation_gap,
+                                   separation_margin, wrap_angle)
+from bcn_ruijsenaars.reconstruction import assemble_stack, build_Ttilde, solve_v
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 # wall-safe reference configuration used across the dynamics tests
 PARAMS2 = make_params(0.5, 1.0, 1.0, 2)
-POINT2 = ReducedPoint(np.array([1.0, -1.0]), np.array([0.2, 0.15]))
+Q2, P2 = np.array([1.0, -1.0]), np.array([0.2, 0.15])
+G2 = assemble_stack(Q2, P2, PARAMS2)[0].g
 
 # bounded oscillation in the scalar potential well
 PARAMS1 = make_params(0.5, 0.8, 1.4, 1)
-POINT1 = ReducedPoint(np.array([0.5]), np.array([0.2]))
+Q1, P1 = np.array([0.5]), np.array([0.2])
+G1 = assemble_stack(Q1, P1, PARAMS1)[0].g
 
 
 class TestExactFlow:
     def test_zero_time(self):
-        fact, _ = assemble(POINT2, PARAMS2)
-        assert rel_err(exact_flow(fact.g, 0.0), fact.g) < 1e-15
+        assert rel_err(exact_flow(G2, 0.0), G2) < 1e-15
 
     def test_composition(self):
-        fact, _ = assemble(POINT1, PARAMS1)
-        a = exact_flow(exact_flow(fact.g, 0.7), 0.6)
-        b = exact_flow(fact.g, 1.3)
-        assert rel_err(a, b) < 1e-9
+        assert rel_err(exact_flow(exact_flow(G1, 0.7), 0.6), exact_flow(G1, 1.3)) < 1e-9
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_conservation_bounded_orbit(self, t):
-        fact, _ = assemble(POINT1, PARAMS1)
-        g_t = exact_flow(fact.g, t)
+        g_t = exact_flow(G1, t)
         for nu in (1, 2, 3):
-            d = abs(phi_trace(g_t, nu) - phi_trace(fact.g, nu))
-            assert d <= 1e-10 * max(1.0, abs(phi_trace(fact.g, nu)))
+            d = abs(phi_trace(g_t, nu) - phi_trace(G1, nu))
+            assert d <= 1e-10 * max(1.0, abs(phi_trace(G1, nu)))
         j = inn(1)
-        assert rel_err(g_t @ j @ g_t.conj().T, fact.g @ j @ fact.g.conj().T) < 1e-10
+        assert rel_err(g_t @ j @ g_t.conj().T, G1 @ j @ G1.conj().T) < 1e-10
 
     @pytest.mark.parametrize("g0", [np.eye(3), np.ones((4, 2)), np.ones((2, 4, 4))],
                              ids=["odd", "non-square", "stack"])
@@ -74,51 +70,40 @@ class TestExactFlow:
             exact_flow(g0, 0.5)
 
     def test_spectral_invariants_conserved(self):
-        fact, _ = assemble(POINT2, PARAMS2)
-        s0 = spectral_invariants(fact.g)
-        s1 = spectral_invariants(exact_flow(fact.g, 1.0))
+        s0 = spectral_invariants(G2)
+        s1 = spectral_invariants(exact_flow(G2, 1.0))
         assert np.max(np.abs(s1 - s0)) < 1e-10 * max(1.0, np.max(np.abs(s0)))
 
     def test_determinant_phase_law(self):
         # det g(t) rotates by exp(4 i Phi_1 t): the generator has trace
         # -2 Phi_1, a central direction invisible to the reduction data
-        fact, _ = assemble(POINT2, PARAMS2)
-        phi1 = phi_trace(fact.g, 1)
+        phi1 = phi_trace(G2, 1)
         for t in (0.3, 1.1):
-            det = np.linalg.det(exact_flow(fact.g, t))
-            assert abs(det - np.exp(4j * phi1 * t) * np.linalg.det(fact.g)) < 1e-12
+            det = np.linalg.det(exact_flow(G2, t))
+            assert abs(det - np.exp(4j * phi1 * t) * np.linalg.det(G2)) < 1e-12
 
 
 class TestReducedRhs:
     def test_stationary_in_q_at_zero_momentum(self):
-        pt = ReducedPoint(np.array([1.1, -0.7]), np.zeros(2))
-        qdot, _ = reduced_rhs(pt.q, pt.p, PARAMS2)
+        qdot, _ = reduced_rhs(np.array([1.1, -0.7]), np.zeros(2), PARAMS2)
         assert np.allclose(qdot, 0.0, atol=1e-15)
 
     def test_matches_projected_velocity(self):
         # central-difference velocity of the projected exact flow equals
         # the calibrated rhs; this pins FLOW_SIGN and FLOW_TIME_SCALE
-        from bcn_ruijsenaars.decomposition import extract_reduced
-
-        fact, _ = assemble(POINT2, PARAMS2)
         h = 1e-6
-        zp = extract_reduced(exact_flow(fact.g, h), PARAMS2)
-        zm = extract_reduced(exact_flow(fact.g, -h), PARAMS2)
-        qdot_fd = (zp.q - zm.q) / (2 * h)
-        pdot_fd = (zp.p - zm.p) / (2 * h)
-        qdot, pdot = reduced_rhs(POINT2.q, POINT2.p, PARAMS2)
-        assert np.max(np.abs(qdot - qdot_fd)) < 1e-7
-        assert np.max(np.abs(pdot - pdot_fd)) < 1e-7
-        gq, gp = grad_hamiltonian(POINT2.q, POINT2.p, PARAMS2)
+        q, p, _, _ = reduce_stack(np.stack([exact_flow(G2, h), exact_flow(G2, -h)]), PARAMS2)
+        qdot, pdot = reduced_rhs(Q2, P2, PARAMS2)
+        assert np.max(np.abs(qdot - (q[0] - q[1]) / (2 * h))) < 1e-7
+        assert np.max(np.abs(pdot - (p[0] - p[1]) / (2 * h))) < 1e-7
+        gq, gp = grad_hamiltonian(Q2, P2, PARAMS2)
         assert np.allclose(qdot, FLOW_SIGN * FLOW_TIME_SCALE * gp)
 
     def test_energy_is_first_integral_of_rhs(self):
         # dPhi/dt = grad . zdot vanishes identically for the canonical rhs
-        rng = np.random.default_rng(61)
-        for _ in range(5):
-            pt = draw_point(rng, PARAMS2)
-            gq, gp = grad_hamiltonian(pt.q, pt.p, PARAMS2)
-            qdot, pdot = reduced_rhs(pt.q, pt.p, PARAMS2)
+        for q, p in zip(*random_admissible_points(np.random.default_rng(61), PARAMS2, 5)):
+            gq, gp = grad_hamiltonian(q, p, PARAMS2)
+            qdot, pdot = reduced_rhs(q, p, PARAMS2)
             assert abs(gq @ qdot + gp @ pdot) < 1e-10 * max(1.0, np.max(np.abs(gq)))
 
 
@@ -130,12 +115,12 @@ CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
 CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 
 
-def _textbook_run(point, params, t_max, dt, method):
+def _textbook_run(q, p, params, t_max, dt, method):
     """The samples of a reduced run by a plain RK4 or Cash-Karp loop over
     the public `grad_hamiltonian`: the field (sk dH/dp, -sk dH/dq), the
     stages of each weighted sum added one by one from 0.0, and rk45's
     step control as documented in `integrate_reduced`."""
-    n = point.n
+    n = q.size
     sk = FLOW_SIGN * FLOW_TIME_SCALE
 
     def field(z):
@@ -152,7 +137,7 @@ def _textbook_run(point, params, t_max, dt, method):
         return out
 
     step, counts = dynamics.sample_times(t_max, dt)
-    t, h, z = 0.0, dt, point.q.tolist() + point.p.tolist()
+    t, h, z = 0.0, dt, q.tolist() + p.tolist()
     samples = [(t, z)]
     for k in counts.tolist()[1:]:
         if method == "rk4":
@@ -214,10 +199,10 @@ class TestIntegrateReduced:
         rng = np.random.default_rng(120 + n)
         gaps = rng.uniform(0.7, 0.9, size=n - 1)
         q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
-        pt = ReducedPoint(q, rng.uniform(-0.5, 0.5, size=n))
+        p = rng.uniform(-0.5, 0.5, size=n)
         params = make_params(0.6, 1.2, 0.8, n)
-        traj = integrate_reduced(pt.q, pt.p, params, 0.5, 0.05, method=method)
-        samples = _textbook_run(pt, params, 0.5, 0.05, method)
+        traj = integrate_reduced(q, p, params, 0.5, 0.05, method=method)
+        samples = _textbook_run(q, p, params, 0.5, 0.05, method)
         assert not traj.chamber_approach
         assert traj.times.tolist() == [t for t, _ in samples]
         assert traj.q.tolist() == [z[:n] for _, z in samples]
@@ -237,7 +222,7 @@ class TestIntegrateReduced:
             with pytest.raises(InvalidInput, match="^dt must be finite$"):
                 dynamics.step_count(t_max, math.inf)
         with pytest.raises(InvalidInput, match="^dt must be finite$"):
-            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, math.inf)
+            integrate_reduced(Q2, P2, PARAMS2, 0.01, math.inf)
         with pytest.raises(InvalidInput, match=r"^cannot run t_max / dt = nan steps$"):
             dynamics.step_count(0.01, math.nan)
 
@@ -245,7 +230,7 @@ class TestIntegrateReduced:
     def test_nan_residual_fails_naming_the_column(self):
         # at y = 1e-160 two constraint residuals are NaN at every sample
         with pytest.raises(NumericalFailure, match="^reduced flow: non-finite residual at t = 0$"):
-            integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
+            integrate_reduced(Q2, P2, make_params(0.5, 1.0, 1e-160, 2), 0.01, 1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("q0, p0, t_max, dt, message", [
@@ -268,28 +253,27 @@ class TestIntegrateReduced:
             return sigma_rows(sigma, p, params)
 
         monkeypatch.setattr(dynamics, "_sigma_rows", spy)
-        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 2.5, 1e-3)
+        traj = integrate_reduced(Q2, P2, PARAMS2, 2.5, 1e-3)
         assert sizes == [1024, 1024, 453]
         assert traj.energy.tolist() == sigma_rows(np.exp(traj.q), traj.p, [PARAMS2]).tolist()
 
     def test_zero_horizon(self):
-        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, t_max=0.0, dt=1e-3)
+        traj = integrate_reduced(Q2, P2, PARAMS2, t_max=0.0, dt=1e-3)
         assert traj.times.shape == (1,)
-        assert np.allclose(traj.q[0], POINT2.q)
+        assert np.allclose(traj.q[0], Q2)
 
     def test_orientation_calibration(self, monkeypatch):
-        fact, _ = assemble(POINT2, PARAMS2)
-        good = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.5, 1e-3, sample_every=50)
+        good = integrate_reduced(Q2, P2, PARAMS2, 0.5, 1e-3, sample_every=50)
         monkeypatch.setattr(dynamics, "FLOW_SIGN", -1)
-        bad = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.5, 1e-3, sample_every=50)
-        proj = project_flow(fact.g, PARAMS2, good.times)
+        bad = integrate_reduced(Q2, P2, PARAMS2, 0.5, 1e-3, sample_every=50)
+        proj = project_flow(G2, PARAMS2, good.times)
         assert compare_trajectories(good, proj).q_dev < 1e-9
         assert compare_trajectories(bad, proj).q_dev > 1e-2
 
     def test_energy_drift_fourth_order(self):
         d = {}
         for dt in (2e-3, 1e-3):
-            tr = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 2.0, dt,
+            tr = integrate_reduced(Q2, P2, PARAMS2, 2.0, dt,
                                    sample_every=int(0.1 / dt))
             d[dt] = np.max(np.abs(tr.energy - tr.energy[0]))
         ratio = d[2e-3] / d[1e-3]
@@ -299,10 +283,9 @@ class TestIntegrateReduced:
         # the pair separates, then the step to t = 0.608 throws q_2 from
         # -7.64 to +195.4, past q_1: particles never pass, so the step has
         # blown up, and that is a numerical failure
-        pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
         with pytest.raises(NumericalFailure, match=r"^reduced flow: the step to t = 0\.608 "
                            r"reorders q_1 = 1\.361907271 and q_2 = 195\.379601$"):
-            integrate_reduced(pt.q, pt.p, PARAMS2, 2.0, 1e-3, sample_every=10)
+            integrate_reduced([0.8, -0.8], [0.1, -0.05], PARAMS2, 2.0, 1e-3, sample_every=10)
 
     def test_chamber_approach_ends_the_run(self):
         # the step to t = 0.316 throws q_2 from -7.07 to 0.755 (the exact
@@ -346,25 +329,22 @@ class TestIntegrateReduced:
                 (margin < dynamics.WALL_MARGIN).tolist()
 
     def test_bounded_oscillation_long_run(self):
-        traj = integrate_reduced(POINT1.q, POINT1.p, PARAMS1, 100.0, 1e-2, sample_every=100)
+        traj = integrate_reduced(Q1, P1, PARAMS1, 100.0, 1e-2, sample_every=100)
         assert not traj.chamber_approach
         qs = traj.q[:, 0]
         assert np.max(np.abs(qs)) < 2.0
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-6
 
     def test_time_reversal(self, monkeypatch):
-        fwd = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-3, sample_every=1000)
-        end = ReducedPoint(fwd.q[-1], fwd.p[-1])
+        fwd = integrate_reduced(Q2, P2, PARAMS2, 1.0, 1e-3, sample_every=1000)
         monkeypatch.setattr(dynamics, "FLOW_SIGN", -FLOW_SIGN)
-        back = integrate_reduced(end.q, end.p, PARAMS2, 1.0, 1e-3, sample_every=1000)
-        assert np.max(np.abs(back.q[-1] - POINT2.q)) < 1e-10
-        assert np.max(np.abs(back.p[-1] - POINT2.p)) < 1e-10
+        back = integrate_reduced(fwd.q[-1], fwd.p[-1], PARAMS2, 1.0, 1e-3, sample_every=1000)
+        assert np.max(np.abs(back.q[-1] - Q2)) < 1e-10
+        assert np.max(np.abs(back.p[-1] - P2)) < 1e-10
 
     def test_adaptive_pair_matches_exact(self):
-        fact, _ = assemble(POINT2, PARAMS2)
-        tr = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-2, sample_every=10,
-                               method="rk45")
-        proj = project_flow(fact.g, PARAMS2, tr.times)
+        tr = integrate_reduced(Q2, P2, PARAMS2, 1.0, 1e-2, sample_every=10, method="rk45")
+        proj = project_flow(G2, PARAMS2, tr.times)
         dev = compare_trajectories(tr, proj)
         assert dev.q_dev < 1e-8 and dev.p_dev < 1e-8
 
@@ -372,17 +352,16 @@ class TestIntegrateReduced:
     def test_stage_leaving_chart_raises(self, method):
         # a head-on pair and one step of length 10: an RK stage lands
         # far past the wall, and the whole call fails
-        pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
         with pytest.raises((ChamberViolation, SeparationViolation)):
-            integrate_reduced(pt.q, pt.p, PARAMS2, 10.0, 10.0, method=method)
+            integrate_reduced([1.0, -1.0], [-1.0, 1.0], PARAMS2, 10.0, 10.0, method=method)
 
     def test_rk45_rejects_a_stage_leaving_the_chamber(self):
         # the first trial step (h = dt = 1) has a stage past the wall: it
         # is rejected like any other, and the run matches a finer cadence
         params = make_params(0.6, 1.2, 0.8, 2)
-        pt = random_admissible_point(np.random.default_rng(2), params)
-        coarse = integrate_reduced(pt.q, pt.p, params, 4.0, 1.0, method="rk45")
-        fine = integrate_reduced(pt.q, pt.p, params, 4.0, 0.5, method="rk45")
+        (q,), (p,) = random_admissible_points(np.random.default_rng(2), params, 1)
+        coarse = integrate_reduced(q, p, params, 4.0, 1.0, method="rk45")
+        fine = integrate_reduced(q, p, params, 4.0, 0.5, method="rk45")
         assert not coarse.chamber_approach
         assert np.array_equal(coarse.times, [0.0, 1.0, 2.0, 3.0, 4.0])
         assert np.max(np.abs(coarse.q[-1] - fine.q[-1])) < 1e-8
@@ -408,15 +387,14 @@ class TestIntegrateReduced:
             return steps
 
         monkeypatch.setattr(dynamics, "_rk_step", counted)
-        pt = ReducedPoint(np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
         with pytest.raises(NumericalFailure, match="rk45: step"):
-            integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, dt, method="rk45")
+            integrate_reduced([1.0, -1.0], [-1.0, 1.0], PARAMS2, 10.0, dt, method="rk45")
 
     def test_rk45_rejects_a_stage_that_fails_numerically(self, monkeypatch):
         # the second stage of the first trial step raises NumericalFailure,
         # as an overflowing stage does: the step is rejected and retried
         # shorter, and the run ends where an undisturbed run ends
-        expected = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
+        expected = integrate_reduced(Q2, P2, PARAMS2, 1.0, 0.5, method="rk45")
         calls = []
 
         def failing_once(n):
@@ -432,7 +410,7 @@ class TestIntegrateReduced:
             return at
 
         monkeypatch.setattr(dynamics, "_q_kernel", failing_once)
-        run = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 0.5, method="rk45")
+        run = integrate_reduced(Q2, P2, PARAMS2, 1.0, 0.5, method="rk45")
         assert len(calls) > 2
         assert np.array_equal(run.times, expected.times)
         assert np.max(np.abs(run.q - expected.q)) < 1e-8
@@ -443,27 +421,25 @@ class TestIntegrateReduced:
         monkeypatch.setattr(dynamics, "_q_kernel",
                             lambda n: lambda *constants: lambda *z: (np.nan,) * (2 * n + 1))
         with pytest.raises(NumericalFailure):
-            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-2, method=method)
+            integrate_reduced(Q2, P2, PARAMS2, 0.1, 1e-2, method=method)
 
     def test_overflowed_stage_raises(self):
         # a stage's gradient overflows and a position comes back infinite
-        pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
         with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
-            integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, 10.0)
+            integrate_reduced([0.8, -0.8], [0.1, -0.05], PARAMS2, 10.0, 10.0)
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_overflowed_stage_raises_without_warnings(self, method):
-        pt = ReducedPoint(np.array([0.8, -0.8]), np.array([0.1, -0.05]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure):
-                integrate_reduced(pt.q, pt.p, make_params(0.5, 1, 1, 2), 10.0, 10.0, method=method)
+                integrate_reduced([0.8, -0.8], [0.1, -0.05], PARAMS2, 10.0, 10.0, method=method)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):
-            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, -1e-3)
+            integrate_reduced(Q2, P2, PARAMS2, 1.0, -1e-3)
         with pytest.raises(InvalidInput):
-            integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 1.0, 1e-3, method="euler")
+            integrate_reduced(Q2, P2, PARAMS2, 1.0, 1e-3, method="euler")
 
     @pytest.mark.parametrize("q0, p0, error, message", [
         ([-1.0, 1.0], [0.2, 0.15], ChamberViolation, r"^q must be strictly decreasing"),
@@ -481,7 +457,7 @@ class TestIntegrateReduced:
 
     def test_start_may_be_array_likes(self):
         a = integrate_reduced([1, -1], [0.2, 0.15], PARAMS2, 0.01, 1e-3)
-        b = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3)
+        b = integrate_reduced(Q2, P2, PARAMS2, 0.01, 1e-3)
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
     def test_size_mismatch_raises_before_stepping(self, monkeypatch):
@@ -490,12 +466,11 @@ class TestIntegrateReduced:
 
         monkeypatch.setattr(dynamics, "_q_kernel", no_kernel)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
-            integrate_reduced(POINT2.q, POINT2.p, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
+            integrate_reduced(Q2, P2, make_params(0.5, 1, 1, 3), 1.0, 1e-3)
         # the size is part of the point rule, so a stack of the wrong size
         # meets it before the one-point test (was the one-point InvalidInput)
         with pytest.raises(InternalInconsistency, match="point has n=2, params n=3"):
-            integrate_reduced(POINT2.q[None], POINT2.p[None], make_params(0.5, 1, 1, 3),
-                              1.0, 1e-3)
+            integrate_reduced(Q2[None], P2[None], make_params(0.5, 1, 1, 3), 1.0, 1e-3)
 
 
 def _outcome(call):
@@ -521,9 +496,8 @@ class TestGeneratedSteps:
         def f(z):
             return loop_q_chart(z, n, *abc, 2.0)[1]
 
-        for _ in range(4):
-            z = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-            z = z.q.tolist() + z.p.tolist()
+        for z in np.hstack(random_admissible_points(rng, params, 4,
+                                                    q_range=(-1.0 - n, 1.0 + n))).tolist():
             # the largest steps leave the chamber or overflow at some stage
             for h in (1e-3, 0.05, 0.7, 10.0):
                 assert repr(_outcome(lambda: rk4(z, h))) == \
@@ -582,45 +556,35 @@ class TestGeneratedSteps:
 
 class TestProjectFlow:
     def test_element_of_the_wrong_size_is_invalid_input(self):
-        g0 = assemble(POINT2, PARAMS2)[0].g
         with pytest.raises(InvalidInput, match=r"expected shape \(2, 2\), got \(4, 4\)"):
-            project_flow(g0, make_params(0.5, 1, 1, 1), [0.0, 0.1])
+            project_flow(G2, make_params(0.5, 1, 1, 1), [0.0, 0.1])
 
     def test_no_times_give_an_empty_trajectory(self):
         # the surface gate and the energy check pass an empty stack
-        traj = project_flow(assemble(POINT2, PARAMS2)[0].g, PARAMS2, [])
+        traj = project_flow(G2, PARAMS2, [])
         assert traj.q.shape == traj.p.shape == (0, 2)
         assert traj.energy.shape == traj.residual.shape == (0,)
 
     def test_time_zero_sample(self):
-        from bcn_ruijsenaars.decomposition import extract_reduced
-
-        fact, _ = assemble(POINT2, PARAMS2)
-        traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
-        z0 = extract_reduced(fact.g, PARAMS2)
-        assert np.allclose(traj.q[0], z0.q)
+        traj = project_flow(G2, PARAMS2, [0.0, 0.5])
+        assert np.allclose(traj.q[0], reduce_stack(G2[None], PARAMS2)[0][0])
 
     def test_sample_equals_extraction_and_residuals(self):
-        from bcn_ruijsenaars.decomposition import extract_reduced, surface_residuals
-
-        fact, _ = assemble(POINT2, PARAMS2)
-        traj = project_flow(fact.g, PARAMS2, [0.0, 0.5])
-        for g_t, q, p, res in zip((fact.g, exact_flow(fact.g, 0.5)), traj.q, traj.p,
-                                  traj.residual):
-            ref = extract_reduced(g_t, PARAMS2)
-            assert np.array_equal(q, ref.q) and np.array_equal(p, ref.p)
-            assert res == max(surface_residuals(g_t, PARAMS2).values())
+        # each sample is the reduction of its element alone
+        traj = project_flow(G2, PARAMS2, [0.0, 0.5])
+        for g_t, q, p, res in zip((G2, exact_flow(G2, 0.5)), traj.q, traj.p, traj.residual):
+            (ref_q,), (ref_p,), (ref_res,), _ = reduce_stack(g_t[None], PARAMS2)
+            assert np.array_equal(q, ref_q) and np.array_equal(p, ref_p) and res == ref_res
 
     def test_surface_residuals_and_energy(self):
-        fact, _ = assemble(POINT2, PARAMS2)
-        traj = project_flow(fact.g, PARAMS2, np.linspace(0.0, 1.0, 11))
+        traj = project_flow(G2, PARAMS2, np.linspace(0.0, 1.0, 11))
         assert np.max(traj.residual) < 1e-8
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-10
 
 
 def _loop_extract(g, params):
     """Reference: extraction of one element with 2-d operations only,
-    as `extract_reduced` computed it before it ran on stacks."""
+    as the extraction computed it before it ran on stacks: q, p, k_L and b_R."""
     n = params.n
     x = params.x
     k_L, b_R = decompose_KB(g)
@@ -653,11 +617,11 @@ def _loop_extract(g, params):
     off = D - np.diag(np.diagonal(D))
     if frob(off) > 1e-8 * max(1.0, frob(D)):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
-    return ReducedPoint(q=q, p=np.angle(np.diagonal(D))), k_L, b_R
+    return q, np.angle(np.diagonal(D)), k_L, b_R
 
 
 def _loop_residual(g, k_L, b_R, params):
-    """Reference: max of `surface_residuals`, with 2-d operations only."""
+    """Reference: the worst surface residual, with 2-d operations only."""
     n = params.n
     x, y, alpha = params.x, params.y, params.alpha
     J = inn(n)
@@ -677,14 +641,15 @@ def _loop_residual(g, k_L, b_R, params):
 def _loop_project(g0, params, times):
     """Reference: `project_flow` one sample at a time (expm, extraction,
     residual, phi_trace)."""
-    points, energy, residual = [], [], []
+    qs, ps, energy, residual = [], [], [], []
     for t in times:
         g_t = g0 if t == 0.0 else exact_flow(g0, t)
-        point, k_L, b_R = _loop_extract(g_t, params)
-        points.append(point)
+        q, p, k_L, b_R = _loop_extract(g_t, params)
+        qs.append(q)
+        ps.append(p)
         residual.append(_loop_residual(g_t, k_L, b_R, params))
         energy.append(phi_trace(g_t, 1))
-    return points, np.array(energy), np.array(residual)
+    return np.array(qs), np.array(ps), np.array(energy), np.array(residual)
 
 
 def _bounded_start(rng, params):
@@ -692,8 +657,7 @@ def _bounded_start(rng, params):
     whose exact flow stays well inside the chart up to t = 1."""
     gaps = rng.uniform(0.7, 0.9, size=params.n - 1)
     q = rng.uniform(-0.3, 0.3) + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
-    point = ReducedPoint(q, rng.uniform(-0.5, 0.5, size=params.n))
-    return assemble(point, params)[0].g
+    return assemble_stack(q, rng.uniform(-0.5, 0.5, size=params.n), params)[0].g
 
 
 class TestStackedProjection:
@@ -704,11 +668,11 @@ class TestStackedProjection:
     @staticmethod
     def _assert_matches_loop(g0, params, times):
         traj = project_flow(g0, params, times)
-        points, energy, residual = _loop_project(g0, params, times)
+        q, p, energy, residual = _loop_project(g0, params, times)
         assert np.array_equal(traj.times, np.asarray(times, dtype=float))
-        assert np.array_equal(traj.q, np.array([pt.q for pt in points]))
+        assert np.array_equal(traj.q, q)
         assert np.array_equal(traj.energy, energy)
-        dp = wrap_angle(traj.p - np.array([pt.p for pt in points]))
+        dp = wrap_angle(traj.p - p)
         assert np.max(np.abs(dp)) <= 2e-15
         assert np.all(np.abs(traj.residual - residual) <= 1e-3 * residual + 1e-15)
 
@@ -737,8 +701,8 @@ class TestStackedProjection:
         # 2.4e-6 > SURFACE_TOL at t = 6 (the extraction fails from t ~ 6.25
         # on); the 500 samples before it, two chunks, pass
         params = make_params(0.9, 1.2, 0.8, 2)
-        g0 = assemble(random_admissible_point(np.random.default_rng(5), params),
-                      params)[0].g
+        g0 = assemble_stack(*random_admissible_points(np.random.default_rng(5), params, 1),
+                            params)[0].g[0]
         times = np.append(np.linspace(0.0, 5.0, 500), 6.0)
         with pytest.raises(NotOnConstraintSurface,
                            match="^exact flow: surface residual 2.42e-06 above 1e-06 at t = 6$"):
@@ -772,8 +736,8 @@ class TestStackedProjection:
         # are off the leaf (NotOnLeaf), and a stage-by-stage pass over the
         # whole stack would meet those first
         params = make_params(0.6, 1.2, 0.8, 2)
-        g0 = assemble(random_admissible_point(np.random.default_rng(2), params),
-                      params)[0].g
+        g0 = assemble_stack(*random_admissible_points(np.random.default_rng(2), params, 1),
+                            params)[0].g[0]
         with pytest.raises(NotOnConstraintSurface,
                            match="phase matrix has off-diagonal content"):
             project_flow(g0, params, [0, 4, 6, 8, 10, 12])
@@ -781,22 +745,23 @@ class TestStackedProjection:
 
 class TestCompare:
     def test_self_comparison_is_zero(self):
-        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-3, sample_every=10)
+        traj = integrate_reduced(Q2, P2, PARAMS2, 0.1, 1e-3, sample_every=10)
         dev = compare_trajectories(traj, traj)
         assert dev.q_dev == 0.0 and dev.p_dev == 0.0
 
     def test_grid_mismatch(self):
-        a = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.1, 1e-3, sample_every=10)
-        b = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.2, 1e-3, sample_every=10)
+        a = integrate_reduced(Q2, P2, PARAMS2, 0.1, 1e-3, sample_every=10)
+        b = integrate_reduced(Q2, P2, PARAMS2, 0.2, 1e-3, sample_every=10)
         with pytest.raises(InvalidInput):
             compare_trajectories(a, b)
 
-    @pytest.mark.parametrize("point,params", [(POINT1, PARAMS1), (POINT2, PARAMS2)])
+    @pytest.mark.parametrize("point,params", [((Q1, P1, G1), PARAMS1), ((Q2, P2, G2), PARAMS2)])
     def test_routes_give_T_by_n_arrays(self, point, params):
-        traj = integrate_reduced(point.q, point.p, params, 0.1, 1e-2)
-        proj = project_flow(assemble(point, params)[0].g, params, traj.times)
+        q, p, g = point
+        traj = integrate_reduced(q, p, params, 0.1, 1e-2)
+        proj = project_flow(g, params, traj.times)
         for tr in (traj, proj):
-            assert tr.q.shape == tr.p.shape == (traj.times.size, point.n)
+            assert tr.q.shape == tr.p.shape == (traj.times.size, params.n)
 
     def test_matches_per_row_reference(self):
         # angles on both sides of +-pi, so the wrap decides the p deviation
@@ -810,9 +775,8 @@ class TestCompare:
                        np.zeros(9))
         q_ref = p_ref = 0.0
         for i in range(times.size):
-            pa, pb = ReducedPoint(a.q[i], a.p[i]), ReducedPoint(b.q[i], b.p[i])
-            q_ref = max(q_ref, float(np.max(np.abs(pa.q - pb.q))))
-            p_ref = max(p_ref, float(np.max(np.abs(wrap_angle(pa.p - pb.p)))))
+            q_ref = max(q_ref, float(np.max(np.abs(a.q[i] - b.q[i]))))
+            p_ref = max(p_ref, float(np.max(np.abs(wrap_angle(a.p[i] - b.p[i])))))
         dev = compare_trajectories(a, b)
         assert (dev.q_dev, dev.p_dev) == (q_ref, p_ref)
         assert p_ref < 0.4      # the raw difference is near 2 pi
@@ -820,7 +784,7 @@ class TestCompare:
 
 class TestCsv:
     def test_header_and_roundtrip(self):
-        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3, sample_every=5)
+        traj = integrate_reduced(Q2, P2, PARAMS2, 0.01, 1e-3, sample_every=5)
         text = trajectory_csv_text(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,q1,q2,p1,p2,energy,residual"
@@ -831,7 +795,7 @@ class TestCsv:
         assert float(row[-2]) == traj.energy[0]
 
     def test_rows_match_per_row_reference(self):
-        traj = integrate_reduced(POINT2.q, POINT2.p, PARAMS2, 0.01, 1e-3, sample_every=5)
+        traj = integrate_reduced(Q2, P2, PARAMS2, 0.01, 1e-3, sample_every=5)
         # rows of special values: NaN, +-inf, -0.0 and the extremes of the range
         rows = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308],
                          [-0.0, -np.nan, 1e-310, np.inf, 0.1, 1e16, -1.0 / 3.0]])

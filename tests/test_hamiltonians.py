@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import draw_point
 from loop_reference import loop_q_chart
 
 import bcn_ruijsenaars.hamiltonians as hamiltonians
@@ -22,42 +21,36 @@ from bcn_ruijsenaars.hamiltonians import (
     hamiltonian_q,
     hamiltonian_sigma,
     involution_report,
-    phi_reduced,
     phi_from_moment,
     phi_trace,
     spectral_invariants,
     weyl_check,
 )
-from bcn_ruijsenaars.matops import chunk_rows
-from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, separation_gap
-from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.matops import chunk_rows, j_moment
+from bcn_ruijsenaars.model import abc_from_params, make_params, separation_gap
+from bcn_ruijsenaars.reconstruction import assemble_stack
 from bcn_ruijsenaars.sampling import random_admissible_points
 
 
-def rowwise(func):
-    """A function of one point, `func(point, params)`, as a function of
-    stacks for `fd_gradient`: one call per row."""
-    return lambda q, p, params: np.array(
-        [func(ReducedPoint(a, b), params) for a, b in zip(q, p)])
+def _phi(q, p, params, nu):
+    """Phi_nu at one point, through its reconstructed group element."""
+    return phi_trace(assemble_stack(q, p, params)[0].g, nu)
 
 
-def _loop_fd_gradient(func, point, params, h0=None):
+def _loop_fd_gradient(func, q, p, params, h0=None):
     """The per-point `fd_gradient` the stacked one replaces: one
-    ReducedPoint and one `func(point, params)` call per stencil row."""
-    q, p = point.q, point.p
+    `func(q, p, params)` call per stencil row."""
     if h0 is None:
         h0 = 1e-4 * max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(p))))
 
     def diff(build):
         def central(h):
-            return (func(build(h), params) - func(build(-h), params)) / (2.0 * h)
+            return (func(*build(h), params) - func(*build(-h), params)) / (2.0 * h)
         d1, d2 = central(h0), central(h0 / 2.0)
         return (4.0 * d2 - d1) / 3.0
 
-    dq = np.array([diff(lambda h, i=i: ReducedPoint(
-        q + h * np.eye(q.size)[i], p)) for i in range(q.size)])
-    dp = np.array([diff(lambda h, i=i: ReducedPoint(
-        q, p + h * np.eye(p.size)[i])) for i in range(p.size)])
+    dq = np.array([diff(lambda h, i=i: (q + h * np.eye(q.size)[i], p)) for i in range(q.size)])
+    dp = np.array([diff(lambda h, i=i: (q, p + h * np.eye(p.size)[i])) for i in range(p.size)])
     return dq, dp
 
 
@@ -68,16 +61,14 @@ class TestPhiTrace:
 
     def test_reference_value(self):
         params = make_params(0.5, 1, 1, 1)
-        fact, _ = assemble(ReducedPoint(np.array([0.0]), np.array([0.0])), params)
-        assert phi_trace(fact.g, 1) == pytest.approx(-1.0, abs=1e-12)
+        assert _phi([0.0], [0.0], params, 1) == pytest.approx(-1.0, abs=1e-12)
 
     def test_real_on_random_surface_points(self):
-        rng = np.random.default_rng(51)
         params = make_params(0.5, 1.1, 0.9, 3)
-        for _ in range(10):
-            fact, _ = assemble(draw_point(rng, params), params)
+        q, p = random_admissible_points(np.random.default_rng(51), params, 10)
+        for g in assemble_stack(q, p, params)[0].g:
             for nu in (1, 2, 3):
-                phi_trace(fact.g, nu)   # raises NumericalFailure if not real
+                phi_trace(g, nu)        # raises NumericalFailure if not real
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
@@ -110,33 +101,29 @@ class TestClosedForms:
         # the pair factors deviate from 1 by ~exp(-2 gap); with the
         # exp(-2 q) prefactors this leaves ~1e-5 at a gap of 12
         params = make_params(0.5, 1.0, 1.0, 2)
-        pt = ReducedPoint(np.array([6.0, -6.0]), np.array([0.7, -0.4]))
-        val = phi_reduced(pt, params, 1)
+        q, p = np.array([6.0, -6.0]), np.array([0.7, -0.4])
+        val = _phi(q, p, params, 1)
         scalar_params = make_params(0.5, 1.0, 1.0, 1)
-        parts = sum(
-            phi_reduced(ReducedPoint(pt.q[i:i+1], pt.p[i:i+1]), scalar_params, 1)
-            for i in range(2))
+        parts = sum(_phi(q[i:i+1], p[i:i+1], scalar_params, 1) for i in range(2))
         assert val == pytest.approx(parts, abs=1e-4)
 
     def test_master_cross_validation(self):
         rng = np.random.default_rng(52)
         for n in (1, 2, 3):
             params = make_params(0.5, 1.2, 0.8, n)
-            for _ in range(10):
-                pt = draw_point(rng, params)
-                t = phi_reduced(pt, params, 1)
-                s = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
-                assert abs(t - s) <= 1e-9 * max(1.0, abs(s))
+            q, p = random_admissible_points(rng, params, 10)
+            t = phi_from_moment(j_moment(assemble_stack(q, p, params)[0].g), 1)
+            s = hamiltonian_sigma(np.exp(q), p, params)
+            assert np.all(np.abs(t - s) <= 1e-9 * np.maximum(1.0, np.abs(s)))
 
     def test_parameter_correspondence(self):
         rng = np.random.default_rng(53)
         for n in (1, 2, 4, 8):
             params = make_params(0.45, 1.4, 0.7, n)
             a2, b2, c2 = abc_from_params(params)
-            for _ in range(20):
-                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                h1 = hamiltonian_q(pt.q, pt.p, a2, b2, c2)
-                h2 = hamiltonian_sigma(np.exp(pt.q), pt.p, params)
+            q, p = random_admissible_points(rng, params, 20, q_range=(-1.0 - n, 1.0 + n))
+            for qi, pi, h2 in zip(q, p, hamiltonian_sigma(np.exp(q), p, params)):
+                h1 = hamiltonian_q(qi, pi, a2, b2, c2)
                 assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1), abs(h2))
 
     def test_pair_factor_values(self):
@@ -168,14 +155,11 @@ class TestClosedForms:
         rng = np.random.default_rng(70 + n)
         for alpha in (0.3, 0.6, 0.9):
             params = make_params(alpha, 1.2, 0.8, n)
-            pts = [draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                   for _ in range(16)]
-            q = np.array([pt.q for pt in pts])
-            p = np.array([pt.p for pt in pts])
+            q, p = random_admissible_points(rng, params, 16, q_range=(-1.0 - n, 1.0 + n))
             stacked = hamiltonian_sigma(np.exp(q), p, params)
             assert stacked.shape == (16,)
-            assert stacked.tolist() == [hamiltonian_sigma(np.exp(pt.q), pt.p, params)
-                                        for pt in pts]
+            assert stacked.tolist() == [hamiltonian_sigma(np.exp(qi), pi, params)
+                                        for qi, pi in zip(q, p)]
 
     def test_one_point_against_a_stack_of_the_other(self):
         # Sigma and p broadcast together, either way round
@@ -235,11 +219,10 @@ class TestClosedForms:
             kernel(len(q), (1.0, 1.0, 2.25))(*q, *[0.1] * len(q))
 
     def test_phase_periodicity(self):
-        rng = np.random.default_rng(54)
         params = make_params(0.5, 1, 1, 2)
-        pt = draw_point(rng, params)
-        v1 = phi_reduced(pt, params, 2)
-        v2 = phi_reduced(ReducedPoint(pt.q, pt.p + 2 * np.pi), params, 2)
+        (q,), (p,) = random_admissible_points(np.random.default_rng(54), params, 1)
+        v1 = _phi(q, p, params, 2)
+        v2 = _phi(q, p + 2 * np.pi, params, 2)
         assert v1 == pytest.approx(v2, abs=1e-10)
 
 
@@ -250,10 +233,9 @@ class TestGradient:
         params = make_params(0.55, 1.2, 0.85, n)
         f = lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr)
         half = 1.2 if n <= 3 else 1.0 + n
-        for _ in range(5):
-            pt = draw_point(rng, params, q_range=(-half, half))
-            aq, ap = grad_hamiltonian(pt.q, pt.p, params)
-            fq, fp = (d[0] for d in fd_gradient(f, pt.q[None], pt.p[None], params))
+        q, p = random_admissible_points(rng, params, 5, q_range=(-half, half))
+        for qi, pi, fq, fp in zip(q, p, *fd_gradient(f, q, p, params)):
+            aq, ap = grad_hamiltonian(qi, pi, params)
             scale = max(1.0, float(np.max(np.abs(aq))), float(np.max(np.abs(ap))))
             assert np.max(np.abs(aq - fq)) <= 1e-6 * scale
             assert np.max(np.abs(ap - fp)) <= 1e-6 * scale
@@ -261,10 +243,10 @@ class TestGradient:
     def test_array_valued_equals_scalar_calls(self):
         rng = np.random.default_rng(58)
         params = make_params(0.6, 1.2, 0.8, 3)
-        pt = draw_point(rng, params, q_range=(-1.0, 1.0))
-        funcs = [rowwise(lambda z, pr, nu=nu: phi_reduced(z, pr, nu))
+        q, p = random_admissible_points(rng, params, 1, q_range=(-1.0, 1.0))
+        # one `_phi` call per stencil row
+        funcs = [lambda q, p, pr, nu=nu: np.array([_phi(a, b, pr, nu) for a, b in zip(q, p)])
                  for nu in (1, 2, 3)]
-        q, p = pt.q[None], pt.p[None]
         dq, dp = fd_gradient(lambda q, p, pr: np.stack([f(q, p, pr) for f in funcs],
                                                       axis=-1),
                              q, p, params, 2.5e-4)
@@ -277,21 +259,21 @@ class TestGradient:
     def test_one_call_on_the_stencil_stack(self):
         rng = np.random.default_rng(59)
         params = make_params(0.6, 1.2, 0.8, 3)
-        pt = draw_point(rng, params, q_range=(-1.0, 1.0))
+        q, p = random_admissible_points(rng, params, 1, q_range=(-1.0, 1.0))
         calls = []
 
         def f(q, p, pr):
             calls.append((q.copy(), p.copy()))
             return hamiltonian_sigma(np.exp(q), p, pr)
 
-        dq, dp = fd_gradient(f, pt.q[None], pt.p[None], params, 2.5e-4)
+        dq, dp = fd_gradient(f, q, p, params, 2.5e-4)
         assert len(calls) == 1 and calls[0][0].shape == (24, 3)
         # q_1 .. q_n, then p_1 .. p_n, each at +h, -h, +h/2, -h/2
         h = np.array([2.5e-4, -2.5e-4, 1.25e-4, -1.25e-4])
-        assert calls[0][0][4:8, 1].tolist() == (pt.q[1] + h).tolist()
-        assert calls[0][1][12:16, 0].tolist() == (pt.p[0] + h).tolist()
-        lq, lp = _loop_fd_gradient(lambda z, pr: hamiltonian_sigma(np.exp(z.q), z.p, pr),
-                                   pt, params, 2.5e-4)
+        assert calls[0][0][4:8, 1].tolist() == (q[0, 1] + h).tolist()
+        assert calls[0][1][12:16, 0].tolist() == (p[0, 0] + h).tolist()
+        lq, lp = _loop_fd_gradient(lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr),
+                                   q[0], p[0], params, 2.5e-4)
         assert dq.tolist() == [lq.tolist()] and dp.tolist() == [lp.tolist()]
 
     def test_points_equal_lone_points(self):
@@ -304,8 +286,8 @@ class TestGradient:
         dq, dp = fd_gradient(f, q, p, params)
         assert dq.shape == dp.shape == (5, 3)
         for i in range(5):
-            lq, lp = _loop_fd_gradient(lambda z, pr: hamiltonian_sigma(np.exp(z.q), z.p, pr),
-                                       ReducedPoint(q[i], p[i]), params)
+            lq, lp = _loop_fd_gradient(lambda q, p, pr: hamiltonian_sigma(np.exp(q), p, pr),
+                                       q[i], p[i], params)
             assert dq[i].tolist() == lq.tolist() and dp[i].tolist() == lp.tolist()
 
     def test_canonical_pairs(self):
@@ -384,12 +366,12 @@ class TestQChartKernel:
         for alpha in (0.3, 0.6, 0.9):
             params = make_params(alpha, 1.2, 0.8, n)
             abc = abc_from_params(params)
-            for _ in range(10):
-                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                h, *field = kernel(n, abc)(*pt.q, *pt.p)
+            for q, p in zip(*random_admissible_points(rng, params, 10,
+                                                      q_range=(-1.0 - n, 1.0 + n))):
+                h, *field = kernel(n, abc)(*q, *p)
                 dq, dp = [-v for v in field[n:]], field[:n]
-                ref_h, ref_dq, ref_dp = _numpy_q_chart(pt.q, pt.p, *abc)
-                scale = max(1.0, abc[0] * float(np.exp(-2.0 * pt.q).sum()),
+                ref_h, ref_dq, ref_dp = _numpy_q_chart(q, p, *abc)
+                scale = max(1.0, abc[0] * float(np.exp(-2.0 * q).sum()),
                             float(np.max(np.abs(ref_dq))), float(np.max(np.abs(ref_dp))))
                 assert abs(h - ref_h) <= 1e-13 * scale
                 assert np.max(np.abs(np.array(dq) - ref_dq)) <= 1e-13 * scale
@@ -401,10 +383,10 @@ class TestQChartKernel:
         # rounds nothing, and H does not depend on it
         rng = np.random.default_rng(80 + n)
         params = make_params(0.6, 1.2, 0.8, n)
-        pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-        z = pt.q.tolist() + pt.p.tolist()
+        (q,), (p,) = random_admissible_points(rng, params, 1, q_range=(-1.0 - n, 1.0 + n))
+        z = q.tolist() + p.tolist()
         h, *field = kernel(n, abc_from_params(params))(*z)
-        dq, dp = grad_hamiltonian(pt.q, pt.p, params)
+        dq, dp = grad_hamiltonian(q, p, params)
         assert field == dp.tolist() + (-dq).tolist()
         for scale in (2.0, -0.5):
             h_s, *field_s = kernel(n, abc_from_params(params), scale)(*z)
@@ -451,14 +433,14 @@ class TestQChartKernel:
             grad_hamiltonian(np.array([1.0, -1.0]), np.zeros(3), params)
 
 
-def _loop_report(params, points, max_order, h0=2.5e-4):
+def _loop_report(params, q, p, max_order, h0=2.5e-4):
     """Bracket matrix, worst pair and max of `involution_report`, with one
     gradient (and so one assembly per stencil point) per order."""
     orders = range(1, max_order + 1)
     mat = np.zeros((max_order, max_order))
-    for pt in points:
-        grads = {nu: _loop_fd_gradient(lambda z, pr, nu=nu: phi_reduced(z, pr, nu),
-                                       pt, params, h0) for nu in orders}
+    for qi, pi in zip(q, p):
+        grads = {nu: _loop_fd_gradient(lambda q, p, pr, nu=nu: _phi(q, p, pr, nu),
+                                       qi, pi, params, h0) for nu in orders}
         for a in orders:
             for b in orders:
                 if a >= b:
@@ -469,11 +451,6 @@ def _loop_report(params, points, max_order, h0=2.5e-4):
                 mat[b - 1, a - 1] = mat[a - 1, b - 1]
     idx = np.unravel_index(np.argmax(mat), mat.shape)
     return mat, (int(idx[0]) + 1, int(idx[1]) + 1), float(mat[idx])
-
-
-def _rows(q, p):
-    """The rows of (P, n) arrays as ReducedPoints, for `_loop_report`."""
-    return [ReducedPoint(a, b) for a, b in zip(q, p)]
 
 
 class TestInvolution:
@@ -497,7 +474,7 @@ class TestInvolution:
         params = make_params(0.6 if n < 5 else 0.9, 1.2, 0.8, n)
         q, p = random_admissible_points(rng, params, 3, **BRACKET_DRAW)
         rep = involution_report(params, q, p, max_order=max_order)
-        mat, worst, max_abs = _loop_report(params, _rows(q, p), max_order)
+        mat, worst, max_abs = _loop_report(params, q, p, max_order)
         assert rep.bracket_matrix.tolist() == mat.tolist()
         assert rep.worst_pair == worst
         assert rep.max_abs == max_abs
@@ -518,7 +495,7 @@ class TestInvolution:
         q, p = random_admissible_points(rng, params, 9, **BRACKET_DRAW)
         rep = involution_report(params, q, p, max_order=max_order)
         assert sizes == [4, 4, 1]
-        mat, worst, max_abs = _loop_report(params, _rows(q, p), max_order)
+        mat, worst, max_abs = _loop_report(params, q, p, max_order)
         assert rep.bracket_matrix.tolist() == mat.tolist()
         assert rep.worst_pair == worst
         assert rep.max_abs == max_abs
@@ -535,7 +512,6 @@ class TestInvolution:
             raise AssertionError("a per-point evaluation")
 
         monkeypatch.setattr(hamiltonians, "assemble_stack", spy)
-        monkeypatch.setattr(hamiltonians, "assemble", per_point)
         monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
         rng = np.random.default_rng(61)
         params = make_params(0.9, 1.2, 0.8, 6)
@@ -555,7 +531,7 @@ class TestInvolution:
         params = make_params(0.6, 1.2, 0.8, len(q))
         q, p = np.array([q]), np.full((1, len(q)), 0.2)
         with pytest.raises(BCNError) as loop:
-            _loop_report(params, _rows(q, p), 3)
+            _loop_report(params, q, p, 3)
         with pytest.raises(BCNError) as stacked:
             involution_report(params, q, p, 3)
         assert type(stacked.value) is type(loop.value)
@@ -570,7 +546,7 @@ class TestInvolution:
                                         **BRACKET_DRAW)
         q[1] = wall
         with pytest.raises(BCNError) as loop:
-            _loop_report(params, _rows(q, p), 3)
+            _loop_report(params, q, p, 3)
         with pytest.raises(BCNError) as stacked:
             involution_report(params, q, p, 3)
         assert type(stacked.value) is type(loop.value)
@@ -636,8 +612,8 @@ class TestWeyl:
     def test_full_orbit(self):
         rng = np.random.default_rng(58)
         params = make_params(0.5, 1.1, 0.9, 3)
-        pt = draw_point(rng, params)
-        rep = weyl_check(np.exp(pt.q), pt.p, params)
+        (q,), (p,) = random_admissible_points(rng, params, 1)
+        rep = weyl_check(np.exp(q), p, params)
         assert rep.ok
         assert rep.orbit_size == 2 ** 3 * 6
 
@@ -656,16 +632,15 @@ class TestWeyl:
         rng = np.random.default_rng(64 + n)
         for alpha in (0.3, 0.6, 0.9):
             params = make_params(alpha, 1.2, 0.8, n)
-            for _ in range(5):
-                pt = draw_point(rng, params)
-                sigma = np.exp(pt.q)
-                rep = weyl_check(sigma, pt.p, params)
+            for q, p in zip(*random_admissible_points(rng, params, 5)):
+                sigma = np.exp(q)
+                rep = weyl_check(sigma, p, params)
                 # one hamiltonian_sigma call per signed permutation
-                base = hamiltonian_sigma(sigma, pt.p, params)
+                base = hamiltonian_sigma(sigma, p, params)
                 scale = max(1.0, abs(base))
                 worst, count = 0.0, 0
                 for perm in itertools.permutations(range(n)):
-                    sp, pp = sigma[list(perm)], pt.p[list(perm)]
+                    sp, pp = sigma[list(perm)], p[list(perm)]
                     for signs in itertools.product((1.0, -1.0), repeat=n):
                         val = hamiltonian_sigma(np.array(signs) * sp, pp, params)
                         worst = max(worst, abs(val - base) / scale)
@@ -688,13 +663,13 @@ class TestSpectralInvariants:
             spectral_invariants(g)
 
     def test_trace_power_identity(self):
-        rng = np.random.default_rng(59)
         params = make_params(0.5, 1.0, 1.0, 2)
-        fact, _ = assemble(draw_point(rng, params), params)
-        vals = spectral_invariants(fact.g)
+        (g,) = assemble_stack(*random_admissible_points(np.random.default_rng(59), params, 1),
+                              params)[0].g
+        vals = spectral_invariants(g)
         for nu in (1, 2, 3):
             lhs = -np.sum(vals ** nu).real / (2.0 * nu)
-            assert lhs == pytest.approx(phi_trace(fact.g, nu), abs=1e-10)
+            assert lhs == pytest.approx(phi_trace(g, nu), abs=1e-10)
 
 
 class TestGeneratedKernel:
@@ -706,9 +681,8 @@ class TestGeneratedKernel:
         for alpha in (0.3, 0.6, 0.9):
             params = make_params(alpha, 1.2, 0.8, n)
             abc = abc_from_params(params)
-            for _ in range(8):
-                pt = draw_point(rng, params, q_range=(-1.0 - n, 1.0 + n))
-                z = pt.q.tolist() + pt.p.tolist()
+            for z in np.hstack(random_admissible_points(rng, params, 8,
+                                                        q_range=(-1.0 - n, 1.0 + n))).tolist():
                 for scale in (1.0, 2.0, -0.5):
                     loop, generated = loop_and_generated(z, n, abc, scale)
                     assert all(map(math.isfinite, loop))
@@ -753,9 +727,10 @@ class TestGeneratedKernel:
         # own particle)
         params = make_params(0.6, 1.2, 0.8, n)
         abc = abc_from_params(params)
-        pt = draw_point(np.random.default_rng(500 + n), params, q_range=(-1.0 - n, 1.0 + n))
+        (q,), (p,) = random_admissible_points(np.random.default_rng(500 + n), params, 1,
+                                              q_range=(-1.0 - n, 1.0 + n))
         k = min(2, n - 1)               # q_k moves to 0 and q_{k-1} to 1e-170
-        q, p = pt.q - pt.q[k], pt.p
+        q = q - q[k]
         far, low, wall, inf = q.copy(), q.copy(), q.copy(), p.copy()
         far[0] += 800.0
         low[-1] -= 400.0

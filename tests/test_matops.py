@@ -22,8 +22,8 @@ from bcn_ruijsenaars.matops import (
     signs,
 )
 from bcn_ruijsenaars.model import make_params
-from bcn_ruijsenaars.reconstruction import assemble
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.reconstruction import assemble_stack
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 
 def taylor_expm(a, terms=30):
@@ -235,12 +235,10 @@ def _loop_cholesky_upper_dual(m):
 def test_blocked_factorizations_match_row_loop(n):
     """2n = 2..16, on the elements the factorizations serve: assembled
     constrained elements and their images under the exact flow."""
-    rng = np.random.default_rng(200 + n)
     params = make_params(0.6, 1.2, 0.8, n)
     j = inn(n)
-    for _ in range(5):
-        g0 = assemble(random_admissible_point(rng, params, q_range=(-2.0, 2.0)),
-                      params)[0].g
+    q, p = random_admissible_points(np.random.default_rng(200 + n), params, 5)
+    for g0 in assemble_stack(q, p, params)[0].g:
         for g in (g0, exact_flow(g0, 0.5)):
             h = g.conj().T @ j @ g
             m = g @ j @ g.conj().T

@@ -18,12 +18,13 @@ from bcn_ruijsenaars.model import (
     abc_from_params,
     cartan_from_q,
     make_params,
+    require_point,
     require_points,
     separation_gap,
     separation_margin,
     wrap_angle,
 )
-from bcn_ruijsenaars.reconstruction import assemble
+from bcn_ruijsenaars.reconstruction import assemble_stack
 
 
 class TestMakeParams:
@@ -40,7 +41,7 @@ class TestMakeParams:
     def test_vhat_norm_follows_a_replaced_n(self):
         params = dataclasses.replace(make_params(0.6, 1.2, 0.8, 2), n=3)
         assert params.vhat_norm_sq == make_params(0.6, 1.2, 0.8, 3).vhat_norm_sq
-        assemble(ReducedPoint([1.0, -0.5, -2.0], [0.1, 0.2, 0.3]), params)
+        assemble_stack([1.0, -0.5, -2.0], [0.1, 0.2, 0.3], params)
 
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=1.0), dict(alpha=-0.5),
@@ -317,7 +318,7 @@ class TestRequirePoints:
         q = np.array([[1.0, 0.0], q_row, [2.0, 1.0]])
         p = np.array([[0.0, 0.0], p_row, [0.0, 0.0]])
         with pytest.raises(BCNError) as point:
-            ReducedPoint(q[1], p[1])
+            require_point(q[1], p[1])
         with pytest.raises(BCNError) as stack:
             require_points(q, p)
         assert type(stack.value) is type(point.value)

@@ -3,25 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_point, vhat_stabilizer
+from conftest import vhat_stabilizer
 
 from bcn_ruijsenaars import cli, reconstruction
 from bcn_ruijsenaars.cli import main
+from bcn_ruijsenaars.decomposition import reduce_stack
 from bcn_ruijsenaars.dynamics import integrate_reduced
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
                                     NumericalFailure, SeparationViolation)
 from bcn_ruijsenaars.matops import frob, inn, rel_err
-from bcn_ruijsenaars.model import ReducedPoint, cartan_from_q, make_params
+from bcn_ruijsenaars.model import cartan_from_q, make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import (
-    assemble,
     assemble_stack,
     build_sigma_rho,
     build_Ttilde,
+    constraint_report,
     constraint_residuals,
     solve_v,
     verify_constraints,
 )
-from bcn_ruijsenaars.sampling import random_admissible_point
+from bcn_ruijsenaars.sampling import random_admissible_points
+
+
+def _report(q, p, params):
+    """The report of `bcn verify` on the points (q, p): each residual's worst row."""
+    return constraint_report({name: np.max(r) for name, r in
+                              constraint_residuals(q, p, params).items()}, 1e-10)
 
 
 class TestSolveV:
@@ -140,17 +147,15 @@ class TestSigmaRho:
 
 class TestAssemble:
     def test_reference_point_all_residuals(self):
-        params = make_params(0.5, 1, 1, 1)
-        fact, cdata = assemble(ReducedPoint(np.array([0.0]), np.array([0.0])), params)
-        rep = verify_constraints(fact, cdata, params)
+        rep = _report([0.0], [0.0], make_params(0.5, 1, 1, 1))
         assert rep.ok, rep.worst()
         assert rep.max_residual < 1e-10
 
     def test_momentum_block_identity(self):
         # g J g^dag has (2,2) block -y^2 I and (1,2) block -nu
         params = make_params(0.6, 1.1, 0.9, 3)
-        rng = np.random.default_rng(22)
-        fact, cdata = assemble(draw_point(rng, params), params)
+        (q,), (p,) = random_admissible_points(np.random.default_rng(22), params, 1)
+        fact, cdata = assemble_stack(q, p, params)
         m = fact.g @ inn(3) @ fact.g.conj().T
         assert rel_err(m[3:, 3:], -params.y ** 2 * np.eye(3)) < 1e-10
         assert rel_err(m[:3, 3:], -cdata.nu) < 1e-10
@@ -159,16 +164,16 @@ class TestAssemble:
         params = make_params(0.5, 1, 1, 2)
         q = np.array([0.9, -0.5])
         p = np.array([0.7, -2.0])
-        g1, _ = assemble(ReducedPoint(q, p), params)
-        g2, _ = assemble(ReducedPoint(q, p + 2 * np.pi), params)
+        g1, _ = assemble_stack(q, p, params)
+        g2, _ = assemble_stack(q, p + 2 * np.pi, params)
         assert rel_err(g2.g, g1.g) < 1e-12
 
     def test_right_factor_closed_form(self):
         # k_R = y^-1 diag(sigma^-1 rho Sigma^-1 T^dag, I)
         #       [[Lambda, x Sigma^2], [x I, Lambda]] diag(Sigma, T)
         params = make_params(0.55, 1.2, 0.8, 2)
-        rng = np.random.default_rng(23)
-        fact, cd = assemble(draw_point(rng, params), params)
+        (q,), (p,) = random_admissible_points(np.random.default_rng(23), params, 1)
+        fact, cd = assemble_stack(q, p, params)
         Sigma, Lambda = cd.cartan.Sigma, cd.cartan.Lambda
         n, x, y = 2, params.x, params.y
         z = np.zeros((n, n))
@@ -182,39 +187,33 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_invariant_suite_random_points(self, n):
-        rng = np.random.default_rng(24 + n)
         params = make_params(0.5, 1.0, 1.0, n)
-        for _ in range(10):
-            fact, cdata = assemble(draw_point(rng, params), params)
-            rep = verify_constraints(fact, cdata, params)
-            assert rep.ok, rep.worst()
-            assert rel_err(fact.k_L @ fact.b_R, fact.b_L @ fact.k_R) < 1e-10
+        q, p = random_admissible_points(np.random.default_rng(24 + n), params, 10)
+        rep = _report(q, p, params)
+        assert rep.ok, rep.worst()
+        fact, _ = assemble_stack(q, p, params)
+        assert np.all(rel_err(fact.k_L @ fact.b_R, fact.b_L @ fact.k_R) < 1e-10)
 
     def test_gauge_invariant_extraction(self):
         # replacing rho by R rho (R in the vhat stabilizer) moves g inside
         # its gauge orbit; extraction returns the same reduced point
-        from bcn_ruijsenaars.decomposition import extract_reduced
-        from bcn_ruijsenaars.model import wrap_angle
-
         rng = np.random.default_rng(25)
         params = make_params(0.5, 1.0, 1.0, 3)
-        point = draw_point(rng, params)
-        fact, cd = assemble(point, params)
-        for _ in range(5):
-            r = vhat_stabilizer(rng, 3)
-            z = np.zeros((3, 3))
-            left = np.block([[r, z], [z, np.eye(3)]])
-            g2 = left @ fact.g          # k_L -> diag(R, I) k_L, i.e. rho -> R rho
-            out = extract_reduced(g2, params)
-            assert np.max(np.abs(out.q - point.q)) < 1e-9
-            assert np.max(np.abs(wrap_angle(out.p - point.p))) < 1e-9
+        (q,), (p,) = random_admissible_points(rng, params, 1)
+        g = assemble_stack(q, p, params)[0].g
+        z = np.zeros((3, 3))
+        # k_L -> diag(R, I) k_L, i.e. rho -> R rho
+        moved = [np.block([[vhat_stabilizer(rng, 3), z], [z, np.eye(3)]]) @ g for _ in range(5)]
+        out_q, out_p, _, _ = reduce_stack(np.stack(moved), params)
+        assert np.max(np.abs(out_q - q)) < 1e-9
+        assert np.max(np.abs(wrap_angle(out_p - p))) < 1e-9
 
 
 class TestVerifyReport:
     def test_perturbed_element_is_flagged(self):
-        rng = np.random.default_rng(26)
         params = make_params(0.5, 1, 1, 2)
-        fact, cdata = assemble(draw_point(rng, params), params)
+        (q,), (p,) = random_admissible_points(np.random.default_rng(26), params, 1)
+        fact, cdata = assemble_stack(q, p, params)
         bad = fact.__class__(g=fact.g + 1e-3, k_L=fact.k_L, b_R=fact.b_R,
                              b_L=fact.b_L, k_R=fact.k_R)
         rep = verify_constraints(bad, cdata, params)
@@ -222,9 +221,9 @@ class TestVerifyReport:
         assert "leaf_left" in rep.violated
 
     def test_identity_is_off_surface(self):
-        rng = np.random.default_rng(27)
         params = make_params(0.5, 1, 1, 2)
-        fact, cdata = assemble(draw_point(rng, params), params)
+        (q,), (p,) = random_admissible_points(np.random.default_rng(27), params, 1)
+        fact, cdata = assemble_stack(q, p, params)
         bad = fact.__class__(g=np.eye(4, dtype=complex), k_L=fact.k_L,
                              b_R=fact.b_R, b_L=fact.b_L, k_R=fact.k_R)
         rep = verify_constraints(bad, cdata, params)
@@ -233,9 +232,7 @@ class TestVerifyReport:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_residual_fails_and_is_the_worst(self):
         # at y = 1e-160 the norms of the b_L k_R checks overflow to NaN
-        params = make_params(0.5, 1, 1e-160, 2)
-        point = ReducedPoint(np.array([1.0, -1.0]), np.array([0.2, 0.15]))
-        rep = verify_constraints(*assemble(point, params), params)
+        rep = _report([1.0, -1.0], [0.2, 0.15], make_params(0.5, 1, 1e-160, 2))
         assert not rep.ok and math.isnan(rep.max_residual)
         assert {"leaf_right", "kR_pseudounitary"} <= set(rep.violated)
         assert rep.worst()[0] == "leaf_right"
@@ -249,9 +246,9 @@ class TestVerifyReport:
         assert rep.ok and rep.violated == () and rep.worst() == ("b", 3.0)
 
 
-def _loop_verify(points, params):
-    """Reference: the per-point `assemble` and `verify_constraints` of one
-    matrix at a time, with 2-D norms; one residual dict per point."""
+def _loop_verify(qs, ps, params):
+    """Reference: the assembly and the residuals of one matrix at a time,
+    with 2-D norms; (g, residual dict) per point of (T, n) arrays."""
     def frob2(a):
         return float(np.linalg.norm(a))
 
@@ -262,14 +259,14 @@ def _loop_verify(points, params):
     n, x, y, alpha = params.n, params.x, params.y, params.alpha
     eye, J = np.eye(n), inn(n)
     out = []
-    for point in points:
-        cdata = cartan_from_q(point.q, params)
+    for q, p in zip(qs, ps):
+        cdata = cartan_from_q(q, params)
         Sigma, Gamma, Lambda = cdata.Sigma, cdata.Gamma, cdata.Lambda
         v = solve_v(Sigma, alpha)
         Ttilde = build_Ttilde(Sigma, alpha, v)
         sig, rho, vhat = build_sigma_rho(cdata, v, params)
         vtilde = v / Sigma
-        T = np.exp(1j * point.p)[:, None] * Ttilde
+        T = np.exp(1j * p)[:, None] * Ttilde
         Omega = Lambda[:, None] * T
         omega = (Omega - x ** -1 * np.diag(Gamma)) / Sigma[:, None]
         nu = rho @ ((y ** 2 * np.diag(Gamma).astype(complex)
@@ -321,35 +318,27 @@ def _loop_verify(points, params):
 
 def _points(n, count, seed, alpha=0.6):
     params = make_params(alpha, 1.2, 0.8, n)
-    rng = np.random.default_rng(seed)
-    points = [random_admissible_point(rng, params) for _ in range(count)]
-    return params, points
+    return params, *random_admissible_points(np.random.default_rng(seed), params, count)
 
 
 class TestStackedCore:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_residuals_equal_the_loop_bit_for_bit(self, n):
         # 40 points are three chunks at n = 8 (16 rows each)
-        params, points = _points(n, 40, 300 + n)
-        q = np.array([pt.q for pt in points])
-        p = np.array([pt.p for pt in points])
+        params, q, p = _points(n, 40, 300 + n)
         stacked = constraint_residuals(q, p, params)
         fact, _ = assemble_stack(q, p, params)
-        for i, (point, (g, res)) in enumerate(zip(points, _loop_verify(points, params))):
+        for i, (g, res) in enumerate(_loop_verify(q, p, params)):
             assert np.array_equal(fact.g[i], g)
             assert {name: r[i] for name, r in stacked.items()} == res
-            one = verify_constraints(*assemble(point, params), params)
-            assert one.residuals == res
-            assert one.max_residual == max(res.values())
 
     def test_fields_carry_the_leading_axis(self):
-        params, points = _points(3, 5, 310)
-        fact, cdata = assemble_stack(np.array([pt.q for pt in points]),
-                                     np.array([pt.p for pt in points]), params)
+        params, q, p = _points(3, 5, 310)
+        fact, cdata = assemble_stack(q, p, params)
         assert fact.g.shape == (5, 6, 6) and fact.n == 3
         assert cdata.sigma.shape == cdata.rho.shape == (5, 3, 3)
         assert cdata.cartan.Sigma.shape == cdata.vhat.shape == (5, 3)
-        one, _ = assemble(points[2], params)
+        one, _ = assemble_stack(q[2], p[2], params)
         assert np.array_equal(one.k_R, fact.k_R[2]) and one.g.shape == (6, 6)
 
     def test_a_stack_raises_the_error_of_its_first_failing_row(self):
@@ -374,9 +363,7 @@ class TestStackedCore:
     def test_non_finite_rows_are_invalid_input(self):
         # a NaN angle gave NaN residuals and a det warning; now the row is
         # refused as a point is
-        params, points = _points(2, 3, 312)
-        q = np.array([pt.q for pt in points])
-        p = np.array([pt.p for pt in points])
+        params, q, p = _points(2, 3, 312)
         p[1, 1] = np.nan
         with pytest.raises(InvalidInput, match="^q and p must be finite$"):
             constraint_residuals(q, p, params)
@@ -385,26 +372,24 @@ class TestStackedCore:
 
     @pytest.mark.parametrize("q_rows,p_shape", [(2, (1, 2)), (1, (1, 3)), (2, (2,))])
     def test_shapes_must_agree(self, q_rows, p_shape):
-        params, points = _points(2, q_rows, 313)
-        q = np.array([pt.q for pt in points])
+        params, q, _ = _points(2, q_rows, 313)
         with pytest.raises(InvalidInput, match="q and p must have one shape"):
             constraint_residuals(q, np.zeros(p_shape), params)
 
     def test_a_point_is_one_row(self):
-        params, (point,) = _points(3, 1, 314)
-        one = constraint_residuals(point.q, point.p, params)
-        stack = constraint_residuals(point.q[None], point.p[None], params)
+        params, q, p = _points(3, 1, 314)
+        one = constraint_residuals(q[0], p[0], params)
+        stack = constraint_residuals(q, p, params)
         assert {name: r.shape for name, r in one.items()} == {name: (1,) for name in stack}
         assert {name: r.tolist() for name, r in one.items()} == \
             {name: r.tolist() for name, r in stack.items()}
 
     def test_residual_column_equals_the_loop(self):
         # a run that reaches t_max: eleven samples
-        params, (point,) = _points(3, 1, 312)
-        traj = integrate_reduced(point.q, point.p, params, 0.2, 1e-3, sample_every=20)
+        params, (q,), (p,) = _points(3, 1, 312)
+        traj = integrate_reduced(q, p, params, 0.2, 1e-3, sample_every=20)
         assert traj.times.size == 11 and not traj.chamber_approach
-        points = [ReducedPoint(q, p) for q, p in zip(traj.q, traj.p)]
-        loop = [max(res.values()) for _, res in _loop_verify(points, params)]
+        loop = [max(res.values()) for _, res in _loop_verify(traj.q, traj.p, params)]
         assert np.array_equal(traj.residual, loop)
 
     def test_verify_assembles_at_most_one_chunk_per_call(self, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import bcn_ruijsenaars.sampling as sampling
 from bcn_ruijsenaars.errors import InvalidInput, NumericalFailure
 from bcn_ruijsenaars.hamiltonians import BRACKET_DRAW
 from bcn_ruijsenaars.model import make_params, separation_margin
-from bcn_ruijsenaars.sampling import random_admissible_point, random_admissible_points
+from bcn_ruijsenaars.sampling import random_admissible_points
 
 # draws at alpha 0.6, x 1.2, y 0.8 with the default arguments, and one with
 # those of `bcn involution` (its 18th candidate passes, without a stretch);
@@ -30,23 +32,23 @@ FIXED_DRAWS = [
     f"{n}-{seed}-q{i}-p{i}" for i, (n, seed, *_) in enumerate(FIXED_DRAWS)])
 def test_fixed_seed_draws(n, seed, draw, q, p):
     params = make_params(0.6, 1.2, 0.8, n)
-    pt = random_admissible_point(np.random.default_rng(seed), params, **draw)
-    assert pt.q.tolist() == q
-    assert pt.p.tolist() == p
-    assert separation_margin(pt.q, params.coupling_sq) > 0.0
+    (got_q,), (got_p,) = random_admissible_points(np.random.default_rng(seed), params, 1, **draw)
+    assert got_q.tolist() == q
+    assert got_p.tolist() == p
+    assert separation_margin(got_q, params.coupling_sq) > 0.0
 
 
 def test_margin_factor_below_one_rejected():
     with pytest.raises(InvalidInput):
-        random_admissible_point(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2),
-                                margin_factor=0.9)
+        random_admissible_points(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2), 1,
+                                 margin_factor=0.9)
 
 
 def test_negative_max_stretch_rejected():
     # every candidate gets its unstretched test, so a negative count has no meaning
     with pytest.raises(InvalidInput):
-        random_admissible_point(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2),
-                                max_stretch=-1)
+        random_admissible_points(np.random.default_rng(0), make_params(0.6, 1.2, 0.8, 2), 1,
+                                 max_stretch=-1)
 
 
 def _loop_sampler(rng, params, q_range=(-2.0, 2.0), margin_factor=1.05,
@@ -91,11 +93,6 @@ def _outcome(sampler, rng, params, kwargs):
     return q.tobytes(), p.tobytes()
 
 
-def _blocked_sampler(rng, params, **kwargs):
-    pt = random_admissible_point(rng, params, **kwargs)
-    return pt.q, pt.p
-
-
 @pytest.mark.parametrize("args", sorted(SAMPLER_ARGS))
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("bitgen", GENERATORS, ids=lambda g: g.__name__)
@@ -107,7 +104,7 @@ def test_blocked_draws_equal_loop(bitgen, n, args):
     kwargs = SAMPLER_ARGS[args]
     ours, ref = np.random.Generator(bitgen(17)), np.random.Generator(bitgen(17))
     for _ in range(6):
-        got = _outcome(_blocked_sampler, ours, params, kwargs)
+        got = _outcome(partial(random_admissible_points, count=1), ours, params, kwargs)
         assert got == _outcome(_loop_sampler, ref, params, kwargs)
         _same_state(ours.bit_generator.state, ref.bit_generator.state)
         if got is None:
@@ -120,7 +117,7 @@ def test_exhaustion_consumes_the_loops_draws(monkeypatch, bitgen):
     monkeypatch.setattr(sampling, "MAX_REDRAW", 7)
     ours, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
     with pytest.raises(NumericalFailure):
-        random_admissible_point(ours, params, max_stretch=2)
+        random_admissible_points(ours, params, 1, max_stretch=2)
     with pytest.raises(NumericalFailure):
         _loop_sampler(ref, params, max_stretch=2, max_redraw=7)
     _same_state(ours.bit_generator.state, ref.bit_generator.state)
