@@ -22,7 +22,9 @@ such element, so on a stack of one it is exactly the error of that
 element.  The splits' own products (g^dag J g, g J g^dag, the factor k)
 fail an input test only by rounding, which grows with cond(g), so that
 is NotOnLeaf, as is a failed signature Cholesky of them; both name the
-split.  The signature J acts as `matops.signs`, a scaling of rows
+split.  Sigma read back from g misses the separation bound only by such
+rounding, so that SeparationViolation is NotOnConstraintSurface, naming
+the read-back.  The signature J acts as `matops.signs`, a scaling of rows
 or columns (see `matops`); the outputs are those of the dense products.
 `extract_reduced` and `surface_residuals`, the stack-of-one calls, check
 g by `matops.require_element` (tests/test_one_point_layer.py); `project_flow`
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidInput, NotOnConstraintSurface, NotOnLeaf
+from .errors import (DegenerateElement, InvalidInput, NotOnConstraintSurface, NotOnLeaf,
+                     SeparationViolation)
 from .matops import (
     as_signature_input,
     dagger,
@@ -217,7 +220,11 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
 
     # residual torus: align the first row of rho_hat with the
     # non-negative gauge of vtilde
-    v = solve_v(Sigma, params.alpha)
+    try:        # Sigma read back misses the bound only by rounding, grown with cond(k_L)
+        v = solve_v(Sigma, params.alpha)
+        Ttilde = build_Ttilde(Sigma, params.alpha, v)
+    except SeparationViolation as exc:
+        raise NotOnConstraintSurface(f"Sigma read back from g: {exc}") from None
     vtilde = v / Sigma
     # |vtilde| by a (1 x n)(n x 1) product: the dot product `vtilde @ vtilde`
     # of one row, bit for bit
@@ -229,7 +236,7 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
     delta = w / np.abs(w)
     T = delta.conj()[:, :, None] * T * delta[:, None, :]
 
-    D = T @ build_Ttilde(Sigma, params.alpha, v).swapaxes(-1, -2)
+    D = T @ Ttilde.swapaxes(-1, -2)
     if np.any(frob(D * ~np.eye(n, dtype=bool))
               > 1e-8 * np.maximum(1.0, frob(D))):
         raise NotOnConstraintSurface("phase matrix has off-diagonal content")
@@ -270,9 +277,10 @@ def reduce_stack(g, params: ModelParams):
 
     Returns (q, p, residual, m): the (T, n) positions and angles, the (T,)
     maxima of `surface_residuals`, and the (T, 2n, 2n) stack of
-    m = g J g^dag.  The extraction runs first, so its errors come first.
+    m = g J g^dag.  g is checked by `matops.require_element` as a stack.
+    The extraction runs first, so its errors come first.
     """
-    g = np.asarray(g, dtype=complex)
+    g = require_element(g, n=params.n, stack=True)
     k_L, blocks = _split(g, params)
     q, p = _read_stack(g, k_L, blocks, params)
     res, m = _residual_stack(g, k_L, blocks, params)

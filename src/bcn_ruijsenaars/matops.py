@@ -5,8 +5,8 @@ Everything downstream works with plain ``numpy`` arrays of ``complex128``
 factorizations and transcendental operations the rest of the package
 needs at sizes up to a few dozen:
 
-* the rule for a group element, `require_element` (`as_signature_input`
-  for a stack),
+* the rule for a group element, `require_element` (with ``stack=True``
+  for a (T, 2n, 2n) stack of them; `as_signature_input` for any stack),
 * structural predicates (Hermitian, pseudo-unitary with respect to an
   indefinite signature),
 * the signature J = diag(I, -I) applied as its diagonal `signs`: a
@@ -182,13 +182,15 @@ def as_signature_input(m, name: str = "matrix") -> np.ndarray:
     return _as_square(a, name)
 
 
-def require_element(g, name: str = "g", n: int | None = None) -> np.ndarray:
-    """The rule for a group element: one `as_signature_input` matrix, 2n x 2n if n is given."""
+def require_element(g, name: str = "g", n: int | None = None, stack: bool = False) -> np.ndarray:
+    """The rule for a group element: one `as_signature_input` matrix, or a
+    (T, 2n, 2n) stack of them with `stack`, each 2n x 2n if n is given."""
     g = as_signature_input(g, name)
-    if g.ndim > 2:
-        raise InvalidInput(f"{name} must be one matrix, got shape {g.shape}")
-    if n is not None and g.shape != (2 * n, 2 * n):
-        raise InvalidInput(f"expected shape {(2 * n, 2 * n)}, got {g.shape}")
+    if g.ndim != 2 + stack:
+        raise InvalidInput(f"{name} must be {'a stack (T, 2n, 2n)' if stack else 'one matrix'}, "
+                           f"got shape {g.shape}")
+    if n is not None and g.shape[-2:] != (2 * n, 2 * n):
+        raise InvalidInput(f"expected shape {(2 * n, 2 * n)}, got {g.shape[-2:]}")
     return g
 
 

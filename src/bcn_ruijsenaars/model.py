@@ -175,10 +175,6 @@ class ReducedPoint:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
-    @property
-    def n(self) -> int:
-        return self.q.size
-
 
 def require_finite(**named):
     """Each named array-like as a float array of at least one dimension;

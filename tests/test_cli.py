@@ -27,7 +27,8 @@ import pytest
 
 from bcn_ruijsenaars import cli
 from bcn_ruijsenaars.cli import main
-from bcn_ruijsenaars.model import ReducedPoint
+from bcn_ruijsenaars.hamiltonians import _q_kernel
+from bcn_ruijsenaars.model import ReducedPoint, abc_from_params, make_params, separation_gap
 from bcn_ruijsenaars.reconstruction import assemble_stack
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,9 +127,9 @@ ROWS = [
     Row("TestCommands::test_row[separation-gap-q2-q3]",
         "simulate --n 3 --q 1.5,0.8,0.15 --p 0,0,0", 1,
         "error: separation condition: q_2 - q_3 = 0.65 must exceed ln(1/alpha) = 0.693\n"),
-    # starts 1 ulp above the bound, where 4 sinh^2 of the gap rounds to c^2
-    # or below: the assembly or the kernel refuses them, and the gate names
-    # the pair, on every route
+    # starts 1 ulp above the bound, where 4 sinh^2 of the gap can round to
+    # c^2 or below, lie in the gate's rounding band: it names the pair, on
+    # every route
     *[Row(f"TestCommands::test_row[separation-rounding-{alpha[2:5]}-{method}]",
           f"simulate --n 2 --alpha={alpha} --q={q},0 --p=0,0 --t-max 0.001 --method {method}", 1,
           f"error: separation condition: q_1 - q_2 = {gap} must exceed ln(1/alpha) = {gap}\n")
@@ -142,16 +143,18 @@ ROWS = [
         "simulate --q 0.7,0 --p 0,0 --t-max 0.01", 0, "",
         lambda out: out.startswith("t,q1,q2,p1,p2,energy,residual\n0,0.69999999999999996,0,")),
     # an unwritable --output is one error line, not a traceback; the .exact
-    # name of a 250-byte --output is one byte too long for the file system
+    # name of a 250-byte --output is one byte too long for the file system,
+    # and the run leaves no file it wrote
     *[Row(f"TestCommands::test_row[unwritable-output-{name}]", argv, 1,
-          f"error: cannot write output file '{path}': [Errno {reason}: '{path}'\n")
-      for name, argv, path, reason in [
+          f"error: cannot write output file '{path}': [Errno {reason}: '{path}'\n", out)
+      for name, argv, path, reason, out in [
           ("verify", "verify --samples 2 --output /nonexistent/v.json", "/nonexistent/v.json",
-           "2] No such file or directory"),
+           "2] No such file or directory", ""),
           ("simulate", "simulate --n 2 --q 1,-1 --p 0,0 --t-max 0.01 --method both --output /tmp",
-           "/tmp", "21] Is a directory"),
+           "/tmp", "21] Is a directory", ""),
           ("exact-file", f"simulate {START} --t-max 0.01 --method both --output {'o' * 246}.csv",
-           f"{'o' * 246}.exact.csv", "36] File name too long")]],
+           f"{'o' * 246}.exact.csv", "36] File name too long",
+           lambda out: out == "" and os.listdir() == [])]],
     Row("TestSimulate::test_overflowed_stage_prints_one_line",
         "simulate --n 2 --q=0.8,-0.8 --p=0.1,-0.05 --alpha 0.5 --t-max 10 --dt 10", 2,
         "numerical failure: non-finite positions q = [6.51311025        inf]\n"),
@@ -191,6 +194,13 @@ ROWS = [
     Row("TestSimulate::test_rk45_step_floor_is_a_numerical_failure",
         "simulate --n 2 --q=1.0,-1.0 --p=-1,1 --alpha 0.5 --t-max 20 --dt 2 --integrator rk45",
         2, re.compile(r"numerical failure: rk45: step .+ rejected at t = .+\n"), python=W_ERROR),
+    # a valid start 1e-11 above the bound far from q = 0: Sigma read back
+    # from g(0) misses the bound by rounding that grows with cond(k_L), so
+    # the element is off the surface; the start is valid input
+    Row("TestCommands::test_row[exact-read-back-below-the-bound]",
+        "simulate --n 2 --q=5.693147180569945,5 --p=0.2,0.1 --method exact --t-max 0.002 "
+        "--dt 1e-3", 2, "numerical failure: Sigma read back from g: non-positive radicand in "
+                        "v^2 = [-4.22995072e-07  8.25992467e+04]\n"),
     # the extraction first fails near t = 4.5; samples from t ~ 10 on are
     # off the leaf, and they must not be the ones reported
     *[Row(f"TestSimulate::test_exact_flow_fails_at_the_first_failing_sample[{t}]",
@@ -216,6 +226,13 @@ ROWS = [
     Row("TestSimulate::test_flowed_element_off_the_surface_names_its_block",
         "simulate --n 2 --alpha 0.5 --x 1.2 --y 0.8 --seed 11 --method exact --t-max 8 --dt 8", 2,
         "numerical failure: lower-right block is not Lambda-unitary\n"),
+    # a head-on pair nears the wall (margin below WALL_MARGIN) after t = 0.3:
+    # the run ends there with a warning, and exits 0
+    Row("TestCommands::test_row[chamber-approach-warning]",
+        "simulate --n 2 --q 0.4,-0.4 --p -1,1 --t-max 1 --dt 1e-3 --sample-count 10", 0,
+        "warning: chamber-wall approach, trajectory truncated\n",
+        lambda out: [row.split(",")[0] for row in out.splitlines()]
+        == ["t", "0", "0.10000000000000001", "0.20000000000000001", "0.29999999999999999"]),
     # the step to t = 0.062 throws q_2 from -4.83 past q_1: a blown-up rk4
     # step, not an approach to the wall (the exact route bounces q_2 back)
     Row("TestSimulate::test_chamber_approach_truncates_with_a_warning",
@@ -525,6 +542,58 @@ class TestSimulate:
             columns.append([row.split(",")[0] for row in out.splitlines()[1:]])
         assert columns[0] == columns[1] == columns[2]
         assert float(columns[0][-1]) == 1.0
+
+
+class TestStartGate:
+    """The gate refuses a given start whose closest gap is at most
+    separation_gap(c^2) + cli._ROUNDING, and needs no other test: every
+    start it passes is accepted by the assembly and the q-chart kernel."""
+
+    def test_starts_just_above_the_band_are_assembled_and_evaluated(self):
+        rng = np.random.default_rng(30)
+        for n in range(2, 9):
+            for alpha in rng.uniform(0.01, 0.999, 30):
+                params = make_params(alpha, 1.0, 1.0, n)
+                top = separation_gap(params.coupling_sq) + cli._ROUNDING
+                # the lowest q on [-350, 250], each gap 0 to 3 ulp of q above
+                # the first float gap that clears `top`
+                q = np.empty((8, n))
+                q[:, -1] = rng.uniform(-350.0, 250.0, 8)
+                for i in range(n - 2, -1, -1):
+                    q[:, i] = q[:, i + 1] + top
+                    while np.any(low := q[:, i] - q[:, i + 1] <= top):
+                        q[low, i] = np.nextafter(q[low, i], np.inf)
+                    for _ in range(rng.integers(4)):
+                        q[:, i] = np.nextafter(q[:, i], np.inf)
+                p = rng.uniform(-np.pi, np.pi, q.shape)
+                # below q ~ -320 a norm of the assembly overflows: a warning,
+                # no refusal
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    assemble_stack(q, p, params)
+                chart = _q_kernel(n)(*abc_from_params(params), 1.0)
+                for qr, pr in zip(q.tolist(), p.tolist()):
+                    chart(*qr, *pr)
+
+    @pytest.mark.parametrize("method", ["reduced", "exact", "both"])
+    def test_a_gap_in_the_band_is_refused(self, capsys, method):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            n, alpha = int(rng.integers(2, 5)), rng.uniform(0.01, 0.999)
+            bound = separation_gap(make_params(alpha, 1.0, 1.0, n).coupling_sq)
+            gaps = bound + rng.uniform(0.05, 1.0, n - 1)
+            i = int(rng.integers(n - 1))
+            gaps[i] = bound + rng.uniform(0.1, 0.9) * cli._ROUNDING
+            q = rng.uniform(-1.0, 1.0) + np.append(np.cumsum(gaps[::-1])[::-1], 0.0)
+            gap = q[i] - q[i + 1]
+            assert bound < gap <= bound + cli._ROUNDING
+            code, out, err = run_cli(capsys, "simulate", "--n", str(n), f"--alpha={alpha!r}",
+                                     f"--q={','.join(map(repr, q.tolist()))}",
+                                     f"--p={','.join(['0'] * n)}", "--t-max", "0.001",
+                                     "--method", method)
+            assert (code, out, err) == (1, "", f"error: separation condition: q_{i + 1} - "
+                                        f"q_{i + 2} = {gap:.3g} must exceed ln(1/alpha) = "
+                                        f"{bound:.3g}\n")
 
 
 class TestWithoutReducedPoint:

@@ -244,6 +244,19 @@ def test_rounding_in_the_split_s_own_product_is_not_invalid_input(q, p, call, me
         call(fact.g)
 
 
+@pytest.mark.parametrize("call", [lambda g, params: reduce_stack(g[None], params),
+                                  extract_reduced], ids=["reduce_stack", "extract_reduced"])
+def test_read_back_sigma_below_the_bound_is_off_the_surface(call):
+    # a start 1e-11 above the bound far from q = 0: Sigma read back from its
+    # element misses the bound by rounding that grows with cond(k_L), so v
+    # has no real solution; the element is off the surface, not invalid input
+    params = make_params(0.5, 1, 1, 2)
+    fact, _ = assemble_stack([5.693147180569945, 5.0], [0.2, 0.1], params)
+    message = r"^Sigma read back from g: non-positive radicand in v\^2 = \[-4.2"
+    with pytest.raises(NotOnConstraintSurface, match=message):
+        call(fact.g, params)
+
+
 def test_a_caller_s_matrix_that_fails_an_input_test_is_invalid_input():
     # the factorizations: tests/test_matops.py::test_rejects_non_hermitian
     with pytest.raises(InvalidInput, match="^cartan_KAK: input is not pseudo-unitary$"):

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bcn_ruijsenaars.decomposition import extract_reduced, surface_residuals
+from bcn_ruijsenaars.decomposition import extract_reduced, reduce_stack, surface_residuals
 from bcn_ruijsenaars.dynamics import exact_flow, integrate_reduced, project_flow, reduced_rhs
 from bcn_ruijsenaars.errors import ChamberViolation, InvalidInput
 from bcn_ruijsenaars.hamiltonians import (fd_gradient, grad_hamiltonian, hamiltonian_q,
@@ -149,8 +149,8 @@ def test_row_rule_raises_the_first_failing_row():
 
 #: entry -> (call, name in its messages); the model's size is checked by
 #: test_element_of_the_wrong_size_rejected (extract_reduced,
-#: surface_residuals) and test_element_of_the_wrong_size_is_invalid_input
-#: (project_flow)
+#: surface_residuals), test_element_of_the_wrong_size_is_invalid_input
+#: (project_flow) and test_stack_rule (reduce_stack)
 ELEMENTS = {
     "phi_trace": (lambda g: phi_trace(g, 1), "g"),
     "spectral_invariants": (spectral_invariants, "g"),
@@ -185,3 +185,18 @@ def test_element_rule(entry, fault):
     g, message = ELEMENT_FAULTS[fault]
     with pytest.raises(InvalidInput, match="^" + re.escape(message.format(name)) + "$"):
         call(g)
+
+
+@pytest.mark.parametrize("g, message", [
+    (_with(np.nan)[None], "g contains non-finite entries"),
+    (np.eye(3)[None], "g must be square of even dimension, got shape (1, 3, 3)"),
+    (np.eye(4), "g must be a stack (T, 2n, 2n), got shape (4, 4)"),
+    (np.eye(4)[None, None], "g must be a stack (T, 2n, 2n), got shape (1, 1, 4, 4)"),
+    # a 6 x 6 identity is on the leaf, so only the size check can stop it
+    (np.eye(6)[None], "expected shape (4, 4), got (6, 6)"),
+], ids=["nan", "odd", "one-matrix", "4-d", "wrong-size"])
+def test_stack_rule(g, message):
+    # `reduce_stack` takes a (T, 2n, 2n) stack of the model's elements,
+    # checked by the element rule
+    with pytest.raises(InvalidInput, match="^" + re.escape(message) + "$"):
+        reduce_stack(g, PARAMS)
