@@ -24,11 +24,16 @@ or ``--config=PATH``; its values (JSON strings or numbers) are checked
 as flag values are, explicit flags override them, and keys that name no
 flag of the subcommand are ignored.  ``--format json|csv`` selects the
 report format of ``verify``, ``involution`` and ``limit``.
+
+``main`` builds its argument parser on its first call and reuses it, so a
+caller that runs many commands in one process pays the parser build once;
+``build_parser()`` returns a new parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,6 +286,7 @@ def _attach_vector_values(argv):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the four subcommands."""
     ap = _Parser(
         prog="bcn",
         description="Hyperbolic Ruijsenaars-type model: verification, "
@@ -335,6 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use and shared by every later
+    call in the process: parsing leaves it as it was (no default is a
+    mutable object, --config is parsed again as tokens, and the usage
+    takes its width when it is printed)."""
+    return build_parser()
+
+
 def _config_tokens(args) -> list:
     """`--flag=value` tokens for the keys of the --config JSON object that
     name a flag of the chosen subcommand."""
@@ -362,7 +377,7 @@ def _config_tokens(args) -> list:
 
 def main(argv=None) -> int:
     argv = _attach_vector_values(list(sys.argv[1:] if argv is None else argv))
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if args.config is not None:

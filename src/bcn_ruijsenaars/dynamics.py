@@ -52,12 +52,14 @@ stacked generators, grouped by squaring count) and one `reduce_stack`
 pass: one KB split, the extraction and the residuals, with the energy
 read from the same m = g J g^dag that gives b_L.  A sample whose worst
 surface residual is not at most SURFACE_TOL (a NaN too) raises
-NotOnConstraintSurface, and a non-finite energy NumericalFailure, each
-naming its time.  The generator, the KB
-split, the moment value and the residuals apply J as a scaling of rows
-or columns by its signs (see `matops`), with the bits of the dense
-products, so the samples are those of a dense J.  `compare_trajectories`
-measures the deviation between the two routes.
+NotOnConstraintSurface, a non-finite energy NumericalFailure, and an
+error of `reduce_stack` keeps its class; each message names the route
+and the time of the first failing sample (``exact flow: ... at t =
+...``).  The generator, the KB split, the moment value and the
+residuals apply J as a scaling of rows or columns by its signs (see
+`matops`), with the bits of the dense products, so the samples are those
+of a dense J.  `compare_trajectories` measures the deviation between the
+two routes.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import SURFACE_TOL, reduce_stack
-from .errors import (ChamberViolation, InvalidInput, NotOnConstraintSurface,
+from .errors import (BCNError, ChamberViolation, InvalidInput, NotOnConstraintSurface,
                      NumericalFailure, SeparationViolation)
 from .hamiltonians import (_generated, _q_kernel, _sigma_rows, grad_hamiltonian,
                            phi_from_moment)
@@ -360,7 +362,12 @@ def _project_stack(g0, params: ModelParams, times):
     module docstring says."""
     g = exact_flow(g0, times)
     g[times == 0.0] = g0      # the t = 0 sample is g0 itself, unrounded
-    q, p, residual, m = reduce_stack(g, params)
+    try:
+        q, p, residual, m = reduce_stack(g, params)
+    except BCNError as exc:
+        if times.size > 1:      # map_chunks replays the chunk one sample at a time
+            raise
+        raise type(exc)(f"exact flow: {exc} at t = {times[0]:.10g}") from exc
     energy = phi_from_moment(m, 1)
     failed = ~(residual <= SURFACE_TOL)     # a NaN fails too
     if failed.any():

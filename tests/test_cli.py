@@ -10,6 +10,7 @@ one command cannot: several runs against each other, config files and
 patched internals.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -174,22 +175,24 @@ ROWS = [
     # the exact route fails in its first sample's split, before a column
     Row("TestSimulate::test_far_start_fails_the_exact_route_before_its_columns",
         f"simulate {FAR} --method exact", 2, re.compile(
-            WARNED + r"numerical failure: KB split: Schur complement is not positive definite\n"),
-        python=()),
+            WARNED + r"numerical failure: exact flow: KB split: Schur complement is not positive "
+                     r"definite at t = 0\n"), python=()),
     Row("TestCommands::test_row[exact-far-start-W]", f"simulate {FAR} --method exact", 2,
         OVERFLOW),
     # a valid start far from q = 0: the splits' own products g^dag J g and
     # g J g^dag miss the Hermitian test, and the KB factor k the
-    # pseudo-unitarity test, by rounding that grows with cond(k_L)
+    # pseudo-unitarity test, by rounding that grows with cond(k_L); the
+    # first failing sample names its time
     *[Row(f"TestSimulate::test_far_start_off_the_leaf_is_a_numerical_failure[argv{i}-{split}]",
-          f"simulate {start} --t-max 0.002 --dt 1e-3", 2, f"numerical failure: {split}\n")
-      for i, (start, split) in enumerate([
-          ("--n 1 --q=8 --p=0.1 --method exact", BK_HERMITIAN),
-          ("--n 1 --q=8 --p=0.1 --method both", BK_HERMITIAN),
-          ("--n 1 --q=9 --p=0.1 --method exact", KB_HERMITIAN),
-          ("--n 3 --q=9,8,7 --p=0.1,0.1,0.1 --method exact", KB_HERMITIAN),
+          f"simulate {start} --t-max 0.002 --dt 1e-3", 2,
+          f"numerical failure: exact flow: {split} at t = {t}\n")
+      for i, (start, split, t) in enumerate([
+          ("--n 1 --q=8 --p=0.1 --method exact", BK_HERMITIAN, "0.001"),
+          ("--n 1 --q=8 --p=0.1 --method both", BK_HERMITIAN, "0.001"),
+          ("--n 1 --q=9 --p=0.1 --method exact", KB_HERMITIAN, "0"),
+          ("--n 3 --q=9,8,7 --p=0.1,0.1,0.1 --method exact", KB_HERMITIAN, "0"),
           ("--n 1 --q=-10 --p=0.5 --method exact",
-           "KB split: cartan_KAK: input is not pseudo-unitary")])],
+           "KB split: cartan_KAK: input is not pseudo-unitary", "0")])],
     # a head-on pair drives rk45's step below its floor, in bounded time
     Row("TestSimulate::test_rk45_step_floor_is_a_numerical_failure",
         "simulate --n 2 --q=1.0,-1.0 --p=-1,1 --alpha 0.5 --t-max 20 --dt 2 --integrator rk45",
@@ -199,20 +202,32 @@ ROWS = [
     # the element is off the surface; the start is valid input
     Row("TestCommands::test_row[exact-read-back-below-the-bound]",
         "simulate --n 2 --q=5.693147180569945,5 --p=0.2,0.1 --method exact --t-max 0.002 "
-        "--dt 1e-3", 2, "numerical failure: Sigma read back from g: non-positive radicand in "
-                        "v^2 = [-4.22995072e-07  8.25992467e+04]\n"),
-    # the extraction first fails near t = 4.5; samples from t ~ 10 on are
-    # off the leaf, and they must not be the ones reported
+        "--dt 1e-3", 2, "numerical failure: exact flow: Sigma read back from g: non-positive "
+                        "radicand in v^2 = [-4.22995072e-07  8.25992467e+04] at t = 0\n"),
+    # the same near the wall one unit lower, where the phase read-off fails
+    Row("TestCommands::test_row[exact-read-back-phase]",
+        "simulate --n 2 --q=4.6931471805609455,4 --p=0.2,0.1 --method exact --t-max 0.002 "
+        "--dt 1e-3", 2,
+        "numerical failure: exact flow: phase matrix has off-diagonal content at t = 0\n"),
+    # Sigma_2 = e^{q_2} nears 0 (Gamma_2 = 1) at t ~ 0.73 (ROADMAP item 22)
+    Row("TestCommands::test_row[exact-unit-radial-singular-value]",
+        "simulate --n 2 --seed 15 --method exact --t-max 1 --dt 1e-4 --sample-count 100000000", 2,
+        "numerical failure: exact flow: unit radial singular value: Gamma = [9.04747013 1.        "
+        "] at t = 0.7308\n"),
+    # the extraction first fails at t = 4; samples from t ~ 10 on are off
+    # the leaf, and they must not be the ones reported
     *[Row(f"TestSimulate::test_exact_flow_fails_at_the_first_failing_sample[{t}]",
           f"simulate --n 2 --alpha 0.6 --x 1.2 --y 0.8 --seed 2 --method exact --t-max {t}", 2,
-          "numerical failure: phase matrix has off-diagonal content\n") for t in (10, 20)],
+          "numerical failure: exact flow: phase matrix has off-diagonal content at t = 4\n")
+      for t in (10, 20)],
     Row("TestSimulate::test_element_off_the_leaf_is_a_numerical_failure",
         "simulate --n 2 --seed 2 --alpha 0.6 --x 1.2 --y 0.8 --method exact --t-max 10 --dt 10",
-        2, "numerical failure: KB split: upper-left block is not positive definite\n"),
+        2, "numerical failure: exact flow: KB split: upper-left block is not positive definite "
+           "at t = 10\n"),
     *[Row(f"TestSimulate::test_failed_cholesky_of_the_split_names_the_split[{seed}-{block}]",
           f"simulate --n 2 --alpha 0.5 --x 1.2 --y 0.8 --seed {seed} --method exact "
           "--t-max 12 --dt 12", 2,
-          f"numerical failure: KB split: {block} is not positive definite\n")
+          f"numerical failure: exact flow: KB split: {block} is not positive definite at t = 12\n")
       for seed, block in [(1, "upper-left block"), (5, "Schur complement")]],
     *[Row(f"TestSimulate::test_exact_sample_off_the_surface_is_a_numerical_failure[{name}]",
           f"simulate {argv}", 2,
@@ -225,7 +240,7 @@ ROWS = [
            "--dt 4", "1.94e-06", "4")]],
     Row("TestSimulate::test_flowed_element_off_the_surface_names_its_block",
         "simulate --n 2 --alpha 0.5 --x 1.2 --y 0.8 --seed 11 --method exact --t-max 8 --dt 8", 2,
-        "numerical failure: lower-right block is not Lambda-unitary\n"),
+        "numerical failure: exact flow: lower-right block is not Lambda-unitary at t = 8\n"),
     # a head-on pair nears the wall (margin below WALL_MARGIN) after t = 0.3:
     # the run ends there with a warning, and exits 0
     Row("TestCommands::test_row[chamber-approach-warning]",
@@ -722,6 +737,62 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == 1 and out == ""
         assert "error" in err
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process: a command leaves nothing
+    in it that a later command sees."""
+
+    def alone(self, capsys, *argv):
+        """The run of `argv` with a parser of its own."""
+        cli._parser.cache_clear()
+        return run_cli(capsys, *argv)
+
+    def test_config_values_do_not_outlive_their_command(self, capsys):
+        plain = self.alone(capsys, "verify", "--seed", "1")
+        assert json.loads(plain[1])["samples"] == 100
+        Path("c.json").write_text(json.dumps({"samples": 3}))
+        code, out, _ = run_cli(capsys, "verify", "--config", "c.json")
+        assert code == 0 and json.loads(out)["samples"] == 3
+        assert run_cli(capsys, "verify", "--seed", "1") == plain
+
+    def test_usage_error_does_not_outlive_its_command(self, capsys):
+        valid = ("simulate", "--n", "2", "--t-max", "0.01", "--seed", "1")
+        single = self.alone(capsys, *valid)
+        code, out, err = run_cli(capsys, "verify", "--bogus")
+        assert (code, out) == (1, "")
+        assert usage("verify", "unrecognized arguments: --bogus").fullmatch(err)
+        assert run_cli(capsys, *valid) == single
+
+    def test_no_default_is_a_mutable_object(self):
+        # a list default (an "append" action) would carry values from one
+        # command to the next
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        for parser in (ap, *sub.choices.values()):
+            for action in parser._actions:
+                assert action.default is None or isinstance(action.default, (str, int, float))
+
+    def test_usage_takes_its_width_when_printed(self, capsys, monkeypatch):
+        lines = []
+        for columns in ("200", "50"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, _, err = run_cli(capsys, "simulate", "--bogus")
+            assert code == 1
+            lines.append(err.count("\n"))
+        assert lines[0] < lines[1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (("verify", "--samples", "2"), ("limit", "--n", "2"), ("verify", "--bogus")):
+            run_cli(capsys, *argv)
+        assert len(builds) == 1
 
 
 # last, so that the classes above take the rows named after their tests

@@ -22,6 +22,7 @@ from bcn_ruijsenaars import dynamics
 from bcn_ruijsenaars.decomposition import SURFACE_TOL, cartan_KAK, decompose_KB, reduce_stack
 from bcn_ruijsenaars.errors import (
     ChamberViolation,
+    DegenerateElement,
     InternalInconsistency,
     InvalidInput,
     NotOnConstraintSurface,
@@ -732,15 +733,25 @@ class TestStackedProjection:
             project_flow(g0, params, [0.5, 1.0])
 
     def test_first_failing_sample_in_time_raises(self):
-        # near t = 4.5 the phase check fails; from t = 10 on the samples
-        # are off the leaf (NotOnLeaf), and a stage-by-stage pass over the
+        # at t = 4 the phase check fails; from t = 10 on the samples are
+        # off the leaf (NotOnLeaf), and a stage-by-stage pass over the
         # whole stack would meet those first
         params = make_params(0.6, 1.2, 0.8, 2)
         g0 = assemble_stack(*random_admissible_points(np.random.default_rng(2), params, 1),
                             params)[0].g[0]
         with pytest.raises(NotOnConstraintSurface,
-                           match="phase matrix has off-diagonal content"):
+                           match="^exact flow: phase matrix has off-diagonal content at t = 4$"):
             project_flow(g0, params, [0, 4, 6, 8, 10, 12])
+
+    def test_extraction_error_keeps_its_class_and_names_the_time(self):
+        # seed 15 at x = y = 1: Sigma_2 nears 0 at t ~ 0.73, and the KAK
+        # split meets a unit radial singular value there (ROADMAP item 22)
+        params = make_params(0.5, 1.0, 1.0, 2)
+        g0 = assemble_stack(*random_admissible_points(np.random.default_rng(15), params, 1),
+                            params)[0].g[0]
+        with pytest.raises(DegenerateElement, match=r"^exact flow: unit radial singular "
+                                                    r"value: Gamma = \[.+\] at t = 0.7308$"):
+            project_flow(g0, params, np.arange(10001) * 1e-4)
 
 
 class TestCompare:
