@@ -42,13 +42,13 @@ import numpy as np
 from .errors import (DegenerateElement, InvalidInput, NotOnConstraintSurface, NotOnLeaf,
                      SeparationViolation)
 from .matops import (
+    _pseudo_unitary,
     as_signature_input,
     dagger,
     frob,
     indefinite_cholesky_upper,
     indefinite_cholesky_upper_dual,
     inn,
-    is_pseudo_unitary,
     j_gram,
     j_moment,
     rel_err,
@@ -104,12 +104,12 @@ class KAKData:
         return left @ c @ right
 
 
-def _own(split: str, decompose, product):
-    """`decompose` of the split's own product, whose failed input test is
+def _own(split: str, decompose, *products):
+    """`decompose` of the split's own products, whose failed input test is
     rounding: that InvalidInput and a failed signature Cholesky are both
     NotOnLeaf, prefixed with the split's name ("KB split: ...")."""
     try:
-        return decompose(product)
+        return decompose(*products)
     except (InvalidInput, NotOnLeaf) as exc:
         raise NotOnLeaf(f"{split}: {exc}") from None
 
@@ -122,7 +122,11 @@ def decompose_KB(g):
     InvalidInput unless g is a 2n x 2n matrix or a stack of them, or when
     it has a non-finite entry.
     """
-    g = as_signature_input(g, "g")
+    return _kb(as_signature_input(g, "g"))
+
+
+def _kb(g):
+    """`decompose_KB` of a checked g."""
     b = _own("KB split", indefinite_cholesky_upper, j_gram(g))
     k = np.linalg.solve(b.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)  # g b^{-1}
     return k, b
@@ -151,8 +155,13 @@ def cartan_KAK(k) -> KAKData:
     2n x 2n matrix or a stack of them, or not pseudo-unitary.
     """
     k = as_signature_input(k, "k")
+    return _kak(k, j_gram(k))
+
+
+def _kak(k, gram) -> KAKData:
+    """`cartan_KAK` of a checked k and its gram k^dag J k."""
     n = k.shape[-1] // 2
-    if not is_pseudo_unitary(k, tol=1e-8):
+    if not _pseudo_unitary(k, gram, tol=1e-8):
         raise InvalidInput("cartan_KAK: input is not pseudo-unitary")
     a, c, d = k[..., :n, :n], k[..., n:, :n], k[..., n:, n:]
     rho_hat, gamma, khat = np.linalg.svd(a)   # numpy's V^dag is exactly khat
@@ -178,17 +187,18 @@ def cartan_KAK(k) -> KAKData:
 
 
 def _split(g, params: ModelParams):
-    """The pseudo-unitary factor k_L of the KB split of a stack of
-    elements, and the relative errors of the diagonal blocks of its
-    triangular factor b_R against diag(x, 1/x), one value per element."""
+    """The pseudo-unitary factor k_L of the KB split of a checked stack of
+    elements, its gram k_L^dag J k_L, and the relative errors of the
+    diagonal blocks of its triangular factor b_R against diag(x, 1/x),
+    one value per element."""
     n, x = params.n, params.x
     eye = np.eye(n)
-    k_L, b_R = decompose_KB(g)
-    return k_L, {"bR_block_11": rel_err(b_R[:, :n, :n], x * eye),
-                 "bR_block_22": rel_err(b_R[:, n:, n:], eye / x)}
+    k_L, b_R = _kb(g)
+    return k_L, j_gram(k_L), {"bR_block_11": rel_err(b_R[:, :n, :n], x * eye),
+                              "bR_block_22": rel_err(b_R[:, n:, n:], eye / x)}
 
 
-def _read_stack(g, k_L, blocks, params: ModelParams):
+def _read_stack(g, k_L, gram, blocks, params: ModelParams):
     """(q, p), each (T, n), of a stack of elements, from its `_split`.
 
     Radial normal form of the pseudo-unitary factor, the gauge-normalized
@@ -206,7 +216,7 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
         raise NotOnConstraintSurface(
             f"right factor diagonal blocks off by {bad[np.argmax(failed)]:.2e}")
 
-    kak = _own("KB split", cartan_KAK, k_L)
+    kak = _own("KB split", _kak, k_L, gram)
     Sigma = kak.Sigma
     q = np.log(Sigma)
 
@@ -245,14 +255,15 @@ def _read_stack(g, k_L, blocks, params: ModelParams):
     return q, p
 
 
-def _residual_stack(g, k_L, blocks, params: ModelParams):
-    """Named residuals, one value per element, from its `_split`, and the
-    moment value m = g J g^dag = b_L J b_L^dag they were read from."""
+def _residual_stack(g, gram, blocks, params: ModelParams):
+    """Named residuals, one value per element, from the gram and the
+    blocks of its `_split`, and the moment value m = g J g^dag =
+    b_L J b_L^dag they were read from."""
     n = params.n
     y, alpha = params.y, params.alpha
     eye = np.eye(n)
     res = dict(blocks)
-    res["kL_pseudounitary"] = rel_err(j_gram(k_L), inn(n))
+    res["kL_pseudounitary"] = rel_err(gram, inn(n))
 
     m = j_moment(g)
     b_L = _own("BK split", indefinite_cholesky_upper_dual, m)
@@ -281,9 +292,9 @@ def reduce_stack(g, params: ModelParams):
     The extraction runs first, so its errors come first.
     """
     g = require_element(g, n=params.n, stack=True)
-    k_L, blocks = _split(g, params)
-    q, p = _read_stack(g, k_L, blocks, params)
-    res, m = _residual_stack(g, k_L, blocks, params)
+    k_L, gram, blocks = _split(g, params)
+    q, p = _read_stack(g, k_L, gram, blocks, params)
+    res, m = _residual_stack(g, gram, blocks, params)
     return q, p, np.max(list(res.values()), axis=0), m
 
 
@@ -309,5 +320,6 @@ def surface_residuals(g, params: ModelParams) -> dict:
     value, and the determinant.  Factorization errors propagate.
     """
     g = require_element(g, n=params.n)[None]
-    res, _ = _residual_stack(g, *_split(g, params), params)
+    _, gram, blocks = _split(g, params)
+    res, _ = _residual_stack(g, gram, blocks, params)
     return {name: float(r[0]) for name, r in res.items()}

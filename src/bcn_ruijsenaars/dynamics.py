@@ -46,11 +46,13 @@ either column (far out, e^q or a product overflows) raises
 NumericalFailure naming the column and its first sample time.
 
 `project_flow` composes the exact flow with coordinate extraction and
-runs as one stacked pipeline through `matops.map_chunks`: each chunk of
-`chunk_rows(2n)` samples makes one `exact_flow` call (an `expm` of the
-stacked generators, grouped by squaring count) and one `reduce_stack`
-pass: one KB split, the extraction and the residuals, with the energy
-read from the same m = g J g^dag that gives b_L.  A sample whose worst
+runs as one stacked pipeline through `matops.map_chunks`.  It checks g0
+and forms the generator J g0^dag J g0 once per run; each chunk of
+`chunk_rows(2n)` samples (32 at n = 8) then makes one `expm` of the
+stacked t-scaled generators, grouped by squaring count, by the formula
+of `exact_flow`, and one `reduce_stack` pass: one KB split, the
+extraction and the residuals, with the energy read from the same
+m = g J g^dag that gives b_L.  A sample whose worst
 surface residual is not at most SURFACE_TOL (a NaN too) raises
 NotOnConstraintSurface, a non-finite energy NumericalFailure, and an
 error of `reduce_stack` keeps its class; each message names the route
@@ -141,10 +143,20 @@ def exact_flow(g0, t) -> np.ndarray:
     signs of J.  g0 is checked by `matops.require_element`.
     """
     g0 = require_element(g0, "g0")
+    return _flow(g0, _generator(g0), t)
+
+
+def _generator(g0):
+    """J g0^dag J g0 of a checked g0, the signs of J scaling the rows and
+    columns of g0^dag."""
     s = signs(g0.shape[0] // 2)
-    gen = (-2.0j * np.asarray(t, dtype=float))[..., None, None] \
-        * ((s[:, None] * dagger(g0) * s) @ g0)
-    return g0 @ expm(gen)
+    return (s[:, None] * dagger(g0) * s) @ g0
+
+
+def _flow(g0, gen, t):
+    """g0 exp(-2 i t gen), the formula of `exact_flow`, at a checked g0
+    and its `_generator`."""
+    return g0 @ expm((-2.0j * np.asarray(t, dtype=float))[..., None, None] * gen)
 
 
 def reduced_rhs(q, p, params: ModelParams):
@@ -351,16 +363,17 @@ def project_flow(g0, params: ModelParams, times) -> Trajectory:
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise InvalidInput("times must be strictly increasing")
     g0 = require_element(g0, "g0", params.n)
-    q, p, energy, residual = map_chunks(lambda t: _project_stack(g0, params, t),
+    gen = _generator(g0)
+    q, p, energy, residual = map_chunks(lambda t: _project_stack(g0, gen, params, t),
                                         chunk_rows(g0.shape[-1]), times)
     return Trajectory(times=times.copy(), q=q, p=p, energy=energy,
                       residual=residual)
 
 
-def _project_stack(g0, params: ModelParams, times):
-    """(q, p, energy, residual) at `times`, as one stack, gated as the
-    module docstring says."""
-    g = exact_flow(g0, times)
+def _project_stack(g0, gen, params: ModelParams, times):
+    """(q, p, energy, residual) at `times`, as one stack, from g0 and its
+    `_generator`, gated as the module docstring says."""
+    g = _flow(g0, gen, times)
     g[times == 0.0] = g0      # the t = 0 sample is g0 itself, unrounded
     try:
         q, p, residual, m = reduce_stack(g, params)

@@ -36,6 +36,7 @@ All functions are pure; inputs are never modified.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,9 +67,13 @@ __all__ = [
 STRUCT_TOL = 1e-10
 
 
+@functools.cache
 def signs(n: int) -> np.ndarray:
-    """The diagonal (+1 x n, -1 x n) of the signature J = inn(n)."""
-    return np.concatenate([np.ones(n), -np.ones(n)])
+    """The diagonal (+1 x n, -1 x n) of the signature J = inn(n), built
+    once per n and read-only."""
+    s = np.concatenate([np.ones(n), -np.ones(n)])
+    s.flags.writeable = False
+    return s
 
 
 def inn(n: int) -> np.ndarray:
@@ -101,8 +106,14 @@ def frob(a: np.ndarray):
     """
     a = np.asarray(a)
     rows = a.reshape(*a.shape[:-2], 1, math.prod(a.shape[-2:]))
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+    if not np.iscomplexobj(rows):
+        return np.sqrt(_dot_self(rows))
+    return np.sqrt(_dot_self(rows.real) + _dot_self(rows.imag))
+
+
+def _dot_self(rows):
+    """x . x of each (1, N) row of a stack."""
+    return (rows @ rows.swapaxes(-1, -2))[..., 0, 0]
 
 
 def rel_err(actual: np.ndarray, target: np.ndarray):
@@ -119,12 +130,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 #: complex entries per stacked (T, N, N) array of one chunk
-CHUNK_ENTRIES = 4096
+CHUNK_ENTRIES = 8192
 
 
 def chunk_rows(size: int) -> int:
     """Matrices of one chunk of a stack of size x size matrices:
-    CHUNK_ENTRIES // size^2, at least one (256 at 2n = 4, 16 at 2n = 16),
+    CHUNK_ENTRIES // size^2, at least one (512 at 2n = 4, 32 at 2n = 16),
     which bounds the memory of a stacked pass."""
     return max(1, CHUNK_ENTRIES // (size * size))
 
@@ -208,7 +219,13 @@ def is_pseudo_unitary(m, tol: float = STRUCT_TOL) -> bool:
     """Check m^dag J m = J for J = diag(I, -I); for a stack, every matrix.
     m is checked by `as_signature_input`."""
     a = as_signature_input(m)
-    return bool(np.all(frob(j_gram(a) - inn(a.shape[-1] // 2))
+    return _pseudo_unitary(a, j_gram(a), tol)
+
+
+def _pseudo_unitary(a: np.ndarray, gram: np.ndarray, tol: float) -> bool:
+    """The test of `is_pseudo_unitary` on a checked input and its
+    `j_gram`, for a caller that has formed the gram already."""
+    return bool(np.all(frob(gram - inn(a.shape[-1] // 2))
                        <= tol * np.maximum(1.0, frob(a) ** 2)))
 
 
@@ -222,21 +239,36 @@ _THETA13 = 5.371920351148152e0
 _B13 = np.array([math.comb(13, j) / math.perm(26, j) for j in range(14)])
 
 
+def _even_poly(c, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> np.ndarray:
+    """a6 (c6 a6 + c5 a4 + c4 a2) + c3 a6 + c2 a4 + c1 a2 + c0, each sum
+    accumulated in place from left to right."""
+    w = c[6] * a6
+    w += c[5] * a4
+    w += c[4] * a2
+    x = a6 @ w
+    del w
+    x += c[3] * a6
+    x += c[2] * a4
+    x += c[1] * a2
+    x += c[0] * np.eye(a2.shape[-1], dtype=complex)
+    return x
+
+
 def _pade13(a: np.ndarray) -> np.ndarray:
-    b = _B13
-    eye = np.eye(a.shape[-1], dtype=complex)
+    """(V - U)^-1 (V + U), with U = a `_even_poly`(b1, b3, ..., b13) and
+    V = `_even_poly`(b0, b2, ..., b12); the powers of a are dropped before
+    the solve."""
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    )
-    return np.linalg.solve(v - u, v + u)
+    u = _even_poly(_B13[1::2], a2, a4, a6)
+    v = _even_poly(_B13[0::2], a2, a4, a6)
+    del a2, a4, a6
+    u = a @ u
+    d = v - u
+    v += u
+    del u
+    return np.linalg.solve(d, v)
 
 
 def expm(m) -> np.ndarray:

@@ -11,6 +11,7 @@ from conftest import (
     vhat_stabilizer,
 )
 
+from bcn_ruijsenaars import decomposition
 from bcn_ruijsenaars.decomposition import (
     cartan_KAK,
     decompose_BK,
@@ -25,7 +26,7 @@ from bcn_ruijsenaars.errors import (
     NotOnConstraintSurface,
     NotOnLeaf,
 )
-from bcn_ruijsenaars.matops import frob, inn, rel_err
+from bcn_ruijsenaars.matops import frob, inn, j_gram, rel_err
 from bcn_ruijsenaars.model import make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import assemble_stack
 from bcn_ruijsenaars.sampling import random_admissible_points
@@ -255,6 +256,34 @@ def test_read_back_sigma_below_the_bound_is_off_the_surface(call):
     message = r"^Sigma read back from g: non-positive radicand in v\^2 = \[-4.2"
     with pytest.raises(NotOnConstraintSurface, match=message):
         call(fact.g, params)
+
+
+def test_one_gram_of_k_L_serves_the_pseudo_unitarity_test_and_the_residual(monkeypatch):
+    # reduce_stack forms j_gram twice, for g and for k_L: cartan_KAK's
+    # pseudo-unitarity test and the kL_pseudounitary residual share k_L's
+    grams = []
+
+    def spy(a):
+        grams.append(a)
+        return j_gram(a)
+
+    monkeypatch.setattr(decomposition, "j_gram", spy)
+    params = make_params(0.6, 1.2, 0.8, 3)
+    g = assemble_stack(*random_admissible_points(np.random.default_rng(38), params, 4),
+                       params)[0].g
+    reduce_stack(g, params)
+    assert len(grams) == 2
+    k_L = grams[1]
+    assert np.array_equal(k_L, decompose_KB(g)[0])
+    assert surface_residuals(g[0], params)["kL_pseudounitary"] == rel_err(j_gram(k_L[0]), inn(3))
+    # far in (q = -10, n = 1) k_L misses the test by rounding: it still
+    # fails, through the shared gram, before the residuals
+    grams.clear()
+    params = make_params(0.5, 1, 1, 1)
+    fact, _ = assemble_stack([-10.0], [0.5], params)
+    with pytest.raises(NotOnLeaf, match="^KB split: cartan_KAK: input is not pseudo-unitary$"):
+        reduce_stack(fact.g[None], params)
+    assert len(grams) == 2
 
 
 def test_a_caller_s_matrix_that_fails_an_input_test_is_invalid_input():

@@ -31,7 +31,7 @@ from bcn_ruijsenaars.errors import (
 )
 from bcn_ruijsenaars.hamiltonians import (_q_kernel, grad_hamiltonian, phi_trace,
                                           spectral_invariants)
-from bcn_ruijsenaars.matops import frob, indefinite_cholesky_upper_dual, inn, rel_err
+from bcn_ruijsenaars.matops import chunk_rows, frob, indefinite_cholesky_upper_dual, inn, rel_err
 from bcn_ruijsenaars.model import (abc_from_params, make_params, separation_gap,
                                    separation_margin, wrap_angle)
 from bcn_ruijsenaars.reconstruction import assemble_stack, build_Ttilde, solve_v
@@ -245,9 +245,10 @@ class TestIntegrateReduced:
             integrate_reduced(q0, p0, make_params(0.5, 1, 1, len(q0)), t_max, dt)
 
     def test_energy_column_runs_in_chunks(self, monkeypatch):
-        # chunk_rows(2) = 1024 samples per Sigma-chart call, with the bits
-        # of one call on all the samples
+        # chunk_rows(2) samples per Sigma-chart call, with the bits of one
+        # call on all the samples
         sizes, sigma_rows = [], dynamics._sigma_rows
+        rows = chunk_rows(2)
 
         def spy(sigma, p, params):
             sizes.append(len(sigma))
@@ -255,7 +256,7 @@ class TestIntegrateReduced:
 
         monkeypatch.setattr(dynamics, "_sigma_rows", spy)
         traj = integrate_reduced(Q2, P2, PARAMS2, 2.5, 1e-3)
-        assert sizes == [1024, 1024, 453]
+        assert sizes == [rows] * (2501 // rows) + [2501 % rows]
         assert traj.energy.tolist() == sigma_rows(np.exp(traj.q), traj.p, [PARAMS2]).tolist()
 
     def test_zero_horizon(self):
@@ -685,7 +686,7 @@ class TestStackedProjection:
         self._assert_matches_loop(g0, params, np.linspace(0.0, 1.0, 101))
 
     def test_many_chunks_at_n8(self):
-        # 16 samples per chunk at n = 8: 1001 samples cross 62 boundaries
+        # 32 samples per chunk at n = 8: 1001 samples cross 31 boundaries
         params = make_params(0.6, 1.2, 0.8, 8)
         g0 = _bounded_start(np.random.default_rng(390), params)
         self._assert_matches_loop(g0, params, np.linspace(0.0, 1.0, 1001))
@@ -700,11 +701,12 @@ class TestStackedProjection:
     def test_sample_off_the_surface_fails_at_its_first_time(self):
         # n = 2, alpha 0.9, seed 5: the worst surface residual reaches
         # 2.4e-6 > SURFACE_TOL at t = 6 (the extraction fails from t ~ 6.25
-        # on); the 500 samples before it, two chunks, pass
+        # on); the 1000 samples before it, two chunks, pass
         params = make_params(0.9, 1.2, 0.8, 2)
         g0 = assemble_stack(*random_admissible_points(np.random.default_rng(5), params, 1),
                             params)[0].g[0]
-        times = np.append(np.linspace(0.0, 5.0, 500), 6.0)
+        times = np.append(np.linspace(0.0, 5.0, 1000), 6.0)
+        assert chunk_rows(4) < 1000 < 2 * chunk_rows(4)     # t = 6 is in the second chunk
         with pytest.raises(NotOnConstraintSurface,
                            match="^exact flow: surface residual 2.42e-06 above 1e-06 at t = 6$"):
             project_flow(g0, params, times)

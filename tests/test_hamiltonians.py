@@ -481,7 +481,9 @@ class TestInvolution:
 
     @pytest.mark.parametrize("max_order", [3, 4])
     def test_point_chunks_match_the_loop(self, monkeypatch, max_order):
-        # n = 3: chunk_rows(6) // 24 = 4 points per fd_gradient call
+        # n = 3: chunk_rows(6) // 24 points per fd_gradient call, and one
+        # point past two calls
+        per_call = chunk_rows(6) // 24
         sizes = []
         fd = hamiltonians.fd_gradient
 
@@ -492,9 +494,9 @@ class TestInvolution:
         monkeypatch.setattr(hamiltonians, "fd_gradient", spy)
         rng = np.random.default_rng(62)
         params = make_params(0.6, 1.2, 0.8, 3)
-        q, p = random_admissible_points(rng, params, 9, **BRACKET_DRAW)
+        q, p = random_admissible_points(rng, params, 2 * per_call + 1, **BRACKET_DRAW)
         rep = involution_report(params, q, p, max_order=max_order)
-        assert sizes == [4, 4, 1]
+        assert sizes == [per_call, per_call, 1]
         mat, worst, max_abs = _loop_report(params, q, p, max_order)
         assert rep.bracket_matrix.tolist() == mat.tolist()
         assert rep.worst_pair == worst
@@ -513,12 +515,13 @@ class TestInvolution:
 
         monkeypatch.setattr(hamiltonians, "assemble_stack", spy)
         monkeypatch.setattr(hamiltonians, "phi_trace", per_point)
+        # n = 7: each point's 8n = 56 stencil rows span two chunks
         rng = np.random.default_rng(61)
-        params = make_params(0.9, 1.2, 0.8, 6)
+        params = make_params(0.9, 1.2, 0.8, 7)
         q, p = random_admissible_points(rng, params, 2, **BRACKET_DRAW)
         involution_report(params, q, p, max_order=3)
-        assert sizes == [28, 20, 28, 20]
-        assert max(sizes) <= chunk_rows(12)
+        rows = chunk_rows(14)
+        assert sizes == [rows, 56 - rows] * 2
 
     @pytest.mark.parametrize("q", [
         [0.30005, 0.3, -0.5],       # the loop: SeparationViolation at row 0

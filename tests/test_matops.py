@@ -100,6 +100,52 @@ def test_stacked_expm_equals_each_matrix_alone():
     assert np.array_equal(expm(a.reshape(4, 12, 6, 6)).reshape(a.shape), stacked)
 
 
+def _pade13_out_of_place(a):
+    """The (13, 13) Pade approximant as one out-of-place expression per
+    polynomial, every power alive up to the solve."""
+    b = matops._B13
+    eye = np.eye(a.shape[-1], dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    return np.linalg.solve(v - u, v + u)
+
+
+@pytest.mark.parametrize("size", [2, 4, 16])
+def test_in_place_pade_has_the_bits_of_the_out_of_place_expression(size):
+    # the in-place sums add the same terms in the same order, at three or
+    # more squaring counts per stack
+    rng = np.random.default_rng(20 + size)
+    a = rand_complex(rng, (40, size, size))
+    a *= (np.geomspace(1e-2, 3e2, 40) / np.linalg.norm(a, 1, axis=(-2, -1)))[:, None, None]
+    theta = matops._THETA13
+    counts = np.ceil(np.log2(np.maximum(np.linalg.norm(a, 1, axis=(-2, -1)), theta) / theta))
+    assert len(set(counts.tolist())) >= 3
+    want = np.empty_like(a)
+    for s in set(counts.tolist()):
+        x = _pade13_out_of_place(a[counts == s] / 2.0 ** s)
+        for _ in range(int(s)):
+            x = x @ x
+        want[counts == s] = x
+    assert expm(a).tobytes() == want.tobytes()
+
+
+def test_signs_are_read_only():
+    s = signs(3)
+    assert s is signs(3)
+    with pytest.raises(ValueError):
+        s[0] = -1.0
+    assert s.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+
+
 class TestMapChunks:
     def test_results_in_row_order(self):
         a, b = np.arange(10.0), np.arange(10.0, 30.0).reshape(10, 2)

@@ -11,7 +11,7 @@ from bcn_ruijsenaars.decomposition import reduce_stack
 from bcn_ruijsenaars.dynamics import integrate_reduced
 from bcn_ruijsenaars.errors import (BCNError, ChamberViolation, InvalidInput,
                                     NumericalFailure, SeparationViolation)
-from bcn_ruijsenaars.matops import frob, inn, rel_err
+from bcn_ruijsenaars.matops import chunk_rows, frob, inn, rel_err
 from bcn_ruijsenaars.model import cartan_from_q, make_params, wrap_angle
 from bcn_ruijsenaars.reconstruction import (
     assemble_stack,
@@ -324,7 +324,7 @@ def _points(n, count, seed, alpha=0.6):
 class TestStackedCore:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_residuals_equal_the_loop_bit_for_bit(self, n):
-        # 40 points are three chunks at n = 8 (16 rows each)
+        # 40 points are two chunks at n = 8 (chunk_rows(16) = 32 rows, then 8)
         params, q, p = _points(n, 40, 300 + n)
         stacked = constraint_residuals(q, p, params)
         fact, _ = assemble_stack(q, p, params)
@@ -394,8 +394,9 @@ class TestStackedCore:
 
     def test_verify_assembles_at_most_one_chunk_per_call(self, monkeypatch, capsys):
         # the `verify --n 8` run of 200 points: one draw of the whole sample,
-        # assembled in chunks of 4096 // 16^2 rows
+        # assembled in chunks of chunk_rows(16) rows
         rows, drawn = [], []
+        size = chunk_rows(16)
         core, draw = reconstruction.assemble_stack, cli.random_admissible_points
 
         def spy(q, p, params):
@@ -412,4 +413,4 @@ class TestStackedCore:
               "--samples", "200", "--seed", "1"])
         capsys.readouterr()
         assert drawn == [200]
-        assert rows == [16] * 12 + [8]
+        assert rows == [size] * (200 // size) + [200 % size]
